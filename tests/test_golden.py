@@ -1,0 +1,42 @@
+"""Golden-bytes gate for the CSV outputs of the shipped smoke config.
+
+Runs ``configs/smoke.yaml`` through the sweep, bounds, pf and closure
+subcommands at ``--workers 1`` and compares the sha256 of every CSV with
+hashes recorded before the realization pipeline was refactored, so any
+change to output bytes is caught.  ``.meta.json`` sidecars embed the output
+path and are not compared.
+
+The hashes were taken with Python 3.11.7, numpy 2.4.6, scipy 1.17.1 and
+OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH, Haswell kernels).  Another
+BLAS build may round differently; a mismatch there means re-baselining the
+hashes, not a bug.  A deliberate change to output bytes must update the
+hashes and be named in CHANGES.md.
+"""
+
+import contextlib
+import hashlib
+import io
+
+from koopest.cli import main
+
+GOLDEN = {
+    "sweep.csv": "9c52b32aaa588170bd33d72324bee1466d0abc7f57990372a678d27272f33b53",
+    "sweep_points.csv": "9bd189f98c3ca873e1d2d5ed5e925f3dc3476da6f0fb8a76626c270ba611b59d",
+    "bounds.csv": "6fc41f82c109e5bb23e83c23993572dc786737f63dad0406bd13e83e85b28960",
+    "pf_report.csv": "a1d264110ba09c1ff3918f56a65cb5cc9b516e51a44aeea14dd5fa35efd28902",
+    "koopman_matrix.csv": "4bc18ac46fd2f6c8e0a6fea28f8e3f658991e19ea0fd7ba1acf3507e29d5b787",
+    "pf_matrix.csv": "4b6401c23edc8b5c39afd2b754cf75f7d1f511f5c42d633663e68f441f8be651",
+    "gram.csv": "5b3b672ed0ab22019ab92d8d0a7af6b42c06956c228b290006f1f66b879da63b",
+    "closure.csv": "78a2b5c852533517e73c28dc6129267ae93187af0fa2face8001552284557f0a",
+}
+
+
+def test_smoke_csv_bytes_match_golden_hashes(tmp_path):
+    for command in ("sweep", "bounds", "pf", "closure"):
+        argv = [command, "configs/smoke.yaml", "--output-dir", str(tmp_path), "--workers", "1"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    actual = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN
+    }
+    assert actual == GOLDEN
