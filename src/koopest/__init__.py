@@ -30,8 +30,6 @@ from .bounds import (
     estimate_bound_terms,
     koopman_error_bound,
     make_bound_report,
-    realization_errors,
-    violation_rate,
 )
 from .dynamics import (
     ClosedQuadraticParams,
@@ -76,69 +74,3 @@ from .pf import PFEstimate, duality_check, koopman_to_pf, pf_apply_integral_mc
 from .seeding import make_rng, mix_seed
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_QUADRATURE_ORDER",
-    "Dictionary",
-    "Domain",
-    "GramMatrix",
-    "MonomialSpec",
-    "dictionary_from_exponents",
-    "evaluate",
-    "evaluate_many",
-    "gauss_legendre_nodes",
-    "gram",
-    "grlex_exponents",
-    "make_dictionary",
-    "make_monomial_dictionary",
-    "monomial_name",
-    "unit_box",
-    "BoundReport",
-    "BoundTerms",
-    "ViolationStats",
-    "estimate_bound_terms",
-    "koopman_error_bound",
-    "make_bound_report",
-    "realization_errors",
-    "violation_rate",
-    "ClosedQuadraticParams",
-    "DivergenceError",
-    "NoiseModel",
-    "SampleSet",
-    "StochasticSystem",
-    "closed_quadratic_dictionary",
-    "closed_quadratic_koopman",
-    "koopman_apply_mc",
-    "make_closed_quadratic",
-    "make_vanderpol",
-    "simulate",
-    "step_pairs",
-    "trajectory_chunks",
-    "MomentPair",
-    "OperatorEstimate",
-    "ResidualStats",
-    "SampleFloorError",
-    "accumulate",
-    "closure_check",
-    "estimate_koopman",
-    "merge_moments",
-    "residuals",
-    "sample_floor",
-    "ErrorCurve",
-    "ExperimentConfig",
-    "config_from_dict",
-    "derive_seed",
-    "fit_loglog_slope",
-    "load_config",
-    "run_bound_calibration",
-    "run_closure",
-    "run_pf_pipeline",
-    "run_sweep",
-    "PFEstimate",
-    "duality_check",
-    "koopman_to_pf",
-    "pf_apply_integral_mc",
-    "make_rng",
-    "mix_seed",
-    "__version__",
-]

@@ -1,4 +1,4 @@
-"""Sample-complexity error bounds and their empirical calibration.
+"""Sample-complexity error bounds.
 
 The estimator's expected Frobenius error is bounded by
 ``sqrt(Delta / T) * sqrt(E[tr S0] * E[|S0^-1|_F^2])`` where ``Delta`` bounds
@@ -7,26 +7,20 @@ matrix of T lifted samples; dividing by a confidence level ``epsilon``
 turns it into a high-probability bound via Markov's inequality.  The two
 expectation terms have no closed form for general systems, so they are
 estimated here by an auxiliary Monte Carlo over independent realizations
-and reported with standard errors.
+and reported with standard errors.  The empirical check that the violation
+rate stays below ``epsilon`` is
+:func:`koopest.experiments.run_bound_calibration`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import Dictionary, Domain, unit_box
-from .dynamics import DivergenceError, StochasticSystem, simulate
-from .estimator import (
-    MomentPair,
-    SampleFloorError,
-    accumulate,
-    estimate_koopman,
-    residuals,
-    sample_floor,
-)
+from .dynamics import StochasticSystem, simulate
+from .estimator import MomentPair, SampleFloorError, accumulate, sample_floor
 from .seeding import mix_seed
 
 # Errors at the linear-solver floor do not count as bound violations; the
@@ -186,97 +180,4 @@ def make_bound_report(
         pf_bound=kb * float(cond_lambda),
         cond_lambda=float(cond_lambda),
         n_bound_realizations=terms.n_realizations,
-    )
-
-
-def realization_errors(
-    system: StochasticSystem,
-    dictionary: Dictionary,
-    true_k: np.ndarray,
-    T: int,
-    n_realizations: int,
-    seed: int,
-    domain: Domain | None = None,
-) -> tuple[np.ndarray, int]:
-    """Frobenius errors ``|K_hat - K|_F`` over independent realizations.
-
-    Returns the error array (failed realizations omitted) and the failure
-    count; failures (divergence, singular or floor-limited estimates,
-    including pseudo-solution fallbacks) are recorded rather than raised.
-    """
-    true_k = np.asarray(true_k, dtype=float)
-    if domain is None:
-        domain = unit_box(system.state_dim)
-    errors = []
-    failed = 0
-    for r in range(n_realizations):
-        try:
-            samples = simulate(system, None, T, seed=mix_seed(seed, r), domain=domain)
-            moments = accumulate(MomentPair.empty(dictionary), dictionary, samples)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                k_hat = estimate_koopman(moments)
-        except (DivergenceError, SampleFloorError, np.linalg.LinAlgError):
-            failed += 1
-            continue
-        if k_hat.fallback:
-            failed += 1
-            continue
-        errors.append(float(np.linalg.norm(k_hat.matrix - true_k, "fro")))
-    return np.asarray(errors), failed
-
-
-def violation_rate(
-    system: StochasticSystem,
-    dictionary: Dictionary,
-    true_k: np.ndarray,
-    T: int,
-    epsilon: float,
-    n_realizations: int,
-    seed: int,
-    domain: Domain | None = None,
-    delta_hat: float | None = None,
-    terms: BoundTerms | None = None,
-    n_term_realizations: int = 50,
-) -> ViolationStats:
-    """Fraction of realizations whose error exceeds the computed bound.
-
-    The bound's expectation terms and the residual-variance surrogate are
-    estimated from auxiliary runs (seed streams disjoint from the scored
-    realizations) unless supplied.  By construction of the underlying Markov
-    argument the violation rate should not exceed epsilon, and in practice
-    sits far below it.
-    """
-    if terms is None:
-        terms = estimate_bound_terms(
-            system,
-            dictionary,
-            T,
-            n_term_realizations,
-            mix_seed(seed, 0xB0071D),
-            domain=domain,
-        )
-    if delta_hat is None:
-        samples = simulate(
-            system,
-            None,
-            T,
-            seed=mix_seed(seed, 0xDE17A),
-            domain=domain if domain is not None else unit_box(system.state_dim),
-        )
-        moments = accumulate(MomentPair.empty(dictionary), dictionary, samples)
-        k_hat = estimate_koopman(moments)
-        delta_hat = residuals(dictionary, samples, k_hat).delta_hat
-    bound = koopman_error_bound(delta_hat, epsilon, T, terms)
-    errors, failed = realization_errors(
-        system, dictionary, true_k, T, n_realizations, seed, domain=domain
-    )
-    if errors.size == 0:
-        raise RuntimeError("no realization produced an estimate")
-    n_viol = int(np.sum(errors > bound + VIOLATION_ATOL))
-    return ViolationStats(
-        n_realizations=int(errors.size),
-        n_violations=n_viol,
-        violation_rate=n_viol / errors.size,
-        n_failed=failed,
     )

@@ -13,7 +13,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -22,7 +22,6 @@ from .basis import (
     DEFAULT_QUADRATURE_ORDER,
     Dictionary,
     Domain,
-    GramMatrix,
     MonomialSpec,
     evaluate_many,
     gram,
@@ -37,9 +36,10 @@ from .bounds import (
     ViolationStats,
 )
 from .dynamics import (
+    ClosedQuadraticParams,
     DivergenceError,
     NoiseModel,
-    ClosedQuadraticParams,
+    SampleSet,
     closed_quadratic_dictionary,
     closed_quadratic_koopman,
     make_closed_quadratic,
@@ -49,6 +49,7 @@ from .dynamics import (
 )
 from .estimator import (
     MomentPair,
+    OperatorEstimate,
     SampleFloorError,
     accumulate,
     closure_check,
@@ -57,7 +58,7 @@ from .estimator import (
     sample_floor,
 )
 from .io import fmt, save_gram, save_operator, write_sidecar
-from .pf import PFEstimate, duality_check, koopman_to_pf
+from .pf import duality_check, koopman_to_pf
 from .seeding import mix_seed
 
 # Stream tags keep auxiliary seed streams (reference runs, bound terms, ...)
@@ -119,6 +120,10 @@ class ExperimentConfig:
         object.__setattr__(self, "domain_upper", tuple(float(v) for v in self.domain_upper))
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be at least 1")
+        if self.n_term_realizations < 2:
+            raise ValueError("n_term_realizations must be at least 2 (for standard errors)")
+        if not self.T_grid:
+            raise ValueError("T_grid must not be empty")
         if list(self.T_grid) != sorted(set(self.T_grid)):
             raise ValueError("T_grid must be strictly ascending")
         for eps in self.epsilon_list:
@@ -126,7 +131,7 @@ class ExperimentConfig:
                 raise ValueError("epsilon values must lie in (0, 1)")
         n = build_dictionary(self).n_basis
         floor = sample_floor(n)
-        if self.T_grid and self.T_grid[0] <= floor:
+        if self.T_grid[0] <= floor:
             raise ValueError(
                 f"every T in T_grid must exceed 2N+2 = {floor} for N = {n}"
             )
@@ -152,20 +157,20 @@ def build_dictionary(config: ExperimentConfig) -> Dictionary:
 def build_noise(config: ExperimentConfig, dim: int) -> NoiseModel:
     if config.noise_kind == "none":
         return NoiseModel.none(dim)
-    std = config.noise_std
-    if len(std) == 1:
-        std = std * dim
-    return NoiseModel.gaussian(np.array(std), dim=dim)
+    return NoiseModel.gaussian(np.array(config.noise_std), dim=dim)
+
+
+def _closed_quadratic_params(config: ExperimentConfig) -> ClosedQuadraticParams:
+    p = config.system_params
+    return ClosedQuadraticParams(
+        rho=float(p["rho"]), mu=float(p["mu"]), c=float(p.get("c", 1.0))
+    )
 
 
 def build_system(config: ExperimentConfig):
     noise = build_noise(config, 2)
     if config.system_kind == "closed-quadratic":
-        p = config.system_params
-        params = ClosedQuadraticParams(
-            rho=float(p["rho"]), mu=float(p["mu"]), c=float(p.get("c", 1.0))
-        )
-        return make_closed_quadratic(params, noise=noise)
+        return make_closed_quadratic(_closed_quadratic_params(config), noise=noise)
     if config.system_kind == "vanderpol":
         p = config.system_params
         return make_vanderpol(
@@ -187,24 +192,37 @@ def has_true_koopman(config: ExperimentConfig) -> bool:
 def true_koopman(config: ExperimentConfig) -> np.ndarray:
     if not has_true_koopman(config):
         raise ValueError("no ground-truth operator for this configuration")
-    p = config.system_params
-    params = ClosedQuadraticParams(
-        rho=float(p["rho"]), mu=float(p["mu"]), c=float(p.get("c", 1.0))
-    )
-    if config.noise_kind == "none":
-        var = 0.0
-    else:
-        std = config.noise_std
-        var = float(std[0]) ** 2
-    return closed_quadratic_koopman(params, noise_variance=var)
+    var = 0.0 if config.noise_kind == "none" else config.noise_std[0] ** 2
+    return closed_quadratic_koopman(_closed_quadratic_params(config), noise_variance=var)
+
+
+# Keys a config may hold, per section; anything else is rejected by name.
+_OPTIONAL_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.default is not MISSING)
+_KNOWN_KEYS = {
+    "config": {"label", "system", "dictionary", "domain", "T_grid", "base_seed",
+               "epsilon_list", "output_dir", *_OPTIONAL_KEYS},
+    "system": {"kind", "params", "noise"},
+    "system.noise": {"kind", "std"},
+    "dictionary": {"kind", "state_dim", "max_degree"},
+    "domain": {"lower", "upper"},
+}
 
 
 def config_from_dict(data: dict, **overrides) -> ExperimentConfig:
-    """Build a config from nested mapping data (the YAML layout)."""
+    """Build a config from nested mapping data (the YAML layout).
+
+    Raises ValueError naming the key for any key the layout does not know.
+    """
     system = data.get("system", {})
     noise = system.get("noise", {})
     dictionary = data.get("dictionary", {})
     domain = data.get("domain", {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]})
+    sections = {"config": data, "system": system, "system.noise": noise,
+                "dictionary": dictionary, "domain": domain}
+    for where, mapping in sections.items():
+        unknown = sorted(set(mapping) - _KNOWN_KEYS[where])
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r} in {where}")
     kind = system.get("kind", "closed-quadratic")
     default_std = [0.01, 0.01] if kind == "vanderpol" else [1.0, 1.0]
     flat = dict(
@@ -223,18 +241,7 @@ def config_from_dict(data: dict, **overrides) -> ExperimentConfig:
         epsilon_list=tuple(data.get("epsilon_list", [0.1, 0.25, 0.5])),
         output_dir=data.get("output_dir", "out"),
     )
-    for key in (
-        "n_realizations",
-        "reference_T_factor",
-        "n_term_realizations",
-        "delta_hat_override",
-        "divergence_threshold",
-        "closure_n_states",
-        "closure_n_mc",
-        "quadrature_order",
-    ):
-        if key in data:
-            flat[key] = data[key]
+    flat.update({key: data[key] for key in _OPTIONAL_KEYS if key in data})
     flat.update(overrides)
     return ExperimentConfig(**flat)
 
@@ -291,64 +298,67 @@ class ErrorCurve:
 
 
 def _ordered_map(fn, tasks, workers: int):
+    """``[fn(*task) for task in tasks]``, spread over ``workers`` processes."""
     if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
+        return [fn(*t) for t in tasks]
     chunk = max(1, len(tasks) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
+        return list(pool.map(fn, *zip(*tasks), chunksize=chunk))
 
 
-def _estimate_once(config: ExperimentConfig, T: int, seed: int):
+@dataclass(frozen=True)
+class Realization:
+    """How one simulate -> accumulate -> estimate run ended.
+
+    ``status`` is "ok" or the failure cause: "diverged", "floor" or
+    "singular" (a failed factorization, or a flagged fallback estimate,
+    which is kept).  ``samples`` is kept only on request, so records
+    returned from worker processes stay small.
+    """
+
+    status: str
+    estimate: OperatorEstimate | None
+    samples: SampleSet | None = None
+
+
+def fit_realization(
+    config: ExperimentConfig, T: int, seed: int, keep_samples: bool = False
+) -> Realization:
+    """Simulate T steps from a uniform initial state, fit K_hat, classify the outcome."""
     system = build_system(config)
     dictionary = build_dictionary(config)
     domain = build_domain(config)
-    samples = simulate(
-        system, None, T, seed, max_norm=config.divergence_threshold, domain=domain
-    )
-    moments = accumulate(MomentPair.empty(dictionary), dictionary, samples)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        est = estimate_koopman(moments)
-    return est, samples
-
-
-def _sweep_task(args):
-    config, T, r, seed, ref = args
     try:
-        est, _ = _estimate_once(config, T, seed)
-    except DivergenceError:
-        return (T, r, seed, "diverged", float("nan"))
-    except SampleFloorError:
-        return (T, r, seed, "floor", float("nan"))
-    except np.linalg.LinAlgError:
-        return (T, r, seed, "singular", float("nan"))
-    if est.fallback:
-        return (T, r, seed, "singular", float("nan"))
-    denom = np.linalg.norm(ref, "fro")
-    rel = float(np.linalg.norm(est.matrix - ref, "fro") / denom)
-    return (T, r, seed, "ok", rel)
-
-
-def _streamed_reference(config: ExperimentConfig, dictionary: Dictionary, T_ref: int, seed: int) -> np.ndarray:
-    """High-T reference estimate accumulated chunk by chunk (no materialized set)."""
-    system = build_system(config)
-    domain = build_domain(config)
-    moments = MomentPair.empty(dictionary)
-    for xs, ys in trajectory_chunks(
-        system, None, T_ref, seed, max_norm=config.divergence_threshold, domain=domain
-    ):
-        moments.absorb_lifted(
-            evaluate_many(dictionary, xs), evaluate_many(dictionary, ys)
+        samples = simulate(
+            system, None, T, seed, max_norm=config.divergence_threshold, domain=domain
         )
-    return estimate_koopman(moments).matrix
+        moments = accumulate(MomentPair.empty(dictionary), dictionary, samples)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            est = estimate_koopman(moments)
+    except DivergenceError:
+        return Realization("diverged", None)
+    except SampleFloorError:
+        return Realization("floor", None)
+    except np.linalg.LinAlgError:
+        return Realization("singular", None)
+    status = "singular" if est.fallback else "ok"
+    return Realization(status, est, samples if keep_samples else None)
 
 
 def _reference_koopman(config: ExperimentConfig, dictionary: Dictionary):
+    """The analytic operator, or a high-T estimate accumulated chunk by chunk."""
     if has_true_koopman(config):
         return true_koopman(config), {"kind": "analytic"}
     t_ref = config.reference_T_factor * max(config.T_grid)
     seed = derive_seed(config.base_seed, t_ref, REFERENCE_STREAM)
-    ref = _streamed_reference(config, dictionary, t_ref, seed)
+    system, domain = build_system(config), build_domain(config)
+    moments = MomentPair.empty(dictionary)
+    for xs, ys in trajectory_chunks(
+        system, None, t_ref, seed, max_norm=config.divergence_threshold, domain=domain
+    ):
+        moments.absorb_lifted(evaluate_many(dictionary, xs), evaluate_many(dictionary, ys))
+    ref = estimate_koopman(moments).matrix
     return ref, {"kind": "high-T estimate", "T_ref": t_ref, "seed": seed}
 
 
@@ -364,38 +374,37 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> ErrorCurve:
     """
     dictionary = build_dictionary(config)
     ref, ref_info = _reference_koopman(config, dictionary)
-    tasks = [
-        (config, T, r, derive_seed(config.base_seed, T, r), ref)
+    points = [
+        (T, r, derive_seed(config.base_seed, T, r))
         for T in config.T_grid
         for r in range(config.n_realizations)
     ]
-    results = _ordered_map(_sweep_task, tasks, workers)
+    fits = _ordered_map(fit_realization, [(config, T, seed) for T, _, seed in points], workers)
+    denom = np.linalg.norm(ref, "fro")
+    results = []  # (T, realization, seed, status, relative error)
+    for (T, r, seed), fit in zip(points, fits):
+        rel = float("nan")
+        if fit.status == "ok":
+            rel = float(np.linalg.norm(fit.estimate.matrix - ref, "fro") / denom)
+        results.append((T, r, seed, fit.status, rel))
 
     means, ses, n_oks, n_faileds, invalids = [], [], [], [], []
     for T in config.T_grid:
-        errs = [rel for (t, r, s, status, rel) in results if t == T and status == "ok"]
+        errs = [rel for (t, _, _, status, rel) in results if t == T and status == "ok"]
         n_ok = len(errs)
-        n_failed = config.n_realizations - n_ok
-        mean = float(np.mean(errs)) if n_ok else float("nan")
-        se = float(np.std(errs, ddof=1) / math.sqrt(n_ok)) if n_ok > 1 else float("nan")
-        means.append(mean)
-        ses.append(se)
         n_oks.append(n_ok)
-        n_faileds.append(n_failed)
-        invalids.append(n_failed > MAX_FAILED_FRACTION * config.n_realizations)
+        n_faileds.append(config.n_realizations - n_ok)
+        means.append(float(np.mean(errs)) if n_ok else float("nan"))
+        ses.append(float(np.std(errs, ddof=1) / math.sqrt(n_ok)) if n_ok > 1 else float("nan"))
+        invalids.append(n_faileds[-1] > MAX_FAILED_FRACTION * config.n_realizations)
 
-    fit_ts = [
-        t
+    usable = [
+        (t, m)
         for t, m, bad in zip(config.T_grid, means, invalids)
         if not bad and np.isfinite(m) and m > SLOPE_FLOOR
     ]
-    fit_ms = [
-        m
-        for t, m, bad in zip(config.T_grid, means, invalids)
-        if not bad and np.isfinite(m) and m > SLOPE_FLOOR
-    ]
-    if len(fit_ts) >= 2:
-        slope, slope_se = fit_loglog_slope(fit_ts, fit_ms)
+    if len(usable) >= 2:
+        slope, slope_se = fit_loglog_slope(*zip(*usable))
     else:
         slope, slope_se = float("nan"), float("nan")
 
@@ -451,28 +460,17 @@ def _config_meta(config: ExperimentConfig) -> dict:
     return data
 
 
-def _bound_error_task(args):
-    config, T, r, seed_t, ref = args
-    seed = mix_seed(seed_t, r)
-    try:
-        est, _ = _estimate_once(config, T, seed)
-    except (DivergenceError, SampleFloorError, np.linalg.LinAlgError):
-        return (T, r, float("nan"))
-    if est.fallback:
-        return (T, r, float("nan"))
-    return (T, r, float(np.linalg.norm(est.matrix - ref, "fro")))
-
-
 def run_bound_calibration(
     config: ExperimentConfig, workers: int = 1
 ) -> list[tuple[BoundReport, ViolationStats]]:
     """Evaluate the error bound and its empirical violation rate on a grid.
 
-    For each T: estimates the bound's expectation terms over auxiliary
-    realizations, estimates the residual-variance surrogate (unless the
-    config overrides it), then scores ``n_realizations`` fresh estimates
-    against the bound for every epsilon.  Writes one ``bounds.csv`` row per
-    (T, epsilon).  Requires a configuration with a ground-truth operator.
+    Fits ``n_realizations`` fresh estimates per T, for the whole grid in one
+    parallel map.  Then for each T: estimates the bound's expectation terms
+    over auxiliary realizations and the residual-variance surrogate (unless
+    the config overrides it), and scores the estimates against the bound
+    for every epsilon.  Writes one ``bounds.csv`` row per (T, epsilon).
+    Requires a configuration with a ground-truth operator.
     """
     if not has_true_koopman(config):
         raise ValueError("bound calibration needs a ground-truth operator")
@@ -480,12 +478,19 @@ def run_bound_calibration(
     dictionary = build_dictionary(config)
     domain = build_domain(config)
     ref = true_koopman(config)
-    lam = gram(dictionary, domain, config.quadrature_order)
-    cond_lambda = lam.cond
+    cond_lambda = gram(dictionary, domain, config.quadrature_order).cond
+
+    n = config.n_realizations
+    tasks = [
+        (config, T, mix_seed(derive_seed(config.base_seed, T, SCORE_STREAM), r))
+        for T in config.T_grid
+        for r in range(n)
+    ]
+    fits = _ordered_map(fit_realization, tasks, workers)
 
     rows = []
     results: list[tuple[BoundReport, ViolationStats]] = []
-    for T in config.T_grid:
+    for i, T in enumerate(config.T_grid):
         terms = estimate_bound_terms(
             system,
             dictionary,
@@ -497,18 +502,19 @@ def run_bound_calibration(
         if config.delta_hat_override is not None:
             delta_hat = float(config.delta_hat_override)
         else:
-            est, samples = _estimate_once(
-                config, T, derive_seed(config.base_seed, T, DELTA_STREAM)
+            delta_fit = fit_realization(
+                config, T, derive_seed(config.base_seed, T, DELTA_STREAM), keep_samples=True
             )
-            delta_hat = residuals(dictionary, samples, est).delta_hat
-        seed_t = derive_seed(config.base_seed, T, SCORE_STREAM)
-        errs_raw = _ordered_map(
-            _bound_error_task,
-            [(config, T, r, seed_t, ref) for r in range(config.n_realizations)],
-            workers,
+            if delta_fit.estimate is None:
+                raise RuntimeError(f"the delta_hat fit at T={T} failed: {delta_fit.status}")
+            delta_hat = residuals(dictionary, delta_fit.samples, delta_fit.estimate).delta_hat
+        errors = np.array(
+            [
+                float(np.linalg.norm(fit.estimate.matrix - ref, "fro"))
+                for fit in fits[i * n : (i + 1) * n]
+                if fit.status == "ok"
+            ]
         )
-        errors = np.array([e for (_, _, e) in errs_raw if np.isfinite(e)])
-        n_failed = config.n_realizations - errors.size
         if errors.size == 0:
             raise RuntimeError(f"no realization produced an estimate at T={T}")
         for eps in config.epsilon_list:
@@ -518,7 +524,7 @@ def run_bound_calibration(
                 n_realizations=int(errors.size),
                 n_violations=n_viol,
                 violation_rate=n_viol / errors.size,
-                n_failed=n_failed,
+                n_failed=n - errors.size,
             )
             report = make_bound_report(eps, T, delta_hat, terms, cond_lambda)
             results.append((report, stats))
@@ -549,23 +555,6 @@ def run_bound_calibration(
     return results
 
 
-def _transfer_task(args):
-    config, T, r, seed_base, ref, lam_matrix, names = args
-    # rebuilt from the raw matrix; shipping the dataclass would pickle fine too
-    lam = GramMatrix(lam_matrix, build_domain(config), "quadrature", names)
-    try:
-        est, _ = _estimate_once(config, T, mix_seed(seed_base, r))
-    except (DivergenceError, SampleFloorError, np.linalg.LinAlgError):
-        return None
-    if est.fallback:
-        return None
-    p_hat = koopman_to_pf(est.matrix, lam)
-    p_ref = koopman_to_pf(ref, lam)
-    lhs = float(np.linalg.norm(p_hat.matrix - p_ref.matrix, "fro"))
-    rhs = float(lam.cond * np.linalg.norm(est.matrix - ref, "fro"))
-    return (lhs, rhs)
-
-
 def run_pf_pipeline(config: ExperimentConfig, workers: int = 1):
     """Estimate the Koopman matrix, conjugate it into the transfer matrix,
     verify the duality identity, and (when ground truth exists) check the
@@ -574,11 +563,13 @@ def run_pf_pipeline(config: ExperimentConfig, workers: int = 1):
     Persists the transfer matrix with its sidecar, the Gram matrix, and a
     one-row ``pf_report.csv``.  Returns (PFEstimate, report dict).
     """
-    dictionary = build_dictionary(config)
-    domain = build_domain(config)
-    lam = gram(dictionary, domain, config.quadrature_order)
+    lam = gram(build_dictionary(config), build_domain(config), config.quadrature_order)
+    cond_lambda = lam.cond
     T = max(config.T_grid)
-    est, _ = _estimate_once(config, T, derive_seed(config.base_seed, T, PF_STREAM))
+    fit = fit_realization(config, T, derive_seed(config.base_seed, T, PF_STREAM))
+    if fit.estimate is None:
+        raise RuntimeError(f"the transfer-matrix fit at T={T} failed: {fit.status}")
+    est = fit.estimate
     p_hat = koopman_to_pf(est, lam)
     defect = duality_check(
         est.matrix,
@@ -590,21 +581,29 @@ def run_pf_pipeline(config: ExperimentConfig, workers: int = 1):
 
     transfer_ok = transfer_total = 0
     if has_true_koopman(config):
+        # |P_hat - P|_F <= cond(Lambda) |K_hat - K|_F for every realization
         ref = true_koopman(config)
+        p_ref = koopman_to_pf(ref, lam).matrix
         seed_base = derive_seed(config.base_seed, T, SCORE_STREAM)
-        tasks = [
-            (config, T, r, seed_base, ref, lam.matrix, lam.names)
-            for r in range(config.n_realizations)
+        tasks = [(config, T, mix_seed(seed_base, r)) for r in range(config.n_realizations)]
+        k_hats = [
+            fit.estimate.matrix
+            for fit in _ordered_map(fit_realization, tasks, workers)
+            if fit.status == "ok"
         ]
-        pairs = [p for p in _ordered_map(_transfer_task, tasks, workers) if p is not None]
-        transfer_total = len(pairs)
-        transfer_ok = sum(1 for lhs, rhs in pairs if lhs <= rhs)
+        transfer_total = len(k_hats)
+        transfer_ok = sum(
+            1
+            for k in k_hats
+            if np.linalg.norm(koopman_to_pf(k, lam).matrix - p_ref, "fro")
+            <= cond_lambda * np.linalg.norm(k - ref, "fro")
+        )
 
     report = {
         "label": config.label,
         "T": T,
         "duality_defect": defect,
-        "cond_lambda": lam.cond,
+        "cond_lambda": cond_lambda,
         "transfer_ok": transfer_ok,
         "transfer_total": transfer_total,
         "fallback": est.fallback,
@@ -617,7 +616,7 @@ def run_pf_pipeline(config: ExperimentConfig, workers: int = 1):
     with open(os.path.join(out, "pf_report.csv"), "w", newline="") as fh:
         fh.write("label,T,duality_defect,cond_lambda,transfer_ok,transfer_total\n")
         fh.write(
-            f"{config.label},{T},{fmt(defect)},{fmt(lam.cond)},"
+            f"{config.label},{T},{fmt(defect)},{fmt(cond_lambda)},"
             f"{transfer_ok},{transfer_total}\n"
         )
     return p_hat, report

@@ -4,11 +4,9 @@ import pytest
 from koopest import (
     BoundTerms,
     MonomialSpec,
-    NoiseModel,
     SampleFloorError,
     ViolationStats,
     closed_quadratic_dictionary,
-    closed_quadratic_koopman,
     estimate_bound_terms,
     evaluate_many,
     koopman_error_bound,
@@ -17,7 +15,6 @@ from koopest import (
     make_monomial_dictionary,
     simulate,
     unit_box,
-    violation_rate,
 )
 
 
@@ -117,28 +114,8 @@ class TestBoundReport:
 
 
 class TestViolationRate:
-    def test_noiseless_has_no_violations(self, baseline_params):
-        system = make_closed_quadratic(baseline_params, noise=NoiseModel.none(2))
-        dct = closed_quadratic_dictionary()
-        k_true = closed_quadratic_koopman(baseline_params, noise_variance=0.0)
-        stats = violation_rate(
-            system, dct, k_true, T=100, epsilon=0.5, n_realizations=20, seed=5,
-            n_term_realizations=5,
-        )
-        assert stats.n_violations == 0
-        assert stats.violation_rate == 0.0
-
-    def test_markov_calibration_small(self, baseline_params):
-        system = make_closed_quadratic(baseline_params)
-        dct = closed_quadratic_dictionary()
-        k_true = closed_quadratic_koopman(baseline_params, noise_variance=1.0)
-        for eps in (0.25, 0.5, 0.99):
-            stats = violation_rate(
-                system, dct, k_true, T=2000, epsilon=eps, n_realizations=100,
-                seed=6, n_term_realizations=20,
-            )
-            assert stats.violation_rate <= eps
-
+    # The calibration itself is exercised through run_bound_calibration in
+    # test_experiments.py (TestRunBoundCalibration).
     def test_stats_invariant(self):
         with pytest.raises(ValueError):
             ViolationStats(n_realizations=10, n_violations=2, violation_rate=0.5)

@@ -18,6 +18,8 @@ from koopest import (
 )
 from koopest.experiments import build_dictionary, build_system, true_koopman
 
+CLOSED_QUADRATIC = {"kind": "closed-quadratic", "params": {"rho": 0.2, "mu": 0.3, "c": 1.0}}
+
 
 class TestDeriveSeed:
     def test_deterministic(self):
@@ -89,6 +91,35 @@ class TestConfig:
     def test_bad_epsilon_rejected(self, smoke_config):
         with pytest.raises(ValueError, match="epsilon"):
             smoke_config(epsilon_list=[0.0])
+
+    def test_empty_grid_rejected(self, smoke_config):
+        with pytest.raises(ValueError, match="T_grid must not be empty"):
+            smoke_config(T_grid=[])
+
+    def test_single_term_realization_rejected(self, smoke_config):
+        # the bound terms need a standard error; fail at load, not after the scored fits
+        with pytest.raises(ValueError, match="n_term_realizations"):
+            smoke_config(n_term_realizations=1)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            # a misspelling must not silently fall back to the default count
+            ("n_realisations", 3, "'n_realisations' in config$"),
+            ("system", {**CLOSED_QUADRATIC, "nosie": {}}, "'nosie' in system$"),
+            (
+                "system",
+                {**CLOSED_QUADRATIC, "noise": {"kind": "gaussian-iid", "sigma": [1.0]}},
+                "'sigma' in system.noise$",
+            ),
+            ("dictionary", {"kind": "monomial", "state_dim": 2, "degree": 2}, "'degree' in dictionary$"),
+            ("domain", {"lower": [-1.0, -1.0], "upper": [1.0, 1.0], "uper": [2.0]}, "'uper' in domain$"),
+        ],
+        ids=["top-level", "system", "noise", "dictionary", "domain"],
+    )
+    def test_unknown_key_rejected(self, smoke_config, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            smoke_config(**{key: value})
 
     def test_true_koopman_uses_noise_variance(self, smoke_config):
         cfg = smoke_config()
@@ -194,20 +225,44 @@ class TestRunBoundCalibration:
             run_bound_calibration(cfg)
 
     def test_noiseless_bounds_and_rates_vanish(self, smoke_config):
+        for T_grid, n_realizations, n_term_realizations, bound_ceiling in (
+            ([60, 120], 3, 3, 1e-6),
+            # Checked for violations only, as before it moved here: the state
+            # contracts onto a point, S0 is near-singular and E[|S0^-1|_F^2]
+            # is huge, so the bound is ~3e-6 rather than roundoff.
+            ([100], 20, 5, None),
+        ):
+            cfg = smoke_config(
+                system={
+                    "kind": "closed-quadratic",
+                    "params": {"rho": 0.2, "mu": 0.3, "c": 1.0},
+                    "noise": {"kind": "none"},
+                },
+                T_grid=T_grid,
+                n_realizations=n_realizations,
+                n_term_realizations=n_term_realizations,
+            )
+            results = run_bound_calibration(cfg)
+            assert len(results) == len(T_grid)
+            for report, stats in results:
+                if bound_ceiling is not None:
+                    # bound collapses to solver roundoff scale without noise
+                    assert report.koopman_bound <= bound_ceiling
+                assert stats.n_violations == 0
+                assert stats.violation_rate == 0.0
+
+    def test_markov_calibration_small(self, smoke_config):
         cfg = smoke_config(
-            system={
-                "kind": "closed-quadratic",
-                "params": {"rho": 0.2, "mu": 0.3, "c": 1.0},
-                "noise": {"kind": "none"},
-            },
-            T_grid=[60, 120],
-            n_realizations=3,
-            n_term_realizations=3,
+            T_grid=[2000],
+            n_realizations=100,
+            n_term_realizations=20,
+            epsilon_list=[0.25, 0.5, 0.99],
         )
-        for report, stats in run_bound_calibration(cfg):
-            # bound collapses to solver roundoff scale without noise
-            assert report.koopman_bound <= 1e-6
-            assert stats.violation_rate == 0.0
+        results = run_bound_calibration(cfg)
+        assert [report.epsilon for report, _ in results] == [0.25, 0.5, 0.99]
+        for report, stats in results:
+            assert stats.n_realizations + stats.n_failed == 100
+            assert stats.violation_rate <= report.epsilon
 
 
 class TestRunPFPipeline:
