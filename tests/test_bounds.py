@@ -13,6 +13,7 @@ from koopest import (
     make_bound_report,
     make_closed_quadratic,
     make_monomial_dictionary,
+    run_bound_calibration,
     simulate,
     unit_box,
 )
@@ -114,8 +115,28 @@ class TestBoundReport:
 
 
 class TestViolationRate:
-    # The calibration itself is exercised through run_bound_calibration in
-    # test_experiments.py (TestRunBoundCalibration).
+    # Violation rates are scored by run_bound_calibration; the larger Markov
+    # calibration lives in test_experiments.py (TestRunBoundCalibration).
+    def test_noiseless_has_no_violations(self, smoke_config):
+        # Checked for violations only: the state contracts onto a point, S0 is
+        # near-singular and E[|S0^-1|_F^2] is huge, so the bound is ~3e-6
+        # rather than roundoff.
+        cfg = smoke_config(
+            system={
+                "kind": "closed-quadratic",
+                "params": {"rho": 0.2, "mu": 0.3, "c": 1.0},
+                "noise": {"kind": "none"},
+            },
+            T_grid=[100],
+            n_realizations=20,
+            n_term_realizations=5,
+        )
+        results = run_bound_calibration(cfg)
+        assert len(results) == 1
+        for _, stats in results:
+            assert stats.n_violations == 0
+            assert stats.violation_rate == 0.0
+
     def test_stats_invariant(self):
         with pytest.raises(ValueError):
             ViolationStats(n_realizations=10, n_violations=2, violation_rate=0.5)
