@@ -5,9 +5,10 @@ Sample-complexity error bounds
 The expected estimation error is bounded by
 sqrt(Delta / T) * sqrt(E[tr S0] * E[|S0^-1|_F^2]); dividing by a
 confidence level epsilon gives a high-probability bound.  The expectation
-factors are estimated by an auxiliary Monte Carlo and the bound is then
-calibrated empirically: the fraction of realizations exceeding it must
-stay below epsilon (and sits far below, the bound being conservative).
+factors are estimated by an auxiliary Monte Carlo over the moment matrices
+of independent realizations, and the bound is then calibrated empirically:
+the fraction of realizations exceeding it must stay below epsilon (and sits
+far below, the bound being conservative).
 
 The same calibration is available from the command line:
 
@@ -15,32 +16,14 @@ The same calibration is available from the command line:
 """
 
 from koopest import (
-    ClosedQuadraticParams,
-    closed_quadratic_dictionary,
+    bound_terms,
     config_from_dict,
-    estimate_bound_terms,
     koopman_error_bound,
-    make_closed_quadratic,
+    mix_seed,
     run_bound_calibration,
 )
+from koopest.experiments import fit_realization
 
-params = ClosedQuadraticParams(rho=0.2, mu=0.3, c=1.0)
-system = make_closed_quadratic(params)
-dct = closed_quadratic_dictionary()
-
-T = 5000
-terms = estimate_bound_terms(system, dct, T, n_realizations=40, seed=1)
-print(f"E[tr S0]        ~ {terms.mean_trace_sigma0:.3f} (se {terms.se_trace:.3f})")
-print(f"E[|S0^-1|_F^2]  ~ {terms.mean_frob_sq_inv_sigma0:.3f} (se {terms.se_frob:.3f})")
-
-# The bound is exactly linear in 1/eps and sqrt(Delta), and decays as T^(-1/2).
-for eps in (0.1, 0.25, 0.5):
-    bound = koopman_error_bound(2.2, eps, T, terms)  # Delta ~ max residual variance
-    print(f"  eps={eps:<5} bound {bound:.4f}")
-
-# The harness calibrates end to end from one base seed: it estimates the
-# terms and the Delta surrogate on its own seed streams, fits fresh
-# realizations, and counts how often |K_hat - K|_F exceeds the bound.
 config = config_from_dict(
     {
         "label": "demo",
@@ -59,6 +42,24 @@ config = config_from_dict(
         "output_dir": "out/demo_bounds",
     }
 )
+
+# Every realization is one fit_realization call: a seeded trajectory streamed
+# into its moment matrix S0 and the estimate.  The bound terms reduce the S0
+# of independent realizations.
+T = 5000
+fits = [fit_realization(config, T, mix_seed(1, r)) for r in range(40)]
+terms = bound_terms([fit.sigma0 for fit in fits])
+print(f"E[tr S0]        ~ {terms.mean_trace_sigma0:.3f} (se {terms.se_trace:.3f})")
+print(f"E[|S0^-1|_F^2]  ~ {terms.mean_frob_sq_inv_sigma0:.3f} (se {terms.se_frob:.3f})")
+
+# The bound is exactly linear in 1/eps and sqrt(Delta), and decays as T^(-1/2).
+for eps in (0.1, 0.25, 0.5):
+    bound = koopman_error_bound(2.2, eps, T, terms)  # Delta ~ max residual variance
+    print(f"  eps={eps:<5} bound {bound:.4f}")
+
+# The harness calibrates end to end from one base seed: it fits the term
+# realizations and the Delta surrogate on their own seed streams, fits fresh
+# realizations, and counts how often |K_hat - K|_F exceeds the bound.
 print()
 for report, stats in run_bound_calibration(config):
     print(

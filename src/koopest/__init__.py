@@ -27,7 +27,7 @@ from .bounds import (
     BoundReport,
     BoundTerms,
     ViolationStats,
-    estimate_bound_terms,
+    bound_terms,
     koopman_error_bound,
     make_bound_report,
 )

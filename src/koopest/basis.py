@@ -233,12 +233,17 @@ def evaluate_many(dictionary: Dictionary, xs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric positive-definite matrix of pairwise observable inner products."""
+    """Symmetric positive-definite matrix of pairwise observable inner products.
+
+    ``cond`` is the 2-norm condition number ``|Lambda|_2 |Lambda^-1|_2``,
+    computed once (:func:`gram` passes it from its definiteness check).
+    """
 
     matrix: np.ndarray
     domain: Domain
     method: str  # "analytic-monomial" | "quadrature"
     names: tuple
+    cond: float | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -246,16 +251,13 @@ class GramMatrix:
             raise ValueError("gram matrix must be square")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "names", tuple(self.names))
+        if self.cond is None:
+            w = np.linalg.eigvalsh(m)
+            object.__setattr__(self, "cond", float(w[-1] / w[0]))
 
     @property
     def n_basis(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def cond(self) -> float:
-        """2-norm condition number ``|Lambda|_2 |Lambda^-1|_2`` (SPD matrix)."""
-        w = np.linalg.eigvalsh(self.matrix)
-        return float(w[-1] / w[0])
 
 
 def _axis_moments(lower: float, upper: float, max_power: int) -> np.ndarray:
@@ -349,4 +351,4 @@ def gram(
             "gram matrix is not positive definite (smallest eigenvalue "
             f"{w[0]:.6e}); the observables are linearly dependent on this domain"
         )
-    return GramMatrix(lam, domain, tag, dictionary.names)
+    return GramMatrix(lam, domain, tag, dictionary.names, float(w[-1] / w[0]))

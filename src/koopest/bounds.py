@@ -6,10 +6,11 @@ the per-observable residual variance and ``S0`` is the empirical moment
 matrix of T lifted samples; dividing by a confidence level ``epsilon``
 turns it into a high-probability bound via Markov's inequality.  The two
 expectation terms have no closed form for general systems, so they are
-estimated here by an auxiliary Monte Carlo over independent realizations
-and reported with standard errors.  The empirical check that the violation
-rate stays below ``epsilon`` is
-:func:`koopest.experiments.run_bound_calibration`.
+estimated by an auxiliary Monte Carlo over independent realizations and
+reported with standard errors.  This module holds only the mathematics:
+:func:`bound_terms` reduces the realizations' moment matrices, which the
+harness fits (:func:`koopest.experiments.run_bound_calibration`, which also
+checks that the violation rate stays below ``epsilon``).
 """
 
 from __future__ import annotations
@@ -18,10 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Dictionary, Domain, unit_box
-from .dynamics import StochasticSystem, simulate
-from .estimator import MomentPair, SampleFloorError, accumulate, sample_floor
-from .seeding import mix_seed
+from .estimator import SampleFloorError, sample_floor
 
 # Errors at the linear-solver floor do not count as bound violations; the
 # guard is far below any statistically meaningful error or bound scale.
@@ -79,40 +77,20 @@ class ViolationStats:
             raise ValueError("violation_rate must equal n_violations / n_realizations")
 
 
-def estimate_bound_terms(
-    system: StochasticSystem,
-    dictionary: Dictionary,
-    T: int,
-    n_realizations: int,
-    seed: int,
-    domain: Domain | None = None,
-    x0=None,
-) -> BoundTerms:
-    """Estimate ``E[tr S0]`` and ``E[|S0^-1|_F^2]`` over fresh realizations.
+def bound_terms(sigma0s) -> BoundTerms:
+    """Estimate ``E[tr S0]`` and ``E[|S0^-1|_F^2]`` from independent realizations.
 
-    Each realization simulates an independent length-T trajectory (initial
-    state drawn uniformly from the domain unless ``x0`` is fixed), forms its
-    moment matrix, and records the trace and the squared Frobenius norm of
-    the inverse (computed by a full solve against the identity).  Singular
-    realizations are excluded and counted; all-singular is an error.
+    ``sigma0s`` holds one moment matrix S0 per realization.  Each gives its
+    trace and the squared Frobenius norm of its inverse (computed by a full
+    solve against the identity).  Singular realizations (relative condition
+    above 1e14) are excluded and counted; all-singular is an error.
     """
-    n = dictionary.n_basis
-    if T <= sample_floor(n):
-        raise SampleFloorError(
-            f"T must exceed 2N+2 = {sample_floor(n)}; got {T}"
-        )
-    if n_realizations < 2:
+    if len(sigma0s) < 2:
         raise ValueError("need at least two realizations for standard errors")
-    if domain is None:
-        domain = unit_box(system.state_dim)
+    n = sigma0s[0].shape[0]
     traces, frobs = [], []
     excluded = 0
-    for r in range(n_realizations):
-        samples = simulate(
-            system, x0, T, seed=mix_seed(seed, r), domain=domain
-        )
-        moments = accumulate(MomentPair.empty(dictionary), dictionary, samples)
-        s0 = moments.sigma0_hat
+    for s0 in sigma0s:
         w = np.linalg.eigvalsh(0.5 * (s0 + s0.T))
         if w[0] <= 0 or w[-1] / w[0] > 1e14:
             excluded += 1

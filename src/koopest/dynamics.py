@@ -25,7 +25,11 @@ GAUSSIAN_IID = "gaussian-iid"
 NO_NOISE = "none"
 
 DEFAULT_DIVERGENCE_NORM = 1e6
-_CHUNK = 65536  # fixed so chunked and materialized trajectories agree bit-for-bit
+# Rows per block, both for drawing trajectory noise and for lifting samples
+# into moments and residuals.  One constant, so a fit streamed from
+# trajectory_chunks forms the same block sums as accumulate / residuals over
+# the simulated samples and the two agree bit for bit.
+BLOCK = 65536
 
 
 class DivergenceError(RuntimeError):
@@ -206,29 +210,15 @@ def make_vanderpol(
     if dt <= 0:
         raise ValueError("dt must be positive")
 
-    if standard_vdp:
-
-        def transition(x):
-            x = np.asarray(x, dtype=float)
-            if x.ndim == 1:
-                x1, x2 = float(x[0]), float(x[1])
-                return np.array([x1 + dt * x2, x2 + dt * ((1.0 - x1 * x1) * x2 - x1)])
+    def transition(x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            x1, x2 = float(x[0]), float(x[1])
+        else:
             x1, x2 = x[..., 0], x[..., 1]
-            return np.stack(
-                [x1 + dt * x2, x2 + dt * ((1.0 - x1 * x1) * x2 - x1)], axis=-1
-            )
-
-    else:
-
-        def transition(x):
-            x = np.asarray(x, dtype=float)
-            if x.ndim == 1:
-                x1, x2 = float(x[0]), float(x[1])
-                return np.array([x1 + dt * x2, x2 + dt * ((1.0 - x1 * x1) * x1 - x1)])
-            x1, x2 = x[..., 0], x[..., 1]
-            return np.stack(
-                [x1 + dt * x2, x2 + dt * ((1.0 - x1 * x1) * x1 - x1)], axis=-1
-            )
+        damped = x2 if standard_vdp else x1
+        drift = [x1 + dt * x2, x2 + dt * ((1.0 - x1 * x1) * damped - x1)]
+        return np.array(drift) if x.ndim == 1 else np.stack(drift, axis=-1)
 
     if noise is None:
         noise = NoiseModel.gaussian(0.01, dim=2)
@@ -284,9 +274,9 @@ def trajectory_chunks(
     """Yield (xs, ys) blocks of a single trajectory without materializing it.
 
     Identical arguments produce the identical trajectory as :func:`simulate`
-    (the chunk size is a fixed internal constant, so the noise stream does
-    not depend on how the blocks are consumed).  Pass ``x0=None`` with a
-    domain to draw the initial state uniformly from the same seed stream.
+    (blocks hold ``BLOCK`` rows, so the noise stream does not depend on how
+    they are consumed).  Pass ``x0=None`` with a domain to draw the initial
+    state uniformly from the same seed stream.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -302,7 +292,7 @@ def trajectory_chunks(
     transition = system.transition
     done = 0
     while done < steps:
-        m = min(_CHUNK, steps - done)
+        m = min(BLOCK, steps - done)
         noise = system.noise.draw(rng, m)
         xs = np.empty((m, n))
         ys = np.empty((m, n))
@@ -342,13 +332,8 @@ def simulate(
         Divergence threshold on the state 2-norm; exceeding it (or any
         non-finite state) raises DivergenceError with the step index.
     """
-    xs_parts, ys_parts = [], []
-    for xs, ys in trajectory_chunks(system, x0, steps, seed, max_norm, domain):
-        xs_parts.append(xs)
-        ys_parts.append(ys)
-    return SampleSet(
-        np.concatenate(xs_parts), np.concatenate(ys_parts), "single-trajectory", int(seed)
-    )
+    xs, ys = zip(*trajectory_chunks(system, x0, steps, seed, max_norm, domain))
+    return SampleSet(np.concatenate(xs), np.concatenate(ys), "single-trajectory", int(seed))
 
 
 def step_pairs(system: StochasticSystem, xs, seed: int) -> SampleSet:

@@ -11,17 +11,16 @@ points do not move the result beyond roundoff.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .basis import Dictionary, Domain, evaluate_many, unit_box
-from .dynamics import SampleSet, StochasticSystem, koopman_apply_mc
+from .dynamics import BLOCK, SampleSet, StochasticSystem, koopman_apply_mc
 from .seeding import make_rng, mix_seed
 
 CONDITION_FALLBACK = 1e12
-_BLOCK = 65536
 
 
 class SampleFloorError(ValueError):
@@ -108,11 +107,10 @@ def accumulate(
         moments.names = dictionary.names
     if moments.seed is None:
         moments.seed = samples.seed
-    for start in range(0, samples.n_samples, _BLOCK):
-        stop = min(start + _BLOCK, samples.n_samples)
-        psi_x = evaluate_many(dictionary, samples.xs[start:stop])
-        psi_y = evaluate_many(dictionary, samples.ys[start:stop])
-        moments.absorb_lifted(psi_x, psi_y)
+    for start in range(0, samples.n_samples, BLOCK):
+        block = slice(start, start + BLOCK)
+        psi_x = evaluate_many(dictionary, samples.xs[block])
+        moments.absorb_lifted(psi_x, evaluate_many(dictionary, samples.ys[block]))
     return moments
 
 
@@ -162,7 +160,7 @@ class OperatorEstimate:
         return self.matrix.shape[0]
 
 
-def estimate_koopman(moments: MomentPair, seed: int | None = None) -> OperatorEstimate:
+def estimate_koopman(moments: MomentPair) -> OperatorEstimate:
     """Least-squares Koopman estimate from accumulated moments.
 
     Solves ``sigma0_hat @ K = sigma1_hat`` through a Cholesky factorization;
@@ -209,7 +207,7 @@ def estimate_koopman(moments: MomentPair, seed: int | None = None) -> OperatorEs
         operator_kind="koopman",
         dict_names=moments.names if moments.names is not None else tuple(f"psi{i+1}" for i in range(n)),
         sample_count=moments.count,
-        seed=moments.seed if moments.seed is not None else seed,
+        seed=moments.seed,
         condition_sigma0=cond,
         fallback=fallback,
     )
@@ -246,11 +244,10 @@ def residuals(
     t_total = samples.n_samples
     r_sum = np.zeros((n, n))
     sq_sum = np.zeros(n)
-    for start in range(0, t_total, _BLOCK):
-        stop = min(start + _BLOCK, t_total)
-        psi_x = evaluate_many(dictionary, samples.xs[start:stop])
-        psi_y = evaluate_many(dictionary, samples.ys[start:stop])
-        delta = psi_y - psi_x @ k_hat.matrix
+    for start in range(0, t_total, BLOCK):
+        block = slice(start, start + BLOCK)
+        psi_x = evaluate_many(dictionary, samples.xs[block])
+        delta = evaluate_many(dictionary, samples.ys[block]) - psi_x @ k_hat.matrix
         r_sum += psi_x.T @ delta
         sq_sum += np.sum(delta * delta, axis=0)
     per_basis = sq_sum / t_total

@@ -29,7 +29,7 @@ from .basis import (
 )
 from .bounds import (
     VIOLATION_ATOL,
-    estimate_bound_terms,
+    bound_terms,
     koopman_error_bound,
     make_bound_report,
     BoundReport,
@@ -39,7 +39,6 @@ from .dynamics import (
     ClosedQuadraticParams,
     DivergenceError,
     NoiseModel,
-    SampleSet,
     closed_quadratic_dictionary,
     closed_quadratic_koopman,
     make_closed_quadratic,
@@ -51,7 +50,6 @@ from .estimator import (
     MomentPair,
     OperatorEstimate,
     SampleFloorError,
-    accumulate,
     closure_check,
     estimate_koopman,
     residuals,
@@ -308,58 +306,58 @@ def _ordered_map(fn, tasks, workers: int):
 
 @dataclass(frozen=True)
 class Realization:
-    """How one simulate -> accumulate -> estimate run ended.
+    """How one trajectory -> moments -> estimate run ended.
 
     ``status`` is "ok" or the failure cause: "diverged", "floor" or
     "singular" (a failed factorization, or a flagged fallback estimate,
-    which is kept).  ``samples`` is kept only on request, so records
-    returned from worker processes stay small.
+    which is kept).  ``sigma0`` is the raw moment matrix S0 whenever the
+    trajectory was completed, whatever the estimate's fate.
     """
 
     status: str
     estimate: OperatorEstimate | None
-    samples: SampleSet | None = None
+    sigma0: np.ndarray | None = None
 
 
-def fit_realization(
-    config: ExperimentConfig, T: int, seed: int, keep_samples: bool = False
-) -> Realization:
-    """Simulate T steps from a uniform initial state, fit K_hat, classify the outcome."""
+def fit_realization(config: ExperimentConfig, T: int, seed: int) -> Realization:
+    """Stream T steps from a uniform initial state into moments, fit K_hat and
+    classify the outcome.  The moments equal ``accumulate(simulate(...))`` of
+    the same seed bit for bit, so ``simulate`` regenerates needed samples."""
     system = build_system(config)
     dictionary = build_dictionary(config)
-    domain = build_domain(config)
+    moments = MomentPair.empty(dictionary)
+    moments.seed = int(seed)
     try:
-        samples = simulate(
-            system, None, T, seed, max_norm=config.divergence_threshold, domain=domain
-        )
-        moments = accumulate(MomentPair.empty(dictionary), dictionary, samples)
+        for xs, ys in trajectory_chunks(
+            system, None, T, seed, config.divergence_threshold, build_domain(config)
+        ):
+            moments.absorb_lifted(evaluate_many(dictionary, xs), evaluate_many(dictionary, ys))
+    except DivergenceError:
+        return Realization("diverged", None)
+    sigma0 = moments.sigma0_hat
+    try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             est = estimate_koopman(moments)
-    except DivergenceError:
-        return Realization("diverged", None)
     except SampleFloorError:
-        return Realization("floor", None)
+        return Realization("floor", None, sigma0)
     except np.linalg.LinAlgError:
-        return Realization("singular", None)
-    status = "singular" if est.fallback else "ok"
-    return Realization(status, est, samples if keep_samples else None)
+        return Realization("singular", None, sigma0)
+    return Realization("singular" if est.fallback else "ok", est, sigma0)
 
 
-def _reference_koopman(config: ExperimentConfig, dictionary: Dictionary):
-    """The analytic operator, or a high-T estimate accumulated chunk by chunk."""
+def _reference_koopman(config: ExperimentConfig):
+    """The analytic operator, or one high-T fit."""
     if has_true_koopman(config):
         return true_koopman(config), {"kind": "analytic"}
     t_ref = config.reference_T_factor * max(config.T_grid)
     seed = derive_seed(config.base_seed, t_ref, REFERENCE_STREAM)
-    system, domain = build_system(config), build_domain(config)
-    moments = MomentPair.empty(dictionary)
-    for xs, ys in trajectory_chunks(
-        system, None, t_ref, seed, max_norm=config.divergence_threshold, domain=domain
-    ):
-        moments.absorb_lifted(evaluate_many(dictionary, xs), evaluate_many(dictionary, ys))
-    ref = estimate_koopman(moments).matrix
-    return ref, {"kind": "high-T estimate", "T_ref": t_ref, "seed": seed}
+    fit = fit_realization(config, t_ref, seed)
+    if fit.estimate is None:
+        raise RuntimeError(f"the reference fit at T={t_ref} failed: {fit.status}")
+    if fit.status == "singular":
+        warnings.warn(f"the reference fit at T={t_ref} is singular; using its fallback")
+    return fit.estimate.matrix, {"kind": "high-T estimate", "T_ref": t_ref, "seed": seed}
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> ErrorCurve:
@@ -372,8 +370,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> ErrorCurve:
     and ``sweep.meta.json`` into the config's output directory.  A T point
     whose failure fraction exceeds 20% is flagged invalid in the metadata.
     """
-    dictionary = build_dictionary(config)
-    ref, ref_info = _reference_koopman(config, dictionary)
+    ref, ref_info = _reference_koopman(config)
     points = [
         (T, r, derive_seed(config.base_seed, T, r))
         for T in config.T_grid
@@ -465,53 +462,55 @@ def run_bound_calibration(
 ) -> list[tuple[BoundReport, ViolationStats]]:
     """Evaluate the error bound and its empirical violation rate on a grid.
 
-    Fits ``n_realizations`` fresh estimates per T, for the whole grid in one
-    parallel map.  Then for each T: estimates the bound's expectation terms
-    over auxiliary realizations and the residual-variance surrogate (unless
-    the config overrides it), and scores the estimates against the bound
-    for every epsilon.  Writes one ``bounds.csv`` row per (T, epsilon).
-    Requires a configuration with a ground-truth operator.
+    Fits, for the whole grid in one parallel map, ``n_realizations`` scored
+    estimates and ``n_term_realizations`` realizations for the bound's
+    expectation terms per T.  Then for each T: reduces the term
+    realizations' moment matrices, fits the residual-variance surrogate
+    (unless the config overrides it), and scores the estimates against the
+    bound for every epsilon.  Writes one ``bounds.csv`` row per
+    (T, epsilon).  Requires a configuration with a ground-truth operator.
     """
     if not has_true_koopman(config):
         raise ValueError("bound calibration needs a ground-truth operator")
-    system = build_system(config)
     dictionary = build_dictionary(config)
     domain = build_domain(config)
     ref = true_koopman(config)
     cond_lambda = gram(dictionary, domain, config.quadrature_order).cond
 
-    n = config.n_realizations
+    n, n_terms = config.n_realizations, config.n_term_realizations
     tasks = [
-        (config, T, mix_seed(derive_seed(config.base_seed, T, SCORE_STREAM), r))
+        (config, T, mix_seed(derive_seed(config.base_seed, T, stream), r))
         for T in config.T_grid
-        for r in range(n)
+        for stream, count in ((SCORE_STREAM, n), (TERMS_STREAM, n_terms))
+        for r in range(count)
     ]
     fits = _ordered_map(fit_realization, tasks, workers)
 
     rows = []
     results: list[tuple[BoundReport, ViolationStats]] = []
+    per_T = n + n_terms
     for i, T in enumerate(config.T_grid):
-        terms = estimate_bound_terms(
-            system,
-            dictionary,
-            T,
-            config.n_term_realizations,
-            derive_seed(config.base_seed, T, TERMS_STREAM),
-            domain=domain,
-        )
+        block = fits[i * per_T : (i + 1) * per_T]
+        scored, term_fits = block[:n], block[n:]
+        for fit in term_fits:
+            if fit.sigma0 is None:
+                raise RuntimeError(f"a bound-term realization at T={T} failed: {fit.status}")
+        terms = bound_terms([fit.sigma0 for fit in term_fits])
         if config.delta_hat_override is not None:
             delta_hat = float(config.delta_hat_override)
         else:
-            delta_fit = fit_realization(
-                config, T, derive_seed(config.base_seed, T, DELTA_STREAM), keep_samples=True
-            )
+            seed = derive_seed(config.base_seed, T, DELTA_STREAM)
+            delta_fit = fit_realization(config, T, seed)
             if delta_fit.estimate is None:
                 raise RuntimeError(f"the delta_hat fit at T={T} failed: {delta_fit.status}")
-            delta_hat = residuals(dictionary, delta_fit.samples, delta_fit.estimate).delta_hat
+            samples = simulate(
+                build_system(config), None, T, seed, config.divergence_threshold, domain
+            )
+            delta_hat = residuals(dictionary, samples, delta_fit.estimate).delta_hat
         errors = np.array(
             [
                 float(np.linalg.norm(fit.estimate.matrix - ref, "fro"))
-                for fit in fits[i * n : (i + 1) * n]
+                for fit in scored
                 if fit.status == "ok"
             ]
         )
@@ -564,7 +563,6 @@ def run_pf_pipeline(config: ExperimentConfig, workers: int = 1):
     one-row ``pf_report.csv``.  Returns (PFEstimate, report dict).
     """
     lam = gram(build_dictionary(config), build_domain(config), config.quadrature_order)
-    cond_lambda = lam.cond
     T = max(config.T_grid)
     fit = fit_realization(config, T, derive_seed(config.base_seed, T, PF_STREAM))
     if fit.estimate is None:
@@ -596,14 +594,14 @@ def run_pf_pipeline(config: ExperimentConfig, workers: int = 1):
             1
             for k in k_hats
             if np.linalg.norm(koopman_to_pf(k, lam).matrix - p_ref, "fro")
-            <= cond_lambda * np.linalg.norm(k - ref, "fro")
+            <= lam.cond * np.linalg.norm(k - ref, "fro")
         )
 
     report = {
         "label": config.label,
         "T": T,
         "duality_defect": defect,
-        "cond_lambda": cond_lambda,
+        "cond_lambda": lam.cond,
         "transfer_ok": transfer_ok,
         "transfer_total": transfer_total,
         "fallback": est.fallback,
@@ -616,7 +614,7 @@ def run_pf_pipeline(config: ExperimentConfig, workers: int = 1):
     with open(os.path.join(out, "pf_report.csv"), "w", newline="") as fh:
         fh.write("label,T,duality_defect,cond_lambda,transfer_ok,transfer_total\n")
         fh.write(
-            f"{config.label},{T},{fmt(defect)},{fmt(cond_lambda)},"
+            f"{config.label},{T},{fmt(defect)},{fmt(lam.cond)},"
             f"{transfer_ok},{transfer_total}\n"
         )
     return p_hat, report

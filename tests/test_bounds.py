@@ -3,41 +3,44 @@ import pytest
 
 from koopest import (
     BoundTerms,
-    MonomialSpec,
     SampleFloorError,
     ViolationStats,
-    closed_quadratic_dictionary,
-    estimate_bound_terms,
+    bound_terms,
     evaluate_many,
     koopman_error_bound,
     make_bound_report,
     make_closed_quadratic,
-    make_monomial_dictionary,
+    mix_seed,
     run_bound_calibration,
     simulate,
-    unit_box,
 )
+from koopest.experiments import build_dictionary, fit_realization
+
+
+def term_sigma0s(config, T, n_realizations, seed):
+    """S0 of each bound-term realization, fitted as the calibration fits them."""
+    return [
+        fit_realization(config, T, mix_seed(seed, r)).sigma0 for r in range(n_realizations)
+    ]
 
 
 class TestBoundTerms:
-    def test_constant_dictionary_is_degenerate(self, baseline_params):
+    def test_constant_dictionary_is_degenerate(self, smoke_config):
         # with only the constant observable, S0 = [[1]] for every realization
-        system = make_closed_quadratic(baseline_params)
-        dct = make_monomial_dictionary(MonomialSpec(2, 0))
-        terms = estimate_bound_terms(system, dct, T=10, n_realizations=5, seed=1)
+        cfg = smoke_config(dictionary={"kind": "monomial", "state_dim": 2, "max_degree": 0})
+        terms = bound_terms(term_sigma0s(cfg, T=10, n_realizations=5, seed=1))
         assert terms.mean_trace_sigma0 == pytest.approx(1.0, abs=1e-12)
         assert terms.mean_frob_sq_inv_sigma0 == pytest.approx(1.0, abs=1e-12)
         assert terms.se_trace == pytest.approx(0.0, abs=1e-12)
 
-    def test_trace_matches_long_run_oracle(self, baseline_params):
+    def test_trace_matches_long_run_oracle(self, smoke_config, baseline_params):
         # independent oracle: stationary time average of sum_k psi_k(x)^2
-        system = make_closed_quadratic(baseline_params)
-        dct = closed_quadratic_dictionary()
+        cfg = smoke_config()
         T = 2000
-        terms = estimate_bound_terms(system, dct, T, n_realizations=60, seed=2)
+        terms = bound_terms(term_sigma0s(cfg, T, n_realizations=60, seed=2))
 
-        long_ss = simulate(system, np.zeros(2), 400_000, seed=3)
-        psi = evaluate_many(dct, long_ss.xs[5000:])
+        long_ss = simulate(make_closed_quadratic(baseline_params), np.zeros(2), 400_000, seed=3)
+        psi = evaluate_many(build_dictionary(cfg), long_ss.xs[5000:])
         sq = np.sum(psi * psi, axis=1)
         batches = sq.reshape(100, -1).mean(axis=1)
         ref = float(batches.mean())
@@ -45,21 +48,29 @@ class TestBoundTerms:
         tol = 3.0 * np.sqrt(terms.se_trace**2 + se_ref**2)
         assert abs(terms.mean_trace_sigma0 - ref) <= tol
 
-    def test_doubling_realizations_consistent(self, baseline_params):
-        system = make_closed_quadratic(baseline_params)
-        dct = closed_quadratic_dictionary()
-        a = estimate_bound_terms(system, dct, T=500, n_realizations=40, seed=7)
-        b = estimate_bound_terms(system, dct, T=500, n_realizations=80, seed=7)
+    def test_doubling_realizations_consistent(self, smoke_config):
+        cfg = smoke_config()
+        a = bound_terms(term_sigma0s(cfg, T=500, n_realizations=40, seed=7))
+        b = bound_terms(term_sigma0s(cfg, T=500, n_realizations=80, seed=7))
         tol = 3.0 * np.sqrt(a.se_trace**2 + b.se_trace**2)
         assert abs(a.mean_trace_sigma0 - b.mean_trace_sigma0) <= tol
         tol = 3.0 * np.sqrt(a.se_frob**2 + b.se_frob**2)
         assert abs(a.mean_frob_sq_inv_sigma0 - b.mean_frob_sq_inv_sigma0) <= tol
 
-    def test_floor_enforced(self, baseline_params):
-        system = make_closed_quadratic(baseline_params)
-        dct = closed_quadratic_dictionary()
+    def test_floor_enforced(self, smoke_config):
+        # T = 10 = 2N+2 for N = 4: the fit is refused but its S0 is kept,
+        # and the bound itself refuses the sample count
+        fit = fit_realization(smoke_config(), 10, seed=0)
+        assert fit.status == "floor"
+        assert fit.estimate is None
+        assert fit.sigma0.shape == (4, 4)
+        terms = bound_terms([fit.sigma0, fit.sigma0])
         with pytest.raises(SampleFloorError):
-            estimate_bound_terms(system, dct, T=10, n_realizations=3, seed=0)
+            koopman_error_bound(1.0, 0.5, 10, terms)
+
+    def test_needs_two_realizations(self):
+        with pytest.raises(ValueError, match="two realizations"):
+            bound_terms([np.eye(4)])
 
 
 class TestErrorBound:

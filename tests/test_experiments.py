@@ -7,16 +7,26 @@ import pytest
 from koopest import (
     closed_quadratic_koopman,
     ClosedQuadraticParams,
+    MomentPair,
+    accumulate,
     config_from_dict,
     derive_seed,
+    estimate_koopman,
     fit_loglog_slope,
     load_config,
     run_bound_calibration,
     run_closure,
     run_pf_pipeline,
     run_sweep,
+    simulate,
 )
-from koopest.experiments import build_dictionary, build_system, true_koopman
+from koopest.experiments import (
+    build_dictionary,
+    build_domain,
+    build_system,
+    fit_realization,
+    true_koopman,
+)
 
 CLOSED_QUADRATIC = {"kind": "closed-quadratic", "params": {"rho": 0.2, "mu": 0.3, "c": 1.0}}
 
@@ -128,6 +138,45 @@ class TestConfig:
             ClosedQuadraticParams(0.2, 0.3, 1.0), noise_variance=1.0
         )
         np.testing.assert_array_equal(k, expected)
+
+
+class TestFitRealization:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {
+                "system": {"kind": "vanderpol", "params": {"dt": 0.001}},
+                "dictionary": {"kind": "monomial", "state_dim": 2, "max_degree": 2},
+            },
+        ],
+        ids=["closed-quadratic", "vanderpol"],
+    )
+    def test_streamed_fit_matches_materialized(self, smoke_config, overrides):
+        # T crosses the 65536-row block boundary
+        cfg = smoke_config(**overrides)
+        T, seed = 65_573, 2024
+        fit = fit_realization(cfg, T, seed)
+        samples = simulate(
+            build_system(cfg), None, T, seed, cfg.divergence_threshold, build_domain(cfg)
+        )
+        dct = build_dictionary(cfg)
+        moments = accumulate(MomentPair.empty(dct), dct, samples)
+        est = estimate_koopman(moments)
+        assert fit.status == "ok"
+        np.testing.assert_array_equal(fit.sigma0, moments.sigma0_hat)
+        np.testing.assert_array_equal(fit.estimate.matrix, est.matrix)
+        assert fit.estimate.seed == est.seed == seed
+        assert fit.estimate.condition_sigma0 == est.condition_sigma0
+
+    def test_divergence_keeps_no_moments(self, smoke_config):
+        cfg = smoke_config(
+            system={"kind": "closed-quadratic", "params": {"rho": 2.0, "mu": 4.0, "c": 1.0}},
+            divergence_threshold=1e4,
+        )
+        with pytest.warns(UserWarning, match="diverge"):
+            fit = fit_realization(cfg, 120, seed=5)
+        assert (fit.status, fit.estimate, fit.sigma0) == ("diverged", None, None)
 
 
 class TestRunSweep:
@@ -242,6 +291,18 @@ class TestRunBoundCalibration:
             assert report.koopman_bound <= 1e-6
             assert stats.n_violations == 0
             assert stats.violation_rate == 0.0
+
+    def test_diverging_term_realization_named(self, smoke_config):
+        # the pure doubling map leaves the config's threshold of 1e4 long
+        # before the default 1e6
+        cfg = smoke_config(
+            system={"kind": "closed-quadratic", "params": {"rho": 2.0, "mu": 4.0, "c": 1.0}},
+            T_grid=[120],
+            divergence_threshold=1e4,
+        )
+        with pytest.warns(UserWarning, match="diverge"):
+            with pytest.raises(RuntimeError, match=r"T=120\b.*diverged"):
+                run_bound_calibration(cfg)
 
     def test_markov_calibration_small(self, smoke_config):
         cfg = smoke_config(
