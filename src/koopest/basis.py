@@ -236,24 +236,29 @@ class GramMatrix:
     """Symmetric positive-definite matrix of pairwise observable inner products.
 
     ``cond`` is the 2-norm condition number ``|Lambda|_2 |Lambda^-1|_2``,
-    computed once (:func:`gram` passes it from its definiteness check).
+    computed once from the eigendecomposition that rejects a matrix which is
+    not positive definite (ValueError naming the smallest eigenvalue).
     """
 
     matrix: np.ndarray
     domain: Domain
     method: str  # "analytic-monomial" | "quadrature"
     names: tuple
-    cond: float | None = None
+    cond: float = field(init=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("gram matrix must be square")
+        w = np.linalg.eigvalsh(m)
+        if w[0] <= 0.0:
+            raise ValueError(
+                "gram matrix is not positive definite (smallest eigenvalue "
+                f"{w[0]:.6e}); the observables are linearly dependent on this domain"
+            )
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "names", tuple(self.names))
-        if self.cond is None:
-            w = np.linalg.eigvalsh(m)
-            object.__setattr__(self, "cond", float(w[-1] / w[0]))
+        object.__setattr__(self, "cond", float(w[-1] / w[0]))
 
     @property
     def n_basis(self) -> int:
@@ -345,10 +350,4 @@ def gram(
         raise ValueError(f"unknown gram method {method!r}")
 
     lam = np.triu(lam) + np.triu(lam, 1).T  # exact symmetry by mirroring
-    w = np.linalg.eigvalsh(lam)
-    if w[0] <= 0.0:
-        raise ValueError(
-            "gram matrix is not positive definite (smallest eigenvalue "
-            f"{w[0]:.6e}); the observables are linearly dependent on this domain"
-        )
-    return GramMatrix(lam, domain, tag, dictionary.names, float(w[-1] / w[0]))
+    return GramMatrix(lam, domain, tag, dictionary.names)

@@ -332,8 +332,13 @@ def simulate(
         Divergence threshold on the state 2-norm; exceeding it (or any
         non-finite state) raises DivergenceError with the step index.
     """
-    xs, ys = zip(*trajectory_chunks(system, x0, steps, seed, max_norm, domain))
-    return SampleSet(np.concatenate(xs), np.concatenate(ys), "single-trajectory", int(seed))
+    xs_parts, ys_parts = [], []
+    for xs, ys in trajectory_chunks(system, x0, steps, seed, max_norm, domain):
+        xs_parts.append(xs)
+        ys_parts.append(ys)
+    return SampleSet(
+        np.concatenate(xs_parts), np.concatenate(ys_parts), "single-trajectory", int(seed)
+    )
 
 
 def step_pairs(system: StochasticSystem, xs, seed: int) -> SampleSet:

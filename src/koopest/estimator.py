@@ -108,9 +108,10 @@ def accumulate(
     if moments.seed is None:
         moments.seed = samples.seed
     for start in range(0, samples.n_samples, BLOCK):
-        block = slice(start, start + BLOCK)
-        psi_x = evaluate_many(dictionary, samples.xs[block])
-        moments.absorb_lifted(psi_x, evaluate_many(dictionary, samples.ys[block]))
+        stop = min(start + BLOCK, samples.n_samples)
+        psi_x = evaluate_many(dictionary, samples.xs[start:stop])
+        psi_y = evaluate_many(dictionary, samples.ys[start:stop])
+        moments.absorb_lifted(psi_x, psi_y)
     return moments
 
 
@@ -245,9 +246,10 @@ def residuals(
     r_sum = np.zeros((n, n))
     sq_sum = np.zeros(n)
     for start in range(0, t_total, BLOCK):
-        block = slice(start, start + BLOCK)
-        psi_x = evaluate_many(dictionary, samples.xs[block])
-        delta = evaluate_many(dictionary, samples.ys[block]) - psi_x @ k_hat.matrix
+        stop = min(start + BLOCK, t_total)
+        psi_x = evaluate_many(dictionary, samples.xs[start:stop])
+        psi_y = evaluate_many(dictionary, samples.ys[start:stop])
+        delta = psi_y - psi_x @ k_hat.matrix
         r_sum += psi_x.T @ delta
         sq_sum += np.sum(delta * delta, axis=0)
     per_basis = sq_sum / t_total

@@ -6,6 +6,7 @@ from scipy import integrate
 
 from koopest import (
     Domain,
+    GramMatrix,
     MonomialSpec,
     dictionary_from_exponents,
     evaluate,
@@ -172,6 +173,16 @@ class TestGram:
         dct = make_monomial_dictionary(MonomialSpec(2, 2))
         lam = gram(dct, unit_box(2))
         assert lam.cond >= 1.0
+
+    def test_cond_is_the_eigenvalue_ratio_and_not_settable(self):
+        lam = GramMatrix(np.diag([4.0, 0.5]), unit_box(2), "quadrature", ("a", "b"))
+        assert lam.cond == 8.0
+        with pytest.raises(TypeError):
+            GramMatrix(np.eye(2), unit_box(2), "quadrature", ("a", "b"), 1.0)
+
+    def test_direct_construction_checks_definiteness(self):
+        with pytest.raises(ValueError, match="not positive definite"):
+            GramMatrix(np.ones((2, 2)), unit_box(2), "quadrature", ("a", "b"))
 
 
 class TestDictionaryValidation:
