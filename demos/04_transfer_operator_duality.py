@@ -31,7 +31,7 @@ k = closed_quadratic_koopman(params, noise_variance=1.0)
 p = koopman_to_pf(k, lam)
 print("transfer matrix:")
 print(np.array_str(p.matrix, precision=4, suppress_small=True))
-print(f"\ngram condition number: {p.cond_lambda:.2f}")
+print(f"\ngram condition number: {p.gram.cond:.2f}")
 
 # Pairing identity <K a, b>_Lambda = <a, P b>_Lambda on random unit pairs.
 defect = duality_check(k, p.matrix, lam, n_trials=1000, seed=11)

@@ -138,8 +138,9 @@ def _monomial_function(exponents: np.ndarray) -> Callable:
 class Dictionary:
     """Ordered set of scalar observables on an n-dimensional state.
 
-    Each observable must accept an array of shape ``(n,)`` or ``(m, n)`` and
-    return a scalar or an ``(m,)`` vector (vectorized over the leading axis).
+    Each observable maps a batch of states, an array of shape ``(m, n)``, to
+    an ``(m,)`` vector (a scalar is broadcast); :func:`evaluate_many` is the
+    one evaluator, and :func:`evaluate` calls it on a batch of one.
     ``exponents`` is set for pure-monomial dictionaries and enables the
     analytic Gram matrix; it is None for opaque user dictionaries.
     """
@@ -211,10 +212,7 @@ def evaluate(dictionary: Dictionary, x) -> np.ndarray:
         raise ValueError(
             f"state must have shape ({dictionary.state_dim},), got {x.shape}"
         )
-    out = np.array([f(x) for f in dictionary.functions], dtype=float)
-    if not np.isfinite(out).all():
-        raise ValueError("dictionary evaluation produced non-finite values")
-    return out
+    return evaluate_many(dictionary, x[None])[0]
 
 
 def evaluate_many(dictionary: Dictionary, xs) -> np.ndarray:

@@ -66,7 +66,6 @@ def _load(args) -> xp.ExperimentConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     config = _load(args)
-    os.makedirs(config.output_dir, exist_ok=True)
 
     if args.command == "simulate":
         steps = args.steps if args.steps is not None else max(config.T_grid)

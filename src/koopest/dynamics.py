@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -97,15 +98,17 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class StochasticSystem:
-    """State-transition law ``x+ = transition(x) + noise``.
+    """State-transition law ``x+ = T(x) + noise``.
 
-    ``transition`` must be vectorized over the leading axis: it maps arrays
-    of shape ``(n,)`` or ``(m, n)`` to the same shape.  Systems are immutable
-    and safe to share across workers.
+    ``drift(x1, ..., xn) -> (y1, ..., yn)`` is the map T written once, in
+    plain arithmetic on its coordinates, so the same function steps Python
+    floats (the simulator) and arrays of states (``transition``).  It must
+    multiply rather than use ``**``, which raises on float overflow.
+    Systems are immutable and safe to share across workers.
     """
 
     state_dim: int
-    transition: object
+    drift: object
     noise: NoiseModel
     label: str = ""
 
@@ -113,10 +116,13 @@ class StochasticSystem:
         if self.noise.dim != self.state_dim:
             raise ValueError("noise dimension must match state_dim")
 
+    def transition(self, x) -> np.ndarray:
+        """T applied to one state ``(n,)`` or to each row of ``(m, n)``."""
+        return np.stack(self.drift(*np.asarray(x, dtype=float).T), axis=-1)
+
     def step(self, x, rng: np.random.Generator | None = None) -> np.ndarray:
         """One transition; with no rng (or silent noise) this is exactly T(x)."""
-        x = np.asarray(x, dtype=float)
-        out = np.asarray(self.transition(x), dtype=float)
+        out = self.transition(x)
         if self.noise.kind == NO_NOISE or rng is None:
             return out
         return out + self.noise.draw(rng, 1)[0]
@@ -155,17 +161,12 @@ def make_closed_quadratic(
     rho, mu, c = params.rho, params.mu, params.c
     a = (rho * rho - mu) * c
 
-    def transition(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:  # scalar fast path for the step-by-step simulator
-            x1, x2 = float(x[0]), float(x[1])
-            return np.array([rho * x1, mu * x2 + a * x1 * x1])
-        x1, x2 = x[..., 0], x[..., 1]
-        return np.stack([rho * x1, mu * x2 + a * x1 * x1], axis=-1)
+    def drift(x1, x2):
+        return rho * x1, mu * x2 + a * x1 * x1
 
     if noise is None:
         noise = NoiseModel.gaussian(1.0, dim=2)
-    return StochasticSystem(2, transition, noise, label="closed-quadratic")
+    return StochasticSystem(2, drift, noise, label="closed-quadratic")
 
 
 def closed_quadratic_dictionary() -> Dictionary:
@@ -210,20 +211,14 @@ def make_vanderpol(
     if dt <= 0:
         raise ValueError("dt must be positive")
 
-    def transition(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x1, x2 = float(x[0]), float(x[1])
-        else:
-            x1, x2 = x[..., 0], x[..., 1]
+    def drift(x1, x2):
         damped = x2 if standard_vdp else x1
-        drift = [x1 + dt * x2, x2 + dt * ((1.0 - x1 * x1) * damped - x1)]
-        return np.array(drift) if x.ndim == 1 else np.stack(drift, axis=-1)
+        return x1 + dt * x2, x2 + dt * ((1.0 - x1 * x1) * damped - x1)
 
     if noise is None:
         noise = NoiseModel.gaussian(0.01, dim=2)
     label = "vanderpol-standard" if standard_vdp else "vanderpol"
-    return StochasticSystem(2, transition, noise, label=label)
+    return StochasticSystem(2, drift, noise, label=label)
 
 
 @dataclass(frozen=True)
@@ -285,27 +280,26 @@ def trajectory_chunks(
         if domain is None:
             raise ValueError("either x0 or domain must be given")
         x0 = domain.sample(rng)
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
     if x.shape != (system.state_dim,) or not np.isfinite(x).all():
         raise ValueError("x0 must be a finite state of the system's dimension")
-    n = system.state_dim
-    transition = system.transition
+    x = tuple(x.tolist())  # stepped as Python floats: the same IEEE operations
+    drift = system.drift
     done = 0
     while done < steps:
         m = min(BLOCK, steps - done)
         noise = system.noise.draw(rng, m)
-        xs = np.empty((m, n))
-        ys = np.empty((m, n))
+        path = np.empty((m + 1, system.state_dim))
+        path[0] = x
         for i in range(m):
-            xs[i] = x
-            x = transition(x) + noise[i]
-            ys[i] = x
-        norms = np.linalg.norm(ys, axis=1)
+            x = tuple(map(add, drift(*x), noise[i].tolist()))
+            path[i + 1] = x
+        norms = np.linalg.norm(path[1:], axis=1)
         bad = ~np.isfinite(norms) | (norms > max_norm)
         if bad.any():
             i = int(np.argmax(bad))
             raise DivergenceError(done + i, float(norms[i]), max_norm)
-        yield xs, ys
+        yield path[:-1], path[1:]
         done += m
 
 
@@ -347,9 +341,7 @@ def step_pairs(system: StochasticSystem, xs, seed: int) -> SampleSet:
     if xs.ndim != 2 or xs.shape[1] != system.state_dim:
         raise ValueError("xs must have shape (m, state_dim)")
     rng = make_rng(seed)
-    ys = np.asarray(system.transition(xs), dtype=float) + system.noise.draw(
-        rng, xs.shape[0]
-    )
+    ys = system.transition(xs) + system.noise.draw(rng, xs.shape[0])
     return SampleSet(xs, ys, "independent-pairs", int(seed))
 
 
@@ -378,8 +370,7 @@ def koopman_apply_mc(
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (dictionary.n_basis,):
         raise ValueError("coeffs must have length n_basis")
-    x = np.asarray(x, dtype=float)
-    tx = np.asarray(system.transition(x), dtype=float)
+    tx = system.transition(x)
     if system.noise.kind == NO_NOISE:
         val = float(evaluate(dictionary, tx) @ coeffs)
         return (val, 0.0) if return_stderr else val

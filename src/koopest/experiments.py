@@ -36,6 +36,8 @@ from .bounds import (
     ViolationStats,
 )
 from .dynamics import (
+    GAUSSIAN_IID,
+    NO_NOISE,
     ClosedQuadraticParams,
     DivergenceError,
     NoiseModel,
@@ -55,7 +57,7 @@ from .estimator import (
     residuals,
     sample_floor,
 )
-from .io import fmt, save_gram, save_operator, write_sidecar
+from .io import _write_rows, fmt, save_gram, save_operator, write_sidecar
 from .pf import duality_check, koopman_to_pf
 from .seeding import mix_seed
 
@@ -68,6 +70,13 @@ SCORE_STREAM = 2**33 + 3
 PF_STREAM = 2**33 + 4
 DUALITY_STREAM = 2**33 + 5
 CLOSURE_STREAM = 2**33 + 6
+
+# Parameters of each system kind, (required, optional); both maps are planar.
+_SYSTEM_PARAMS = {
+    "closed-quadratic": ({"rho", "mu"}, {"c"}),
+    "vanderpol": ({"dt"}, {"standard_vdp"}),
+}
+SYSTEM_DIM = 2
 
 SLOPE_FLOOR = 1e-10  # mean errors at the solver floor carry no scaling signal
 MAX_FAILED_FRACTION = 0.2
@@ -127,13 +136,29 @@ class ExperimentConfig:
         for eps in self.epsilon_list:
             if not 0.0 < eps < 1.0:
                 raise ValueError("epsilon values must lie in (0, 1)")
-        n = build_dictionary(self).n_basis
+        if self.system_kind not in _SYSTEM_PARAMS:
+            raise ValueError(f"unknown system.kind {self.system_kind!r}")
+        required, optional = _SYSTEM_PARAMS[self.system_kind]
+        keys = set(self.system_params)
+        if required - keys:
+            raise ValueError(f"missing key {min(required - keys)!r} in system.params")
+        if keys - required - optional:
+            raise ValueError(f"unknown key {min(keys - required - optional)!r} in system.params")
+        if self.noise_kind not in (GAUSSIAN_IID, NO_NOISE):
+            raise ValueError(f"unknown system.noise.kind {self.noise_kind!r}")
+        if len(self.noise_std) not in (1, SYSTEM_DIM):
+            raise ValueError(f"system.noise.std needs 1 or {SYSTEM_DIM} entries")
+        dictionary = build_dictionary(self)
+        dims = {"dictionary.state_dim": dictionary.state_dim, "domain": build_domain(self).dim}
+        for key, dim in dims.items():
+            if dim != SYSTEM_DIM:
+                raise ValueError(f"{key} gives dimension {dim}, the system has {SYSTEM_DIM}")
+        n = dictionary.n_basis
         floor = sample_floor(n)
         if self.T_grid[0] <= floor:
             raise ValueError(
                 f"every T in T_grid must exceed 2N+2 = {floor} for N = {n}"
             )
-        build_domain(self)  # validates bounds
 
 
 def build_domain(config: ExperimentConfig) -> Domain:
@@ -152,12 +177,6 @@ def build_dictionary(config: ExperimentConfig) -> Dictionary:
     raise ValueError(f"unknown dictionary kind {config.dictionary_kind!r}")
 
 
-def build_noise(config: ExperimentConfig, dim: int) -> NoiseModel:
-    if config.noise_kind == "none":
-        return NoiseModel.none(dim)
-    return NoiseModel.gaussian(np.array(config.noise_std), dim=dim)
-
-
 def _closed_quadratic_params(config: ExperimentConfig) -> ClosedQuadraticParams:
     p = config.system_params
     return ClosedQuadraticParams(
@@ -166,17 +185,18 @@ def _closed_quadratic_params(config: ExperimentConfig) -> ClosedQuadraticParams:
 
 
 def build_system(config: ExperimentConfig):
-    noise = build_noise(config, 2)
+    if config.noise_kind == NO_NOISE:
+        noise = NoiseModel.none(SYSTEM_DIM)
+    else:
+        noise = NoiseModel.gaussian(np.array(config.noise_std), dim=SYSTEM_DIM)
     if config.system_kind == "closed-quadratic":
         return make_closed_quadratic(_closed_quadratic_params(config), noise=noise)
-    if config.system_kind == "vanderpol":
-        p = config.system_params
-        return make_vanderpol(
-            dt=float(p["dt"]),
-            noise=noise,
-            standard_vdp=bool(p.get("standard_vdp", False)),
-        )
-    raise ValueError(f"unknown system kind {config.system_kind!r}")
+    p = config.system_params
+    return make_vanderpol(
+        dt=float(p["dt"]),
+        noise=noise,
+        standard_vdp=bool(p.get("standard_vdp", False)),
+    )
 
 
 def has_true_koopman(config: ExperimentConfig) -> bool:
@@ -190,7 +210,7 @@ def has_true_koopman(config: ExperimentConfig) -> bool:
 def true_koopman(config: ExperimentConfig) -> np.ndarray:
     if not has_true_koopman(config):
         raise ValueError("no ground-truth operator for this configuration")
-    var = 0.0 if config.noise_kind == "none" else config.noise_std[0] ** 2
+    var = 0.0 if config.noise_kind == NO_NOISE else config.noise_std[0] ** 2
     return closed_quadratic_koopman(_closed_quadratic_params(config), noise_variance=var)
 
 
@@ -423,19 +443,21 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> ErrorCurve:
 
 def _write_sweep_outputs(config, curve, results):
     out = config.output_dir
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "sweep.csv"), "w", newline="") as fh:
-        fh.write("label,T,n_ok,n_failed,mean_rel_err,std_err\n")
-        for T, n_ok, n_failed, mean, se in zip(
-            curve.T_values, curve.n_ok, curve.n_failed, curve.mean_rel_err, curve.std_err
-        ):
-            fh.write(
-                f"{config.label},{T},{n_ok},{n_failed},{fmt(mean)},{fmt(se)}\n"
+    _write_rows(
+        os.path.join(out, "sweep.csv"),
+        ["label", "T", "n_ok", "n_failed", "mean_rel_err", "std_err"],
+        [
+            [config.label, T, n_ok, n_failed, fmt(mean), fmt(se)]
+            for T, n_ok, n_failed, mean, se in zip(
+                curve.T_values, curve.n_ok, curve.n_failed, curve.mean_rel_err, curve.std_err
             )
-    with open(os.path.join(out, "sweep_points.csv"), "w", newline="") as fh:
-        fh.write("label,T,realization,seed,status,rel_err\n")
-        for T, r, seed, status, rel in results:
-            fh.write(f"{config.label},{T},{r},{seed},{status},{fmt(rel)}\n")
+        ],
+    )
+    _write_rows(
+        os.path.join(out, "sweep_points.csv"),
+        ["label", "T", "realization", "seed", "status", "rel_err"],
+        [[config.label, T, r, seed, status, fmt(rel)] for T, r, seed, status, rel in results],
+    )
     write_sidecar(
         os.path.join(out, "sweep.meta.json"),
         {
@@ -528,19 +550,19 @@ def run_bound_calibration(
             report = make_bound_report(eps, T, delta_hat, terms, cond_lambda)
             results.append((report, stats))
             rows.append(
-                f"{config.label},{T},{fmt(eps)},{fmt(delta_hat)},"
-                f"{fmt(terms.mean_trace_sigma0)},{fmt(terms.mean_frob_sq_inv_sigma0)},"
-                f"{fmt(report.koopman_bound)},{fmt(report.pf_bound)},{fmt(stats.violation_rate)}\n"
+                [config.label, T]
+                + [fmt(v) for v in (eps, delta_hat, terms.mean_trace_sigma0,
+                                    terms.mean_frob_sq_inv_sigma0, report.koopman_bound,
+                                    report.pf_bound, stats.violation_rate)]
             )
 
     out = config.output_dir
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "bounds.csv"), "w", newline="") as fh:
-        fh.write(
-            "label,T,epsilon,delta_hat,mean_trace_sigma0,mean_frob_sq_inv_sigma0,"
-            "koopman_bound,pf_bound,violation_rate\n"
-        )
-        fh.writelines(rows)
+    _write_rows(
+        os.path.join(out, "bounds.csv"),
+        ["label", "T", "epsilon", "delta_hat", "mean_trace_sigma0", "mean_frob_sq_inv_sigma0",
+         "koopman_bound", "pf_bound", "violation_rate"],
+        rows,
+    )
     write_sidecar(
         os.path.join(out, "bounds.meta.json"),
         {
@@ -607,16 +629,14 @@ def run_pf_pipeline(config: ExperimentConfig, workers: int = 1):
         "fallback": est.fallback,
     }
     out = config.output_dir
-    os.makedirs(out, exist_ok=True)
     save_operator(p_hat, os.path.join(out, "pf_matrix.csv"))
     save_operator(est, os.path.join(out, "koopman_matrix.csv"))
     save_gram(lam, os.path.join(out, "gram.csv"))
-    with open(os.path.join(out, "pf_report.csv"), "w", newline="") as fh:
-        fh.write("label,T,duality_defect,cond_lambda,transfer_ok,transfer_total\n")
-        fh.write(
-            f"{config.label},{T},{fmt(defect)},{fmt(lam.cond)},"
-            f"{transfer_ok},{transfer_total}\n"
-        )
+    _write_rows(
+        os.path.join(out, "pf_report.csv"),
+        ["label", "T", "duality_defect", "cond_lambda", "transfer_ok", "transfer_total"],
+        [[config.label, T, fmt(defect), fmt(lam.cond), transfer_ok, transfer_total]],
+    )
     return p_hat, report
 
 
@@ -634,10 +654,9 @@ def run_closure(config: ExperimentConfig) -> np.ndarray:
         derive_seed(config.base_seed, 0, CLOSURE_STREAM),
         domain=domain,
     )
-    out = config.output_dir
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "closure.csv"), "w", newline="") as fh:
-        fh.write("basis,defect\n")
-        for name, d in zip(dictionary.names, defects):
-            fh.write(f"{name},{fmt(d)}\n")
+    _write_rows(
+        os.path.join(config.output_dir, "closure.csv"),
+        ["basis", "defect"],
+        [[name, fmt(d)] for name, d in zip(dictionary.names, defects)],
+    )
     return defects

@@ -107,7 +107,7 @@ def save_operator(est, path: str) -> None:
             "seed": None if src is None or src.seed is None else int(src.seed),
             "condition_sigma0": None if src is None else float(src.condition_sigma0),
             "fallback": False if src is None else bool(src.fallback),
-            "cond_lambda": float(est.cond_lambda),
+            "cond_lambda": float(est.gram.cond),
             "gram_method": est.gram.method,
         }
         names = est.gram.names

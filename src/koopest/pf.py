@@ -30,14 +30,11 @@ class PFEstimate:
     matrix: np.ndarray
     gram: GramMatrix
     source_koopman: OperatorEstimate | None
-    cond_lambda: float
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (self.gram.n_basis, self.gram.n_basis):
             raise ValueError("transfer matrix size must match the gram matrix")
-        if self.cond_lambda < 1.0:
-            raise ValueError("cond_lambda must be at least 1")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -72,12 +69,7 @@ def koopman_to_pf(k, gram: GramMatrix) -> PFEstimate:
         raise ValueError(
             f"transfer-matrix construction identity violated: residual {err:.3e}"
         )
-    return PFEstimate(
-        matrix=p,
-        gram=gram,
-        source_koopman=k if isinstance(k, OperatorEstimate) else None,
-        cond_lambda=gram.cond,
-    )
+    return PFEstimate(p, gram, k if isinstance(k, OperatorEstimate) else None)
 
 
 def duality_check(k, p, gram: GramMatrix, n_trials: int, seed: int) -> float:
@@ -150,7 +142,7 @@ def pf_apply_integral_mc(
         rng = make_rng(mix_seed(seed, j))
         ys = domain.sample(rng, n_mc)
         g_vals = evaluate_many(dictionary, ys) @ coeffs_g
-        dens = system.noise.density(nodes[j][None, :] - np.asarray(system.transition(ys)))
+        dens = system.noise.density(nodes[j][None, :] - system.transition(ys))
         vals = vol * g_vals * dens
         node_means[j] = np.mean(vals)
         node_vars[j] = np.var(vals, ddof=1) / n_mc

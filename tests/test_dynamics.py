@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopest import (
     ClosedQuadraticParams,
@@ -119,6 +121,37 @@ class TestVanDerPol:
     def test_requires_positive_dt(self):
         with pytest.raises(ValueError):
             make_vanderpol(0.0)
+
+
+SYSTEMS = {
+    "closed-quadratic-baseline": make_closed_quadratic(ClosedQuadraticParams(0.2, 0.3, 1.0)),
+    "closed-quadratic-strong": make_closed_quadratic(ClosedQuadraticParams(0.8, 0.8, 0.9)),
+    "vanderpol": make_vanderpol(0.001),
+    "vanderpol-standard": make_vanderpol(0.001, standard_vdp=True),
+}
+
+_coordinate = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+class TestDriftForms:
+    """One drift, three ways to call it: the same bits from each."""
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    @settings(max_examples=200, deadline=None)
+    @given(
+        state=st.tuples(_coordinate, _coordinate),
+        others=st.lists(st.tuples(_coordinate, _coordinate), max_size=6),
+        row=st.integers(0, 6),
+    )
+    def test_float_single_and_batch_agree(self, name, state, others, row):
+        system = SYSTEMS[name]
+        on_floats = system.drift(*state)
+        assert all(type(v) is float for v in on_floats)
+        row = min(row, len(others))
+        batch = np.array(others[:row] + [state] + others[row:])
+        expected = np.array(on_floats).tobytes()
+        assert system.transition(np.array(state)).tobytes() == expected
+        assert system.transition(batch)[row].tobytes() == expected
 
 
 class TestSimulate:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -128,6 +129,33 @@ class TestConfig:
         ids=["top-level", "system", "noise", "dictionary", "domain"],
     )
     def test_unknown_key_rejected(self, smoke_config, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            smoke_config(**{key: value})
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            # each used to run Gaussian noise, drop the key, or fail mid-run
+            ("system", {**CLOSED_QUADRATIC, "noise": {"kind": "uniform"}},
+             "unknown system.noise.kind 'uniform'"),
+            ("system", {"kind": "closed-quadratic", "params": {"rho": 0.2, "mu": 0.3, "rhoo": 0.5}},
+             "unknown key 'rhoo' in system.params"),
+            ("system", {"kind": "closed-quadratic", "params": {"rho": 0.2}},
+             "missing key 'mu' in system.params"),
+            ("system", {"kind": "vanderpol", "params": {"dt": 0.001, "mu": 1.0}},
+             "unknown key 'mu' in system.params"),
+            ("system", {"kind": "duffing", "params": {}}, "unknown system.kind 'duffing'"),
+            ("system", {**CLOSED_QUADRATIC, "noise": {"std": [1.0, 1.0, 1.0]}},
+             "system.noise.std needs 1 or 2 entries"),
+            ("dictionary", {"kind": "monomial", "state_dim": 3, "max_degree": 2},
+             "dictionary.state_dim gives dimension 3"),
+            ("domain", {"lower": [-1.0, -1.0, -1.0], "upper": [1.0, 1.0, 1.0]},
+             "domain gives dimension 3"),
+        ],
+        ids=["noise-kind", "param-typo", "param-missing", "vanderpol-param", "system-kind",
+             "noise-std-count", "dictionary-dim", "domain-dim"],
+    )
+    def test_bad_system_rejected_at_load(self, smoke_config, key, value, message):
         with pytest.raises(ValueError, match=message):
             smoke_config(**{key: value})
 
@@ -345,3 +373,22 @@ class TestRunClosure:
             lines = fh.read().strip().splitlines()
         assert lines[0] == "basis,defect"
         assert len(lines) == 5
+
+
+class TestCsvOutputs:
+    def test_label_with_comma_round_trips(self, smoke_config):
+        # hand-joined rows used to split "a,b" into two fields under the header
+        cfg = smoke_config(label="a,b", T_grid=[200], n_realizations=2)
+        run_sweep(cfg)
+        run_bound_calibration(cfg)
+        run_pf_pipeline(cfg)
+        for name, n_rows in (("sweep.csv", 1), ("sweep_points.csv", 2),
+                             ("bounds.csv", 1), ("pf_report.csv", 1)):
+            with open(os.path.join(cfg.output_dir, name), newline="") as fh:
+                reader = csv.DictReader(fh)
+                rows = list(reader)
+            assert len(rows) == n_rows
+            for row in rows:
+                assert None not in row and None not in row.values()
+                assert row["label"] == "a,b"
+                assert int(row["T"]) == 200

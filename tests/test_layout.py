@@ -1,10 +1,13 @@
-"""Where the package's one trajectory-to-moments loop may live.
+"""Where the package's one trajectory-to-moments loop and its one map may live.
 
 Parsed, not run: ``bounds`` holds only the mathematics of the bound, so it
 imports nothing that simulates, lifts or seeds; and ``trajectory_chunks``
 is consumed only by ``simulate`` (which materializes samples) and
 ``fit_realization`` (which streams them into moments).  A second consumer
-would be a second copy of the fit, free to drift from it.
+would be a second copy of the fit, free to drift from it.  Likewise each
+system's map is one coordinate ``drift``: the only function named
+``transition`` is the method that stacks it over arrays, and no code
+branches on ``ndim == 1`` into a second, scalar copy of a map.
 """
 
 import ast
@@ -59,3 +62,48 @@ def test_trajectory_chunks_has_two_consumers():
         visitor.visit(_parse(path.stem))
         callers |= visitor.found
     assert callers == {"dynamics.simulate", "experiments.fit_realization"}
+
+
+class _Qualnames(ast.NodeVisitor):
+    """Qualified names of every function and method definition."""
+
+    def __init__(self, module):
+        self.scope = [module]
+        self.found = []
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        if not isinstance(node, ast.ClassDef):
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
+
+
+def test_one_function_named_transition():
+    names = []
+    for path in sorted(SRC.glob("*.py")):
+        visitor = _Qualnames(path.stem)
+        visitor.visit(_parse(path.stem))
+        names += [q for q in visitor.found if q.rsplit(".", 1)[-1] == "transition"]
+    assert names == ["dynamics.StochasticSystem.transition"]
+
+
+def _is_ndim_one(node):
+    sides = [node.left, *node.comparators]
+    return (
+        any(isinstance(op, ast.Eq) for op in node.ops)
+        and any(isinstance(s, ast.Attribute) and s.attr == "ndim" for s in sides)
+        and any(isinstance(s, ast.Constant) and s.value == 1 for s in sides)
+    )
+
+
+def test_no_branch_on_ndim_one():
+    hits = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(_parse(path.stem))
+        if isinstance(node, ast.Compare) and _is_ndim_one(node)
+    ]
+    assert hits == []

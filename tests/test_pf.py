@@ -31,7 +31,7 @@ class TestKoopmanToPF:
         lam = GramMatrix(np.eye(4), unit_box(2), "quadrature", ("a", "b", "c", "d"))
         p = koopman_to_pf(true_k, lam)
         np.testing.assert_allclose(p.matrix, true_k.T, atol=1e-14)
-        assert p.cond_lambda == pytest.approx(1.0)
+        assert p.gram.cond == pytest.approx(1.0)
 
     def test_identity_koopman_maps_to_identity(self, analytic_gram):
         p = koopman_to_pf(np.eye(4), analytic_gram)
