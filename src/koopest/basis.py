@@ -1,11 +1,11 @@
 """Observable dictionaries and inner products on a compact box domain.
 
-A dictionary is an ordered set of scalar observables on the state space.
-Monomial dictionaries are first-class: their multi-indices are enumerated in
-graded-lexicographic order (constant first) and their Gram matrix has exact
-analytic entries.  Arbitrary user dictionaries are supported as opaque
-vectorized callables, in which case the Gram matrix falls back to
-tensor-product Gauss-Legendre quadrature.
+A dictionary is an ordered set of N scalar observables held as one batch
+map, lifting ``(m, n)`` states to ``(m, N)`` values.  Monomials are
+first-class: graded-lexicographic multi-indices (constant first), a lift
+that multiplies in each coordinate's powers, and an exact analytic Gram
+matrix.  :func:`make_dictionary` stacks opaque per-observable callables;
+their Gram matrix falls back to tensor-product Gauss-Legendre quadrature.
 
 Inner products use the uniform probability measure on a user-configured
 hyper-rectangle (default ``[-1, 1]^n``), which keeps the Gram matrix
@@ -15,7 +15,6 @@ well-conditioned and its condition number directly computable.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -97,108 +96,91 @@ def monomial_name(exponents: Sequence[int]) -> str:
 
 @dataclass(frozen=True)
 class MonomialSpec:
-    """Full monomial basis of total degree <= max_degree on state_dim variables."""
+    """Full monomial basis of total degree <= max_degree on state_dim variables
+    (checked by :func:`grlex_exponents` when the dictionary is made)."""
 
     state_dim: int
     max_degree: int
 
-    def __post_init__(self):
-        if self.state_dim < 1:
-            raise ValueError("state_dim must be positive")
-        if self.max_degree < 0:
-            raise ValueError("max_degree must be nonnegative")
-
-    @property
-    def exponent_list(self) -> list[tuple[int, ...]]:
-        return grlex_exponents(self.state_dim, self.max_degree)
-
-    @property
-    def n_basis(self) -> int:
-        return math.comb(self.state_dim + self.max_degree, self.max_degree)
-
-    def to_dict(self) -> dict:
-        return {"state_dim": self.state_dim, "max_degree": self.max_degree}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MonomialSpec":
-        return cls(state_dim=int(data["state_dim"]), max_degree=int(data["max_degree"]))
-
-
-def _monomial_function(exponents: np.ndarray) -> Callable:
-    e = np.asarray(exponents, dtype=float)
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        return np.prod(x**e, axis=-1)
-
-    return f
-
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Ordered set of scalar observables on an n-dimensional state.
+    """Ordered set of N scalar observables on an n-dimensional state.
 
-    Each observable maps a batch of states, an array of shape ``(m, n)``, to
-    an ``(m,)`` vector (a scalar is broadcast); :func:`evaluate_many` is the
-    one evaluator, and :func:`evaluate` calls it on a batch of one.
+    ``lift`` is the whole dictionary as one batch map: it takes states of
+    shape ``(m, n)`` and returns their ``(m, N)`` values, column j being the
+    observable named ``names[j]``.  :func:`evaluate_many` is its one caller
+    and checks both shapes; :func:`evaluate` calls it on a batch of one.
     ``exponents`` is set for pure-monomial dictionaries and enables the
     analytic Gram matrix; it is None for opaque user dictionaries.
     """
 
-    functions: tuple
+    lift: Callable[[np.ndarray], np.ndarray]
     names: tuple
     state_dim: int
     exponents: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        funcs = tuple(self.functions)
         names = tuple(str(s) for s in self.names)
-        if len(funcs) < 1:
+        if len(names) < 1:
             raise ValueError("a dictionary needs at least one observable")
-        if len(names) != len(funcs):
-            raise ValueError("names and functions must have the same length")
         if len(set(names)) != len(names):
             raise ValueError("observable names must be distinct")
         if self.state_dim < 1:
             raise ValueError("state_dim must be positive")
-        object.__setattr__(self, "functions", funcs)
         object.__setattr__(self, "names", names)
         if self.exponents is not None:
             exps = np.asarray(self.exponents, dtype=int)
-            if exps.shape != (len(funcs), self.state_dim):
+            if exps.shape != (len(names), self.state_dim):
                 raise ValueError("exponents must have shape (n_basis, state_dim)")
             object.__setattr__(self, "exponents", exps)
 
     @property
     def n_basis(self) -> int:
-        return len(self.functions)
+        return len(self.names)
 
 
 def make_dictionary(functions: Sequence[Callable], names: Sequence[str], state_dim: int) -> Dictionary:
-    """Dictionary of opaque observables; Gram matrices will use quadrature."""
-    return Dictionary(tuple(functions), tuple(names), state_dim)
+    """Dictionary of opaque observables, each mapping ``(m, n)`` states to
+    ``(m,)`` values or a scalar; Gram matrices will use quadrature."""
+    functions = tuple(functions)
+    if len(functions) != len(names):
+        raise ValueError("names and functions must have the same length")
+
+    def lift(xs):
+        columns = [np.broadcast_to(f(xs), xs.shape[:1]) for f in functions]
+        return np.column_stack(columns).astype(float)
+
+    return Dictionary(lift, tuple(names), state_dim)
 
 
-def dictionary_from_exponents(exponents, state_dim: int | None = None, names: Sequence[str] | None = None) -> Dictionary:
+def dictionary_from_exponents(exponents) -> Dictionary:
     """Monomial dictionary with an explicit (possibly partial) exponent list."""
     exps = np.asarray(exponents, dtype=int)
     if exps.ndim != 2:
         raise ValueError("exponents must be a 2-D array (n_basis, state_dim)")
     if (exps < 0).any():
         raise ValueError("exponents must be nonnegative")
-    if state_dim is None:
-        state_dim = exps.shape[1]
-    if names is None:
-        names = [monomial_name(e) for e in exps]
-    funcs = tuple(_monomial_function(e) for e in exps)
-    return Dictionary(funcs, tuple(names), state_dim, exponents=exps)
+    powers = exps.astype(float)
+
+    def lift(xs):
+        # Per coordinate, its powers for all observables multiplied in: the pow
+        # calls and order of one observable at a time.  With one observable or
+        # one coordinate the two forms differ (numpy squares a lone exponent by
+        # x*x, not pow), so those shapes go one observable at a time.
+        if 1 in powers.shape:
+            return np.column_stack([np.prod(xs**e, axis=-1) for e in powers])
+        out = xs[:, :1] ** powers[:, 0]
+        for k in range(1, powers.shape[1]):
+            out *= xs[:, k : k + 1] ** powers[:, k]
+        return out
+
+    return Dictionary(lift, tuple(monomial_name(e) for e in exps), exps.shape[1], exponents=exps)
 
 
 def make_monomial_dictionary(spec: MonomialSpec) -> Dictionary:
     """Full graded-lex monomial dictionary for the given spec; constant first."""
-    return dictionary_from_exponents(
-        np.array(spec.exponent_list, dtype=int), state_dim=spec.state_dim
-    )
+    return dictionary_from_exponents(grlex_exponents(spec.state_dim, spec.max_degree))
 
 
 def evaluate(dictionary: Dictionary, x) -> np.ndarray:
@@ -222,8 +204,9 @@ def evaluate_many(dictionary: Dictionary, xs) -> np.ndarray:
         raise ValueError(
             f"states must have shape (m, {dictionary.state_dim}), got {xs.shape}"
         )
-    cols = [np.broadcast_to(f(xs), (xs.shape[0],)) for f in dictionary.functions]
-    out = np.column_stack(cols).astype(float)
+    out = np.asarray(dictionary.lift(xs), dtype=float)
+    if out.shape != (xs.shape[0], dictionary.n_basis):
+        raise ValueError(f"lift gave shape {out.shape}, expected ({len(xs)}, {dictionary.n_basis})")
     if not np.isfinite(out).all():
         raise ValueError("dictionary evaluation produced non-finite values")
     return out

@@ -118,7 +118,11 @@ class StochasticSystem:
 
     def transition(self, x) -> np.ndarray:
         """T applied to one state ``(n,)`` or to each row of ``(m, n)``."""
-        return np.stack(self.drift(*np.asarray(x, dtype=float).T), axis=-1)
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.state_dim:
+            n = self.state_dim
+            raise ValueError(f"state must have shape ({n},) or (m, {n}), got {x.shape}")
+        return np.stack(self.drift(*x.T), axis=-1)
 
     def step(self, x, rng: np.random.Generator | None = None) -> np.ndarray:
         """One transition; with no rng (or silent noise) this is exactly T(x)."""
@@ -208,8 +212,8 @@ def make_vanderpol(
     Gaussian with standard deviation 0.01 per coordinate, comparable to the
     dt-scale drift.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
 
     def drift(x1, x2):
         damped = x2 if standard_vdp else x1

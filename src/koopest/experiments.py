@@ -36,6 +36,7 @@ from .bounds import (
     ViolationStats,
 )
 from .dynamics import (
+    DEFAULT_DIVERGENCE_NORM,
     GAUSSIAN_IID,
     NO_NOISE,
     ClosedQuadraticParams,
@@ -114,7 +115,7 @@ class ExperimentConfig:
     reference_T_factor: int = 100
     n_term_realizations: int = 50
     delta_hat_override: float | None = None
-    divergence_threshold: float = 1e6
+    divergence_threshold: float = DEFAULT_DIVERGENCE_NORM
     closure_n_states: int = 20
     closure_n_mc: int = 10000
     quadrature_order: int = DEFAULT_QUADRATURE_ORDER
@@ -148,6 +149,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown system.noise.kind {self.noise_kind!r}")
         if len(self.noise_std) not in (1, SYSTEM_DIM):
             raise ValueError(f"system.noise.std needs 1 or {SYSTEM_DIM} entries")
+        build_system(self)
         dictionary = build_dictionary(self)
         dims = {"dictionary.state_dim": dictionary.state_dim, "domain": build_domain(self).dim}
         for key, dim in dims.items():
@@ -177,26 +179,34 @@ def build_dictionary(config: ExperimentConfig) -> Dictionary:
     raise ValueError(f"unknown dictionary kind {config.dictionary_kind!r}")
 
 
-def _closed_quadratic_params(config: ExperimentConfig) -> ClosedQuadraticParams:
-    p = config.system_params
-    return ClosedQuadraticParams(
-        rho=float(p["rho"]), mu=float(p["mu"]), c=float(p.get("c", 1.0))
-    )
+def _system_params(config: ExperimentConfig) -> dict:
+    """``system.params`` as keyword arguments of the system's constructor."""
+    params = {}
+    for key, value in config.system_params.items():
+        try:
+            params[key] = bool(value) if key == "standard_vdp" else float(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"system.params.{key} must be a number, got {value!r}") from None
+    return params
 
 
 def build_system(config: ExperimentConfig):
-    if config.noise_kind == NO_NOISE:
-        noise = NoiseModel.none(SYSTEM_DIM)
-    else:
-        noise = NoiseModel.gaussian(np.array(config.noise_std), dim=SYSTEM_DIM)
-    if config.system_kind == "closed-quadratic":
-        return make_closed_quadratic(_closed_quadratic_params(config), noise=noise)
-    p = config.system_params
-    return make_vanderpol(
-        dt=float(p["dt"]),
-        noise=noise,
-        standard_vdp=bool(p.get("standard_vdp", False)),
-    )
+    """The configured system; a value it rejects raises ValueError naming the key."""
+    try:
+        if config.noise_kind == NO_NOISE:
+            noise = NoiseModel.none(SYSTEM_DIM)
+        else:
+            noise = NoiseModel.gaussian(np.array(config.noise_std), dim=SYSTEM_DIM)
+    except ValueError as err:
+        raise ValueError(f"system.noise.std: {err}") from None
+    params = _system_params(config)
+    try:
+        if config.system_kind == "closed-quadratic":
+            return make_closed_quadratic(ClosedQuadraticParams(**params), noise=noise)
+        return make_vanderpol(noise=noise, **params)
+    except ValueError as err:
+        # each constructor's message begins with the parameter's name, its key
+        raise ValueError(f"system.params.{err}") from None
 
 
 def has_true_koopman(config: ExperimentConfig) -> bool:
@@ -211,7 +221,7 @@ def true_koopman(config: ExperimentConfig) -> np.ndarray:
     if not has_true_koopman(config):
         raise ValueError("no ground-truth operator for this configuration")
     var = 0.0 if config.noise_kind == NO_NOISE else config.noise_std[0] ** 2
-    return closed_quadratic_koopman(_closed_quadratic_params(config), noise_variance=var)
+    return closed_quadratic_koopman(ClosedQuadraticParams(**_system_params(config)), var)
 
 
 # Keys a config may hold, per section; anything else is rejected by name.
@@ -351,7 +361,9 @@ def fit_realization(config: ExperimentConfig, T: int, seed: int) -> Realization:
         for xs, ys in trajectory_chunks(
             system, None, T, seed, config.divergence_threshold, build_domain(config)
         ):
-            moments.absorb_lifted(evaluate_many(dictionary, xs), evaluate_many(dictionary, ys))
+            # ys[:-1] is xs[1:]: lift the block's m + 1 states once
+            psi = evaluate_many(dictionary, np.concatenate([xs[:1], ys]))
+            moments.absorb_lifted(psi[:-1], psi[1:])
     except DivergenceError:
         return Realization("diverged", None)
     sigma0 = moments.sigma0_hat

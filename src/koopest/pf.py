@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .basis import Dictionary, GramMatrix, evaluate_many, gauss_legendre_nodes
+from .basis import DEFAULT_QUADRATURE_ORDER, Dictionary, GramMatrix, evaluate_many, gauss_legendre_nodes
 from .dynamics import StochasticSystem
 from .estimator import OperatorEstimate
 from .seeding import make_rng, mix_seed
@@ -101,7 +101,7 @@ def pf_apply_integral_mc(
     coeffs_g: np.ndarray,
     n_mc: int,
     seed: int,
-    quadrature_order: int = 8,
+    quadrature_order: int = DEFAULT_QUADRATURE_ORDER,
     return_stderr: bool = False,
 ):
     """Dictionary coordinates of the transfer operator applied via its integral.

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +154,16 @@ class TestDriftForms:
         expected = np.array(on_floats).tobytes()
         assert system.transition(np.array(state)).tobytes() == expected
         assert system.transition(batch)[row].tobytes() == expected
+
+    @pytest.mark.parametrize("shape", [(3,), (5, 3), (1,), (), (2, 2, 2)])
+    def test_wrong_state_shape_is_named(self, shape):
+        # a planar drift takes two coordinates; no other shape reaches it
+        system = SYSTEMS["closed-quadratic-baseline"]
+        message = rf"shape \(2,\) or \(m, 2\), got {re.escape(str(shape))}"
+        with pytest.raises(ValueError, match=message):
+            system.transition(np.zeros(shape))
+        with pytest.raises(ValueError, match=message):
+            koopman_apply_mc(system, closed_quadratic_dictionary(), np.ones(4), np.zeros(shape), 10, 0)
 
 
 class TestSimulate:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,22 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             smoke_config(**{key: value})
 
+    @pytest.mark.parametrize(
+        "system, key",
+        [
+            ({"kind": "vanderpol", "params": {"dt": -0.1}}, "system.params.dt"),
+            ({"kind": "vanderpol", "params": {"dt": float("nan")}}, "system.params.dt"),
+            ({**CLOSED_QUADRATIC, "params": {"rho": 0.2, "mu": 0.3, "c": -1}}, "system.params.c"),
+            ({**CLOSED_QUADRATIC, "params": {"rho": "abc", "mu": 0.3}}, "system.params.rho"),
+            ({**CLOSED_QUADRATIC, "noise": {"std": [-1.0, 1.0]}}, "system.noise.std"),
+        ],
+        ids=["dt-negative", "dt-nan", "c-negative", "rho-text", "std-negative"],
+    )
+    def test_bad_system_value_rejected_at_load(self, smoke_config, system, key):
+        # each used to load and fail only at the first fit, inside the sweep
+        with pytest.raises(ValueError, match=re.escape(key)):
+            smoke_config(system=system)
+
     def test_true_koopman_uses_noise_variance(self, smoke_config):
         cfg = smoke_config()
         k = true_koopman(cfg)
@@ -198,10 +215,11 @@ class TestFitRealization:
         assert fit.estimate.condition_sigma0 == est.condition_sigma0
 
     def test_divergence_keeps_no_moments(self, smoke_config):
-        cfg = smoke_config(
-            system={"kind": "closed-quadratic", "params": {"rho": 2.0, "mu": 4.0, "c": 1.0}},
-            divergence_threshold=1e4,
-        )
+        with pytest.warns(UserWarning, match="diverge"):  # the system is built at load
+            cfg = smoke_config(
+                system={"kind": "closed-quadratic", "params": {"rho": 2.0, "mu": 4.0, "c": 1.0}},
+                divergence_threshold=1e4,
+            )
         with pytest.warns(UserWarning, match="diverge"):
             fit = fit_realization(cfg, 120, seed=5)
         assert (fit.status, fit.estimate, fit.sigma0) == ("diverged", None, None)
@@ -250,17 +268,18 @@ class TestRunSweep:
             assert b1 == b2
 
     def test_divergent_system_flagged_invalid(self, smoke_config):
-        cfg = smoke_config(
-            system={
-                "kind": "closed-quadratic",
-                # pure doubling map: every trajectory exits the threshold
-                "params": {"rho": 2.0, "mu": 4.0, "c": 1.0},
-                "noise": {"kind": "gaussian-iid", "std": [1.0, 1.0]},
-            },
-            T_grid=[120],
-            n_realizations=4,
-            divergence_threshold=1e4,
-        )
+        with pytest.warns(UserWarning, match="diverge"):  # the system is built at load
+            cfg = smoke_config(
+                system={
+                    "kind": "closed-quadratic",
+                    # pure doubling map: every trajectory exits the threshold
+                    "params": {"rho": 2.0, "mu": 4.0, "c": 1.0},
+                    "noise": {"kind": "gaussian-iid", "std": [1.0, 1.0]},
+                },
+                T_grid=[120],
+                n_realizations=4,
+                divergence_threshold=1e4,
+            )
         with pytest.warns(UserWarning, match="diverge"):
             curve = run_sweep(cfg)
         assert curve.any_invalid
@@ -323,11 +342,12 @@ class TestRunBoundCalibration:
     def test_diverging_term_realization_named(self, smoke_config):
         # the pure doubling map leaves the config's threshold of 1e4 long
         # before the default 1e6
-        cfg = smoke_config(
-            system={"kind": "closed-quadratic", "params": {"rho": 2.0, "mu": 4.0, "c": 1.0}},
-            T_grid=[120],
-            divergence_threshold=1e4,
-        )
+        with pytest.warns(UserWarning, match="diverge"):  # the system is built at load
+            cfg = smoke_config(
+                system={"kind": "closed-quadratic", "params": {"rho": 2.0, "mu": 4.0, "c": 1.0}},
+                T_grid=[120],
+                divergence_threshold=1e4,
+            )
         with pytest.warns(UserWarning, match="diverge"):
             with pytest.raises(RuntimeError, match=r"T=120\b.*diverged"):
                 run_bound_calibration(cfg)

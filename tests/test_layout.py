@@ -7,7 +7,10 @@ is consumed only by ``simulate`` (which materializes samples) and
 would be a second copy of the fit, free to drift from it.  Likewise each
 system's map is one coordinate ``drift``: the only function named
 ``transition`` is the method that stacks it over arrays, and no code
-branches on ``ndim == 1`` into a second, scalar copy of a map.
+branches on ``ndim == 1`` into a second, scalar copy of a map.  And a
+dictionary is one batch map: only ``basis.evaluate_many`` calls its
+``lift`` (no code reads per-observable ``functions``), and the streamed fit
+lifts each block's states in one call, so every state is lifted once.
 """
 
 import ast
@@ -55,13 +58,17 @@ class _Callers(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def test_trajectory_chunks_has_two_consumers():
+def _callers(target):
     callers = set()
     for path in sorted(SRC.glob("*.py")):
-        visitor = _Callers(path.stem, "trajectory_chunks")
+        visitor = _Callers(path.stem, target)
         visitor.visit(_parse(path.stem))
         callers |= visitor.found
-    assert callers == {"dynamics.simulate", "experiments.fit_realization"}
+    return callers
+
+
+def test_trajectory_chunks_has_two_consumers():
+    assert _callers("trajectory_chunks") == {"dynamics.simulate", "experiments.fit_realization"}
 
 
 class _Qualnames(ast.NodeVisitor):
@@ -107,3 +114,32 @@ def test_no_branch_on_ndim_one():
         if isinstance(node, ast.Compare) and _is_ndim_one(node)
     ]
     assert hits == []
+
+
+def test_no_attribute_named_functions():
+    hits = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(_parse(path.stem))
+        if isinstance(node, ast.Attribute) and node.attr == "functions"
+    ]
+    assert hits == []
+
+
+def test_lift_is_called_only_by_evaluate_many():
+    assert _callers("lift") == {"basis.evaluate_many"}
+
+
+def test_streamed_fit_lifts_once_per_block():
+    (fit,) = [
+        node
+        for node in _parse("experiments").body
+        if isinstance(node, ast.FunctionDef) and node.name == "fit_realization"
+    ]
+    lifts = [
+        node
+        for node in ast.walk(fit)
+        if isinstance(node, ast.Call)
+        and "evaluate_many" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert len(lifts) == 1
