@@ -45,6 +45,9 @@ class DivergenceError(RuntimeError):
             f"exceeds threshold {threshold:.3e} (or is non-finite)"
         )
 
+    def __reduce__(self):  # rebuilt from its fields when it crosses a process pool
+        return DivergenceError, (self.step, self.norm, self.threshold)
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -154,7 +157,7 @@ class ClosedQuadraticParams:
         if abs(self.rho) >= 1 or abs(self.mu) >= 1:
             warnings.warn(
                 "closed quadratic map with |rho| >= 1 or |mu| >= 1 may diverge",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, at the caller
             )
 
 
@@ -266,44 +269,67 @@ def trajectory_chunks(
     system: StochasticSystem,
     x0,
     steps: int,
-    seed: int,
+    seeds,
     max_norm: float = DEFAULT_DIVERGENCE_NORM,
     domain: Domain | None = None,
 ):
-    """Yield (xs, ys) blocks of a single trajectory without materializing it.
+    """Step one trajectory per seed in lockstep; yield their states block by block.
 
-    Identical arguments produce the identical trajectory as :func:`simulate`
-    (blocks hold ``BLOCK`` rows, so the noise stream does not depend on how
-    they are consumed).  Pass ``x0=None`` with a domain to draw the initial
-    state uniformly from the same seed stream.
+    Each item is ``(paths, index, failed)``.  ``paths`` has shape
+    ``(len(index), m + 1, n)``: the m + 1 states of this block of each
+    trajectory still running, ``index`` holding their positions in ``seeds``
+    (a block's last state is the next block's first).  ``failed`` maps the
+    position of each trajectory that left the bounded region in this block
+    to its DivergenceError; it steps no further.  Every trajectory draws its
+    initial state (``x0=None``, uniform on ``domain``) and its noise from its
+    own seed stream, ``BLOCK`` rows at a time, so its states do not depend on
+    the other seeds: identical arguments give :func:`simulate`'s trajectory.
+    One seed steps Python floats, several step ``(R,)`` arrays through the
+    same ``drift``; both are the same IEEE operations.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
-    rng = make_rng(seed)
+    rngs = [make_rng(seed) for seed in seeds]
     if x0 is None:
         if domain is None:
             raise ValueError("either x0 or domain must be given")
-        x0 = domain.sample(rng)
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (system.state_dim,) or not np.isfinite(x).all():
+        starts = [domain.sample(rng) for rng in rngs]
+    else:
+        starts = [x0] * len(rngs)
+    n = system.state_dim
+    x = np.array(starts, dtype=float)
+    if x.shape != (len(rngs), n) or not np.isfinite(x).all():
         raise ValueError("x0 must be a finite state of the system's dimension")
-    x = tuple(x.tolist())  # stepped as Python floats: the same IEEE operations
+    lockstep = len(rngs) > 1
+    x = tuple(x.T.copy()) if lockstep else tuple(x[0].tolist())
+    index = np.arange(len(rngs))
     drift = system.drift
     done = 0
-    while done < steps:
+    while done < steps and index.size:
         m = min(BLOCK, steps - done)
-        noise = system.noise.draw(rng, m)
-        path = np.empty((m + 1, system.state_dim))
+        noise = [system.noise.draw(rngs[k], m) for k in index]
+        # per coordinate, the m noise values of every trajectory: (R,) rows
+        # of an array, or for one trajectory a list of Python floats
+        columns = np.stack(noise, axis=-1).transpose(1, 0, 2) if lockstep else noise[0].T.tolist()
+        path = np.empty((m + 1, n, index.size) if lockstep else (m + 1, n))
         path[0] = x
-        for i in range(m):
-            x = tuple(map(add, drift(*x), noise[i].tolist()))
-            path[i + 1] = x
-        norms = np.linalg.norm(path[1:], axis=1)
+        # arrays overflow to inf as Python floats do; the norm check catches it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, xi in enumerate(zip(*columns), 1):
+                x = tuple(map(add, drift(*x), xi))
+                path[i] = x
+        paths = path.transpose(2, 0, 1) if lockstep else path[None]
+        norms = np.linalg.norm(paths[:, 1:], axis=-1)
         bad = ~np.isfinite(norms) | (norms > max_norm)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise DivergenceError(done + i, float(norms[i]), max_norm)
-        yield path[:-1], path[1:]
+        failed = {}
+        for r in np.flatnonzero(bad.any(axis=1)):
+            i = int(np.argmax(bad[r]))
+            failed[int(index[r])] = DivergenceError(done + i, float(norms[r, i]), max_norm)
+        if failed:
+            keep = ~bad.any(axis=1)
+            index, paths = index[keep], paths[keep]
+            x = tuple(c[keep] for c in x) if lockstep else x
+        yield paths, index, failed
         done += m
 
 
@@ -330,12 +356,16 @@ def simulate(
         Divergence threshold on the state 2-norm; exceeding it (or any
         non-finite state) raises DivergenceError with the step index.
     """
-    xs_parts, ys_parts = [], []
-    for xs, ys in trajectory_chunks(system, x0, steps, seed, max_norm, domain):
-        xs_parts.append(xs)
-        ys_parts.append(ys)
+    blocks = []
+    for paths, _, failed in trajectory_chunks(system, x0, steps, [seed], max_norm, domain):
+        if failed:
+            raise failed[0]
+        blocks.append(paths[0])
     return SampleSet(
-        np.concatenate(xs_parts), np.concatenate(ys_parts), "single-trajectory", int(seed)
+        np.concatenate([b[:-1] for b in blocks]),
+        np.concatenate([b[1:] for b in blocks]),
+        "single-trajectory",
+        int(seed),
     )
 
 

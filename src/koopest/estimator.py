@@ -109,8 +109,14 @@ def accumulate(
         moments.seed = samples.seed
     for start in range(0, samples.n_samples, BLOCK):
         stop = min(start + BLOCK, samples.n_samples)
-        psi_x = evaluate_many(dictionary, samples.xs[start:stop])
-        psi_y = evaluate_many(dictionary, samples.ys[start:stop])
+        if samples.source == "single-trajectory":
+            # ys[:-1] is xs[1:]: lift the block's m + 1 states once
+            states = np.concatenate([samples.xs[start : start + 1], samples.ys[start:stop]])
+            psi = evaluate_many(dictionary, states)
+            psi_x, psi_y = psi[:-1], psi[1:]
+        else:
+            psi_x = evaluate_many(dictionary, samples.xs[start:stop])
+            psi_y = evaluate_many(dictionary, samples.ys[start:stop])
         moments.absorb_lifted(psi_x, psi_y)
     return moments
 

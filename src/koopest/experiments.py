@@ -14,6 +14,7 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from itertools import islice
 
 import numpy as np
 import yaml
@@ -36,6 +37,7 @@ from .bounds import (
     ViolationStats,
 )
 from .dynamics import (
+    BLOCK,
     DEFAULT_DIVERGENCE_NORM,
     GAUSSIAN_IID,
     NO_NOISE,
@@ -93,6 +95,15 @@ def derive_seed(base_seed: int, T: int, realization_index: int) -> int:
     return mix_seed(base_seed, T, realization_index)
 
 
+def _numbers(key: str, values, kind) -> tuple:
+    """``kind`` of each entry; input it rejects raises ValueError naming the key."""
+    try:
+        return tuple(kind(v) for v in values)
+    except (TypeError, ValueError, OverflowError):
+        what = "integers" if kind is int else "numbers"
+        raise ValueError(f"{key} must be a list of {what}, got {values!r}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description; see the README for the YAML schema."""
@@ -121,11 +132,18 @@ class ExperimentConfig:
     quadrature_order: int = DEFAULT_QUADRATURE_ORDER
 
     def __post_init__(self):
-        object.__setattr__(self, "T_grid", tuple(int(t) for t in self.T_grid))
-        object.__setattr__(self, "noise_std", tuple(float(s) for s in self.noise_std))
-        object.__setattr__(self, "epsilon_list", tuple(float(e) for e in self.epsilon_list))
-        object.__setattr__(self, "domain_lower", tuple(float(v) for v in self.domain_lower))
-        object.__setattr__(self, "domain_upper", tuple(float(v) for v in self.domain_upper))
+        for name, key, kind in (
+            ("T_grid", "T_grid", int),
+            ("noise_std", "system.noise.std", float),
+            ("epsilon_list", "epsilon_list", float),
+            ("domain_lower", "domain.lower", float),
+            ("domain_upper", "domain.upper", float),
+        ):
+            object.__setattr__(self, name, _numbers(key, getattr(self, name), kind))
+        try:
+            object.__setattr__(self, "base_seed", int(self.base_seed))
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}") from None
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be at least 1")
         if self.n_term_realizations < 2:
@@ -183,8 +201,13 @@ def _system_params(config: ExperimentConfig) -> dict:
     """``system.params`` as keyword arguments of the system's constructor."""
     params = {}
     for key, value in config.system_params.items():
+        if key == "standard_vdp":
+            if not isinstance(value, bool):
+                raise ValueError(f"system.params.standard_vdp must be true or false, got {value!r}")
+            params[key] = value
+            continue
         try:
-            params[key] = bool(value) if key == "standard_vdp" else float(value)
+            params[key] = float(value)
         except (TypeError, ValueError):
             raise ValueError(f"system.params.{key} must be a number, got {value!r}") from None
     return params
@@ -262,11 +285,11 @@ def config_from_dict(data: dict, **overrides) -> ExperimentConfig:
         dictionary_kind=dictionary.get("kind", "monomial"),
         dict_state_dim=dictionary.get("state_dim"),
         dict_max_degree=dictionary.get("max_degree"),
-        domain_lower=tuple(domain["lower"]),
-        domain_upper=tuple(domain["upper"]),
-        T_grid=tuple(data["T_grid"]),
-        base_seed=int(data["base_seed"]),
-        epsilon_list=tuple(data.get("epsilon_list", [0.1, 0.25, 0.5])),
+        domain_lower=domain["lower"],
+        domain_upper=domain["upper"],
+        T_grid=data["T_grid"],
+        base_seed=data["base_seed"],
+        epsilon_list=data.get("epsilon_list", [0.1, 0.25, 0.5]),
         output_dir=data.get("output_dir", "out"),
     )
     flat.update({key: data[key] for key in _OPTIONAL_KEYS if key in data})
@@ -338,44 +361,93 @@ def _ordered_map(fn, tasks, workers: int):
 class Realization:
     """How one trajectory -> moments -> estimate run ended.
 
-    ``status`` is "ok" or the failure cause: "diverged", "floor" or
-    "singular" (a failed factorization, or a flagged fallback estimate,
-    which is kept).  ``sigma0`` is the raw moment matrix S0 whenever the
-    trajectory was completed, whatever the estimate's fate.
+    ``status`` is "ok" or the failure cause: "diverged" (with its
+    DivergenceError in ``error``), "floor" or "singular" (a failed
+    factorization, or a flagged fallback estimate, which is kept).
+    ``sigma0`` is the raw moment matrix S0 whenever the trajectory was
+    completed, whatever the estimate's fate.
     """
 
     status: str
     estimate: OperatorEstimate | None
     sigma0: np.ndarray | None = None
+    error: DivergenceError | None = None
 
 
-def fit_realization(config: ExperimentConfig, T: int, seed: int) -> Realization:
-    """Stream T steps from a uniform initial state into moments, fit K_hat and
-    classify the outcome.  The moments equal ``accumulate(simulate(...))`` of
-    the same seed bit for bit, so ``simulate`` regenerates needed samples."""
+def fit_realizations(
+    config: ExperimentConfig, T: int, seeds, estimate: bool = True
+) -> list[Realization]:
+    """Fit one realization per seed, their trajectories stepped in lockstep.
+
+    Each seed streams T steps from a uniform initial state into its own
+    moments, which equal ``accumulate(simulate(...))`` of that seed bit for
+    bit, so ``simulate`` regenerates needed samples and no result depends on
+    which seeds share a call.  A diverged trajectory leaves the block and the
+    others keep stepping.  With ``estimate`` False a realization stops at S0
+    ("ok" or "diverged"); otherwise K_hat is fitted and the outcome classified.
+    """
     system = build_system(config)
     dictionary = build_dictionary(config)
-    moments = MomentPair.empty(dictionary)
-    moments.seed = int(seed)
-    try:
-        for xs, ys in trajectory_chunks(
-            system, None, T, seed, config.divergence_threshold, build_domain(config)
-        ):
-            # ys[:-1] is xs[1:]: lift the block's m + 1 states once
-            psi = evaluate_many(dictionary, np.concatenate([xs[:1], ys]))
-            moments.absorb_lifted(psi[:-1], psi[1:])
-    except DivergenceError:
-        return Realization("diverged", None)
-    sigma0 = moments.sigma0_hat
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            est = estimate_koopman(moments)
-    except SampleFloorError:
-        return Realization("floor", None, sigma0)
-    except np.linalg.LinAlgError:
-        return Realization("singular", None, sigma0)
-    return Realization("singular" if est.fallback else "ok", est, sigma0)
+    moments = [MomentPair.empty(dictionary) for _ in seeds]
+    errors = {}
+    for paths, index, failed in trajectory_chunks(
+        system, None, T, seeds, config.divergence_threshold, build_domain(config)
+    ):
+        errors.update(failed)
+        # each trajectory's m + 1 states of the block, all lifted in one call
+        psi = evaluate_many(dictionary, paths.reshape(-1, SYSTEM_DIM))
+        for k, p in zip(index, psi.reshape(*paths.shape[:2], dictionary.n_basis)):
+            moments[k].absorb_lifted(p[:-1], p[1:])
+    fits = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a fallback estimate is flagged "singular"
+        for k, (seed, mom) in enumerate(zip(seeds, moments)):
+            if k in errors:
+                fits.append(Realization("diverged", None, error=errors[k]))
+                continue
+            mom.seed = int(seed)
+            status, est = "ok", None
+            if estimate:
+                try:
+                    est = estimate_koopman(mom)
+                    status = "singular" if est.fallback else "ok"
+                except SampleFloorError:
+                    status = "floor"
+                except np.linalg.LinAlgError:
+                    status = "singular"
+            fits.append(Realization(status, est, mom.sigma0_hat))
+    return fits
+
+
+# Below this many seeds per task, stepping them one at a time as Python floats
+# is faster than stepping them together as arrays.
+LOCKSTEP_MIN_SEEDS = 5
+
+
+def _seed_blocks(seeds, T: int, workers: int) -> list:
+    """One T's seeds split into pool tasks of equal size.
+
+    A task holds at most ``BLOCK`` state rows at once, so its memory stays at
+    one fit's block, and there are at least ``workers`` tasks.  Below
+    ``LOCKSTEP_MIN_SEEDS`` seeds per task each seed is fitted alone.
+    """
+    tasks = max(workers, -(-len(seeds) // (BLOCK // min(T, BLOCK))))
+    size = -(-len(seeds) // tasks)
+    if size < LOCKSTEP_MIN_SEEDS:
+        size = 1
+    return [seeds[i : i + size] for i in range(0, len(seeds), size)]
+
+
+def _fit_groups(config: ExperimentConfig, groups, workers: int) -> list[list[Realization]]:
+    """Fit ``(T, seeds, estimate)`` groups in seed blocks over one parallel map;
+    returns each group's realizations in seed order."""
+    tasks, counts = [], []
+    for T, seeds, estimate in groups:
+        blocks = _seed_blocks(seeds, T, workers)
+        tasks += [(config, T, block, estimate) for block in blocks]
+        counts.append(len(blocks))
+    fits = iter(_ordered_map(fit_realizations, tasks, workers))
+    return [[fit for block in islice(fits, count) for fit in block] for count in counts]
 
 
 def _reference_koopman(config: ExperimentConfig):
@@ -384,7 +456,7 @@ def _reference_koopman(config: ExperimentConfig):
         return true_koopman(config), {"kind": "analytic"}
     t_ref = config.reference_T_factor * max(config.T_grid)
     seed = derive_seed(config.base_seed, t_ref, REFERENCE_STREAM)
-    fit = fit_realization(config, t_ref, seed)
+    (fit,) = fit_realizations(config, t_ref, [seed])
     if fit.estimate is None:
         raise RuntimeError(f"the reference fit at T={t_ref} failed: {fit.status}")
     if fit.status == "singular":
@@ -403,19 +475,19 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> ErrorCurve:
     whose failure fraction exceeds 20% is flagged invalid in the metadata.
     """
     ref, ref_info = _reference_koopman(config)
-    points = [
-        (T, r, derive_seed(config.base_seed, T, r))
+    seeds = [
+        [derive_seed(config.base_seed, T, r) for r in range(config.n_realizations)]
         for T in config.T_grid
-        for r in range(config.n_realizations)
     ]
-    fits = _ordered_map(fit_realization, [(config, T, seed) for T, _, seed in points], workers)
+    fits = _fit_groups(config, [(T, s, True) for T, s in zip(config.T_grid, seeds)], workers)
     denom = np.linalg.norm(ref, "fro")
     results = []  # (T, realization, seed, status, relative error)
-    for (T, r, seed), fit in zip(points, fits):
-        rel = float("nan")
-        if fit.status == "ok":
-            rel = float(np.linalg.norm(fit.estimate.matrix - ref, "fro") / denom)
-        results.append((T, r, seed, fit.status, rel))
+    for T, group_seeds, group in zip(config.T_grid, seeds, fits):
+        for r, (seed, fit) in enumerate(zip(group_seeds, group)):
+            rel = float("nan")
+            if fit.status == "ok":
+                rel = float(np.linalg.norm(fit.estimate.matrix - ref, "fro") / denom)
+            results.append((T, r, seed, fit.status, rel))
 
     means, ses, n_oks, n_faileds, invalids = [], [], [], [], []
     for T in config.T_grid:
@@ -512,20 +584,19 @@ def run_bound_calibration(
     cond_lambda = gram(dictionary, domain, config.quadrature_order).cond
 
     n, n_terms = config.n_realizations, config.n_term_realizations
-    tasks = [
-        (config, T, mix_seed(derive_seed(config.base_seed, T, stream), r))
+    # the term realizations only need S0: they stop before the estimate
+    groups = [
+        (T, [mix_seed(derive_seed(config.base_seed, T, stream), r) for r in range(count)],
+         stream == SCORE_STREAM)
         for T in config.T_grid
         for stream, count in ((SCORE_STREAM, n), (TERMS_STREAM, n_terms))
-        for r in range(count)
     ]
-    fits = _ordered_map(fit_realization, tasks, workers)
+    fits = _fit_groups(config, groups, workers)
 
     rows = []
     results: list[tuple[BoundReport, ViolationStats]] = []
-    per_T = n + n_terms
     for i, T in enumerate(config.T_grid):
-        block = fits[i * per_T : (i + 1) * per_T]
-        scored, term_fits = block[:n], block[n:]
+        scored, term_fits = fits[2 * i], fits[2 * i + 1]
         for fit in term_fits:
             if fit.sigma0 is None:
                 raise RuntimeError(f"a bound-term realization at T={T} failed: {fit.status}")
@@ -534,7 +605,7 @@ def run_bound_calibration(
             delta_hat = float(config.delta_hat_override)
         else:
             seed = derive_seed(config.base_seed, T, DELTA_STREAM)
-            delta_fit = fit_realization(config, T, seed)
+            (delta_fit,) = fit_realizations(config, T, [seed])
             if delta_fit.estimate is None:
                 raise RuntimeError(f"the delta_hat fit at T={T} failed: {delta_fit.status}")
             samples = simulate(
@@ -598,7 +669,7 @@ def run_pf_pipeline(config: ExperimentConfig, workers: int = 1):
     """
     lam = gram(build_dictionary(config), build_domain(config), config.quadrature_order)
     T = max(config.T_grid)
-    fit = fit_realization(config, T, derive_seed(config.base_seed, T, PF_STREAM))
+    (fit,) = fit_realizations(config, T, [derive_seed(config.base_seed, T, PF_STREAM)])
     if fit.estimate is None:
         raise RuntimeError(f"the transfer-matrix fit at T={T} failed: {fit.status}")
     est = fit.estimate
@@ -617,12 +688,9 @@ def run_pf_pipeline(config: ExperimentConfig, workers: int = 1):
         ref = true_koopman(config)
         p_ref = koopman_to_pf(ref, lam).matrix
         seed_base = derive_seed(config.base_seed, T, SCORE_STREAM)
-        tasks = [(config, T, mix_seed(seed_base, r)) for r in range(config.n_realizations)]
-        k_hats = [
-            fit.estimate.matrix
-            for fit in _ordered_map(fit_realization, tasks, workers)
-            if fit.status == "ok"
-        ]
+        seeds = [mix_seed(seed_base, r) for r in range(config.n_realizations)]
+        (fits,) = _fit_groups(config, [(T, seeds, True)], workers)
+        k_hats = [fit.estimate.matrix for fit in fits if fit.status == "ok"]
         transfer_total = len(k_hats)
         transfer_ok = sum(
             1

@@ -14,14 +14,13 @@ from koopest import (
     run_bound_calibration,
     simulate,
 )
-from koopest.experiments import build_dictionary, fit_realization
+from koopest.experiments import build_dictionary, fit_realizations
 
 
 def term_sigma0s(config, T, n_realizations, seed):
     """S0 of each bound-term realization, fitted as the calibration fits them."""
-    return [
-        fit_realization(config, T, mix_seed(seed, r)).sigma0 for r in range(n_realizations)
-    ]
+    seeds = [mix_seed(seed, r) for r in range(n_realizations)]
+    return [fit.sigma0 for fit in fit_realizations(config, T, seeds, estimate=False)]
 
 
 class TestBoundTerms:
@@ -60,7 +59,7 @@ class TestBoundTerms:
     def test_floor_enforced(self, smoke_config):
         # T = 10 = 2N+2 for N = 4: the fit is refused but its S0 is kept,
         # and the bound itself refuses the sample count
-        fit = fit_realization(smoke_config(), 10, seed=0)
+        (fit,) = fit_realizations(smoke_config(), 10, [0])
         assert fit.status == "floor"
         assert fit.estimate is None
         assert fit.sigma0.shape == (4, 4)

@@ -46,6 +46,12 @@ class TestClosedQuadratic:
         with pytest.warns(UserWarning, match="diverge"):
             ClosedQuadraticParams(rho=1.2, mu=0.3, c=1.0)
 
+    def test_warning_points_at_the_caller(self):
+        # not at the dataclass-generated __init__ ("<string>")
+        with pytest.warns(UserWarning, match="diverge") as record:
+            ClosedQuadraticParams(rho=1.2, mu=0.3, c=1.0)
+        assert record[0].filename == __file__
+
     def test_invalid_c(self):
         with pytest.raises(ValueError):
             ClosedQuadraticParams(rho=0.2, mu=0.3, c=0.0)
@@ -193,8 +199,19 @@ class TestSimulate:
         system = make_closed_quadratic(baseline_params)
         steps = 70000  # crosses the internal chunk boundary
         ss = simulate(system, np.zeros(2), steps, seed=77)
-        xs = np.concatenate([x for x, _ in trajectory_chunks(system, np.zeros(2), steps, seed=77)])
+        chunks = trajectory_chunks(system, np.zeros(2), steps, [77])
+        xs = np.concatenate([paths[0, :-1] for paths, _, _ in chunks])
         assert (xs == ss.xs).all()
+
+    def test_lockstep_trajectories_equal_simulated_ones(self, baseline_params):
+        system, seeds = make_closed_quadratic(baseline_params), [5, 6, 7]
+        blocks = list(trajectory_chunks(system, None, 300, seeds, domain=unit_box(2)))
+        ((paths, index, failed),) = blocks
+        assert paths.shape == (3, 301, 2) and list(index) == [0, 1, 2] and failed == {}
+        for seed, path in zip(seeds, paths):
+            ss = simulate(system, None, 300, seed, domain=unit_box(2))
+            assert path[:-1].tobytes() == ss.xs.tobytes()
+            assert path[1:].tobytes() == ss.ys.tobytes()
 
     def test_initial_state_from_domain(self, baseline_params):
         system = make_closed_quadratic(baseline_params)

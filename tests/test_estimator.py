@@ -23,6 +23,8 @@ from koopest import (
     step_pairs,
     unit_box,
 )
+from koopest import estimator
+from koopest.dynamics import BLOCK
 from koopest.seeding import make_rng, mix_seed
 
 
@@ -60,6 +62,22 @@ class TestMomentAccumulation:
         m = accumulate(MomentPair.empty(dct), dct, ss)
         target = 1.0 / (1.0 - baseline_params.rho**2)
         assert m.sigma0_hat[1, 1] == pytest.approx(target, rel=0.05)
+
+    def test_single_trajectory_lifts_each_state_once(self, baseline_params, monkeypatch):
+        dct = closed_quadratic_dictionary()
+        chained = simulate(make_closed_quadratic(baseline_params), np.zeros(2), BLOCK + 50, seed=9)
+        pairs = SampleSet(chained.xs, chained.ys, "independent-pairs", chained.seed)
+        rows = []
+        lift = estimator.evaluate_many
+        monkeypatch.setattr(
+            estimator, "evaluate_many", lambda d, xs: rows.append(len(xs)) or lift(d, xs)
+        )
+        once = accumulate(MomentPair.empty(dct), dct, chained)
+        assert rows == [BLOCK + 1, 51]  # each block's m + 1 states
+        twice = accumulate(MomentPair.empty(dct), dct, pairs)
+        assert rows[2:] == [BLOCK, BLOCK, 50, 50]
+        assert once.sigma0_hat.tobytes() == twice.sigma0_hat.tobytes()
+        assert once.sigma1_hat.tobytes() == twice.sigma1_hat.tobytes()
 
     def test_merge_matches_single_pass(self, baseline_params):
         dct = closed_quadratic_dictionary()

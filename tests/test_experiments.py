@@ -1,10 +1,14 @@
 import csv
 import json
 import os
+import pickle
 import re
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopest import (
     closed_quadratic_koopman,
@@ -22,11 +26,14 @@ from koopest import (
     run_sweep,
     simulate,
 )
+from koopest.dynamics import BLOCK, DivergenceError
 from koopest.experiments import (
+    LOCKSTEP_MIN_SEEDS,
+    _seed_blocks,
     build_dictionary,
     build_domain,
     build_system,
-    fit_realization,
+    fit_realizations,
     true_koopman,
 )
 
@@ -176,6 +183,32 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(key)):
             smoke_config(system=system)
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"T_grid": ["abc"]}, "T_grid"),
+            ({"T_grid": 200}, "T_grid"),
+            ({"system": {**CLOSED_QUADRATIC, "noise": {"std": ["abc", 1.0]}}}, "system.noise.std"),
+            ({"epsilon_list": [0.1, "half"]}, "epsilon_list"),
+            ({"domain": {"lower": ["a", -1.0], "upper": [1.0, 1.0]}}, "domain.lower"),
+            ({"domain": {"lower": [-1.0, -1.0], "upper": [1.0, None]}}, "domain.upper"),
+            ({"base_seed": "seven"}, "base_seed"),
+        ],
+        ids=["T_grid-text", "T_grid-scalar", "noise-std", "epsilon", "lower", "upper", "base_seed"],
+    )
+    def test_non_numeric_value_named(self, smoke_config, overrides, key):
+        # bare int() / float() used to fail without the key
+        with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be "):
+            smoke_config(**overrides)
+
+    def test_standard_vdp_takes_only_a_boolean(self, smoke_config):
+        system = {"kind": "vanderpol", "params": {"dt": 0.001, "standard_vdp": "false"}}
+        # the string "false" used to read as true
+        with pytest.raises(ValueError, match="system.params.standard_vdp must be true or false"):
+            smoke_config(system=system)
+        system["params"]["standard_vdp"] = True
+        assert build_system(smoke_config(system=system)).label == "vanderpol-standard"
+
     def test_true_koopman_uses_noise_variance(self, smoke_config):
         cfg = smoke_config()
         k = true_koopman(cfg)
@@ -201,7 +234,7 @@ class TestFitRealization:
         # T crosses the 65536-row block boundary
         cfg = smoke_config(**overrides)
         T, seed = 65_573, 2024
-        fit = fit_realization(cfg, T, seed)
+        (fit,) = fit_realizations(cfg, T, [seed])
         samples = simulate(
             build_system(cfg), None, T, seed, cfg.divergence_threshold, build_domain(cfg)
         )
@@ -221,8 +254,104 @@ class TestFitRealization:
                 divergence_threshold=1e4,
             )
         with pytest.warns(UserWarning, match="diverge"):
-            fit = fit_realization(cfg, 120, seed=5)
+            (fit,) = fit_realizations(cfg, 120, [5])
         assert (fit.status, fit.estimate, fit.sigma0) == ("diverged", None, None)
+
+
+def _assert_same_fit(a, b):
+    assert a.status == b.status
+    for x, y in ((a.sigma0, b.sigma0), (a.estimate, b.estimate), (a.error, b.error)):
+        assert (x is None) == (y is None)
+    if a.sigma0 is not None:
+        assert a.sigma0.tobytes() == b.sigma0.tobytes()
+    if a.estimate is not None:
+        assert a.estimate.matrix.tobytes() == b.estimate.matrix.tobytes()
+        assert (a.estimate.seed, a.estimate.condition_sigma0) == (
+            b.estimate.seed, b.estimate.condition_sigma0
+        )
+    if a.error is not None:
+        assert (a.error.step, a.error.norm) == (b.error.step, b.error.norm)
+
+
+_BLOCK_CONFIG = config_from_dict(
+    {"system": CLOSED_QUADRATIC, "dictionary": {"kind": "closed-quadratic"},
+     "T_grid": [40], "base_seed": 1}
+)
+
+
+@lru_cache(maxsize=None)
+def _solo_fit(T, seed):
+    (fit,) = fit_realizations(_BLOCK_CONFIG, T, [seed])
+    return fit
+
+
+class TestFitRealizations:
+    # T = 40 lets a task hold 1,638 seeds, T = 13,200 only 4: each seed then
+    # runs alone; both sides of that choice must give the same bits
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seeds=st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True),
+        cuts=st.lists(st.integers(1, 11), max_size=4),
+        T=st.sampled_from([40, 13_200]),
+    )
+    def test_any_blocking_matches_solo_fits(self, seeds, cuts, T):
+        edges = sorted({c for c in cuts if c < len(seeds)})
+        blocks = [seeds[a:b] for a, b in zip([0, *edges], [*edges, len(seeds)])]
+        fits = [fit for block in blocks for fit in fit_realizations(_BLOCK_CONFIG, T, block)]
+        assert len(fits) == len(seeds)
+        for seed, fit in zip(seeds, fits):
+            _assert_same_fit(fit, _solo_fit(T, seed))
+
+    def test_block_crosses_the_noise_block(self):
+        T, seeds = BLOCK + 37, [11, 12, 13, 14, 15]
+        fits = fit_realizations(_BLOCK_CONFIG, T, seeds)
+        assert [fit.status for fit in fits] == ["ok"] * len(seeds)
+        for seed, fit in zip(seeds, fits):
+            _assert_same_fit(fit, _solo_fit(T, seed))
+
+    def test_diverged_realizations_leave_the_block(self, smoke_config):
+        # a low threshold: three trajectories stay inside for all 70,000 steps,
+        # four leave it in the first noise block and one in the second
+        cfg = smoke_config(divergence_threshold=6.5)
+        T, seeds = 70_000, list(range(8))
+        fits = fit_realizations(cfg, T, seeds)
+        assert [fit.status for fit in fits] == ["ok", "diverged", "diverged", "diverged",
+                                                "diverged", "ok", "ok", "diverged"]
+        assert fits[1].error.step >= BLOCK > max(fits[k].error.step for k in (2, 3, 4, 7))
+        system, domain = build_system(cfg), build_domain(cfg)
+        for seed, fit in zip(seeds, fits):
+            (solo,) = fit_realizations(cfg, T, [seed])
+            _assert_same_fit(fit, solo)
+            if fit.status == "diverged":
+                assert (fit.estimate, fit.sigma0) == (None, None)
+                with pytest.raises(DivergenceError) as err:
+                    simulate(system, None, T, seed, cfg.divergence_threshold, domain)
+                assert err.value.step == fit.error.step
+                restored = pickle.loads(pickle.dumps(fit.error))  # crosses the pool
+                assert (restored.step, str(restored)) == (fit.error.step, str(fit.error))
+
+    def test_stopping_at_sigma0_skips_only_the_estimate(self):
+        seeds = list(range(6))
+        full = fit_realizations(_BLOCK_CONFIG, 40, seeds)
+        terms = fit_realizations(_BLOCK_CONFIG, 40, seeds, estimate=False)
+        for a, b in zip(full, terms):
+            assert (b.status, b.estimate) == ("ok", None)
+            assert a.sigma0.tobytes() == b.sigma0.tobytes()
+
+    @pytest.mark.parametrize(
+        "T, n_seeds, workers",
+        [(20, 500, 2), (200, 500, 1), (200, 100, 2), (10_000, 8, 1), (50_000, 8, 2),
+         (100_000, 3, 1), (40, 3, 2), (40, 9, 2)],
+    )
+    def test_seed_blocks(self, T, n_seeds, workers):
+        seeds = list(range(n_seeds))
+        blocks = _seed_blocks(seeds, T, workers)
+        assert [s for block in blocks for s in block] == seeds
+        assert len(blocks) >= min(workers, n_seeds)
+        size = len(blocks[0])
+        assert size * min(T, BLOCK) <= BLOCK  # at most one fit's rows in memory
+        assert size == 1 or size >= LOCKSTEP_MIN_SEEDS
+        assert all(len(block) <= size for block in blocks)
 
 
 class TestRunSweep:

@@ -3,7 +3,7 @@
 Parsed, not run: ``bounds`` holds only the mathematics of the bound, so it
 imports nothing that simulates, lifts or seeds; and ``trajectory_chunks``
 is consumed only by ``simulate`` (which materializes samples) and
-``fit_realization`` (which streams them into moments).  A second consumer
+``fit_realizations`` (which streams them into moments).  A second consumer
 would be a second copy of the fit, free to drift from it.  Likewise each
 system's map is one coordinate ``drift``: the only function named
 ``transition`` is the method that stacks it over arrays, and no code
@@ -68,7 +68,7 @@ def _callers(target):
 
 
 def test_trajectory_chunks_has_two_consumers():
-    assert _callers("trajectory_chunks") == {"dynamics.simulate", "experiments.fit_realization"}
+    assert _callers("trajectory_chunks") == {"dynamics.simulate", "experiments.fit_realizations"}
 
 
 class _Qualnames(ast.NodeVisitor):
@@ -134,7 +134,7 @@ def test_streamed_fit_lifts_once_per_block():
     (fit,) = [
         node
         for node in _parse("experiments").body
-        if isinstance(node, ast.FunctionDef) and node.name == "fit_realization"
+        if isinstance(node, ast.FunctionDef) and node.name == "fit_realizations"
     ]
     lifts = [
         node
