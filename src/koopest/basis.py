@@ -2,10 +2,22 @@
 
 A dictionary is an ordered set of N scalar observables held as one batch
 map, lifting ``(m, n)`` states to ``(m, N)`` values.  Monomials are
-first-class: graded-lexicographic multi-indices (constant first), a lift
-that multiplies in each coordinate's powers, and an exact analytic Gram
-matrix.  :func:`make_dictionary` stacks opaque per-observable callables;
-their Gram matrix falls back to tensor-product Gauss-Legendre quadrature.
+first-class: graded-lexicographic multi-indices (constant first), a power
+table lift and an exact analytic Gram matrix.  :func:`make_dictionary`
+stacks opaque per-observable callables; their Gram matrix falls back to
+tensor-product Gauss-Legendre quadrature.
+
+The monomial lift is bit-equal to ``np.prod(xs ** e, axis=-1)`` for each
+exponent row ``e``, at a fraction of its cost.  Per coordinate, the power
+table holds ``x^0 = 1`` and ``x^1 = x`` (exact identities of ``pow``) and
+one ``pow`` per state for each distinct exponent >= 2 over the whole
+batch, where the reference form calls ``pow`` once per state, observable
+and coordinate.  Each observable's column is then gathered from the table
+and multiplied in coordinate order.  The exponent operand of ``pow`` is a
+contiguous array: given a stride-0 exponent 2, numpy squares by ``x*x``,
+which differs from ``pow`` in the last bit of a few percent of values.
+With one coordinate the reference form itself takes that ``x*x`` path, so
+one-coordinate dictionaries lift one observable at a time instead.
 
 Inner products use the uniform probability measure on a user-configured
 hyper-rectangle (default ``[-1, 1]^n``), which keeps the Gram matrix
@@ -21,6 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 DEFAULT_QUADRATURE_ORDER = 8  # exact for per-axis polynomial degree <= 15
+LIFT_ROWS = 8192  # states per monomial power table
 
 
 @dataclass(frozen=True)
@@ -161,21 +174,51 @@ def dictionary_from_exponents(exponents) -> Dictionary:
         raise ValueError("exponents must be a 2-D array (n_basis, state_dim)")
     if (exps < 0).any():
         raise ValueError("exponents must be nonnegative")
-    powers = exps.astype(float)
+    names = tuple(monomial_name(e) for e in exps)
+    n = exps.shape[1]
+    if n == 1:
+        # One coordinate: numpy squares ``xs ** 2.0`` by x*x here (a stride-0
+        # exponent over the whole batch), which the power table would not.
+        powers = exps.astype(float)
+
+        def lift(xs):
+            return np.column_stack([np.prod(xs**e, axis=-1) for e in powers])
+
+        return Dictionary(lift, names, 1, exponents=exps)
+
+    # The power table's rows: 1, then x_1..x_n, then x_k^e for each distinct
+    # (k, e >= 2).  rows[k, j] is the row holding coordinate k's factor of
+    # observable j.
+    high = sorted({(k, int(e)) for row in exps for k, e in enumerate(row) if e >= 2})
+    bases = np.array([1 + k for k, _ in high], dtype=np.intp)
+    degrees = np.array([e for _, e in high], dtype=float)
+    row_of = {(k, 0): 0 for k in range(n)} | {(k, 1): 1 + k for k in range(n)}
+    row_of |= {(k, e): 1 + n + i for i, (k, e) in enumerate(high)}
+    rows = np.array([[row_of[k, e] for e in exps[:, k]] for k in range(n)], dtype=np.intp)
 
     def lift(xs):
-        # Per coordinate, its powers for all observables multiplied in: the pow
-        # calls and order of one observable at a time.  With one observable or
-        # one coordinate the two forms differ (numpy squares a lone exponent by
-        # x*x, not pow), so those shapes go one observable at a time.
-        if 1 in powers.shape:
-            return np.column_stack([np.prod(xs**e, axis=-1) for e in powers])
-        out = xs[:, :1] ** powers[:, 0]
-        for k in range(1, powers.shape[1]):
-            out *= xs[:, k : k + 1] ** powers[:, k]
+        # Bit-equal to np.prod(xs ** e, axis=-1) per observable: x^0 = 1 and
+        # x^1 = x are exact, every higher power is one pow per state with a
+        # contiguous exponent operand (a stride-0 exponent 2 would make numpy
+        # square by x*x, which differs from pow in the last bit), and the
+        # factors are multiplied in coordinate order.  LIFT_ROWS states at a
+        # time, so the table and products stay small next to the output.
+        out = np.empty((len(xs), len(exps)))
+        for start in range(0, len(xs), LIFT_ROWS):
+            chunk = xs[start : start + LIFT_ROWS]
+            m = len(chunk)
+            table = np.empty((1 + n + len(high), m))
+            table[0] = 1.0
+            table[1 : 1 + n] = chunk.T
+            exponent = np.repeat(degrees, m).reshape(len(high), m)
+            np.power(table[bases], exponent, out=table[1 + n :])
+            product = table[rows[0]]
+            for r in rows[1:]:
+                product *= table[r]
+            out[start : start + m] = product.T
         return out
 
-    return Dictionary(lift, tuple(monomial_name(e) for e in exps), exps.shape[1], exponents=exps)
+    return Dictionary(lift, names, n, exponents=exps)
 
 
 def make_monomial_dictionary(spec: MonomialSpec) -> Dictionary:

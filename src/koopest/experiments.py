@@ -10,6 +10,7 @@ output CSVs are byte-identical for any worker count.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -104,6 +105,13 @@ def _numbers(key: str, values, kind) -> tuple:
         raise ValueError(f"{key} must be a list of {what}, got {values!r}") from None
 
 
+def _count(key: str, value, least: int) -> int:
+    """``value`` as an int of at least ``least``; else ValueError naming the key."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{key} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description; see the README for the YAML schema."""
@@ -144,10 +152,14 @@ class ExperimentConfig:
             object.__setattr__(self, "base_seed", int(self.base_seed))
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}") from None
-        if self.n_realizations < 1:
-            raise ValueError("n_realizations must be at least 1")
-        if self.n_term_realizations < 2:
-            raise ValueError("n_term_realizations must be at least 2 (for standard errors)")
+        # two term realizations and two closure draws give a standard error
+        for key, least in (("n_realizations", 1), ("n_term_realizations", 2),
+                           ("reference_T_factor", 1), ("closure_n_mc", 2),
+                           ("quadrature_order", 1)):
+            object.__setattr__(self, key, _count(key, getattr(self, key), least))
+        limit = self.divergence_threshold
+        if isinstance(limit, bool) or not isinstance(limit, numbers.Real) or not limit > 0:
+            raise ValueError(f"divergence_threshold must be a positive number, got {limit!r}")
         if not self.T_grid:
             raise ValueError("T_grid must not be empty")
         if list(self.T_grid) != sorted(set(self.T_grid)):
@@ -174,6 +186,10 @@ class ExperimentConfig:
             if dim != SYSTEM_DIM:
                 raise ValueError(f"{key} gives dimension {dim}, the system has {SYSTEM_DIM}")
         n = dictionary.n_basis
+        # the closure regression fits N coefficients, one state per equation
+        object.__setattr__(
+            self, "closure_n_states", _count("closure_n_states", self.closure_n_states, n)
+        )
         floor = sample_floor(n)
         if self.T_grid[0] <= floor:
             raise ValueError(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 
 from koopest import (
@@ -9,6 +11,7 @@ from koopest import (
     Domain,
     GramMatrix,
     MonomialSpec,
+    closed_quadratic_dictionary,
     dictionary_from_exponents,
     evaluate,
     evaluate_many,
@@ -51,6 +54,10 @@ class TestMonomialEnumeration:
 
     @pytest.mark.parametrize("n,d", [(1, 3), (2, 2), (3, 4), (4, 0)])
     def test_count_is_binomial(self, n, d):
+        assert len(grlex_exponents(n, d)) == math.comb(n + d, d)
+
+    @given(st.integers(1, 5), st.integers(0, 6))
+    def test_count_is_binomial_for_any_size(self, n, d):
         assert len(grlex_exponents(n, d)) == math.comb(n + d, d)
 
     def test_degree_zero(self):
@@ -106,6 +113,32 @@ class TestEvaluate:
         dct = Dictionary(lambda xs: np.zeros((len(xs), 3)), ("a", "b"), 2)
         with pytest.raises(ValueError, match=r"shape \(4, 3\), expected \(4, 2\)"):
             evaluate_many(dct, np.zeros((4, 2)))
+
+    @pytest.mark.parametrize(
+        "make",
+        [closed_quadratic_dictionary]
+        + [
+            lambda n=n, d=d: make_monomial_dictionary(MonomialSpec(n, d))
+            for n in (1, 2, 3)
+            for d in range(5)
+        ],
+        ids=["closed-quadratic"] + [f"n{n}-d{d}" for n in (1, 2, 3) for d in range(5)],
+    )
+    def test_large_batch_columns_equal_the_per_observable_form(self, make):
+        # 65,537 rows: a lift that squared by x*x over a long loop (numpy does
+        # for a stride-0 exponent 2) would differ from pow in a few % of values
+        dct = make()
+        rng = np.random.default_rng(65_537)
+        m, n = 65_537, dct.state_dim
+        xs = rng.uniform(-1.5, 1.5, (m, n)) * 10.0 ** rng.integers(-6, 6, (m, n))
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e6, -1e6, 1.0, -1.0]
+        picks = rng.random((m, n)) < 0.05
+        xs[picks] = rng.choice(special, picks.sum())
+        out = evaluate_many(dct, xs)
+        assert out.flags.c_contiguous
+        for j, e in enumerate(dct.exponents.astype(float)):
+            column = np.prod(xs**e, axis=-1)
+            assert np.ascontiguousarray(out[:, j]).tobytes() == column.tobytes(), dct.names[j]
 
     def test_nonfinite_rejected(self):
         dct = make_dictionary(

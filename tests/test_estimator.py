@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopest import (
+    ClosedQuadraticParams,
     MomentPair,
     NoiseModel,
     SampleFloorError,
@@ -92,6 +95,23 @@ class TestMomentAccumulation:
         merged = parts[0]
         for p in parts[1:]:
             merged = merge_moments(merged, p)
+        assert merged.count == whole.count
+        np.testing.assert_allclose(merged.sigma0_hat, whole.sigma0_hat, rtol=1e-13)
+        np.testing.assert_allclose(merged.sigma1_hat, whole.sigma1_hat, rtol=1e-13)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 2999), max_size=12, unique=True))
+    def test_merge_over_any_partition_matches_single_pass(self, inner_cuts):
+        dct = closed_quadratic_dictionary()
+        system = make_closed_quadratic(ClosedQuadraticParams(rho=0.2, mu=0.3, c=1.0))
+        ss = simulate(system, np.zeros(2), 3000, seed=45)
+        whole = accumulate(MomentPair.empty(dct), dct, ss)
+        cuts = [0, *sorted(inner_cuts), 3000]
+        merged = None
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            sub = SampleSet(ss.xs[a:b], ss.ys[a:b], "single-trajectory", ss.seed)
+            part = accumulate(MomentPair.empty(dct), dct, sub)
+            merged = part if merged is None else merge_moments(merged, part)
         assert merged.count == whole.count
         np.testing.assert_allclose(merged.sigma0_hat, whole.sigma0_hat, rtol=1e-13)
         np.testing.assert_allclose(merged.sigma1_hat, whole.sigma1_hat, rtol=1e-13)

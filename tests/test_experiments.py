@@ -201,6 +201,27 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be "):
             smoke_config(**overrides)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("quadrature_order", 0),
+            ("quadrature_order", 2.5),
+            ("closure_n_mc", 1),
+            ("closure_n_states", 3),
+            ("divergence_threshold", -1),
+            ("divergence_threshold", "1e6"),
+            ("reference_T_factor", 0),
+            ("n_realizations", "abc"),
+        ],
+        ids=["quadrature-zero", "quadrature-fraction", "closure-one-draw", "closure-below-N",
+             "threshold-negative", "threshold-text", "reference-zero", "realizations-text"],
+    )
+    def test_bad_count_or_threshold_named(self, smoke_config, key, value):
+        # each used to load, then fail late (a bare TypeError, a failed quadrature)
+        # or run silently wrong (NaN closure floors, every fit diverged)
+        with pytest.raises(ValueError, match=rf"^{key} must be "):
+            smoke_config(**{key: value})
+
     def test_standard_vdp_takes_only_a_boolean(self, smoke_config):
         system = {"kind": "vanderpol", "params": {"dt": 0.001, "standard_vdp": "false"}}
         # the string "false" used to read as true
