@@ -95,29 +95,34 @@ class MomentPair:
         return out
 
 
+def _lifted_pairs(dictionary: Dictionary, samples: SampleSet):
+    """Yield the lifted ``(psi_x, psi_y)`` of ``BLOCK`` pairs at a time; a
+    chained set (ys[:-1] is xs[1:]) lifts each block's m + 1 states once."""
+    if samples.state_dim != dictionary.state_dim:
+        raise ValueError("sample dimension does not match the dictionary")
+    for start in range(0, samples.n_samples, BLOCK):
+        stop = min(start + BLOCK, samples.n_samples)
+        if samples.source == "single-trajectory":
+            states = np.concatenate([samples.xs[start : start + 1], samples.ys[start:stop]])
+            psi = evaluate_many(dictionary, states)
+            yield psi[:-1], psi[1:]
+        else:
+            yield (evaluate_many(dictionary, samples.xs[start:stop]),
+                   evaluate_many(dictionary, samples.ys[start:stop]))
+
+
 def accumulate(
     moments: MomentPair, dictionary: Dictionary, samples: SampleSet
 ) -> MomentPair:
     """Absorb a sample set into the running moments (in place) and return them."""
-    if samples.state_dim != dictionary.state_dim:
-        raise ValueError("sample dimension does not match the dictionary")
     if moments.n_basis != dictionary.n_basis:
         raise ValueError("moment dimension does not match the dictionary")
+    for psi_x, psi_y in _lifted_pairs(dictionary, samples):
+        moments.absorb_lifted(psi_x, psi_y)
     if moments.names is None:
         moments.names = dictionary.names
     if moments.seed is None:
         moments.seed = samples.seed
-    for start in range(0, samples.n_samples, BLOCK):
-        stop = min(start + BLOCK, samples.n_samples)
-        if samples.source == "single-trajectory":
-            # ys[:-1] is xs[1:]: lift the block's m + 1 states once
-            states = np.concatenate([samples.xs[start : start + 1], samples.ys[start:stop]])
-            psi = evaluate_many(dictionary, states)
-            psi_x, psi_y = psi[:-1], psi[1:]
-        else:
-            psi_x = evaluate_many(dictionary, samples.xs[start:stop])
-            psi_y = evaluate_many(dictionary, samples.ys[start:stop])
-        moments.absorb_lifted(psi_x, psi_y)
     return moments
 
 
@@ -245,16 +250,11 @@ def residuals(
     """Residuals ``delta_t = Psi(y_t) - K_hat^T Psi(x_t)`` and their statistics."""
     if k_hat.n_basis != dictionary.n_basis:
         raise ValueError("operator size does not match the dictionary")
-    if samples.state_dim != dictionary.state_dim:
-        raise ValueError("sample dimension does not match the dictionary")
     n = dictionary.n_basis
     t_total = samples.n_samples
     r_sum = np.zeros((n, n))
     sq_sum = np.zeros(n)
-    for start in range(0, t_total, BLOCK):
-        stop = min(start + BLOCK, t_total)
-        psi_x = evaluate_many(dictionary, samples.xs[start:stop])
-        psi_y = evaluate_many(dictionary, samples.ys[start:stop])
+    for psi_x, psi_y in _lifted_pairs(dictionary, samples):
         delta = psi_y - psi_x @ k_hat.matrix
         r_sum += psi_x.T @ delta
         sq_sum += np.sum(delta * delta, axis=0)

@@ -56,6 +56,7 @@ from .estimator import (
     MomentPair,
     OperatorEstimate,
     SampleFloorError,
+    accumulate,
     closure_check,
     estimate_koopman,
     residuals,
@@ -587,13 +588,14 @@ def run_bound_calibration(
     Fits, for the whole grid in one parallel map, ``n_realizations`` scored
     estimates and ``n_term_realizations`` realizations for the bound's
     expectation terms per T.  Then for each T: reduces the term
-    realizations' moment matrices, fits the residual-variance surrogate
-    (unless the config overrides it), and scores the estimates against the
-    bound for every epsilon.  Writes one ``bounds.csv`` row per
-    (T, epsilon).  Requires a configuration with a ground-truth operator.
+    realizations' moment matrices, fits the residual-variance surrogate on
+    one trajectory simulated once (unless the config overrides it), and
+    scores the estimates against the bound for every epsilon.  Writes one
+    ``bounds.csv`` row per (T, epsilon).  Needs a ground-truth operator.
     """
     if not has_true_koopman(config):
         raise ValueError("bound calibration needs a ground-truth operator")
+    system = build_system(config)
     dictionary = build_dictionary(config)
     domain = build_domain(config)
     ref = true_koopman(config)
@@ -621,13 +623,12 @@ def run_bound_calibration(
             delta_hat = float(config.delta_hat_override)
         else:
             seed = derive_seed(config.base_seed, T, DELTA_STREAM)
-            (delta_fit,) = fit_realizations(config, T, [seed])
-            if delta_fit.estimate is None:
-                raise RuntimeError(f"the delta_hat fit at T={T} failed: {delta_fit.status}")
-            samples = simulate(
-                build_system(config), None, T, seed, config.divergence_threshold, domain
-            )
-            delta_hat = residuals(dictionary, samples, delta_fit.estimate).delta_hat
+            try:
+                samples = simulate(system, None, T, seed, config.divergence_threshold, domain)
+            except DivergenceError as err:
+                raise RuntimeError(f"the delta_hat fit at T={T} failed: {err}") from err
+            est = estimate_koopman(accumulate(MomentPair.empty(dictionary), dictionary, samples))
+            delta_hat = residuals(dictionary, samples, est).delta_hat
         errors = np.array(
             [
                 float(np.linalg.norm(fit.estimate.matrix - ref, "fro"))

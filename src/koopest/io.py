@@ -1,7 +1,9 @@
 """CSV and JSON-sidecar persistence with byte-deterministic formatting.
 
 Floats are written with ``repr`` (shortest round-trip form) and files use
-'\\n' newlines, so identical data always produces identical bytes.
+'\\n' newlines, so identical data always produces identical bytes.  One
+reader parses every CSV (the header by ``csv.reader``, the body by
+``np.loadtxt``) and names the file in its errors.
 """
 
 from __future__ import annotations
@@ -41,15 +43,27 @@ def sidecar_path(csv_path: str) -> str:
     return base + ".meta.json"
 
 
+def _read(path: str) -> tuple[list, np.ndarray, dict]:
+    """A CSV's header, its ``(rows, columns)`` float body and its sidecar
+    metadata (empty without a sidecar)."""
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), [])
+        try:
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
+    if table.size == 0 or table.shape[1] != len(header):
+        raise ValueError(f"{path}: expected rows of {len(header)} numbers under its header")
+    if not os.path.exists(sidecar_path(path)):
+        return header, table, {}
+    with open(sidecar_path(path)) as fh:
+        return header, table, json.load(fh)
+
+
 def save_samples(samples: SampleSet, path: str, label: str = "") -> None:
     """Sample pairs as CSV (columns x_1..x_n, y_1..y_n) plus a metadata sidecar."""
-    n = samples.state_dim
-    header = [f"x_{i+1}" for i in range(n)] + [f"y_{i+1}" for i in range(n)]
-    rows = (
-        [fmt(v) for v in row]
-        for row in np.hstack([samples.xs, samples.ys])
-    )
-    _write_rows(path, header, rows)
+    header = [f"{c}_{i+1}" for c in "xy" for i in range(samples.state_dim)]
+    _write_rows(path, header, np.hstack([samples.xs, samples.ys]).tolist())
     write_sidecar(
         sidecar_path(path),
         {"seed": int(samples.seed), "label": label, "source": samples.source},
@@ -57,32 +71,25 @@ def save_samples(samples: SampleSet, path: str, label: str = "") -> None:
 
 
 def load_samples(path: str) -> SampleSet:
-    """Read a sample-pair CSV; the sidecar restores seed and source if present."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    names = data.dtype.names
-    n = sum(1 for c in names if c.startswith("x_"))
-    if n == 0 or len(names) != 2 * n:
-        raise ValueError(f"{path} does not look like a sample-pair CSV")
-    table = np.column_stack([data[c] for c in names])
-    meta_path = sidecar_path(path)
-    seed, source = 0, "independent-pairs"
-    if os.path.exists(meta_path):
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        seed = int(meta.get("seed", 0))
-        source = meta.get("source", source)
-    return SampleSet(table[:, :n], table[:, n:], source, seed)
+    """Read a sample-pair CSV headed exactly ``x_1..x_n,y_1..y_n``; the sidecar
+    restores seed and source if present.  Bad input raises ValueError naming the file."""
+    header, table, meta = _read(path)
+    n = len(header) // 2
+    if n == 0 or header != [f"{c}_{i+1}" for c in "xy" for i in range(n)]:
+        raise ValueError(f"{path}: a samples header must be x_1..x_n,y_1..y_n, got {header}")
+    source = meta.get("source", "independent-pairs")
+    try:
+        return SampleSet(table[:, :n], table[:, n:], source, int(meta.get("seed", 0)))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
-def save_matrix(matrix: np.ndarray, path: str, header=None) -> None:
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if header is None:
-        header = [f"c{j+1}" for j in range(matrix.shape[1])]
-    _write_rows(path, list(header), ([fmt(v) for v in row] for row in matrix))
+def save_matrix(matrix: np.ndarray, path: str, header) -> None:
+    _write_rows(path, list(header), np.atleast_2d(np.asarray(matrix, dtype=float)).tolist())
 
 
 def load_matrix(path: str) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
+    return _read(path)[1]
 
 
 def save_operator(est, path: str) -> None:
@@ -96,8 +103,6 @@ def save_operator(est, path: str) -> None:
             "condition_sigma0": float(est.condition_sigma0),
             "fallback": bool(est.fallback),
         }
-        names = est.dict_names
-        matrix = est.matrix
     elif isinstance(est, PFEstimate):
         src = est.source_koopman
         meta = {
@@ -110,22 +115,15 @@ def save_operator(est, path: str) -> None:
             "cond_lambda": float(est.gram.cond),
             "gram_method": est.gram.method,
         }
-        names = est.gram.names
-        matrix = est.matrix
     else:
         raise TypeError(f"cannot save operator of type {type(est).__name__}")
-    save_matrix(matrix, path, header=names)
+    save_matrix(est.matrix, path, header=meta["dict_names"])
     write_sidecar(sidecar_path(path), meta)
 
 
 def load_operator(path: str):
     """Returns (matrix, metadata dict); metadata empty if no sidecar exists."""
-    matrix = load_matrix(path)
-    meta_path = sidecar_path(path)
-    meta = {}
-    if os.path.exists(meta_path):
-        with open(meta_path) as fh:
-            meta = json.load(fh)
+    _, matrix, meta = _read(path)
     return matrix, meta
 
 

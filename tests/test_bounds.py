@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopest import (
     BoundTerms,
@@ -100,6 +102,26 @@ class TestErrorBound:
         b1 = koopman_error_bound(1.0, 0.5, 100, self.terms())
         b4 = koopman_error_bound(4.0, 0.5, 100, self.terms())
         assert b4 == pytest.approx(2.0 * b1, rel=1e-14)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        delta=st.lists(st.floats(1e-8, 1e8), min_size=2, max_size=2),
+        eps=st.lists(st.floats(1e-3, 0.999), min_size=2, max_size=2),
+        T=st.lists(st.integers(11, 10**9), min_size=2, max_size=2),
+        factors=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=2),
+    )
+    def test_linear_in_inverse_eps_sqrt_delta_inverse_sqrt_T(self, delta, eps, T, factors):
+        terms = BoundTerms(*factors, se_trace=0.1, se_frob=0.1, n_basis=4, n_realizations=50)
+        b = koopman_error_bound(delta[0], eps[0], T[0], terms)
+        assert koopman_error_bound(delta[1], eps[0], T[0], terms) == pytest.approx(
+            b * np.sqrt(delta[1] / delta[0]), rel=1e-13
+        )
+        assert koopman_error_bound(delta[0], eps[1], T[0], terms) == pytest.approx(
+            b * eps[0] / eps[1], rel=1e-13
+        )
+        assert koopman_error_bound(delta[0], eps[0], T[1], terms) == pytest.approx(
+            b * np.sqrt(T[0] / T[1]), rel=1e-13
+        )
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

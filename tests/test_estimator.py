@@ -287,6 +287,24 @@ class TestResiduals:
         stats = residuals(dct, ss, est)
         assert stats.per_basis_variance[0] <= 1e-20
 
+    def test_single_trajectory_lifts_each_state_once(self, baseline_params, monkeypatch):
+        dct = closed_quadratic_dictionary()
+        chained = simulate(make_closed_quadratic(baseline_params), np.zeros(2), BLOCK + 50, seed=9)
+        pairs = SampleSet(chained.xs, chained.ys, "independent-pairs", chained.seed)
+        est = estimate_koopman(accumulate(MomentPair.empty(dct), dct, chained))
+        rows = []
+        lift = estimator.evaluate_many
+        monkeypatch.setattr(
+            estimator, "evaluate_many", lambda d, xs: rows.append(len(xs)) or lift(d, xs)
+        )
+        once = residuals(dct, chained, est)
+        assert rows == [BLOCK + 1, 51]  # each block's m + 1 states
+        twice = residuals(dct, pairs, est)
+        assert rows[2:] == [BLOCK, BLOCK, 50, 50]
+        assert once.delta_hat == twice.delta_hat
+        assert once.residual_matrix.tobytes() == twice.residual_matrix.tobytes()
+        assert once.per_basis_variance.tobytes() == twice.per_basis_variance.tobytes()
+
 
 class TestClosureCheck:
     def test_closed_pair_noiseless_floor(self, baseline_params):

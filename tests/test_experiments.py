@@ -26,8 +26,10 @@ from koopest import (
     run_sweep,
     simulate,
 )
+from koopest import dynamics, experiments
 from koopest.dynamics import BLOCK, DivergenceError
 from koopest.experiments import (
+    DELTA_STREAM,
     LOCKSTEP_MIN_SEEDS,
     _seed_blocks,
     build_dictionary,
@@ -501,6 +503,29 @@ class TestRunBoundCalibration:
         with pytest.warns(UserWarning, match="diverge"):
             with pytest.raises(RuntimeError, match=r"T=120\b.*diverged"):
                 run_bound_calibration(cfg)
+
+    def test_delta_hat_trajectory_stepped_once_per_T(self, smoke_config, monkeypatch):
+        cfg = smoke_config(T_grid=[60, 120], n_realizations=3, n_term_realizations=3)
+        stepped = []
+        chunks = dynamics.trajectory_chunks
+
+        def counted(system, x0, steps, seeds, *args):
+            stepped.extend((steps, int(seed)) for seed in seeds)
+            return chunks(system, x0, steps, seeds, *args)
+
+        monkeypatch.setattr(dynamics, "trajectory_chunks", counted)
+        monkeypatch.setattr(experiments, "trajectory_chunks", counted)
+        run_bound_calibration(cfg)
+        for T in cfg.T_grid:
+            assert stepped.count((T, derive_seed(cfg.base_seed, T, DELTA_STREAM))) == 1
+
+    def test_diverging_delta_hat_trajectory_named(self, smoke_config, monkeypatch):
+        def diverged(*args):
+            raise DivergenceError(7, float("inf"), 1e6)
+
+        monkeypatch.setattr(experiments, "simulate", diverged)
+        with pytest.raises(RuntimeError, match=r"delta_hat fit at T=60\b.*diverged at step 7"):
+            run_bound_calibration(smoke_config(T_grid=[60]))
 
     def test_markov_calibration_small(self, smoke_config):
         cfg = smoke_config(

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 
 import numpy as np
+import pytest
 
 from koopest import (
     MomentPair,
@@ -19,6 +21,7 @@ from koopest.io import (
     load_operator,
     load_samples,
     save_gram,
+    save_matrix,
     save_operator,
     save_samples,
 )
@@ -68,6 +71,46 @@ class TestSampleRoundTrip:
         back = load_samples(path)
         assert back.xs.shape == (1, 2)
         assert (back.xs == ss.xs).all() and (back.ys == ss.ys).all()
+
+
+class TestSampleBoundary:
+    @pytest.mark.parametrize(
+        "header", ["x_1,y_1,x_2,y_2", "x_1,x_2,y_2,y_1", "x1,x2,y1,y2", "x_1,x_2,y_1", "a,b"]
+    )
+    def test_header_must_be_exact(self, tmp_path, header):
+        # x_1,y_1,x_2,y_2 used to load, taking (x_1, y_1) as the state
+        path = tmp_path / "samples.csv"
+        path.write_text(f"{header}\n" + ",".join("0.5" for _ in header.split(",")) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: a samples header must be")):
+            load_samples(str(path))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0.5,abc,0.7,0.8", r"'abc'.* row \d+, column 2\b"),
+            ("0.5,,0.7,0.8", r"'' .* row \d+, column 2\b"),
+            ("0.5,0.6,0.7", r"columns"),
+            ("0.5,nan,0.7,0.8", r"finite"),
+        ],
+        ids=["word", "empty", "short-row", "nan"],
+    )
+    def test_bad_cell_names_the_file(self, tmp_path, row, message):
+        path = tmp_path / "samples.csv"
+        path.write_text(f"x_1,x_2,y_1,y_2\n0.1,0.2,0.3,0.4\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + message):
+            load_samples(str(path))
+
+
+class TestMatrixRoundTrip:
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 3)])
+    def test_one_column_or_row_keeps_its_shape(self, tmp_path, shape):
+        # a (3, 1) matrix used to come back as (1, 3)
+        matrix = np.arange(1.0, 4.0).reshape(shape) / 7.0
+        path = str(tmp_path / "m.csv")
+        save_matrix(matrix, path, header=[f"c{j+1}" for j in range(shape[1])])
+        back = load_matrix(path)
+        assert back.shape == shape
+        assert back.tobytes() == matrix.tobytes()
 
 
 class TestOperatorRoundTrip:

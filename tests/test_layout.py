@@ -11,6 +11,9 @@ branches on ``ndim == 1`` into a second, scalar copy of a map.  And a
 dictionary is one batch map: only ``basis.evaluate_many`` calls its
 ``lift`` (no code reads per-observable ``functions``), and the streamed fit
 lifts each block's states in one call, so every state is lifted once.
+A sample set has one path too: ``estimator`` walks its ``BLOCK`` rows in
+one loop, which ``accumulate`` and ``residuals`` share, and ``io`` parses
+every CSV body with ``np.loadtxt``, never ``genfromtxt``.
 """
 
 import ast
@@ -143,3 +146,24 @@ def test_streamed_fit_lifts_once_per_block():
         and "evaluate_many" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert len(lifts) == 1
+
+
+def test_one_block_loop_over_a_sample_set():
+    loops = [
+        node
+        for node in ast.walk(_parse("estimator"))
+        if isinstance(node, ast.For)
+        and any(getattr(n, "id", None) == "BLOCK" for n in ast.walk(node.iter))
+    ]
+    assert len(loops) == 1
+
+
+def test_no_genfromtxt():
+    hits = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(_parse(path.stem))
+        if "genfromtxt" in (getattr(node, "id", None), getattr(node, "attr", None),
+                            getattr(node, "name", None))
+    ]
+    assert hits == []

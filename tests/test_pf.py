@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopest import (
     GramMatrix,
@@ -48,6 +50,33 @@ class TestKoopmanToPF:
         ev_p = np.sort_complex(np.linalg.eigvals(p.matrix))
         ev_k = np.sort_complex(np.linalg.eigvals(true_k.T))
         np.testing.assert_allclose(ev_p, ev_k, atol=1e-8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        eigenvalues=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6),
+        log_cond=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_spectrum_preserved_for_any_spd_gram(self, eigenvalues, log_cond, seed):
+        # K = V diag(eigenvalues) V^-1 with cond(V) <= 10, and a Gram matrix of
+        # condition 10^log_cond: the computed spectrum of P is then within
+        # about 1e-10 of K's (Bauer-Fike), far inside the 1e-8 tolerance
+        n = len(eigenvalues)
+        rng = np.random.default_rng(seed)
+
+        def orthogonal():
+            return np.linalg.qr(rng.normal(size=(n, n)))[0]
+
+        q = orthogonal()
+        lam = GramMatrix(
+            (q * np.logspace(-log_cond, 0.0, n)) @ q.T, unit_box(2), "quadrature",
+            tuple(f"psi{i}" for i in range(n)),
+        )
+        v = orthogonal() * rng.uniform(1.0, 10.0, n) @ orthogonal()
+        k = v @ np.diag(eigenvalues) @ np.linalg.inv(v)
+        ev = np.linalg.eigvals(koopman_to_pf(k, lam).matrix)
+        np.testing.assert_allclose(ev.imag, 0.0, atol=1e-8)
+        np.testing.assert_allclose(np.sort(ev.real), np.sort(eigenvalues), atol=1e-8)
 
     def test_dimension_mismatch(self, analytic_gram):
         with pytest.raises(ValueError):
