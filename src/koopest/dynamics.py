@@ -14,7 +14,7 @@ Trajectories are bit-reproducible functions of (system, x0, steps, seed).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add
 
 import numpy as np
@@ -230,12 +230,20 @@ def make_vanderpol(
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Paired predecessor/successor states (x_t, y_t) used for estimation."""
+    """Paired predecessor/successor states (x_t, y_t) used for estimation.
+
+    A ``"single-trajectory"`` set is its T + 1 states x_0..x_T, held once in
+    the contiguous ``states`` array; ``xs`` and ``ys`` are its views
+    ``states[:-1]`` and ``states[1:]``, so they chain bit for bit.  An
+    ``"independent-pairs"`` set keeps ``xs`` and ``ys`` apart and has
+    ``states = None``.
+    """
 
     xs: np.ndarray
     ys: np.ndarray
     source: str  # "single-trajectory" | "independent-pairs"
     seed: int
+    states: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -248,13 +256,21 @@ class SampleSet:
             raise ValueError("sample set entries must be finite")
         if self.source not in ("single-trajectory", "independent-pairs"):
             raise ValueError(f"unknown sample source {self.source!r}")
-        if self.source == "single-trajectory" and xs.shape[0] > 1:
-            if not np.array_equal(xs[1:], ys[:-1]):
+        states = None
+        if self.source == "single-trajectory":
+            # bits, not values: 0.0 == -0.0, but a lift or a CSV tells them apart
+            unchained = (xs[1:].view(np.uint64) != ys[:-1].view(np.uint64)).any(axis=1)
+            if unchained.any():
+                t = int(np.argmax(unchained))
                 raise ValueError(
-                    "single-trajectory samples must chain: ys[t] == xs[t+1]"
+                    "single-trajectory samples must chain bit for bit: "
+                    f"ys[{t}] differs from xs[{t + 1}]"
                 )
+            states = np.concatenate([xs[:1], ys])
+            xs, ys = states[:-1], states[1:]
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "states", states)
 
     @property
     def n_samples(self) -> int:
@@ -341,7 +357,8 @@ def simulate(
     max_norm: float = DEFAULT_DIVERGENCE_NORM,
     domain: Domain | None = None,
 ) -> SampleSet:
-    """Simulate one trajectory and return its consecutive (x_t, x_{t+1}) pairs.
+    """Simulate one trajectory and return its consecutive (x_t, x_{t+1}) pairs,
+    a single-trajectory SampleSet over its ``steps + 1`` states.
 
     Parameters
     ----------
@@ -360,13 +377,10 @@ def simulate(
     for paths, _, failed in trajectory_chunks(system, x0, steps, [seed], max_norm, domain):
         if failed:
             raise failed[0]
-        blocks.append(paths[0])
-    return SampleSet(
-        np.concatenate([b[:-1] for b in blocks]),
-        np.concatenate([b[1:] for b in blocks]),
-        "single-trajectory",
-        int(seed),
-    )
+        blocks.append(paths[0, :-1])
+    blocks.append(paths[0, -1:])  # a block's last state opens the next block
+    states = np.concatenate(blocks)
+    return SampleSet(states[:-1], states[1:], "single-trajectory", int(seed))
 
 
 def step_pairs(system: StochasticSystem, xs, seed: int) -> SampleSet:

@@ -97,14 +97,13 @@ class MomentPair:
 
 def _lifted_pairs(dictionary: Dictionary, samples: SampleSet):
     """Yield the lifted ``(psi_x, psi_y)`` of ``BLOCK`` pairs at a time; a
-    chained set (ys[:-1] is xs[1:]) lifts each block's m + 1 states once."""
+    single trajectory lifts each block's m + 1 states once."""
     if samples.state_dim != dictionary.state_dim:
         raise ValueError("sample dimension does not match the dictionary")
     for start in range(0, samples.n_samples, BLOCK):
         stop = min(start + BLOCK, samples.n_samples)
-        if samples.source == "single-trajectory":
-            states = np.concatenate([samples.xs[start : start + 1], samples.ys[start:stop]])
-            psi = evaluate_many(dictionary, states)
+        if samples.states is not None:
+            psi = evaluate_many(dictionary, samples.states[start : stop + 1])
             yield psi[:-1], psi[1:]
         else:
             yield (evaluate_many(dictionary, samples.xs[start:stop]),

@@ -1,9 +1,14 @@
 """CSV and JSON-sidecar persistence with byte-deterministic formatting.
 
 Floats are written with ``repr`` (shortest round-trip form) and files use
-'\\n' newlines, so identical data always produces identical bytes.  One
-reader parses every CSV (the header by ``csv.reader``, the body by
-``np.loadtxt``) and names the file in its errors.
+'\\n' newlines, so identical data always produces identical bytes.  Every
+CSV goes through one writer: the header and any row holding strings through
+``csv.writer``, which quotes cells such as labels, and float tables as rows
+of ``repr`` text joined by commas, the same bytes ``csv`` would write.  A
+single trajectory's T + 1 states are each formatted once, row t joining the
+text of states t and t + 1.  One reader parses every CSV (the header by
+``csv.reader``, the body by ``np.loadtxt``) and names the file, and the file
+line of a bad row, in its errors.
 """
 
 from __future__ import annotations
@@ -24,12 +29,21 @@ def fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_rows(path, header, rows):
+def _texts(table: np.ndarray) -> list:
+    """Each row of a float table as the ``repr`` of its cells joined by commas."""
+    return [",".join(map(repr, row)) for row in table.tolist()]
+
+
+def _write_rows(path, header, rows=(), lines=()):
+    """Write a CSV with '\\n' newlines: ``header`` and ``rows`` (lists of cells)
+    through ``csv.writer``, then ``lines``, body rows of number text already
+    joined by commas and ended by a newline, which ``csv`` would leave unquoted."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+        fh.writelines(lines)
 
 
 def write_sidecar(path, meta: dict) -> None:
@@ -51,19 +65,49 @@ def _read(path: str) -> tuple[list, np.ndarray, dict]:
         try:
             table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
         except ValueError as err:
-            raise ValueError(f"{path}: {err}") from None
+            raise ValueError(f"{path}: {_bad_line(path, len(header)) or err}") from None
     if table.size == 0 or table.shape[1] != len(header):
-        raise ValueError(f"{path}: expected rows of {len(header)} numbers under its header")
+        expected = f"expected rows of {len(header)} numbers under its header"
+        raise ValueError(f"{path}: {_bad_line(path, len(header)) or expected}")
     if not os.path.exists(sidecar_path(path)):
         return header, table, {}
     with open(sidecar_path(path)) as fh:
         return header, table, json.load(fh)
 
 
+def _bad_line(path: str, width: int) -> str | None:
+    """The first body line that is not ``width`` numbers, named by its 1-based
+    file line (the header is line 1); None if there is none.  Blank lines are
+    skipped, as ``np.loadtxt`` skips them."""
+    with open(path) as fh:
+        next(fh, None)
+        for number, line in enumerate(fh, 2):
+            cells = line.rstrip("\n").split(",")
+            if cells == [""]:
+                continue
+            if len(cells) != width:
+                return f"line {number}: expected {width} columns, got {len(cells)}"
+            for column, cell in enumerate(cells, 1):
+                try:
+                    float(cell)
+                except ValueError:
+                    return (f"line {number}: cannot read {cell!r} as a number "
+                            f"at data row {number - 1}, column {column}")
+    return None
+
+
 def save_samples(samples: SampleSet, path: str, label: str = "") -> None:
-    """Sample pairs as CSV (columns x_1..x_n, y_1..y_n) plus a metadata sidecar."""
+    """Sample pairs as CSV (columns x_1..x_n, y_1..y_n) plus a metadata sidecar.
+
+    Each state is formatted once: a single trajectory's row t joins the text
+    of its states t and t + 1."""
     header = [f"{c}_{i+1}" for c in "xy" for i in range(samples.state_dim)]
-    _write_rows(path, header, np.hstack([samples.xs, samples.ys]).tolist())
+    if samples.states is None:
+        x_text, y_text = _texts(samples.xs), _texts(samples.ys)
+    else:
+        x_text = _texts(samples.states)
+        y_text = x_text[1:]
+    _write_rows(path, header, lines=(f"{x},{y}\n" for x, y in zip(x_text, y_text)))
     write_sidecar(
         sidecar_path(path),
         {"seed": int(samples.seed), "label": label, "source": samples.source},
@@ -85,7 +129,8 @@ def load_samples(path: str) -> SampleSet:
 
 
 def save_matrix(matrix: np.ndarray, path: str, header) -> None:
-    _write_rows(path, list(header), np.atleast_2d(np.asarray(matrix, dtype=float)).tolist())
+    table = np.atleast_2d(np.asarray(matrix, dtype=float))
+    _write_rows(path, list(header), lines=(f"{row}\n" for row in _texts(table)))
 
 
 def load_matrix(path: str) -> np.ndarray:

@@ -21,6 +21,7 @@ from koopest import (
     trajectory_chunks,
     unit_box,
 )
+from koopest.dynamics import BLOCK
 from koopest.seeding import make_rng, mix_seed
 
 
@@ -203,6 +204,20 @@ class TestSimulate:
         xs = np.concatenate([paths[0, :-1] for paths, _, _ in chunks])
         assert (xs == ss.xs).all()
 
+    @settings(max_examples=8, deadline=None)
+    @given(st.one_of(st.integers(1, 300), st.integers(BLOCK - 2, BLOCK + 2),
+                     st.integers(2 * BLOCK - 1, 2 * BLOCK + 1)), st.integers(0, 2**32))
+    def test_simulate_is_the_chunks_states_for_any_T(self, steps, seed):
+        system = make_closed_quadratic(ClosedQuadraticParams(rho=0.2, mu=0.3, c=1.0))
+        blocks = [paths[0] for paths, _, _ in trajectory_chunks(system, np.zeros(2), steps, [seed])]
+        states = np.concatenate([b[:-1] for b in blocks] + [blocks[-1][-1:]])
+        ss = simulate(system, np.zeros(2), steps, seed)
+        assert ss.states.shape == (steps + 1, 2) and ss.states.flags.c_contiguous
+        assert ss.states.tobytes() == states.tobytes()
+        # xs and ys are views of the one state array, so they chain bit for bit
+        assert ss.xs.base is ss.states and ss.ys.base is ss.states
+        assert ss.xs[1:].tobytes() == ss.ys[:-1].tobytes()
+
     def test_lockstep_trajectories_equal_simulated_ones(self, baseline_params):
         system, seeds = make_closed_quadratic(baseline_params), [5, 6, 7]
         blocks = list(trajectory_chunks(system, None, 300, seeds, domain=unit_box(2)))
@@ -236,6 +251,16 @@ class TestSimulate:
         ys = np.ones((3, 2))
         with pytest.raises(ValueError, match="chain"):
             SampleSet(xs, ys, "single-trajectory", 0)
+
+    def test_trajectory_chains_bit_for_bit(self):
+        # np.array_equal takes -0.0 for 0.0, but a lift or a CSV row does not
+        xs, ys = [[1.0], [0.0], [2.0]], [[-0.0], [2.0], [3.0]]
+        with pytest.raises(ValueError, match=re.escape("ys[0] differs from xs[1]")):
+            SampleSet(xs, ys, "single-trajectory", 0)
+        xs[1] = [-0.0]
+        ss = SampleSet(xs, ys, "single-trajectory", 0)
+        assert ss.states.tobytes() == np.array([[1.0], [-0.0], [2.0], [3.0]]).tobytes()
+        assert SampleSet(ys, xs, "independent-pairs", 0).states is None
 
 
 class TestStepPairs:

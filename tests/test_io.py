@@ -1,12 +1,16 @@
+import csv
+import io
 import json
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
 
 from koopest import (
     MomentPair,
+    SampleSet,
     accumulate,
     closed_quadratic_dictionary,
     estimate_koopman,
@@ -17,6 +21,7 @@ from koopest import (
     unit_box,
 )
 from koopest.io import (
+    _write_rows,
     load_matrix,
     load_operator,
     load_samples,
@@ -73,6 +78,56 @@ class TestSampleRoundTrip:
         assert (back.xs == ss.xs).all() and (back.ys == ss.ys).all()
 
 
+# doubles whose shortest repr is easy to get wrong: signed zero, the
+# smallest subnormal and other subnormals, exponent-form small and large
+# values, and the largest finite double of either sign
+SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e-300 / 7, 1e-5,
+           -1e-5, 1e16, 1.0000000000000002e16, sys.float_info.max, -sys.float_info.max]
+
+
+def csv_writer_bytes(samples):
+    """The samples CSV as ``csv.writer`` writes ``np.hstack([xs, ys]).tolist()``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"{c}_{i+1}" for c in "xy" for i in range(samples.state_dim)])
+    writer.writerows(np.hstack([samples.xs, samples.ys]).tolist())
+    return buf.getvalue().encode()
+
+
+def special_sets():
+    rng = np.random.default_rng(3)
+    values = np.concatenate([SPECIAL, SPECIAL, rng.normal(size=120)])
+    states = rng.permutation(values).reshape(-1, 3)
+    chained = SampleSet(states[:-1], states[1:], "single-trajectory", 11)
+    pairs = SampleSet(states[::2][:20], states[1::2][:20], "independent-pairs", 12)
+    return {"chained": chained, "independent": pairs}
+
+
+class TestSampleBytes:
+    @pytest.mark.parametrize("kind", ["chained", "independent"])
+    def test_bytes_equal_the_csv_writer_form(self, tmp_path, kind):
+        samples = special_sets()[kind]
+        path = tmp_path / "samples.csv"
+        save_samples(samples, str(path))
+        assert path.read_bytes() == csv_writer_bytes(samples)
+
+    @pytest.mark.parametrize("kind", ["chained", "independent"])
+    def test_load_then_save_is_byte_identical(self, tmp_path, kind):
+        first, again = tmp_path / "a" / "samples.csv", tmp_path / "b" / "samples.csv"
+        save_samples(special_sets()[kind], str(first))
+        back = load_samples(str(first))
+        assert back.source == special_sets()[kind].source
+        save_samples(back, str(again))
+        assert again.read_bytes() == first.read_bytes()
+
+
+class TestCsvQuoting:
+    def test_string_cells_keep_csv_quoting(self, tmp_path):
+        path = tmp_path / "t.csv"
+        _write_rows(str(path), ["label", "x,y"], rows=[['a,"b"', 1.5]], lines=["2.5,-0.0\n"])
+        assert path.read_text() == 'label,"x,y"\n"a,""b""",1.5\n2.5,-0.0\n'
+
+
 class TestSampleBoundary:
     @pytest.mark.parametrize(
         "header", ["x_1,y_1,x_2,y_2", "x_1,x_2,y_2,y_1", "x1,x2,y1,y2", "x_1,x_2,y_1", "a,b"]
@@ -98,6 +153,24 @@ class TestSampleBoundary:
         path = tmp_path / "samples.csv"
         path.write_text(f"x_1,x_2,y_1,y_2\n0.1,0.2,0.3,0.4\n{row}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + message):
+            load_samples(str(path))
+
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0.1,0.2,0.3,0.4\n0.5,abc,0.7,0.8\n", "line 3: cannot read 'abc'"),
+            ("0.1,0.2,0.3,0.4\n0.5,0.6,0.7\n", "line 3: expected 4 columns, got 3"),
+            ("0.1,0.2,0.3,0.4\n\n0.5,0.6,0.7\n", "line 4: expected 4 columns, got 3"),
+            ("0.5,0.6,0.7\n0.1,0.2,0.3\n", "line 2: expected 4 columns, got 3"),
+        ],
+        ids=["word", "short-row", "after-blank-line", "short-first-row"],
+    )
+    def test_bad_row_names_its_file_line(self, tmp_path, body, message):
+        # numpy's loadtxt counted a bad cell's row from 0 and a short row's from 1
+        path = tmp_path / "samples.csv"
+        path.write_text(f"x_1,x_2,y_1,y_2\n{body}")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_samples(str(path))
 
 

@@ -13,7 +13,10 @@ dictionary is one batch map: only ``basis.evaluate_many`` calls its
 lifts each block's states in one call, so every state is lifted once.
 A sample set has one path too: ``estimator`` walks its ``BLOCK`` rows in
 one loop, which ``accumulate`` and ``residuals`` share, and ``io`` parses
-every CSV body with ``np.loadtxt``, never ``genfromtxt``.
+every CSV body with ``np.loadtxt``, never ``genfromtxt``.  Every
+``io.save_*`` writes its CSV through the one helper ``io._write_rows``, the
+only code that makes a ``csv.writer``, so numbers are formatted one way and
+string cells such as labels keep ``csv`` quoting.
 """
 
 import ast
@@ -167,3 +170,25 @@ def test_no_genfromtxt():
                             getattr(node, "name", None))
     ]
     assert hits == []
+
+
+def test_every_save_writes_through_one_helper():
+    functions = {
+        node.name: {
+            getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+        }
+        for node in _parse("io").body
+        if isinstance(node, ast.FunctionDef)
+    }
+    saves = sorted(name for name in functions if name.startswith("save_"))
+    assert saves == ["save_gram", "save_matrix", "save_operator", "save_samples"]
+    for name in saves:
+        reached, todo = set(), [name]
+        while todo:  # the io functions that name reaches
+            for callee in functions[todo.pop()] & (functions.keys() - reached):
+                reached.add(callee)
+                todo.append(callee)
+        assert "_write_rows" in reached, name
+    assert _callers("writer") == {"io._write_rows"}
