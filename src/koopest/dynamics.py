@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from operator import add
 
 import numpy as np
 
@@ -24,6 +23,8 @@ from .seeding import make_rng
 
 GAUSSIAN_IID = "gaussian-iid"
 NO_NOISE = "none"
+
+STATE_DIM = 2  # every system is planar: the simulator steps two named coordinates
 
 DEFAULT_DIVERGENCE_NORM = 1e6
 # Rows per block, both for drawing trajectory noise and for lifting samples
@@ -101,13 +102,15 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class StochasticSystem:
-    """State-transition law ``x+ = T(x) + noise``.
+    """State-transition law ``x+ = T(x) + noise`` on the plane.
 
-    ``drift(x1, ..., xn) -> (y1, ..., yn)`` is the map T written once, in
-    plain arithmetic on its coordinates, so the same function steps Python
-    floats (the simulator) and arrays of states (``transition``).  It must
-    multiply rather than use ``**``, which raises on float overflow.
-    Systems are immutable and safe to share across workers.
+    ``drift(x1, x2) -> (y1, y2)`` is the map T written once, in plain
+    arithmetic on its two coordinates, so the same function steps Python
+    floats (the simulator), ``(R,)`` arrays of lockstep trajectories and
+    arrays of states (``transition``).  It must multiply rather than use
+    ``**``, which raises on float overflow.  ``state_dim`` must be
+    ``STATE_DIM`` (2).  Systems are immutable and safe to share across
+    workers.
     """
 
     state_dim: int
@@ -116,6 +119,10 @@ class StochasticSystem:
     label: str = ""
 
     def __post_init__(self):
+        if self.state_dim != STATE_DIM:
+            raise ValueError(
+                f"state_dim must be {STATE_DIM} (systems are planar), got {self.state_dim!r}"
+            )
         if self.noise.dim != self.state_dim:
             raise ValueError("noise dimension must match state_dim")
 
@@ -172,8 +179,8 @@ def make_closed_quadratic(
         return rho * x1, mu * x2 + a * x1 * x1
 
     if noise is None:
-        noise = NoiseModel.gaussian(1.0, dim=2)
-    return StochasticSystem(2, drift, noise, label="closed-quadratic")
+        noise = NoiseModel.gaussian(1.0, dim=STATE_DIM)
+    return StochasticSystem(STATE_DIM, drift, noise, label="closed-quadratic")
 
 
 def closed_quadratic_dictionary() -> Dictionary:
@@ -223,9 +230,9 @@ def make_vanderpol(
         return x1 + dt * x2, x2 + dt * ((1.0 - x1 * x1) * damped - x1)
 
     if noise is None:
-        noise = NoiseModel.gaussian(0.01, dim=2)
+        noise = NoiseModel.gaussian(0.01, dim=STATE_DIM)
     label = "vanderpol-standard" if standard_vdp else "vanderpol"
-    return StochasticSystem(2, drift, noise, label=label)
+    return StochasticSystem(STATE_DIM, drift, noise, label=label)
 
 
 @dataclass(frozen=True)
@@ -292,7 +299,7 @@ def trajectory_chunks(
     """Step one trajectory per seed in lockstep; yield their states block by block.
 
     Each item is ``(paths, index, failed)``.  ``paths`` has shape
-    ``(len(index), m + 1, n)``: the m + 1 states of this block of each
+    ``(len(index), m + 1, 2)``: the m + 1 states of this block of each
     trajectory still running, ``index`` holding their positions in ``seeds``
     (a block's last state is the next block's first).  ``failed`` maps the
     position of each trajectory that left the bounded region in this block
@@ -300,8 +307,11 @@ def trajectory_chunks(
     initial state (``x0=None``, uniform on ``domain``) and its noise from its
     own seed stream, ``BLOCK`` rows at a time, so its states do not depend on
     the other seeds: identical arguments give :func:`simulate`'s trajectory.
-    One seed steps Python floats, several step ``(R,)`` arrays through the
-    same ``drift``; both are the same IEEE operations.
+    Each step calls the planar ``drift(x1, x2)`` once and adds the noise to
+    each coordinate; the states are collected per coordinate in two lists,
+    and each block's ``paths`` is built from them once.  One seed steps
+    Python floats, several step ``(R,)`` arrays through the same loop; both
+    are the same IEEE operations in the same order.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -312,12 +322,11 @@ def trajectory_chunks(
         starts = [domain.sample(rng) for rng in rngs]
     else:
         starts = [x0] * len(rngs)
-    n = system.state_dim
     x = np.array(starts, dtype=float)
-    if x.shape != (len(rngs), n) or not np.isfinite(x).all():
+    if x.shape != (len(rngs), STATE_DIM) or not np.isfinite(x).all():
         raise ValueError("x0 must be a finite state of the system's dimension")
     lockstep = len(rngs) > 1
-    x = tuple(x.T.copy()) if lockstep else tuple(x[0].tolist())
+    x1, x2 = x.T.copy() if lockstep else x[0].tolist()
     index = np.arange(len(rngs))
     drift = system.drift
     done = 0
@@ -327,15 +336,20 @@ def trajectory_chunks(
         # per coordinate, the m noise values of every trajectory: (R,) rows
         # of an array, or for one trajectory a list of Python floats
         columns = np.stack(noise, axis=-1).transpose(1, 0, 2) if lockstep else noise[0].T.tolist()
-        path = np.empty((m + 1, n, index.size) if lockstep else (m + 1, n))
-        path[0] = x
-        # arrays overflow to inf as Python floats do; the norm check catches it
+        out1, out2 = [x1], [x2]
+        append1, append2 = out1.append, out2.append
+        # arrays and norms overflow to inf as Python floats do, without a
+        # warning; the norm check catches it
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, xi in enumerate(zip(*columns), 1):
-                x = tuple(map(add, drift(*x), xi))
-                path[i] = x
-        paths = path.transpose(2, 0, 1) if lockstep else path[None]
-        norms = np.linalg.norm(paths[:, 1:], axis=-1)
+            for w1, w2 in zip(*columns):
+                y1, y2 = drift(x1, x2)
+                x1 = y1 + w1
+                x2 = y2 + w2
+                append1(x1)
+                append2(x2)
+            path = np.stack([np.array(out1), np.array(out2)], axis=1)
+            paths = path.transpose(2, 0, 1) if lockstep else path[None]
+            norms = np.linalg.norm(paths[:, 1:], axis=-1)
         bad = ~np.isfinite(norms) | (norms > max_norm)
         failed = {}
         for r in np.flatnonzero(bad.any(axis=1)):
@@ -344,7 +358,8 @@ def trajectory_chunks(
         if failed:
             keep = ~bad.any(axis=1)
             index, paths = index[keep], paths[keep]
-            x = tuple(c[keep] for c in x) if lockstep else x
+            if lockstep:
+                x1, x2 = x1[keep], x2[keep]
         yield paths, index, failed
         done += m
 

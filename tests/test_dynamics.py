@@ -10,6 +10,7 @@ from koopest import (
     DivergenceError,
     NoiseModel,
     SampleSet,
+    StochasticSystem,
     closed_quadratic_dictionary,
     closed_quadratic_koopman,
     evaluate,
@@ -142,6 +143,12 @@ SYSTEMS = {
 _coordinate = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
+class TestPlanarContract:
+    def test_other_dimensions_are_rejected(self):
+        with pytest.raises(ValueError, match=r"state_dim must be 2 \(systems are planar\), got 3"):
+            StochasticSystem(3, lambda x1, x2, x3: (x1, x2, x3), NoiseModel.none(3))
+
+
 class TestDriftForms:
     """One drift, three ways to call it: the same bits from each."""
 
@@ -245,6 +252,25 @@ class TestSimulate:
             simulate(system, np.array([1000.0, 0.0]), 50, seed=1)
         # x1 doubles per step: 1000 * 2^(t+1) first exceeds 1e6 at t = 9
         assert err.value.step == 9
+
+    @pytest.mark.parametrize("x1", [1e300, 1e150])
+    def test_overflow_fails_alike_as_floats_and_as_arrays(self, x1):
+        # one seed steps Python floats, which overflow silently; a lockstep
+        # block steps arrays under np.errstate: both must stop at the same step
+        with pytest.warns(UserWarning):
+            params = ClosedQuadraticParams(rho=2.0, mu=4.0, c=1.0)
+        system, x0, seeds = make_closed_quadratic(params), np.array([x1, 1.0]), range(6)
+        lockstep = [failed for _, _, failed in trajectory_chunks(system, x0, 50, seeds, np.inf)]
+        assert set().union(*lockstep) == set(range(6))
+        for k, seed in enumerate(seeds):
+            with pytest.raises(DivergenceError) as err:
+                simulate(system, x0, 50, seed, max_norm=np.inf)
+            (alone,) = [f[0] for _, _, f in trajectory_chunks(system, x0, 50, [seed], np.inf) if f]
+            (block,) = [f[k] for f in lockstep if k in f]
+            expected = (err.value.step, err.value.norm)
+            assert (alone.step, alone.norm) == (block.step, block.norm) == expected
+            assert not np.isfinite(expected[1])
+            assert (expected[0] == 0) if x1 == 1e300 else (expected[0] > 0)
 
     def test_trajectory_chain_invariant_enforced(self):
         xs = np.zeros((3, 2))

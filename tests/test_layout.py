@@ -4,7 +4,9 @@ Parsed, not run: ``bounds`` holds only the mathematics of the bound, so it
 imports nothing that simulates, lifts or seeds; and ``trajectory_chunks``
 is consumed only by ``simulate`` (which materializes samples) and
 ``fit_realizations`` (which streams them into moments).  A second consumer
-would be a second copy of the fit, free to drift from it.  Likewise each
+would be a second copy of the fit, free to drift from it.  Its stepping
+loop keeps the two state coordinates as names and collects them in lists:
+it writes no numpy row and builds no tuple per step.  Likewise each
 system's map is one coordinate ``drift``: the only function named
 ``transition`` is the method that stacks it over arrays, and no code
 branches on ``ndim == 1`` into a second, scalar copy of a map.  And a
@@ -75,6 +77,27 @@ def _callers(target):
 
 def test_trajectory_chunks_has_two_consumers():
     assert _callers("trajectory_chunks") == {"dynamics.simulate", "experiments.fit_realizations"}
+
+
+def test_stepping_loop_writes_no_row_and_builds_no_tuple():
+    (chunks,) = [
+        node
+        for node in _parse("dynamics").body
+        if isinstance(node, ast.FunctionDef) and node.name == "trajectory_chunks"
+    ]
+    (loop,) = [  # the loop over the noise columns
+        node
+        for node in ast.walk(chunks)
+        if isinstance(node, ast.For)
+        and any(getattr(n, "id", None) == "zip" for n in ast.walk(node.iter))
+    ]
+    body = [n for stmt in loop.body for n in ast.walk(stmt)]
+    targets = [t for n in body if isinstance(n, ast.Assign) for t in n.targets]
+    targets += [n.target for n in body if isinstance(n, (ast.AugAssign, ast.AnnAssign))]
+    assert targets
+    assert not any(isinstance(n, ast.Subscript) for t in targets for n in ast.walk(t))
+    calls = {getattr(n.func, "id", None) for n in body if isinstance(n, ast.Call)}
+    assert calls.isdisjoint({"map", "tuple"})
 
 
 class _Qualnames(ast.NodeVisitor):
