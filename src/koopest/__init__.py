@@ -70,7 +70,7 @@ from .experiments import (
     run_pf_pipeline,
     run_sweep,
 )
-from .pf import PFEstimate, duality_check, koopman_to_pf, pf_apply_integral_mc
+from .pf import PFEstimate, conjugate_stack, duality_check, koopman_to_pf, pf_apply_integral_mc
 from .seeding import make_rng, mix_seed
 
 __version__ = "0.1.0"

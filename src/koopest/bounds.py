@@ -8,9 +8,9 @@ turns it into a high-probability bound via Markov's inequality.  The two
 expectation terms have no closed form for general systems, so they are
 estimated by an auxiliary Monte Carlo over independent realizations and
 reported with standard errors.  This module holds only the mathematics:
-:func:`bound_terms` reduces the realizations' moment matrices, which the
-harness fits (:func:`koopest.experiments.run_bound_calibration`, which also
-checks that the violation rate stays below ``epsilon``).
+:func:`bound_terms` reduces the stack of the realizations' moment
+matrices, which the harness fits (:func:`koopest.experiments.run_bound_calibration`,
+which also checks that the violation rate stays below ``epsilon``).
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ class BoundReport:
     koopman_bound: float
     pf_bound: float
     cond_lambda: float
-    n_bound_realizations: int
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -80,28 +79,24 @@ class ViolationStats:
 def bound_terms(sigma0s) -> BoundTerms:
     """Estimate ``E[tr S0]`` and ``E[|S0^-1|_F^2]`` from independent realizations.
 
-    ``sigma0s`` holds one moment matrix S0 per realization.  Each gives its
-    trace and the squared Frobenius norm of its inverse (computed by a full
-    solve against the identity).  Singular realizations (relative condition
-    above 1e14) are excluded and counted; all-singular is an error.
+    ``sigma0s`` is the ``(R, N, N)`` stack of the moment matrices S0.  One
+    ``eigvalsh`` of the symmetrized stack excludes and counts the singular
+    ones (relative condition above 1e14; all-singular is an error), and one
+    stacked solve against the identity gives each remaining S0's inverse.
     """
-    if len(sigma0s) < 2:
+    s0 = np.asarray(sigma0s, dtype=float)
+    if len(s0) < 2:
         raise ValueError("need at least two realizations for standard errors")
-    n = sigma0s[0].shape[0]
-    traces, frobs = [], []
-    excluded = 0
-    for s0 in sigma0s:
-        w = np.linalg.eigvalsh(0.5 * (s0 + s0.T))
-        if w[0] <= 0 or w[-1] / w[0] > 1e14:
-            excluded += 1
-            continue
-        inv = np.linalg.solve(s0, np.eye(n))
-        traces.append(float(np.trace(s0)))
-        frobs.append(float(np.sum(inv * inv)))
-    if not traces:
+    n = s0.shape[-1]
+    w = np.linalg.eigvalsh(0.5 * (s0 + np.swapaxes(s0, -1, -2)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keep = (w[:, 0] > 0) & ~(w[:, -1] / w[:, 0] > 1e14)
+    if not keep.any():
         raise RuntimeError("all realizations had singular moment matrices")
-    traces = np.asarray(traces)
-    frobs = np.asarray(frobs)
+    s0 = s0[keep]
+    inv = np.linalg.solve(s0, np.eye(n))
+    traces = np.trace(s0, axis1=1, axis2=2)
+    frobs = np.sum((inv * inv).reshape(len(s0), -1), axis=1)
     n_ok = traces.size
     return BoundTerms(
         mean_trace_sigma0=float(traces.mean()),
@@ -110,7 +105,7 @@ def bound_terms(sigma0s) -> BoundTerms:
         se_frob=float(frobs.std(ddof=1) / np.sqrt(n_ok)) if n_ok > 1 else float("nan"),
         n_basis=n,
         n_realizations=n_ok,
-        n_excluded=excluded,
+        n_excluded=len(keep) - n_ok,
     )
 
 
@@ -157,5 +152,4 @@ def make_bound_report(
         koopman_bound=kb,
         pf_bound=kb * float(cond_lambda),
         cond_lambda=float(cond_lambda),
-        n_bound_realizations=terms.n_realizations,
     )

@@ -5,7 +5,10 @@ The estimator regresses lifted successors on lifted predecessors: with
 ``S1 = (1/T) sum_t Psi(x_t) Psi(y_t)^T`` the estimate solves ``S0 K = S1``
 by a symmetric positive-definite factorization.  Moment sums are streamed
 with compensated (Kahan) summation so that absorption order and partition
-points do not move the result beyond roundoff.
+points do not move the result beyond roundoff.  A stack of R realizations
+takes the path of one: :func:`add_moments` sums ``(R, m, N)`` lifted blocks
+into ``(R, N, N)`` moments and :func:`estimate_stack` solves them, of which
+:func:`estimate_koopman` is a stack of one.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .basis import Dictionary, Domain, evaluate_many, unit_box
 from .dynamics import BLOCK, SampleSet, StochasticSystem, koopman_apply_mc
@@ -39,6 +42,15 @@ def _kahan_add(total: np.ndarray, comp: np.ndarray, block: np.ndarray) -> None:
     total[...] = t
 
 
+def add_moments(sums: np.ndarray, psi_x: np.ndarray, psi_y: np.ndarray) -> None:
+    """Add ``(m, N)`` lifted pairs to ``(4, N, N)`` Kahan sums (S0, its
+    compensation, S1, its compensation), or ``(R, m, N)`` stacks to
+    ``(4, R, N, N)`` sums: one matmul per moment either way."""
+    xt = np.swapaxes(psi_x, -1, -2)
+    _kahan_add(sums[0], sums[1], xt @ psi_x)
+    _kahan_add(sums[2], sums[3], xt @ psi_y)
+
+
 class MomentPair:
     """Streaming second-moment matrices of lifted sample pairs.
 
@@ -55,10 +67,7 @@ class MomentPair:
         self.names = tuple(names) if names is not None else None
         self.count = 0
         self.seed = None  # provenance: seed of the first absorbed sample set
-        self._sum0 = np.zeros((n_basis, n_basis))
-        self._comp0 = np.zeros((n_basis, n_basis))
-        self._sum1 = np.zeros((n_basis, n_basis))
-        self._comp1 = np.zeros((n_basis, n_basis))
+        self._sums = np.zeros((4, n_basis, n_basis))  # S0, comp0, S1, comp1
 
     @classmethod
     def empty(cls, dictionary: Dictionary) -> "MomentPair":
@@ -68,31 +77,20 @@ class MomentPair:
     def sigma0_hat(self) -> np.ndarray:
         if self.count == 0:
             raise ValueError("no samples absorbed yet")
-        return (self._sum0 - self._comp0) / self.count
+        return (self._sums[0] - self._sums[1]) / self.count
 
     @property
     def sigma1_hat(self) -> np.ndarray:
         if self.count == 0:
             raise ValueError("no samples absorbed yet")
-        return (self._sum1 - self._comp1) / self.count
+        return (self._sums[2] - self._sums[3]) / self.count
 
     def absorb_lifted(self, psi_x: np.ndarray, psi_y: np.ndarray) -> None:
         """Add one block of lifted pairs to the running sums."""
         if psi_x.shape != psi_y.shape or psi_x.shape[1] != self.n_basis:
             raise ValueError("lifted blocks must have shape (m, n_basis)")
-        _kahan_add(self._sum0, self._comp0, psi_x.T @ psi_x)
-        _kahan_add(self._sum1, self._comp1, psi_x.T @ psi_y)
+        add_moments(self._sums, psi_x, psi_y)
         self.count += psi_x.shape[0]
-
-    def copy(self) -> "MomentPair":
-        out = MomentPair(self.n_basis, names=self.names)
-        out.count = self.count
-        out.seed = self.seed
-        out._sum0 = self._sum0.copy()
-        out._comp0 = self._comp0.copy()
-        out._sum1 = self._sum1.copy()
-        out._comp1 = self._comp1.copy()
-        return out
 
 
 def _lifted_pairs(dictionary: Dictionary, samples: SampleSet):
@@ -129,14 +127,11 @@ def merge_moments(a: MomentPair, b: MomentPair) -> MomentPair:
     """Combine two partial accumulations; equals absorbing their union."""
     if a.n_basis != b.n_basis:
         raise ValueError("moment pairs have different dimensions")
-    out = a.copy()
-    _kahan_add(out._sum0, out._comp0, b._sum0 - b._comp0)
-    _kahan_add(out._sum1, out._comp1, b._sum1 - b._comp1)
-    out.count += b.count
-    if out.names is None:
-        out.names = b.names
-    if out.seed is None:
-        out.seed = b.seed
+    out = MomentPair(a.n_basis, names=a.names if a.names is not None else b.names)
+    out.count = a.count + b.count
+    out.seed = a.seed if a.seed is not None else b.seed
+    out._sums = a._sums.copy()
+    _kahan_add(out._sums[0::2], out._sums[1::2], b._sums[0::2] - b._sums[1::2])
     return out
 
 
@@ -171,19 +166,36 @@ class OperatorEstimate:
         return self.matrix.shape[0]
 
 
+def estimate_stack(sigma0, sigma1, count: int, names, seeds) -> list[OperatorEstimate]:
+    """Least-squares Koopman estimates of ``(R, N, N)`` moment stacks of
+    ``count`` samples each, ``seeds`` their provenance.
+
+    One ``eigvalsh`` of the symmetrized S0 stack gives every condition.
+    Each realization is factored and solved by LAPACK ``dpotrf``/``dpotrs``
+    (what ``cho_factor``/``cho_solve`` call, so the bits are theirs); when
+    its condition exceeds 1e12 or the factorization fails, it falls back to
+    a minimum-norm least-squares pseudo-solution, flagged ``fallback``.
+    """
+    if not (np.isfinite(sigma0).all() and np.isfinite(sigma1).all()):
+        raise ValueError("moment matrices contain non-finite entries")
+    s0 = 0.5 * (sigma0 + np.swapaxes(sigma0, -1, -2))
+    w = np.linalg.eigvalsh(s0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conds = np.where(w[:, 0] > 0, w[:, -1] / w[:, 0], np.inf)
+    out = []
+    for a, b, cond, seed in zip(s0, sigma1, conds.tolist(), seeds):
+        c, info = dpotrf(a, lower=0, clean=0) if cond <= CONDITION_FALLBACK else (None, 1)
+        k_hat = dpotrs(c, b, lower=0)[0] if info == 0 else np.linalg.lstsq(a, b, rcond=None)[0]
+        out.append(OperatorEstimate(k_hat, "koopman", names, count, seed, cond, info != 0))
+    return out
+
+
 def estimate_koopman(moments: MomentPair) -> OperatorEstimate:
-    """Least-squares Koopman estimate from accumulated moments.
-
-    Solves ``sigma0_hat @ K = sigma1_hat`` through a Cholesky factorization;
-    when the moment matrix is numerically singular (relative condition above
-    1e12, or a failed factorization) it falls back to a minimum-norm
-    least-squares pseudo-solution and flags the estimate with a warning.
-
-    Raises
-    ------
-    SampleFloorError
-        If the absorbed count is at or below the 2N+2 floor under which the
-        error bound (and generically the normal equations) are ill-posed.
+    """Least-squares Koopman estimate from accumulated moments: solves
+    ``sigma0_hat @ K = sigma1_hat`` as an :func:`estimate_stack` of one and
+    warns when the estimate is a fallback.  Raises SampleFloorError at or
+    below the 2N+2 floor, under which the error bound (and generically the
+    normal equations) are ill-posed.
     """
     n = moments.n_basis
     if moments.count <= sample_floor(n):
@@ -191,37 +203,16 @@ def estimate_koopman(moments: MomentPair) -> OperatorEstimate:
             f"least-squares estimation requires more than 2N+2 = {sample_floor(n)} "
             f"samples for N = {n}; got {moments.count}"
         )
-    s0 = moments.sigma0_hat
-    s1 = moments.sigma1_hat
-    if not (np.isfinite(s0).all() and np.isfinite(s1).all()):
-        raise ValueError("moment matrices contain non-finite entries")
-    s0 = 0.5 * (s0 + s0.T)
-    w = np.linalg.eigvalsh(s0)
-    cond = float(w[-1] / w[0]) if w[0] > 0 else float("inf")
-    fallback = not (np.isfinite(cond) and cond <= CONDITION_FALLBACK)
-    k_hat = None
-    if not fallback:
-        try:
-            c, low = scipy.linalg.cho_factor(s0)
-            k_hat = scipy.linalg.cho_solve((c, low), s1)
-        except np.linalg.LinAlgError:
-            fallback = True
-    if fallback:
+    names = moments.names if moments.names is not None else tuple(f"psi{i+1}" for i in range(n))
+    (est,) = estimate_stack(moments.sigma0_hat[None], moments.sigma1_hat[None],
+                            moments.count, names, [moments.seed])
+    if est.fallback:
         warnings.warn(
-            f"moment matrix numerically singular (condition {cond:.3e}); "
+            f"moment matrix numerically singular (condition {est.condition_sigma0:.3e}); "
             "using a minimum-norm least-squares pseudo-solution",
             stacklevel=2,
         )
-        k_hat = np.linalg.lstsq(s0, s1, rcond=None)[0]
-    return OperatorEstimate(
-        matrix=k_hat,
-        operator_kind="koopman",
-        dict_names=moments.names if moments.names is not None else tuple(f"psi{i+1}" for i in range(n)),
-        sample_count=moments.count,
-        seed=moments.seed,
-        condition_sigma0=cond,
-        fallback=fallback,
-    )
+    return est
 
 
 @dataclass(frozen=True)

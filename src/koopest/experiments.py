@@ -56,15 +56,16 @@ from .dynamics import (
 from .estimator import (
     MomentPair,
     OperatorEstimate,
-    SampleFloorError,
     accumulate,
+    add_moments,
     closure_check,
     estimate_koopman,
+    estimate_stack,
     residuals,
     sample_floor,
 )
 from .io import _write_rows, fmt, save_gram, save_operator, write_sidecar
-from .pf import duality_check, koopman_to_pf
+from .pf import conjugate_stack, duality_check, koopman_to_pf
 from .seeding import mix_seed
 
 # Stream tags keep auxiliary seed streams (reference runs, bound terms, ...)
@@ -379,8 +380,8 @@ class Realization:
     """How one trajectory -> moments -> estimate run ended.
 
     ``status`` is "ok" or the failure cause: "diverged" (with its
-    DivergenceError in ``error``), "floor" or "singular" (a failed
-    factorization, or a flagged fallback estimate, which is kept).
+    DivergenceError in ``error``), "floor" or "singular" (a flagged
+    fallback estimate, which is kept).
     ``sigma0`` is the raw moment matrix S0 whenever the trajectory was
     completed, whatever the estimate's fate.
     """
@@ -399,48 +400,52 @@ def fit_realizations(
     Each seed streams T steps from a uniform initial state into its own
     moments, which equal ``accumulate(simulate(...))`` of that seed bit for
     bit, so ``simulate`` regenerates needed samples and no result depends on
-    which seeds share a call.  A diverged trajectory leaves the block and the
-    others keep stepping.  With ``estimate`` False a realization stops at S0
-    ("ok" or "diverged"); otherwise K_hat is fitted and the outcome classified.
+    which seeds share a call.  The block's moments are ``(R, N, N)`` stacks,
+    fitted by one ``estimate_stack``.  A diverged trajectory leaves the block
+    and the others keep stepping.  With ``estimate`` False a realization
+    stops at S0 ("ok" or "diverged"); otherwise K_hat is fitted and the
+    outcome classified.
     """
     system = build_system(config)
     dictionary = build_dictionary(config)
-    moments = [MomentPair.empty(dictionary) for _ in seeds]
+    n = dictionary.n_basis
+    sums = np.zeros((4, len(seeds), n, n))  # S0, comp0, S1, comp1 of every seed
     errors = {}
     for paths, index, failed in trajectory_chunks(
         system, None, T, seeds, config.divergence_threshold, build_domain(config)
     ):
         errors.update(failed)
         # each trajectory's m + 1 states of the block, all lifted in one call
-        psi = evaluate_many(dictionary, paths.reshape(-1, STATE_DIM))
-        for k, p in zip(index, psi.reshape(*paths.shape[:2], dictionary.n_basis)):
-            moments[k].absorb_lifted(p[:-1], p[1:])
-    fits = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a fallback estimate is flagged "singular"
-        for k, (seed, mom) in enumerate(zip(seeds, moments)):
-            if k in errors:
-                fits.append(Realization("diverged", None, error=errors[k]))
-                continue
-            mom.seed = int(seed)
-            status, est = "ok", None
-            if estimate:
-                try:
-                    est = estimate_koopman(mom)
-                    status = "singular" if est.fallback else "ok"
-                except SampleFloorError:
-                    status = "floor"
-                except np.linalg.LinAlgError:
-                    status = "singular"
-            fits.append(Realization(status, est, mom.sigma0_hat))
-    return fits
+        psi = evaluate_many(dictionary, paths.reshape(-1, STATE_DIM)).reshape(*paths.shape[:2], n)
+        part = sums[:, index]
+        add_moments(part, psi[:, :-1], psi[:, 1:])
+        sums[:, index] = part
+    sigma0, sigma1 = (sums[0::2] - sums[1::2]) / T
+    live = [k for k in range(len(seeds)) if k not in errors]
+    status = "floor" if estimate and T <= sample_floor(n) else "ok"
+    estimates = [None] * len(live)
+    if estimate and live and status == "ok":
+        estimates = estimate_stack(sigma0[live], sigma1[live], T, dictionary.names,
+                                   [int(seeds[k]) for k in live])
+    fits = {k: Realization("diverged", None, error=err) for k, err in errors.items()}
+    for k, est in zip(live, estimates):
+        fits[k] = Realization("singular" if est and est.fallback else status, est, sigma0[k])
+    return [fits[k] for k in range(len(seeds))]
 
 
-# Below this many seeds per task, stepping them one at a time as Python floats
-# is faster than stepping them together as arrays.  At T = 1,000-5,000 a
-# lockstep fit of 10-14 seeds took 0.82-1.35x the time of fitting them alone,
-# one of 16 seeds 0.80-0.95x up to T = 4,000.
+# Below lockstep_min_seeds(T) seeds per task, stepping them one at a time as
+# Python floats beats stepping them together as arrays: a block shares its
+# per-call costs but steps arrays, so the crossover grows with T.  Median time
+# of one block of R seeds over R one-seed fits (closed-quadratic, N = 4), R at
+# the rule: T = 20: R = 3 0.54; 50: 4 0.55; 200: 6 0.74; 500: 8-10 0.78-0.72;
+# 1,000: 12 0.80 (11 0.99); 2,000 and 4,096: 16 0.87 and 0.92.  The cap keeps
+# every T > 4,096 (at most BLOCK // T < 16 seeds a task) fitted alone.
 LOCKSTEP_MIN_SEEDS = 16
+
+
+def lockstep_min_seeds(T: int) -> int:
+    """The fewest seeds per task that a lockstep block fits faster than alone."""
+    return min(LOCKSTEP_MIN_SEEDS, math.isqrt(T) // 3 + 2)
 
 
 def _seed_blocks(seeds, T: int, workers: int) -> list:
@@ -448,11 +453,11 @@ def _seed_blocks(seeds, T: int, workers: int) -> list:
 
     A task holds at most ``BLOCK`` state rows at once, so its memory stays at
     one fit's block, and there are at least ``workers`` tasks.  Below
-    ``LOCKSTEP_MIN_SEEDS`` seeds per task each seed is fitted alone.
+    ``lockstep_min_seeds(T)`` seeds per task each seed is fitted alone.
     """
     tasks = max(workers, -(-len(seeds) // (BLOCK // min(T, BLOCK))))
     size = -(-len(seeds) // tasks)
-    if size < LOCKSTEP_MIN_SEEDS:
+    if size < lockstep_min_seeds(T):
         size = 1
     return [seeds[i : i + size] for i in range(0, len(seeds), size)]
 
@@ -606,10 +611,10 @@ def run_bound_calibration(
     n, n_terms = config.n_realizations, config.n_term_realizations
     # the term realizations only need S0: they stop before the estimate
     groups = [
-        (T, [mix_seed(derive_seed(config.base_seed, T, stream), r) for r in range(count)],
-         stream == SCORE_STREAM)
+        (T, [mix_seed(base, r) for r in range(count)], stream == SCORE_STREAM)
         for T in config.T_grid
         for stream, count in ((SCORE_STREAM, n), (TERMS_STREAM, n_terms))
+        for base in (derive_seed(config.base_seed, T, stream),)
     ]
     fits = _fit_groups(config, groups, workers)
 
@@ -713,9 +718,8 @@ def run_pf_pipeline(config: ExperimentConfig, workers: int = 1):
         transfer_total = len(k_hats)
         transfer_ok = sum(
             1
-            for k in k_hats
-            if np.linalg.norm(koopman_to_pf(k, lam).matrix - p_ref, "fro")
-            <= lam.cond * np.linalg.norm(k - ref, "fro")
+            for k, p in zip(k_hats, conjugate_stack(k_hats, lam))
+            if np.linalg.norm(p - p_ref, "fro") <= lam.cond * np.linalg.norm(k - ref, "fro")
         )
 
     report = {

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrs
 
 from .basis import DEFAULT_QUADRATURE_ORDER, Dictionary, GramMatrix, evaluate_many, gauss_legendre_nodes
 from .dynamics import StochasticSystem
@@ -48,27 +49,35 @@ def _as_matrix(k) -> np.ndarray:
     return np.asarray(k, dtype=float)
 
 
-def koopman_to_pf(k, gram: GramMatrix) -> PFEstimate:
-    """Conjugate a Koopman matrix into the transfer-operator matrix.
+def conjugate_stack(kmats, gram: GramMatrix) -> list[np.ndarray]:
+    """Transfer matrices ``Lambda^-1 K^T Lambda`` of a sequence of Koopman
+    matrices, the Gram matrix factored once and each solve LAPACK ``dpotrs``
+    (what ``cho_solve`` calls).  Each is checked against the construction
+    identity ``Lambda P = K^T Lambda`` to 1e-10 in Frobenius norm (after
+    back-substitution)."""
+    lam = gram.matrix
+    c, lower = scipy.linalg.cho_factor(lam)
+    out = []
+    for kmat in kmats:
+        rhs = kmat.T @ lam
+        p, _ = dpotrs(c, rhs, lower=lower)
+        defect, _ = dpotrs(c, lam @ p - rhs, lower=lower)
+        err = float(np.linalg.norm(defect, "fro"))
+        scale = max(1.0, float(np.linalg.norm(p, "fro")))
+        if err > CONSTRUCTION_TOL * scale:
+            raise ValueError(f"transfer-matrix construction identity violated: residual {err:.3e}")
+        out.append(p)
+    return out
 
-    Accepts an OperatorEstimate or a plain square matrix.  The construction
-    identity ``Lambda P = K^T Lambda`` is verified to 1e-10 in Frobenius norm
-    (after back-substitution) before the estimate is returned.
-    """
+
+def koopman_to_pf(k, gram: GramMatrix) -> PFEstimate:
+    """Conjugate a Koopman matrix (an OperatorEstimate or a plain square
+    matrix) into the transfer-operator matrix: a :func:`conjugate_stack` of one."""
     kmat = _as_matrix(k)
     n = gram.n_basis
     if kmat.shape != (n, n):
         raise ValueError("koopman matrix size must match the gram matrix")
-    lam = gram.matrix
-    c, low = scipy.linalg.cho_factor(lam)
-    p = scipy.linalg.cho_solve((c, low), kmat.T @ lam)
-    defect = scipy.linalg.cho_solve((c, low), lam @ p - kmat.T @ lam)
-    err = float(np.linalg.norm(defect, "fro"))
-    scale = max(1.0, float(np.linalg.norm(p, "fro")))
-    if err > CONSTRUCTION_TOL * scale:
-        raise ValueError(
-            f"transfer-matrix construction identity violated: residual {err:.3e}"
-        )
+    (p,) = conjugate_stack([kmat], gram)
     return PFEstimate(p, gram, k if isinstance(k, OperatorEstimate) else None)
 
 

@@ -69,6 +69,38 @@ class TestBoundTerms:
         with pytest.raises(SampleFloorError):
             koopman_error_bound(1.0, 0.5, 10, terms)
 
+    @pytest.mark.parametrize(
+        "dictionary",
+        [{"kind": "closed-quadratic"},
+         {"kind": "monomial", "state_dim": 2, "max_degree": 2},
+         {"kind": "monomial", "state_dim": 2, "max_degree": 4}],
+        ids=["N=4", "N=6", "N=15"],
+    )
+    def test_stack_equals_the_per_matrix_loop(self, smoke_config, dictionary):
+        cfg = smoke_config(dictionary=dictionary, closure_n_states=15)
+        sigma0s = term_sigma0s(cfg, T=300, n_realizations=12, seed=11)
+        n = sigma0s[0].shape[0]
+        sigma0s.insert(5, np.diag([1.0] * (n - 1) + [1e-15]))  # condition 1e15: excluded
+        terms = bound_terms(np.array(sigma0s))
+        traces, frobs = [], []
+        for s0 in sigma0s:  # one eigendecomposition and one solve per matrix
+            w = np.linalg.eigvalsh(0.5 * (s0 + s0.T))
+            if w[0] <= 0 or w[-1] / w[0] > 1e14:
+                continue
+            inv = np.linalg.solve(s0, np.eye(n))
+            traces.append(float(np.trace(s0)))
+            frobs.append(float(np.sum(inv * inv)))
+        traces, frobs = np.array(traces), np.array(frobs)
+        assert (terms.n_realizations, terms.n_excluded, terms.n_basis) == (12, 1, n)
+        assert terms.mean_trace_sigma0 == float(traces.mean())
+        assert terms.mean_frob_sq_inv_sigma0 == float(frobs.mean())
+        assert terms.se_trace == float(traces.std(ddof=1) / np.sqrt(12))
+        assert terms.se_frob == float(frobs.std(ddof=1) / np.sqrt(12))
+
+    def test_all_singular_is_an_error(self):
+        with pytest.raises(RuntimeError, match="singular"):
+            bound_terms(np.ones((3, 4, 4)))
+
     def test_needs_two_realizations(self):
         with pytest.raises(ValueError, match="two realizations"):
             bound_terms([np.eye(4)])

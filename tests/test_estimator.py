@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +26,7 @@ from koopest import (
     MonomialSpec,
     residuals,
     simulate,
+    evaluate_many,
     step_pairs,
     unit_box,
 )
@@ -129,6 +133,16 @@ class TestMomentAccumulation:
         ba = merge_moments(b, a)
         np.testing.assert_allclose(ab.sigma0_hat, ba.sigma0_hat, rtol=1e-13)
 
+    def test_merge_leaves_its_inputs_alone(self, baseline_params):
+        dct = closed_quadratic_dictionary()
+        system = make_closed_quadratic(baseline_params)
+        a = accumulate(MomentPair.empty(dct), dct, simulate(system, np.zeros(2), 40, seed=3))
+        b = accumulate(MomentPair.empty(dct), dct, simulate(system, np.zeros(2), 60, seed=4))
+        before = a.sigma0_hat.tobytes(), a.sigma1_hat.tobytes(), a.count
+        ab = merge_moments(a, b)
+        assert (a.sigma0_hat.tobytes(), a.sigma1_hat.tobytes(), a.count) == before
+        assert (ab.count, ab.seed, ab.names) == (100, 3, dct.names)
+
     def test_dimension_mismatch(self, baseline_params):
         dct = make_monomial_dictionary(MonomialSpec(1, 1))
         system = make_closed_quadratic(baseline_params)
@@ -227,6 +241,72 @@ class TestEstimateKoopman:
                 errs.append(np.linalg.norm(est.matrix - k_true, "fro"))
             means.append(np.mean(errs))
         assert all(a > b for a, b in zip(means[:-1], means[1:]))
+
+
+def _dictionary(max_degree):
+    if max_degree is None:
+        return closed_quadratic_dictionary()  # N = 4
+    return make_monomial_dictionary(MonomialSpec(2, max_degree))
+
+
+class TestEstimateStack:
+    """Stacked moments and solves equal the one-realization forms bit for bit."""
+
+    @pytest.mark.parametrize(
+        "max_degree, m", [(None, 21), (None, 200), (2, 4097), (4, 50), (4, BLOCK)],
+        ids=["N=4-m=21", "N=4-m=200", "N=6-m=4097", "N=15-m=50", "N=15-m=BLOCK"],
+    )
+    def test_stacked_sums_match_absorb_lifted(self, baseline_params, max_degree, m):
+        dct = _dictionary(max_degree)
+        system = make_closed_quadratic(baseline_params)
+        trajectories = [simulate(system, None, m, seed=s, domain=unit_box(2)) for s in (5, 6, 7)]
+        psi = np.stack([evaluate_many(dct, ss.states) for ss in trajectories])
+        sums = np.zeros((4, len(trajectories), dct.n_basis, dct.n_basis))
+        estimator.add_moments(sums, psi[:, :-1], psi[:, 1:])
+        sigma0, sigma1 = (sums[0::2] - sums[1::2]) / m
+        for r, ss in enumerate(trajectories):
+            one = accumulate(MomentPair.empty(dct), dct, ss)
+            assert sigma0[r].tobytes() == one.sigma0_hat.tobytes()
+            assert sigma1[r].tobytes() == one.sigma1_hat.tobytes()
+
+    @pytest.mark.parametrize("max_degree", [None, 2, 4], ids=["N=4", "N=6", "N=15"])
+    def test_stack_matches_estimate_koopman(self, baseline_params, max_degree):
+        dct = _dictionary(max_degree)
+        system = make_closed_quadratic(baseline_params)
+        frozen = uniform_states(300, seed=13)
+        frozen[:, 0] = 0.5  # x1 frozen: S0 singular, a fallback in mid-stack
+        sample_sets = [simulate(system, None, 299, seed=s, domain=unit_box(2)) for s in (1, 2)]
+        sample_sets += [SampleSet(frozen[:-1], frozen[1:], "independent-pairs", 3)]
+        sample_sets += [simulate(system, None, 299, seed=4, domain=unit_box(2))]
+        moments = [accumulate(MomentPair.empty(dct), dct, ss) for ss in sample_sets]
+        stack = estimator.estimate_stack(
+            np.array([mom.sigma0_hat for mom in moments]),
+            np.array([mom.sigma1_hat for mom in moments]),
+            299, dct.names, [1, 2, 3, 4],
+        )
+        assert [est.fallback for est in stack] == [False, False, True, False]
+        for mom, est in zip(moments, stack):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                one = estimate_koopman(mom)
+            # the per-matrix forms: eigvalsh, then cho_factor/cho_solve or lstsq
+            s0 = 0.5 * (mom.sigma0_hat + mom.sigma0_hat.T)
+            w = np.linalg.eigvalsh(s0)
+            if est.fallback:
+                ref = np.linalg.lstsq(s0, mom.sigma1_hat, rcond=None)[0]
+            else:
+                ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(s0), mom.sigma1_hat)
+                assert est.condition_sigma0 == float(w[-1] / w[0])
+            assert est.matrix.tobytes() == ref.tobytes() == one.matrix.tobytes()
+            assert (est.condition_sigma0, est.fallback, est.seed, est.sample_count) == (
+                one.condition_sigma0, one.fallback, one.seed, one.sample_count
+            )
+            assert est.dict_names == one.dict_names
+
+    def test_non_finite_moments_rejected(self):
+        s0 = np.stack([np.eye(4), np.full((4, 4), np.nan)])
+        with pytest.raises(ValueError, match="non-finite"):
+            estimator.estimate_stack(s0, np.zeros((2, 4, 4)), 20, tuple("abcd"), [0, 1])
 
 
 class TestUnbiasedness:

@@ -3,6 +3,7 @@ import json
 import os
 import pickle
 import re
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -14,6 +15,7 @@ from koopest import (
     closed_quadratic_koopman,
     ClosedQuadraticParams,
     MomentPair,
+    SampleFloorError,
     accumulate,
     config_from_dict,
     derive_seed,
@@ -30,12 +32,13 @@ from koopest import dynamics, experiments
 from koopest.dynamics import BLOCK, DivergenceError
 from koopest.experiments import (
     DELTA_STREAM,
-    LOCKSTEP_MIN_SEEDS,
+    Realization,
     _seed_blocks,
     build_dictionary,
     build_domain,
     build_system,
     fit_realizations,
+    lockstep_min_seeds,
     true_koopman,
 )
 
@@ -373,8 +376,71 @@ class TestFitRealizations:
         assert len(blocks) >= min(workers, n_seeds)
         size = len(blocks[0])
         assert size * min(T, BLOCK) <= BLOCK  # at most one fit's rows in memory
-        assert size == 1 or size >= LOCKSTEP_MIN_SEEDS
+        assert size == 1 or size >= lockstep_min_seeds(T)
+        assert size == 1 or T <= 4096  # long trajectories are fitted alone
         assert all(len(block) <= size for block in blocks)
+
+    def test_lockstep_threshold_grows_with_T(self):
+        thresholds = [lockstep_min_seeds(T) for T in (11, 20, 50, 200, 1000, 4096, 50_000)]
+        assert thresholds == sorted(thresholds)
+        assert thresholds[0] <= 3 and thresholds[-1] > BLOCK // 4097
+
+
+def _materialized_fit(cfg, T, seed):
+    """One seed's fit through simulate -> accumulate -> estimate_koopman,
+    classified as fit_realizations classifies it."""
+    dct = build_dictionary(cfg)
+    try:
+        samples = simulate(
+            build_system(cfg), None, T, seed, cfg.divergence_threshold, build_domain(cfg)
+        )
+    except DivergenceError as err:
+        return Realization("diverged", None, error=err)
+    moments = accumulate(MomentPair.empty(dct), dct, samples)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a fallback is flagged "singular"
+            est = estimate_koopman(moments)
+    except SampleFloorError:
+        return Realization("floor", None, moments.sigma0_hat)
+    return Realization("singular" if est.fallback else "ok", est, moments.sigma0_hat)
+
+
+_NOISELESS = {**CLOSED_QUADRATIC, "noise": {"kind": "none", "std": [1.0]}}
+_DEGREE_4 = {"dictionary": {"kind": "monomial", "state_dim": 2, "max_degree": 4},
+             "closure_n_states": 15}  # N = 15
+
+
+class TestStackedFit:
+    """A lockstep block's (R, N, N) moments, one eigvalsh and per-realization
+    LAPACK solves give each seed the bits of its materialized one-seed fit."""
+
+    @pytest.mark.parametrize(
+        "overrides, T, seeds, statuses",
+        [
+            # seed 4 leaves the bounded region at step 309, the others stay
+            ({"divergence_threshold": 4.5}, 500, range(8), ["ok"] * 4 + ["diverged"] + ["ok"] * 3),
+            ({}, 10, range(5), ["floor"] * 5),  # T = 2N + 2
+            # the noiseless contracting map: seed 2's states collapse fastest
+            ({"system": _NOISELESS}, 1000, range(6), ["ok", "ok", "singular", "ok", "ok", "ok"]),
+            ({"dictionary": {"kind": "monomial", "state_dim": 2, "max_degree": 2}}, 300,
+             range(5), ["ok"] * 5),
+            (_DEGREE_4, 300, range(5), ["ok"] * 5),
+            # BLOCK rows at N = 15, where a 2-D product could differ from a stacked one
+            (_DEGREE_4, BLOCK + 37, [3, 4], ["ok"] * 2),
+        ],
+        ids=["diverges-mid-block", "floor", "singular", "N=6", "N=15", "N=15-beyond-BLOCK"],
+    )
+    def test_block_matches_materialized_fits(self, smoke_config, overrides, T, seeds, statuses):
+        cfg = smoke_config(**overrides)
+        seeds = list(seeds)
+        fits = fit_realizations(cfg, T, seeds)
+        assert [fit.status for fit in fits] == statuses
+        for seed, fit in zip(seeds, fits):
+            solo = _materialized_fit(cfg, T, seed)
+            _assert_same_fit(fit, solo)
+            if fit.estimate is not None:
+                assert fit.estimate.fallback == solo.estimate.fallback
 
 
 class TestRunSweep:

@@ -13,6 +13,9 @@ branches on ``ndim == 1`` into a second, scalar copy of a map.  And a
 dictionary is one batch map: only ``basis.evaluate_many`` calls its
 ``lift`` (no code reads per-observable ``functions``), and the streamed fit
 lifts each block's states in one call, so every state is lifted once.
+A realization has one fit: ``estimator`` factors moment matrices at one
+``dpotrf`` call site, and ``fit_realizations`` fits its block as one
+stack, without ``estimate_koopman`` or a ``MomentPair`` per seed.
 A sample set has one path too: ``estimator`` walks its ``BLOCK`` rows in
 one loop, which ``accumulate`` and ``residuals`` share, and ``io`` parses
 every CSV body with ``np.loadtxt``, never ``genfromtxt``.  Every
@@ -172,6 +175,27 @@ def test_streamed_fit_lifts_once_per_block():
         and "evaluate_many" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert len(lifts) == 1
+
+
+def test_estimator_factors_at_one_call_site():
+    calls = [
+        node
+        for node in ast.walk(_parse("estimator"))
+        if isinstance(node, ast.Call)
+        and "dpotrf" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert len(calls) == 1
+
+
+def test_fit_realizations_fits_one_stack():
+    (fit,) = [
+        node
+        for node in _parse("experiments").body
+        if isinstance(node, ast.FunctionDef) and node.name == "fit_realizations"
+    ]
+    names = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(fit)}
+    assert "estimate_stack" in names
+    assert names.isdisjoint({"estimate_koopman", "MomentPair"})
 
 
 def test_one_block_loop_over_a_sample_set():
