@@ -18,7 +18,6 @@ from .basis import (
     gauss_legendre_nodes,
     gram,
     grlex_exponents,
-    make_dictionary,
     make_monomial_dictionary,
     monomial_name,
     unit_box,

@@ -1,23 +1,22 @@
-"""Observable dictionaries and inner products on a compact box domain.
+"""Monomial dictionaries and inner products on a compact box domain.
 
-A dictionary is an ordered set of N scalar observables held as one batch
-map, lifting ``(m, n)`` states to ``(m, N)`` values.  Monomials are
-first-class: graded-lexicographic multi-indices (constant first), a power
-table lift and an exact analytic Gram matrix.  :func:`make_dictionary`
-stacks opaque per-observable callables; their Gram matrix falls back to
-tensor-product Gauss-Legendre quadrature.
+A dictionary is an ordered set of N monomials ``x^e_j`` on an n-dimensional
+state, n >= 2, defined by its ``(N, n)`` exponent table: graded-lexicographic
+multi-indices (constant first) for the full basis, or any explicit list.
+It lifts ``(m, n)`` states to ``(m, N)`` values through a power table, and
+its Gram matrix is exact and analytic.
 
-The monomial lift is bit-equal to ``np.prod(xs ** e, axis=-1)`` for each
-exponent row ``e``, at a fraction of its cost.  Per coordinate, the power
-table holds ``x^0 = 1`` and ``x^1 = x`` (exact identities of ``pow``) and
-one ``pow`` per state for each distinct exponent >= 2 over the whole
-batch, where the reference form calls ``pow`` once per state, observable
-and coordinate.  Each observable's column is then gathered from the table
-and multiplied in coordinate order.  The exponent operand of ``pow`` is a
+The lift is bit-equal to ``np.prod(xs ** e, axis=-1)`` for each exponent
+row ``e``, at a fraction of its cost.  Per coordinate, the power table
+holds ``x^0 = 1`` and ``x^1 = x`` (exact identities of ``pow``) and one
+``pow`` per state for each distinct exponent >= 2 over the whole batch,
+where the reference form calls ``pow`` once per state, observable and
+coordinate.  Each observable's column is then gathered from the table and
+multiplied in coordinate order.  The exponent operand of ``pow`` is a
 contiguous array: given a stride-0 exponent 2, numpy squares by ``x*x``,
 which differs from ``pow`` in the last bit of a few percent of values.
-With one coordinate the reference form itself takes that ``x*x`` path, so
-one-coordinate dictionaries lift one observable at a time instead.
+With one coordinate the reference form itself takes that ``x*x`` path,
+which is why a dictionary needs at least two.
 
 Inner products use the uniform probability measure on a user-configured
 hyper-rectangle (default ``[-1, 1]^n``), which keeps the Gram matrix
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -116,101 +115,75 @@ class MonomialSpec:
     max_degree: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity: its fields are arrays
 class Dictionary:
-    """Ordered set of N scalar observables on an n-dimensional state.
+    """Ordered set of N monomials on an n-dimensional state, n >= 2.
 
-    ``lift`` is the whole dictionary as one batch map: it takes states of
-    shape ``(m, n)`` and returns their ``(m, N)`` values, column j being the
-    observable named ``names[j]``.  :func:`evaluate_many` is its one caller
-    and checks both shapes; :func:`evaluate` calls it on a batch of one.
-    ``exponents`` is set for pure-monomial dictionaries and enables the
-    analytic Gram matrix; it is None for opaque user dictionaries.
+    Built from its ``(N, n)`` exponent table, row j the multi-index of the
+    observable named ``names[j]``; the names, ``state_dim`` and the power
+    table plan of :meth:`lift` follow from it.  :func:`evaluate_many` is the
+    one caller of ``lift`` and checks the states' shape and the values'
+    finiteness; :func:`evaluate` calls it on a batch of one.
     """
 
-    lift: Callable[[np.ndarray], np.ndarray]
-    names: tuple
-    state_dim: int
-    exponents: np.ndarray | None = field(default=None)
+    exponents: np.ndarray
+    names: tuple = field(init=False)
+    state_dim: int = field(init=False)
+    _plan: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        names = tuple(str(s) for s in self.names)
+        exps = np.asarray(self.exponents)
+        if exps.ndim != 2 or exps.dtype.kind not in "iu":  # 2.5 must not read as 2
+            raise ValueError(f"exponents must be a 2-D integer array (n_basis, state_dim), "
+                             f"got {exps.dtype} of shape {exps.shape}")
+        exps = exps.astype(int)
+        n = exps.shape[1]
+        if n < 2:
+            raise ValueError(f"exponents need at least 2 columns (state coordinates), got {n}")
+        if (exps < 0).any():
+            raise ValueError("exponents must be nonnegative")
+        names = tuple(monomial_name(e) for e in exps)
         if len(names) < 1:
             raise ValueError("a dictionary needs at least one observable")
         if len(set(names)) != len(names):
             raise ValueError("observable names must be distinct")
-        if self.state_dim < 1:
-            raise ValueError("state_dim must be positive")
+        # The power table's rows: 1, then x_1..x_n, then x_k^e for each
+        # distinct (k, e >= 2).  rows[k, j] is the row holding coordinate k's
+        # factor of observable j.
+        high = sorted({(k, int(e)) for row in exps for k, e in enumerate(row) if e >= 2})
+        bases = np.array([1 + k for k, _ in high], dtype=np.intp)
+        degrees = np.array([e for _, e in high], dtype=float)
+        row_of = {(k, 0): 0 for k in range(n)} | {(k, 1): 1 + k for k in range(n)}
+        row_of |= {(k, e): 1 + n + i for i, (k, e) in enumerate(high)}
+        rows = np.array([[row_of[k, e] for e in exps[:, k]] for k in range(n)], dtype=np.intp)
+        object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "names", names)
-        if self.exponents is not None:
-            exps = np.asarray(self.exponents, dtype=int)
-            if exps.shape != (len(names), self.state_dim):
-                raise ValueError("exponents must have shape (n_basis, state_dim)")
-            object.__setattr__(self, "exponents", exps)
+        object.__setattr__(self, "state_dim", n)
+        object.__setattr__(self, "_plan", (bases, degrees, rows))
 
     @property
     def n_basis(self) -> int:
         return len(self.names)
 
-
-def make_dictionary(functions: Sequence[Callable], names: Sequence[str], state_dim: int) -> Dictionary:
-    """Dictionary of opaque observables, each mapping ``(m, n)`` states to
-    ``(m,)`` values or a scalar; Gram matrices will use quadrature."""
-    functions = tuple(functions)
-    if len(functions) != len(names):
-        raise ValueError("names and functions must have the same length")
-
-    def lift(xs):
-        columns = [np.broadcast_to(f(xs), xs.shape[:1]) for f in functions]
-        return np.column_stack(columns).astype(float)
-
-    return Dictionary(lift, tuple(names), state_dim)
-
-
-def dictionary_from_exponents(exponents) -> Dictionary:
-    """Monomial dictionary with an explicit (possibly partial) exponent list."""
-    exps = np.asarray(exponents, dtype=int)
-    if exps.ndim != 2:
-        raise ValueError("exponents must be a 2-D array (n_basis, state_dim)")
-    if (exps < 0).any():
-        raise ValueError("exponents must be nonnegative")
-    names = tuple(monomial_name(e) for e in exps)
-    n = exps.shape[1]
-    if n == 1:
-        # One coordinate: numpy squares ``xs ** 2.0`` by x*x here (a stride-0
-        # exponent over the whole batch), which the power table would not.
-        powers = exps.astype(float)
-
-        def lift(xs):
-            return np.column_stack([np.prod(xs**e, axis=-1) for e in powers])
-
-        return Dictionary(lift, names, 1, exponents=exps)
-
-    # The power table's rows: 1, then x_1..x_n, then x_k^e for each distinct
-    # (k, e >= 2).  rows[k, j] is the row holding coordinate k's factor of
-    # observable j.
-    high = sorted({(k, int(e)) for row in exps for k, e in enumerate(row) if e >= 2})
-    bases = np.array([1 + k for k, _ in high], dtype=np.intp)
-    degrees = np.array([e for _, e in high], dtype=float)
-    row_of = {(k, 0): 0 for k in range(n)} | {(k, 1): 1 + k for k in range(n)}
-    row_of |= {(k, e): 1 + n + i for i, (k, e) in enumerate(high)}
-    rows = np.array([[row_of[k, e] for e in exps[:, k]] for k in range(n)], dtype=np.intp)
-
-    def lift(xs):
-        # Bit-equal to np.prod(xs ** e, axis=-1) per observable: x^0 = 1 and
-        # x^1 = x are exact, every higher power is one pow per state with a
-        # contiguous exponent operand (a stride-0 exponent 2 would make numpy
-        # square by x*x, which differs from pow in the last bit), and the
-        # factors are multiplied in coordinate order.  LIFT_ROWS states at a
-        # time, so the table and products stay small next to the output.
-        out = np.empty((len(xs), len(exps)))
+    def lift(self, xs: np.ndarray) -> np.ndarray:
+        """The ``(m, N)`` values at ``(m, n)`` states, bit-equal to
+        ``np.prod(xs ** e, axis=-1)`` per observable."""
+        # x^0 = 1 and x^1 = x are exact, every higher power is one pow per
+        # state with a contiguous exponent operand (a stride-0 exponent 2
+        # would make numpy square by x*x, which differs from pow in the last
+        # bit), and the factors are multiplied in coordinate order.
+        # LIFT_ROWS states at a time, so the table and products stay small
+        # next to the output.
+        bases, degrees, rows = self._plan
+        n, n_high = self.state_dim, len(degrees)
+        out = np.empty((len(xs), self.n_basis))
         for start in range(0, len(xs), LIFT_ROWS):
             chunk = xs[start : start + LIFT_ROWS]
             m = len(chunk)
-            table = np.empty((1 + n + len(high), m))
+            table = np.empty((1 + n + n_high, m))
             table[0] = 1.0
             table[1 : 1 + n] = chunk.T
-            exponent = np.repeat(degrees, m).reshape(len(high), m)
+            exponent = np.repeat(degrees, m).reshape(n_high, m)
             np.power(table[bases], exponent, out=table[1 + n :])
             product = table[rows[0]]
             for r in rows[1:]:
@@ -218,7 +191,10 @@ def dictionary_from_exponents(exponents) -> Dictionary:
             out[start : start + m] = product.T
         return out
 
-    return Dictionary(lift, names, n, exponents=exps)
+
+def dictionary_from_exponents(exponents) -> Dictionary:
+    """Monomial dictionary with an explicit (possibly partial) exponent list."""
+    return Dictionary(exponents)
 
 
 def make_monomial_dictionary(spec: MonomialSpec) -> Dictionary:
@@ -241,15 +217,17 @@ def evaluate(dictionary: Dictionary, x) -> np.ndarray:
 
 
 def evaluate_many(dictionary: Dictionary, xs) -> np.ndarray:
-    """Evaluate all observables at a batch of states; returns ``(m, N)``."""
+    """Evaluate all observables at a batch of states; returns ``(m, N)``.
+
+    Raises on a state of the wrong width, or on a non-finite value (a
+    monomial of a large state can overflow).
+    """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != dictionary.state_dim:
         raise ValueError(
             f"states must have shape (m, {dictionary.state_dim}), got {xs.shape}"
         )
-    out = np.asarray(dictionary.lift(xs), dtype=float)
-    if out.shape != (xs.shape[0], dictionary.n_basis):
-        raise ValueError(f"lift gave shape {out.shape}, expected ({len(xs)}, {dictionary.n_basis})")
+    out = dictionary.lift(xs)
     if not np.isfinite(out).all():
         raise ValueError("dictionary evaluation produced non-finite values")
     return out
@@ -266,7 +244,6 @@ class GramMatrix:
 
     matrix: np.ndarray
     domain: Domain
-    method: str  # "analytic-monomial" | "quadrature"
     names: tuple
     cond: float = field(init=False)
 
@@ -295,20 +272,6 @@ def _axis_moments(lower: float, upper: float, max_power: int) -> np.ndarray:
     return (upper ** (p + 1) - lower ** (p + 1)) / ((p + 1) * (upper - lower))
 
 
-def _analytic_monomial_gram(exponents: np.ndarray, domain: Domain) -> np.ndarray:
-    exps = np.asarray(exponents, dtype=int)
-    n_basis, dim = exps.shape
-    max_power = 2 * int(exps.max(initial=0))
-    moments = [
-        _axis_moments(domain.lower[k], domain.upper[k], max_power) for k in range(dim)
-    ]
-    lam = np.ones((n_basis, n_basis))
-    for k in range(dim):
-        powers = exps[:, k][:, None] + exps[:, k][None, :]
-        lam *= moments[k][powers]
-    return lam
-
-
 def gauss_legendre_nodes(domain: Domain, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor-product Gauss-Legendre rule for the normalized uniform measure.
 
@@ -332,46 +295,25 @@ def gauss_legendre_nodes(domain: Domain, order: int) -> tuple[np.ndarray, np.nda
     return points, weights
 
 
-def gram(
-    dictionary: Dictionary,
-    domain: Domain,
-    quadrature_order: int = DEFAULT_QUADRATURE_ORDER,
-    method: str = "auto",
-) -> GramMatrix:
-    """Gram matrix of the dictionary under the uniform measure on the domain.
-
-    Parameters
-    ----------
-    dictionary, domain :
-        The observables and the box carrying the normalized uniform measure.
-    quadrature_order :
-        Gauss-Legendre nodes per axis for the quadrature path.
-    method :
-        "auto" uses the exact analytic formula for monomial dictionaries and
-        quadrature otherwise; "analytic" or "quadrature" force a path.
+def gram(dictionary: Dictionary, domain: Domain) -> GramMatrix:
+    """Exact Gram matrix ``E[psi_i psi_j]`` of the dictionary under the
+    uniform probability measure on the domain, a product of per-axis
+    analytic moments.
 
     Raises
     ------
     ValueError
-        If the smallest eigenvalue is not strictly positive (the observables
-        are linearly dependent on this domain), with the eigenvalue named.
+        If the dictionary and domain dimensions differ, or if the smallest
+        eigenvalue is not strictly positive (the observables are linearly
+        dependent on this domain, numerically), with the eigenvalue named.
     """
     if dictionary.state_dim != domain.dim:
         raise ValueError("dictionary and domain dimensions differ")
-    if method == "auto":
-        method = "analytic" if dictionary.exponents is not None else "quadrature"
-    if method == "analytic":
-        if dictionary.exponents is None:
-            raise ValueError("analytic Gram requires a monomial dictionary")
-        lam = _analytic_monomial_gram(dictionary.exponents, domain)
-        tag = "analytic-monomial"
-    elif method == "quadrature":
-        pts, wts = gauss_legendre_nodes(domain, quadrature_order)
-        psi = evaluate_many(dictionary, pts)
-        lam = psi.T @ (wts[:, None] * psi)
-        tag = "quadrature"
-    else:
-        raise ValueError(f"unknown gram method {method!r}")
-
+    exps = dictionary.exponents
+    max_power = 2 * int(exps.max(initial=0))
+    lam = np.ones((dictionary.n_basis, dictionary.n_basis))
+    for k in range(domain.dim):
+        moments = _axis_moments(domain.lower[k], domain.upper[k], max_power)
+        lam *= moments[exps[:, k][:, None] + exps[:, k][None, :]]
     lam = np.triu(lam) + np.triu(lam, 1).T  # exact symmetry by mirroring
-    return GramMatrix(lam, domain, tag, dictionary.names)
+    return GramMatrix(lam, domain, dictionary.names)

@@ -119,8 +119,8 @@ def koopman_error_bound(
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    if delta_hat < 0.0:
-        raise ValueError("delta_hat must be nonnegative")
+    if not delta_hat >= 0.0:
+        raise ValueError(f"delta_hat must be nonnegative, got {delta_hat!r}")
     if T <= sample_floor(terms.n_basis):
         raise SampleFloorError(
             f"T must exceed 2N+2 = {sample_floor(terms.n_basis)}; got {T}"

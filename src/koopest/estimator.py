@@ -226,7 +226,6 @@ class ResidualStats:
     """
 
     delta_hat: float
-    residual_matrix: np.ndarray
     per_basis_variance: np.ndarray
 
     def __post_init__(self):
@@ -240,20 +239,12 @@ def residuals(
     """Residuals ``delta_t = Psi(y_t) - K_hat^T Psi(x_t)`` and their statistics."""
     if k_hat.n_basis != dictionary.n_basis:
         raise ValueError("operator size does not match the dictionary")
-    n = dictionary.n_basis
-    t_total = samples.n_samples
-    r_sum = np.zeros((n, n))
-    sq_sum = np.zeros(n)
+    sq_sum = np.zeros(dictionary.n_basis)
     for psi_x, psi_y in _lifted_pairs(dictionary, samples):
         delta = psi_y - psi_x @ k_hat.matrix
-        r_sum += psi_x.T @ delta
         sq_sum += np.sum(delta * delta, axis=0)
-    per_basis = sq_sum / t_total
-    return ResidualStats(
-        delta_hat=float(per_basis.max()),
-        residual_matrix=r_sum / t_total,
-        per_basis_variance=per_basis,
-    )
+    per_basis = sq_sum / samples.n_samples
+    return ResidualStats(delta_hat=float(per_basis.max()), per_basis_variance=per_basis)
 
 
 def closure_check(

@@ -159,6 +159,18 @@ class ExperimentConfig:
                            ("reference_T_factor", 1), ("closure_n_mc", 2),
                            ("quadrature_order", 1)):
             object.__setattr__(self, key, _count(key, getattr(self, key), least))
+        if self.dictionary_kind == "monomial":
+            # below STATE_DIM, Dictionary would reject the width without naming the key
+            for name, key, least in (("dict_state_dim", "dictionary.state_dim", STATE_DIM),
+                                     ("dict_max_degree", "dictionary.max_degree", 0)):
+                object.__setattr__(self, name, _count(key, getattr(self, name), least))
+        override = self.delta_hat_override
+        if override is not None and (isinstance(override, bool)
+                                     or not isinstance(override, numbers.Real)
+                                     or not 0.0 <= override < math.inf):
+            raise ValueError(
+                f"delta_hat_override must be null or a finite number >= 0, got {override!r}"
+            )
         limit = self.divergence_threshold
         if isinstance(limit, bool) or not isinstance(limit, numbers.Real) or not limit > 0:
             raise ValueError(f"divergence_threshold must be a positive number, got {limit!r}")
@@ -207,8 +219,6 @@ def build_dictionary(config: ExperimentConfig) -> Dictionary:
     if config.dictionary_kind == "closed-quadratic":
         return closed_quadratic_dictionary()
     if config.dictionary_kind == "monomial":
-        if config.dict_state_dim is None or config.dict_max_degree is None:
-            raise ValueError("monomial dictionary needs state_dim and max_degree")
         return make_monomial_dictionary(
             MonomialSpec(config.dict_state_dim, config.dict_max_degree)
         )
@@ -606,7 +616,7 @@ def run_bound_calibration(
     dictionary = build_dictionary(config)
     domain = build_domain(config)
     ref = true_koopman(config)
-    cond_lambda = gram(dictionary, domain, config.quadrature_order).cond
+    cond_lambda = gram(dictionary, domain).cond
 
     n, n_terms = config.n_realizations, config.n_term_realizations
     # the term realizations only need S0: they stop before the estimate
@@ -691,7 +701,7 @@ def run_pf_pipeline(config: ExperimentConfig, workers: int = 1):
     Persists the transfer matrix with its sidecar, the Gram matrix, and a
     one-row ``pf_report.csv``.  Returns (PFEstimate, report dict).
     """
-    lam = gram(build_dictionary(config), build_domain(config), config.quadrature_order)
+    lam = gram(build_dictionary(config), build_domain(config))
     T = max(config.T_grid)
     (fit,) = fit_realizations(config, T, [derive_seed(config.base_seed, T, PF_STREAM)])
     if fit.estimate is None:

@@ -52,7 +52,7 @@ def write_sidecar(path, meta: dict) -> None:
         fh.write("\n")
 
 
-def sidecar_path(csv_path: str) -> str:
+def _sidecar_path(csv_path: str) -> str:
     base, _ = os.path.splitext(csv_path)
     return base + ".meta.json"
 
@@ -69,9 +69,9 @@ def _read(path: str) -> tuple[list, np.ndarray, dict]:
     if table.size == 0 or table.shape[1] != len(header):
         expected = f"expected rows of {len(header)} numbers under its header"
         raise ValueError(f"{path}: {_bad_line(path, len(header)) or expected}")
-    if not os.path.exists(sidecar_path(path)):
+    if not os.path.exists(_sidecar_path(path)):
         return header, table, {}
-    with open(sidecar_path(path)) as fh:
+    with open(_sidecar_path(path)) as fh:
         return header, table, json.load(fh)
 
 
@@ -109,7 +109,7 @@ def save_samples(samples: SampleSet, path: str, label: str = "") -> None:
         y_text = x_text[1:]
     _write_rows(path, header, lines=(f"{x},{y}\n" for x, y in zip(x_text, y_text)))
     write_sidecar(
-        sidecar_path(path),
+        _sidecar_path(path),
         {"seed": int(samples.seed), "label": label, "source": samples.source},
     )
 
@@ -158,12 +158,12 @@ def save_operator(est, path: str) -> None:
             "condition_sigma0": None if src is None else float(src.condition_sigma0),
             "fallback": False if src is None else bool(src.fallback),
             "cond_lambda": float(est.gram.cond),
-            "gram_method": est.gram.method,
+            "gram_method": "analytic-monomial",
         }
     else:
         raise TypeError(f"cannot save operator of type {type(est).__name__}")
     save_matrix(est.matrix, path, header=meta["dict_names"])
-    write_sidecar(sidecar_path(path), meta)
+    write_sidecar(_sidecar_path(path), meta)
 
 
 def load_operator(path: str):
@@ -176,9 +176,9 @@ def save_gram(gram: GramMatrix, path: str) -> None:
     """Gram matrix as row-major CSV with the basis names as header."""
     save_matrix(gram.matrix, path, header=gram.names)
     write_sidecar(
-        sidecar_path(path),
+        _sidecar_path(path),
         {
-            "method": gram.method,
+            "method": "analytic-monomial",
             "names": list(gram.names),
             "domain_lower": [float(v) for v in gram.domain.lower],
             "domain_upper": [float(v) for v in gram.domain.upper],

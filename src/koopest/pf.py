@@ -129,7 +129,7 @@ def pf_apply_integral_mc(
     The projected field varies on the length scale of the noise standard
     deviation, so the node spacing must resolve it: on ``[-1, 1]`` axes,
     ``quadrature_order >= 16`` is adequate for standard deviations down to
-    about 0.15, while the default Gram order of 8 is not.
+    about 0.15, while the default order of 8 is not.
     """
     if n_mc < 2:
         raise ValueError("n_mc must be at least 2")

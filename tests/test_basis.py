@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from koopest import (
-    Dictionary,
     Domain,
     GramMatrix,
     MonomialSpec,
@@ -15,9 +14,9 @@ from koopest import (
     dictionary_from_exponents,
     evaluate,
     evaluate_many,
+    gauss_legendre_nodes,
     gram,
     grlex_exponents,
-    make_dictionary,
     make_monomial_dictionary,
     monomial_name,
     unit_box,
@@ -67,10 +66,11 @@ class TestMonomialEnumeration:
         assert evaluate(dct, np.array([3.7, -2.0])) == pytest.approx([1.0])
 
     def test_univariate_cubic(self):
-        dct = make_monomial_dictionary(MonomialSpec(1, 3))
+        # a cubic in x1 alone, on the planar state
+        dct = dictionary_from_exponents([[0, 0], [1, 0], [2, 0], [3, 0]])
         assert dct.names == ("1", "x1", "x1^2", "x1^3")
         np.testing.assert_allclose(
-            evaluate(dct, np.array([2.0])), [1.0, 2.0, 4.0, 8.0]
+            evaluate(dct, np.array([2.0, 5.0])), [1.0, 2.0, 4.0, 8.0]
         )
 
     def test_names(self):
@@ -109,20 +109,15 @@ class TestEvaluate:
         for i in range(40):
             assert (batch[i] == evaluate(dct, xs[i])).all()
 
-    def test_lift_shape_checked(self):
-        dct = Dictionary(lambda xs: np.zeros((len(xs), 3)), ("a", "b"), 2)
-        with pytest.raises(ValueError, match=r"shape \(4, 3\), expected \(4, 2\)"):
-            evaluate_many(dct, np.zeros((4, 2)))
-
     @pytest.mark.parametrize(
         "make",
         [closed_quadratic_dictionary]
         + [
             lambda n=n, d=d: make_monomial_dictionary(MonomialSpec(n, d))
-            for n in (1, 2, 3)
+            for n in (2, 3)
             for d in range(5)
         ],
-        ids=["closed-quadratic"] + [f"n{n}-d{d}" for n in (1, 2, 3) for d in range(5)],
+        ids=["closed-quadratic"] + [f"n{n}-d{d}" for n in (2, 3) for d in range(5)],
     )
     def test_large_batch_columns_equal_the_per_observable_form(self, make):
         # 65,537 rows: a lift that squared by x*x over a long loop (numpy does
@@ -141,11 +136,10 @@ class TestEvaluate:
             assert np.ascontiguousarray(out[:, j]).tobytes() == column.tobytes(), dct.names[j]
 
     def test_nonfinite_rejected(self):
-        dct = make_dictionary(
-            [lambda x: np.full(np.shape(x[..., 0]), np.inf)], ["bad"], 1
-        )
-        with pytest.raises(ValueError, match="non-finite"):
-            evaluate(dct, np.array([-1.0]))
+        # a monomial of a large state overflows
+        dct = dictionary_from_exponents([[0, 0], [4, 0]])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            evaluate(dct, np.array([1e100, 0.0]))
 
 
 class TestGram:
@@ -155,25 +149,25 @@ class TestGram:
         np.testing.assert_allclose(lam.matrix, [[1.0]])
 
     def test_affine_dictionary_interval(self):
-        # normalized moments on [-1, 1]: E[x] = 0, E[x^2] = 1/3
-        dct = make_monomial_dictionary(MonomialSpec(1, 1))
-        lam = gram(dct, unit_box(1))
-        np.testing.assert_allclose(lam.matrix, [[1.0, 0.0], [0.0, 1.0 / 3.0]], atol=1e-15)
+        # normalized moments of each [-1, 1] axis: E[x] = 0, E[x^2] = 1/3
+        dct = make_monomial_dictionary(MonomialSpec(2, 1))
+        lam = gram(dct, unit_box(2))
+        np.testing.assert_allclose(lam.matrix, np.diag([1.0, 1.0 / 3.0, 1.0 / 3.0]), atol=1e-15)
 
     def test_quadratic_dictionary_interval(self):
-        dct = make_monomial_dictionary(MonomialSpec(1, 2))
-        lam = gram(dct, unit_box(1))
-        assert lam.matrix[0, 2] == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert lam.matrix[2, 2] == pytest.approx(1.0 / 5.0, abs=1e-15)
+        dct = make_monomial_dictionary(MonomialSpec(2, 2))
+        lam = gram(dct, unit_box(2))
+        assert dct.names[3] == "x1^2"
+        assert lam.matrix[0, 3] == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert lam.matrix[3, 3] == pytest.approx(1.0 / 5.0, abs=1e-15)
 
     def test_analytic_vs_quadrature(self):
         dct = make_monomial_dictionary(MonomialSpec(2, 3))
         dom = Domain([-1.0, -0.5], [1.0, 2.0])
-        lam_a = gram(dct, dom, method="analytic")
-        lam_q = gram(dct, dom, quadrature_order=4, method="quadrature")
-        assert lam_a.method == "analytic-monomial"
-        assert lam_q.method == "quadrature"
-        np.testing.assert_allclose(lam_q.matrix, lam_a.matrix, atol=1e-12)
+        # Gauss-Legendre of order 4 is exact for per-axis degree <= 7
+        points, weights = gauss_legendre_nodes(dom, 4)
+        psi = evaluate_many(dct, points)
+        np.testing.assert_allclose(psi.T @ (weights[:, None] * psi), gram(dct, dom).matrix, atol=1e-12)
 
     def test_against_adaptive_quadrature(self):
         # independent oracle: adaptive 2-D quadrature of psi_i * psi_j / vol
@@ -196,11 +190,10 @@ class TestGram:
         assert (lam.matrix == lam.matrix.T).all()
 
     def test_linearly_dependent_raises(self):
-        dct = make_dictionary(
-            [lambda x: x[..., 0], lambda x: 2.0 * x[..., 0]], ["f", "g"], 1
-        )
+        # 1, x1 and x1^2 are numerically dependent on a box 1e-6 wide
+        dct = make_monomial_dictionary(MonomialSpec(2, 2))
         with pytest.raises(ValueError, match="eigenvalue"):
-            gram(dct, unit_box(1))
+            gram(dct, Domain([1.0, 1.0], [1.0 + 1e-6, 1.0 + 1e-6]))
 
     def test_cond_at_least_one(self):
         dct = make_monomial_dictionary(MonomialSpec(2, 2))
@@ -208,21 +201,34 @@ class TestGram:
         assert lam.cond >= 1.0
 
     def test_cond_is_the_eigenvalue_ratio_and_not_settable(self):
-        lam = GramMatrix(np.diag([4.0, 0.5]), unit_box(2), "quadrature", ("a", "b"))
+        lam = GramMatrix(np.diag([4.0, 0.5]), unit_box(2), ("a", "b"))
         assert lam.cond == 8.0
         with pytest.raises(TypeError):
-            GramMatrix(np.eye(2), unit_box(2), "quadrature", ("a", "b"), 1.0)
+            GramMatrix(np.eye(2), unit_box(2), ("a", "b"), 1.0)
 
     def test_direct_construction_checks_definiteness(self):
         with pytest.raises(ValueError, match="not positive definite"):
-            GramMatrix(np.ones((2, 2)), unit_box(2), "quadrature", ("a", "b"))
+            GramMatrix(np.ones((2, 2)), unit_box(2), ("a", "b"))
 
 
 class TestDictionaryValidation:
     def test_duplicate_names(self):
         with pytest.raises(ValueError, match="distinct"):
-            make_dictionary([lambda x: 1.0, lambda x: 2.0], ["a", "a"], 1)
+            dictionary_from_exponents([[1, 0], [1, 0]])
+
+    @pytest.mark.parametrize("exponents", [[[2.5, 0], [0, 1]], [[1.0, 0.0]], [0, 1]],
+                             ids=["fraction", "float", "1-D"])
+    def test_exponents_must_be_a_2d_integer_array(self, exponents):
+        # a fractional exponent used to be truncated: [2.5, 0] lifted x1^2
+        with pytest.raises(ValueError, match="2-D integer array"):
+            dictionary_from_exponents(exponents)
+
+    def test_compared_by_identity(self):
+        # an exponent-array field must not make == raise or hash fail
+        a, b = closed_quadratic_dictionary(), closed_quadratic_dictionary()
+        assert a == a and a != b
+        assert len({a, a, b}) == 2
 
     def test_empty(self):
-        with pytest.raises(ValueError):
-            make_dictionary([], [], 1)
+        with pytest.raises(ValueError, match="at least one observable"):
+            dictionary_from_exponents(np.zeros((0, 2), dtype=int))

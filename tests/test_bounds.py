@@ -120,6 +120,12 @@ class TestErrorBound:
     def test_zero_noise_zero_bound(self):
         assert koopman_error_bound(0.0, 0.5, 100, self.terms()) == 0.0
 
+    @pytest.mark.parametrize("delta_hat", [-1.0, float("nan")], ids=["negative", "nan"])
+    def test_bad_delta_hat_rejected(self, delta_hat):
+        # a NaN used to pass, giving a NaN bound that no error exceeds
+        with pytest.raises(ValueError, match="delta_hat must be nonnegative"):
+            koopman_error_bound(delta_hat, 0.5, 100, self.terms())
+
     def test_quarter_T_scaling_exact(self):
         b1 = koopman_error_bound(2.0, 0.3, 100, self.terms())
         b2 = koopman_error_bound(2.0, 0.3, 400, self.terms())

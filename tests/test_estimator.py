@@ -19,7 +19,6 @@ from koopest import (
     estimate_koopman,
     evaluate,
     make_closed_quadratic,
-    make_dictionary,
     make_monomial_dictionary,
     make_vanderpol,
     merge_moments,
@@ -144,7 +143,7 @@ class TestMomentAccumulation:
         assert (ab.count, ab.seed, ab.names) == (100, 3, dct.names)
 
     def test_dimension_mismatch(self, baseline_params):
-        dct = make_monomial_dictionary(MonomialSpec(1, 1))
+        dct = make_monomial_dictionary(MonomialSpec(3, 1))
         system = make_closed_quadratic(baseline_params)
         ss = simulate(system, np.zeros(2), 10, seed=0)
         with pytest.raises(ValueError, match="dimension"):
@@ -345,7 +344,6 @@ class TestResiduals:
         ss = step_pairs(system, uniform_states(200, seed=14), seed=15)
         est = estimate_koopman(accumulate(MomentPair.empty(dct), dct, ss))
         stats = residuals(dct, ss, est)
-        assert np.abs(stats.residual_matrix).max() <= 1e-10
         assert stats.delta_hat <= 1e-20
 
     def test_linear_components_have_unit_variance(self, baseline_params):
@@ -382,7 +380,6 @@ class TestResiduals:
         twice = residuals(dct, pairs, est)
         assert rows[2:] == [BLOCK, BLOCK, 50, 50]
         assert once.delta_hat == twice.delta_hat
-        assert once.residual_matrix.tobytes() == twice.residual_matrix.tobytes()
         assert once.per_basis_variance.tobytes() == twice.per_basis_variance.tobytes()
 
 

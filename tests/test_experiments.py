@@ -217,15 +217,35 @@ class TestConfig:
             ("divergence_threshold", "1e6"),
             ("reference_T_factor", 0),
             ("n_realizations", "abc"),
+            ("dictionary.state_dim", "2"),
+            ("dictionary.state_dim", 1),
+            ("dictionary.max_degree", 2.5),
+            ("dictionary.max_degree", True),
+            ("delta_hat_override", -1),
+            ("delta_hat_override", "abc"),
+            ("delta_hat_override", float("nan")),
+            ("delta_hat_override", float("inf")),
+            ("delta_hat_override", True),
         ],
         ids=["quadrature-zero", "quadrature-fraction", "closure-one-draw", "closure-below-N",
-             "threshold-negative", "threshold-text", "reference-zero", "realizations-text"],
+             "threshold-negative", "threshold-text", "reference-zero", "realizations-text",
+             "state-dim-text", "state-dim-one", "degree-fraction", "degree-bool",
+             "override-negative", "override-text", "override-nan", "override-inf",
+             "override-bool"],
     )
     def test_bad_count_or_threshold_named(self, smoke_config, key, value):
-        # each used to load, then fail late (a bare TypeError, a failed quadrature)
-        # or run silently wrong (NaN closure floors, every fit diverged)
-        with pytest.raises(ValueError, match=rf"^{key} must be "):
-            smoke_config(**{key: value})
+        # each used to load, then fail late (a bare TypeError, a failed quadrature,
+        # -1 as delta_hat after every fit) or run silently wrong (NaN closure
+        # floors, every fit diverged, degree 1, a NaN bound that no error exceeds)
+        section, _, leaf = key.rpartition(".")
+        if section:  # a size of a monomial dictionary
+            value = {"kind": "monomial", "state_dim": 2, "max_degree": 2, leaf: value}
+        with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be "):
+            smoke_config(**{section or key: value})
+
+    def test_delta_hat_override_takes_a_finite_nonnegative_number(self, smoke_config):
+        for value in (None, 0, 2.5):
+            assert smoke_config(delta_hat_override=value).delta_hat_override == value
 
     def test_standard_vdp_takes_only_a_boolean(self, smoke_config):
         system = {"kind": "vanderpol", "params": {"dt": 0.001, "standard_vdp": "false"}}

