@@ -12,7 +12,6 @@ import numpy as np
 
 from koopest import (
     Domain,
-    MonomialSpec,
     closed_quadratic_dictionary,
     evaluate,
     evaluate_many,
@@ -23,8 +22,7 @@ from koopest import (
 )
 
 # All monomials of total degree <= 2 on a 2-D state: six observables.
-spec = MonomialSpec(state_dim=2, max_degree=2)
-dct = make_monomial_dictionary(spec)
+dct = make_monomial_dictionary(state_dim=2, max_degree=2)
 print("degree-2 monomial dictionary:", dct.names)
 print("evaluated at (1, 2):        ", evaluate(dct, np.array([1.0, 2.0])))
 

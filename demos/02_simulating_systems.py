@@ -11,7 +11,6 @@ import numpy as np
 
 from koopest import (
     ClosedQuadraticParams,
-    NoiseModel,
     make_closed_quadratic,
     make_vanderpol,
     simulate,
@@ -31,9 +30,8 @@ for x, y in zip(ss.xs, ss.ys):
 again = simulate(system, x0=np.array([1.0, 0.0]), steps=5, seed=42)
 print("\nbit-identical on replay:", bool((ss.ys == again.ys).all()))
 
-# Silent noise turns the step into the bare map; the origin is fixed.
-quiet = make_closed_quadratic(params, noise=NoiseModel.none(2))
-print("noiseless step at the origin:", quiet.step(np.zeros(2)))
+# transition is the bare map T(x), without noise; the origin is fixed.
+print("T at the origin:", system.transition(np.zeros(2)))
 
 # The Van der Pol variant advances by an Euler step of size dt with small
 # additive noise; its lifted dynamics on degree-2 monomials are NOT closed.

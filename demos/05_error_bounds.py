@@ -61,10 +61,10 @@ for eps in (0.1, 0.25, 0.5):
 # realizations and the Delta surrogate on their own seed streams, fits fresh
 # realizations, and counts how often |K_hat - K|_F exceeds the bound.
 print()
-for report, stats in run_bound_calibration(config):
+for report in run_bound_calibration(config):
     print(
         f"T={report.sample_count:<5d} eps={report.epsilon:<5} "
         f"Delta_hat {report.delta_hat:.3f}  bound {report.koopman_bound:.4f}  "
-        f"exceeded by {stats.violation_rate:.1%} ({stats.n_violations}/{stats.n_realizations})"
+        f"exceeded by {report.violation_rate:.1%} ({report.n_violations}/{report.n_realizations})"
     )
 print("bounds.csv in:", config.output_dir)

@@ -11,8 +11,6 @@ from .basis import (
     Dictionary,
     Domain,
     GramMatrix,
-    MonomialSpec,
-    dictionary_from_exponents,
     evaluate,
     evaluate_many,
     gauss_legendre_nodes,
@@ -25,10 +23,8 @@ from .basis import (
 from .bounds import (
     BoundReport,
     BoundTerms,
-    ViolationStats,
     bound_terms,
     koopman_error_bound,
-    make_bound_report,
 )
 from .dynamics import (
     ClosedQuadraticParams,
@@ -53,7 +49,6 @@ from .estimator import (
     accumulate,
     closure_check,
     estimate_koopman,
-    merge_moments,
     residuals,
     sample_floor,
 )

@@ -106,15 +106,6 @@ def monomial_name(exponents: Sequence[int]) -> str:
     return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class MonomialSpec:
-    """Full monomial basis of total degree <= max_degree on state_dim variables
-    (checked by :func:`grlex_exponents` when the dictionary is made)."""
-
-    state_dim: int
-    max_degree: int
-
-
 @dataclass(frozen=True, eq=False)  # compared by identity: its fields are arrays
 class Dictionary:
     """Ordered set of N monomials on an n-dimensional state, n >= 2.
@@ -192,14 +183,10 @@ class Dictionary:
         return out
 
 
-def dictionary_from_exponents(exponents) -> Dictionary:
-    """Monomial dictionary with an explicit (possibly partial) exponent list."""
-    return Dictionary(exponents)
-
-
-def make_monomial_dictionary(spec: MonomialSpec) -> Dictionary:
-    """Full graded-lex monomial dictionary for the given spec; constant first."""
-    return dictionary_from_exponents(grlex_exponents(spec.state_dim, spec.max_degree))
+def make_monomial_dictionary(state_dim: int, max_degree: int) -> Dictionary:
+    """Full graded-lex monomial dictionary of total degree <= max_degree on
+    state_dim variables; constant first."""
+    return Dictionary(grlex_exponents(state_dim, max_degree))
 
 
 def evaluate(dictionary: Dictionary, x) -> np.ndarray:
@@ -227,13 +214,15 @@ def evaluate_many(dictionary: Dictionary, xs) -> np.ndarray:
         raise ValueError(
             f"states must have shape (m, {dictionary.state_dim}), got {xs.shape}"
         )
-    out = dictionary.lift(xs)
+    # an overflow is reported once, by the check below, not also as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = dictionary.lift(xs)
     if not np.isfinite(out).all():
         raise ValueError("dictionary evaluation produced non-finite values")
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity: its fields are arrays
 class GramMatrix:
     """Symmetric positive-definite matrix of pairwise observable inner products.
 

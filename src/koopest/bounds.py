@@ -41,39 +41,38 @@ class BoundTerms:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Everything entering the high-probability bounds plus their values."""
+    """One ``bounds.csv`` row: the bounds at (T, epsilon) and how often the
+    realized errors exceeded the Koopman bound.
+
+    ``koopman_bound`` is :func:`koopman_error_bound` of ``delta_hat``,
+    ``epsilon``, ``sample_count`` and ``terms``; the transfer bound
+    ``pf_bound`` is it amplified by the Gram condition number ``cond_lambda``.
+    ``n_realizations`` counts the scored estimates, ``n_failed`` the
+    realizations that produced none.
+    """
 
     epsilon: float
     sample_count: int
-    n_basis: int
     delta_hat: float
-    mean_trace_sigma0: float
-    mean_frob_sq_inv_sigma0: float
+    terms: BoundTerms
     koopman_bound: float
     pf_bound: float
     cond_lambda: float
+    n_realizations: int
+    n_violations: int
+    n_failed: int
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
+        if self.n_realizations < 1:
+            raise ValueError("need at least one realization")
         if self.pf_bound < self.koopman_bound:
             raise ValueError("transfer-operator bound cannot undercut the Koopman bound")
 
-
-@dataclass(frozen=True)
-class ViolationStats:
-    """How often realized errors exceeded the computed bound."""
-
-    n_realizations: int
-    n_violations: int
-    violation_rate: float
-    n_failed: int = 0
-
-    def __post_init__(self):
-        if self.n_realizations < 1:
-            raise ValueError("need at least one realization")
-        if self.violation_rate != self.n_violations / self.n_realizations:
-            raise ValueError("violation_rate must equal n_violations / n_realizations")
+    @property
+    def violation_rate(self) -> float:
+        return self.n_violations / self.n_realizations
 
 
 def bound_terms(sigma0s) -> BoundTerms:
@@ -131,25 +130,3 @@ def koopman_error_bound(
         * np.sqrt(terms.mean_trace_sigma0 * terms.mean_frob_sq_inv_sigma0)
     )
 
-
-def make_bound_report(
-    epsilon: float,
-    T: int,
-    delta_hat: float,
-    terms: BoundTerms,
-    cond_lambda: float = 1.0,
-) -> BoundReport:
-    """Assemble the bound report; the transfer bound is the Koopman bound
-    amplified by the Gram condition number."""
-    kb = koopman_error_bound(delta_hat, epsilon, T, terms)
-    return BoundReport(
-        epsilon=float(epsilon),
-        sample_count=int(T),
-        n_basis=terms.n_basis,
-        delta_hat=float(delta_hat),
-        mean_trace_sigma0=terms.mean_trace_sigma0,
-        mean_frob_sq_inv_sigma0=terms.mean_frob_sq_inv_sigma0,
-        koopman_bound=kb,
-        pf_bound=kb * float(cond_lambda),
-        cond_lambda=float(cond_lambda),
-    )

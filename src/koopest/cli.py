@@ -115,12 +115,11 @@ def main(argv=None) -> int:
         return 1 if curve.any_invalid else 0
 
     if args.command == "bounds":
-        results = xp.run_bound_calibration(config, workers=args.workers)
-        for report, stats in results:
+        for report in xp.run_bound_calibration(config, workers=args.workers):
             print(
                 f"T={report.sample_count:>9d}  eps={report.epsilon:.2f}  "
-                f"bound={report.koopman_bound:.4e}  violation_rate={stats.violation_rate:.4f}  "
-                f"({stats.n_violations}/{stats.n_realizations})"
+                f"bound={report.koopman_bound:.4e}  violation_rate={report.violation_rate:.4f}  "
+                f"({report.n_violations}/{report.n_realizations})"
             )
         return 0
 

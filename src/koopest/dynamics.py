@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import Dictionary, Domain, dictionary_from_exponents, evaluate, evaluate_many
+from .basis import Dictionary, Domain, evaluate, evaluate_many
 from .seeding import make_rng
 
 GAUSSIAN_IID = "gaussian-iid"
@@ -107,10 +107,10 @@ class StochasticSystem:
     ``drift(x1, x2) -> (y1, y2)`` is the map T written once, in plain
     arithmetic on its two coordinates, so the same function steps Python
     floats (the simulator), ``(R,)`` arrays of lockstep trajectories and
-    arrays of states (``transition``).  It must multiply rather than use
-    ``**``, which raises on float overflow.  ``state_dim`` must be
-    ``STATE_DIM`` (2).  Systems are immutable and safe to share across
-    workers.
+    arrays of states (``transition``, the noiseless T(x); :func:`step_pairs`
+    adds the noise).  It must multiply rather than use ``**``, which raises
+    on float overflow.  ``state_dim`` must be ``STATE_DIM`` (2).  Systems are
+    immutable and safe to share across workers.
     """
 
     state_dim: int
@@ -133,13 +133,6 @@ class StochasticSystem:
             n = self.state_dim
             raise ValueError(f"state must have shape ({n},) or (m, {n}), got {x.shape}")
         return np.stack(self.drift(*x.T), axis=-1)
-
-    def step(self, x, rng: np.random.Generator | None = None) -> np.ndarray:
-        """One transition; with no rng (or silent noise) this is exactly T(x)."""
-        out = self.transition(x)
-        if self.noise.kind == NO_NOISE or rng is None:
-            return out
-        return out + self.noise.draw(rng, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -185,7 +178,7 @@ def make_closed_quadratic(
 
 def closed_quadratic_dictionary() -> Dictionary:
     """The four observables ``[1, x1, x2, x1^2]`` that close the benchmark map."""
-    return dictionary_from_exponents([[0, 0], [1, 0], [0, 1], [2, 0]])
+    return Dictionary([[0, 0], [1, 0], [0, 1], [2, 0]])
 
 
 def closed_quadratic_koopman(

@@ -55,23 +55,23 @@ class MomentPair:
     """Streaming second-moment matrices of lifted sample pairs.
 
     Internally keeps compensated running sums; the exposed ``sigma0_hat`` and
-    ``sigma1_hat`` are the sums renormalized by the current count.  Partial
-    accumulations over a partition of the data can be combined with
-    :func:`merge_moments` and agree with a single pass to roundoff.
+    ``sigma1_hat`` are the sums renormalized by the current count.  The parts
+    of a partition of the data, accumulated in sequence, agree with a single
+    pass to roundoff.
     """
 
-    def __init__(self, n_basis: int, names=None):
+    def __init__(self, n_basis: int, names):
         if n_basis < 1:
             raise ValueError("n_basis must be positive")
         self.n_basis = n_basis
-        self.names = tuple(names) if names is not None else None
+        self.names = tuple(names)
         self.count = 0
         self.seed = None  # provenance: seed of the first absorbed sample set
         self._sums = np.zeros((4, n_basis, n_basis))  # S0, comp0, S1, comp1
 
     @classmethod
     def empty(cls, dictionary: Dictionary) -> "MomentPair":
-        return cls(dictionary.n_basis, names=dictionary.names)
+        return cls(dictionary.n_basis, dictionary.names)
 
     @property
     def sigma0_hat(self) -> np.ndarray:
@@ -84,13 +84,6 @@ class MomentPair:
         if self.count == 0:
             raise ValueError("no samples absorbed yet")
         return (self._sums[2] - self._sums[3]) / self.count
-
-    def absorb_lifted(self, psi_x: np.ndarray, psi_y: np.ndarray) -> None:
-        """Add one block of lifted pairs to the running sums."""
-        if psi_x.shape != psi_y.shape or psi_x.shape[1] != self.n_basis:
-            raise ValueError("lifted blocks must have shape (m, n_basis)")
-        add_moments(self._sums, psi_x, psi_y)
-        self.count += psi_x.shape[0]
 
 
 def _lifted_pairs(dictionary: Dictionary, samples: SampleSet):
@@ -115,24 +108,11 @@ def accumulate(
     if moments.n_basis != dictionary.n_basis:
         raise ValueError("moment dimension does not match the dictionary")
     for psi_x, psi_y in _lifted_pairs(dictionary, samples):
-        moments.absorb_lifted(psi_x, psi_y)
-    if moments.names is None:
-        moments.names = dictionary.names
+        add_moments(moments._sums, psi_x, psi_y)
+        moments.count += len(psi_x)
     if moments.seed is None:
         moments.seed = samples.seed
     return moments
-
-
-def merge_moments(a: MomentPair, b: MomentPair) -> MomentPair:
-    """Combine two partial accumulations; equals absorbing their union."""
-    if a.n_basis != b.n_basis:
-        raise ValueError("moment pairs have different dimensions")
-    out = MomentPair(a.n_basis, names=a.names if a.names is not None else b.names)
-    out.count = a.count + b.count
-    out.seed = a.seed if a.seed is not None else b.seed
-    out._sums = a._sums.copy()
-    _kahan_add(out._sums[0::2], out._sums[1::2], b._sums[0::2] - b._sums[1::2])
-    return out
 
 
 @dataclass(frozen=True)
@@ -203,9 +183,8 @@ def estimate_koopman(moments: MomentPair) -> OperatorEstimate:
             f"least-squares estimation requires more than 2N+2 = {sample_floor(n)} "
             f"samples for N = {n}; got {moments.count}"
         )
-    names = moments.names if moments.names is not None else tuple(f"psi{i+1}" for i in range(n))
     (est,) = estimate_stack(moments.sigma0_hat[None], moments.sigma1_hat[None],
-                            moments.count, names, [moments.seed])
+                            moments.count, moments.names, [moments.seed])
     if est.fallback:
         warnings.warn(
             f"moment matrix numerically singular (condition {est.condition_sigma0:.3e}); "

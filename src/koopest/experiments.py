@@ -24,19 +24,11 @@ from .basis import (
     DEFAULT_QUADRATURE_ORDER,
     Dictionary,
     Domain,
-    MonomialSpec,
     evaluate_many,
     gram,
     make_monomial_dictionary,
 )
-from .bounds import (
-    VIOLATION_ATOL,
-    bound_terms,
-    koopman_error_bound,
-    make_bound_report,
-    BoundReport,
-    ViolationStats,
-)
+from .bounds import VIOLATION_ATOL, BoundReport, bound_terms, koopman_error_bound
 from .dynamics import (
     BLOCK,
     DEFAULT_DIVERGENCE_NORM,
@@ -98,18 +90,27 @@ def derive_seed(base_seed: int, T: int, realization_index: int) -> int:
     return mix_seed(base_seed, T, realization_index)
 
 
+def _is_number(value, kind) -> bool:
+    """Whether ``value`` is an integer (``kind`` int) or a real number (float);
+    a bool or a string is neither."""
+    abc = numbers.Integral if kind is int else numbers.Real
+    return isinstance(value, abc) and not isinstance(value, bool)
+
+
 def _numbers(key: str, values, kind) -> tuple:
     """``kind`` of each entry; input it rejects raises ValueError naming the key."""
+    what = "integers" if kind is int else "numbers"
     try:
-        return tuple(kind(v) for v in values)
-    except (TypeError, ValueError, OverflowError):
-        what = "integers" if kind is int else "numbers"
-        raise ValueError(f"{key} must be a list of {what}, got {values!r}") from None
+        if all(_is_number(v, kind) for v in values):
+            return tuple(kind(v) for v in values)
+    except (TypeError, OverflowError):  # not a list, or an integer too large for a float
+        pass
+    raise ValueError(f"{key} must be a list of {what}, got {values!r}")
 
 
 def _count(key: str, value, least: int) -> int:
     """``value`` as an int of at least ``least``; else ValueError naming the key."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+    if not _is_number(value, int) or value < least:
         raise ValueError(f"{key} must be an integer of at least {least}, got {value!r}")
     return int(value)
 
@@ -150,10 +151,9 @@ class ExperimentConfig:
             ("domain_upper", "domain.upper", float),
         ):
             object.__setattr__(self, name, _numbers(key, getattr(self, name), kind))
-        try:
-            object.__setattr__(self, "base_seed", int(self.base_seed))
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}") from None
+        if not _is_number(self.base_seed, int):
+            raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
+        object.__setattr__(self, "base_seed", int(self.base_seed))
         # two term realizations and two closure draws give a standard error
         for key, least in (("n_realizations", 1), ("n_term_realizations", 2),
                            ("reference_T_factor", 1), ("closure_n_mc", 2),
@@ -165,14 +165,13 @@ class ExperimentConfig:
                                      ("dict_max_degree", "dictionary.max_degree", 0)):
                 object.__setattr__(self, name, _count(key, getattr(self, name), least))
         override = self.delta_hat_override
-        if override is not None and (isinstance(override, bool)
-                                     or not isinstance(override, numbers.Real)
+        if override is not None and (not _is_number(override, float)
                                      or not 0.0 <= override < math.inf):
             raise ValueError(
                 f"delta_hat_override must be null or a finite number >= 0, got {override!r}"
             )
         limit = self.divergence_threshold
-        if isinstance(limit, bool) or not isinstance(limit, numbers.Real) or not limit > 0:
+        if not _is_number(limit, float) or not limit > 0:
             raise ValueError(f"divergence_threshold must be a positive number, got {limit!r}")
         if not self.T_grid:
             raise ValueError("T_grid must not be empty")
@@ -219,9 +218,7 @@ def build_dictionary(config: ExperimentConfig) -> Dictionary:
     if config.dictionary_kind == "closed-quadratic":
         return closed_quadratic_dictionary()
     if config.dictionary_kind == "monomial":
-        return make_monomial_dictionary(
-            MonomialSpec(config.dict_state_dim, config.dict_max_degree)
-        )
+        return make_monomial_dictionary(config.dict_state_dim, config.dict_max_degree)
     raise ValueError(f"unknown dictionary kind {config.dictionary_kind!r}")
 
 
@@ -233,11 +230,10 @@ def _system_params(config: ExperimentConfig) -> dict:
             if not isinstance(value, bool):
                 raise ValueError(f"system.params.standard_vdp must be true or false, got {value!r}")
             params[key] = value
-            continue
-        try:
+        elif _is_number(value, float):
             params[key] = float(value)
-        except (TypeError, ValueError):
-            raise ValueError(f"system.params.{key} must be a number, got {value!r}") from None
+        else:
+            raise ValueError(f"system.params.{key} must be a number, got {value!r}")
     return params
 
 
@@ -303,13 +299,13 @@ def config_from_dict(data: dict, **overrides) -> ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown key {unknown[0]!r} in {where}")
     kind = system.get("kind", "closed-quadratic")
-    default_std = [0.01, 0.01] if kind == "vanderpol" else [1.0, 1.0]
+    std = noise.get("std", [0.01, 0.01] if kind == "vanderpol" else [1.0, 1.0])
     flat = dict(
         label=data.get("label", kind),
         system_kind=kind,
         system_params=dict(system.get("params", {})),
         noise_kind=noise.get("kind", "gaussian-iid"),
-        noise_std=tuple(np.atleast_1d(noise.get("std", default_std)).tolist()),
+        noise_std=std if isinstance(std, (list, tuple)) else [std],  # a scalar std serves both axes
         dictionary_kind=dictionary.get("kind", "monomial"),
         dict_state_dim=dictionary.get("state_dim"),
         dict_max_degree=dictionary.get("max_degree"),
@@ -579,7 +575,7 @@ def _write_sweep_outputs(config, curve, results):
     write_sidecar(
         os.path.join(out, "sweep.meta.json"),
         {
-            "config": _config_meta(config),
+            "config": asdict(config),
             "reference": curve.reference,
             "fitted_slope": None if math.isnan(curve.fitted_slope) else curve.fitted_slope,
             "slope_stderr": None if math.isnan(curve.slope_stderr) else curve.slope_stderr,
@@ -591,15 +587,7 @@ def _write_sweep_outputs(config, curve, results):
     )
 
 
-def _config_meta(config: ExperimentConfig) -> dict:
-    data = asdict(config)
-    data["T_grid"] = [int(t) for t in config.T_grid]
-    return data
-
-
-def run_bound_calibration(
-    config: ExperimentConfig, workers: int = 1
-) -> list[tuple[BoundReport, ViolationStats]]:
+def run_bound_calibration(config: ExperimentConfig, workers: int = 1) -> list[BoundReport]:
     """Evaluate the error bound and its empirical violation rate on a grid.
 
     Fits, for the whole grid in one parallel map, ``n_realizations`` scored
@@ -607,8 +595,9 @@ def run_bound_calibration(
     expectation terms per T.  Then for each T: reduces the term
     realizations' moment matrices, fits the residual-variance surrogate on
     one trajectory simulated once (unless the config overrides it), and
-    scores the estimates against the bound for every epsilon.  Writes one
-    ``bounds.csv`` row per (T, epsilon).  Needs a ground-truth operator.
+    scores the estimates against the bound for every epsilon.  Returns and
+    writes one ``bounds.csv`` row per (T, epsilon).  Needs a ground-truth
+    operator.
     """
     if not has_true_koopman(config):
         raise ValueError("bound calibration needs a ground-truth operator")
@@ -628,8 +617,7 @@ def run_bound_calibration(
     ]
     fits = _fit_groups(config, groups, workers)
 
-    rows = []
-    results: list[tuple[BoundReport, ViolationStats]] = []
+    reports = []
     for i, T in enumerate(config.T_grid):
         scored, term_fits = fits[2 * i], fits[2 * i + 1]
         for fit in term_fits:
@@ -658,39 +646,33 @@ def run_bound_calibration(
         for eps in config.epsilon_list:
             bound = koopman_error_bound(delta_hat, eps, T, terms)
             n_viol = int(np.sum(errors > bound + VIOLATION_ATOL))
-            stats = ViolationStats(
-                n_realizations=int(errors.size),
-                n_violations=n_viol,
-                violation_rate=n_viol / errors.size,
-                n_failed=n - errors.size,
-            )
-            report = make_bound_report(eps, T, delta_hat, terms, cond_lambda)
-            results.append((report, stats))
-            rows.append(
-                [config.label, T]
-                + [fmt(v) for v in (eps, delta_hat, terms.mean_trace_sigma0,
-                                    terms.mean_frob_sq_inv_sigma0, report.koopman_bound,
-                                    report.pf_bound, stats.violation_rate)]
-            )
+            reports.append(BoundReport(eps, T, delta_hat, terms, bound, bound * cond_lambda,
+                                       cond_lambda, errors.size, n_viol, n - errors.size))
 
     out = config.output_dir
     _write_rows(
         os.path.join(out, "bounds.csv"),
         ["label", "T", "epsilon", "delta_hat", "mean_trace_sigma0", "mean_frob_sq_inv_sigma0",
          "koopman_bound", "pf_bound", "violation_rate"],
-        rows,
+        [
+            [config.label, r.sample_count]
+            + [fmt(v) for v in (r.epsilon, r.delta_hat, r.terms.mean_trace_sigma0,
+                                r.terms.mean_frob_sq_inv_sigma0, r.koopman_bound,
+                                r.pf_bound, r.violation_rate)]
+            for r in reports
+        ],
     )
     write_sidecar(
         os.path.join(out, "bounds.meta.json"),
         {
-            "config": _config_meta(config),
+            "config": asdict(config),
             "cond_lambda": cond_lambda,
             "delta_hat_source": "override"
             if config.delta_hat_override is not None
             else "max per-observable mean squared residual of one fitted run per T",
         },
     )
-    return results
+    return reports
 
 
 def run_pf_pipeline(config: ExperimentConfig, workers: int = 1):

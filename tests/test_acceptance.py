@@ -17,7 +17,6 @@ import pytest
 from koopest import (
     ClosedQuadraticParams,
     MomentPair,
-    MonomialSpec,
     NoiseModel,
     SampleFloorError,
     accumulate,
@@ -125,7 +124,7 @@ def test_c04_markov_calibration(tmp_path):
         output_dir=str(tmp_path),
     )
     results = run_bound_calibration(cfg)
-    rates = {report.epsilon: stats.violation_rate for report, stats in results}
+    rates = {report.epsilon: report.violation_rate for report in results}
     elapsed = time.perf_counter() - t0
     ok = all(rate <= eps for eps, rate in rates.items()) and elapsed < 300.0
     gate(
@@ -200,7 +199,7 @@ def test_c08_closure_diagnostics():
     )
     closed_ok = bool((defects <= 3.0 * floors + 1e-12).all())
 
-    dct6 = make_monomial_dictionary(MonomialSpec(2, 2))
+    dct6 = make_monomial_dictionary(2, 2)
     vdp = make_vanderpol(1e-4, noise=NoiseModel.none(2))
     vdp_defects = closure_check(dct6, vdp, n_states=40, n_mc=1, seed=802)
     open_ok = bool(vdp_defects.max() > 1e-9)

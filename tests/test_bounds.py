@@ -4,13 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koopest import (
+    BoundReport,
     BoundTerms,
     SampleFloorError,
-    ViolationStats,
     bound_terms,
     evaluate_many,
     koopman_error_bound,
-    make_bound_report,
     make_closed_quadratic,
     mix_seed,
     run_bound_calibration,
@@ -171,17 +170,18 @@ class TestErrorBound:
 
 
 class TestBoundReport:
+    TERMS = BoundTerms(6.0, 5.0, 0.1, 0.1, 4, 50)
+
     def test_recomputable_and_dominated(self):
-        terms = BoundTerms(6.0, 5.0, 0.1, 0.1, 4, 50)
-        report = make_bound_report(0.25, 1000, 2.0, terms, cond_lambda=14.0)
-        recomputed = (
-            np.sqrt(report.delta_hat)
-            / (report.epsilon * np.sqrt(report.sample_count))
-            * np.sqrt(report.mean_trace_sigma0 * report.mean_frob_sq_inv_sigma0)
-        )
-        assert report.koopman_bound == pytest.approx(recomputed, rel=1e-12)
+        bound = koopman_error_bound(2.0, 0.25, 1000, self.TERMS)
+        assert bound == pytest.approx(np.sqrt(2.0) / (0.25 * np.sqrt(1000)) * np.sqrt(30.0),
+                                      rel=1e-12)
+        report = BoundReport(0.25, 1000, 2.0, self.TERMS, bound, 14.0 * bound, 14.0, 10, 2, 0)
         assert report.pf_bound >= report.koopman_bound
-        assert report.pf_bound == pytest.approx(report.koopman_bound * 14.0, rel=1e-12)
+        with pytest.raises(ValueError, match="undercut"):
+            BoundReport(0.25, 1000, 2.0, self.TERMS, bound, 0.5 * bound, 0.5, 10, 2, 0)
+        with pytest.raises(ValueError, match="epsilon"):
+            BoundReport(1.0, 1000, 2.0, self.TERMS, bound, bound, 1.0, 10, 2, 0)
 
 
 class TestViolationRate:
@@ -203,10 +203,16 @@ class TestViolationRate:
         )
         results = run_bound_calibration(cfg)
         assert len(results) == 1
-        for _, stats in results:
-            assert stats.n_violations == 0
-            assert stats.violation_rate == 0.0
+        for report in results:
+            assert report.n_violations == 0
+            assert report.violation_rate == 0.0
 
     def test_stats_invariant(self):
-        with pytest.raises(ValueError):
-            ViolationStats(n_realizations=10, n_violations=2, violation_rate=0.5)
+        # the rate is derived from the counts, never stored beside them
+        terms = TestBoundReport.TERMS
+        report = BoundReport(0.5, 100, 1.0, terms, 1.0, 1.0, 1.0, 10, 2, 1)
+        assert report.violation_rate == 0.2
+        with pytest.raises(AttributeError):
+            report.violation_rate = 0.5
+        with pytest.raises(ValueError, match="at least one realization"):
+            BoundReport(0.5, 100, 1.0, terms, 1.0, 1.0, 1.0, 0, 0, 10)

@@ -34,11 +34,11 @@ class TestClosedQuadratic:
     def test_noiseless_step(self, baseline_params):
         system = noiseless_quadratic(baseline_params)
         # hand evaluation: (rho^2 - mu) * c * 1 = 0.04 - 0.3
-        np.testing.assert_allclose(system.step([1.0, 0.0]), [0.2, -0.26])
+        np.testing.assert_allclose(system.transition([1.0, 0.0]), [0.2, -0.26])
 
     def test_origin_fixed_point(self, baseline_params):
         system = noiseless_quadratic(baseline_params)
-        np.testing.assert_array_equal(system.step(np.zeros(2)), np.zeros(2))
+        np.testing.assert_array_equal(system.transition(np.zeros(2)), np.zeros(2))
 
     def test_strong_parameters_accepted(self, strong_params):
         system = make_closed_quadratic(strong_params)
@@ -115,18 +115,18 @@ class TestGroundTruthKoopman:
 class TestVanDerPol:
     def test_origin_fixed_point(self):
         system = make_vanderpol(1e-4, noise=NoiseModel.none(2))
-        np.testing.assert_array_equal(system.step(np.zeros(2)), np.zeros(2))
+        np.testing.assert_array_equal(system.transition(np.zeros(2)), np.zeros(2))
 
     def test_drift_as_printed(self):
         system = make_vanderpol(1e-4, noise=NoiseModel.none(2))
-        np.testing.assert_allclose(system.step([1.0, 1.0]), [1.0001, 1.0 - 0.0001])
+        np.testing.assert_allclose(system.transition([1.0, 1.0]), [1.0001, 1.0 - 0.0001])
 
     def test_standard_variant_differs(self):
         printed = make_vanderpol(0.01, noise=NoiseModel.none(2))
         textbook = make_vanderpol(0.01, noise=NoiseModel.none(2), standard_vdp=True)
         # at (2, 1): printed x2 drift (1-4)*2-2 = -8, textbook (1-4)*1-2 = -5
-        np.testing.assert_allclose(printed.step([2.0, 1.0]), [2.01, 1.0 - 0.08])
-        np.testing.assert_allclose(textbook.step([2.0, 1.0]), [2.01, 1.0 - 0.05])
+        np.testing.assert_allclose(printed.transition([2.0, 1.0]), [2.01, 1.0 - 0.08])
+        np.testing.assert_allclose(textbook.transition([2.0, 1.0]), [2.01, 1.0 - 0.05])
 
     def test_requires_positive_dt(self):
         with pytest.raises(ValueError):

@@ -21,8 +21,6 @@ from koopest import (
     make_closed_quadratic,
     make_monomial_dictionary,
     make_vanderpol,
-    merge_moments,
-    MonomialSpec,
     residuals,
     simulate,
     evaluate_many,
@@ -91,13 +89,10 @@ class TestMomentAccumulation:
         ss = simulate(system, np.zeros(2), 5000, seed=44)
         whole = accumulate(MomentPair.empty(dct), dct, ss)
         cuts = [0, 17, 1203, 1204, 4999, 5000]
-        parts = []
+        merged = MomentPair.empty(dct)
         for a, b in zip(cuts[:-1], cuts[1:]):
             sub = SampleSet(ss.xs[a:b], ss.ys[a:b], "single-trajectory", ss.seed)
-            parts.append(accumulate(MomentPair.empty(dct), dct, sub))
-        merged = parts[0]
-        for p in parts[1:]:
-            merged = merge_moments(merged, p)
+            accumulate(merged, dct, sub)
         assert merged.count == whole.count
         np.testing.assert_allclose(merged.sigma0_hat, whole.sigma0_hat, rtol=1e-13)
         np.testing.assert_allclose(merged.sigma1_hat, whole.sigma1_hat, rtol=1e-13)
@@ -110,11 +105,10 @@ class TestMomentAccumulation:
         ss = simulate(system, np.zeros(2), 3000, seed=45)
         whole = accumulate(MomentPair.empty(dct), dct, ss)
         cuts = [0, *sorted(inner_cuts), 3000]
-        merged = None
+        merged = MomentPair.empty(dct)
         for a, b in zip(cuts[:-1], cuts[1:]):
             sub = SampleSet(ss.xs[a:b], ss.ys[a:b], "single-trajectory", ss.seed)
-            part = accumulate(MomentPair.empty(dct), dct, sub)
-            merged = part if merged is None else merge_moments(merged, part)
+            accumulate(merged, dct, sub)
         assert merged.count == whole.count
         np.testing.assert_allclose(merged.sigma0_hat, whole.sigma0_hat, rtol=1e-13)
         np.testing.assert_allclose(merged.sigma1_hat, whole.sigma1_hat, rtol=1e-13)
@@ -122,28 +116,16 @@ class TestMomentAccumulation:
     def test_merge_order_insensitive(self, baseline_params):
         dct = closed_quadratic_dictionary()
         system = make_closed_quadratic(baseline_params)
-        a = accumulate(
-            MomentPair.empty(dct), dct, simulate(system, np.zeros(2), 400, seed=1)
-        )
-        b = accumulate(
-            MomentPair.empty(dct), dct, simulate(system, np.zeros(2), 600, seed=2)
-        )
-        ab = merge_moments(a, b)
-        ba = merge_moments(b, a)
+        a = simulate(system, np.zeros(2), 400, seed=1)
+        b = simulate(system, np.zeros(2), 600, seed=2)
+        ab = accumulate(accumulate(MomentPair.empty(dct), dct, a), dct, b)
+        ba = accumulate(accumulate(MomentPair.empty(dct), dct, b), dct, a)
         np.testing.assert_allclose(ab.sigma0_hat, ba.sigma0_hat, rtol=1e-13)
-
-    def test_merge_leaves_its_inputs_alone(self, baseline_params):
-        dct = closed_quadratic_dictionary()
-        system = make_closed_quadratic(baseline_params)
-        a = accumulate(MomentPair.empty(dct), dct, simulate(system, np.zeros(2), 40, seed=3))
-        b = accumulate(MomentPair.empty(dct), dct, simulate(system, np.zeros(2), 60, seed=4))
-        before = a.sigma0_hat.tobytes(), a.sigma1_hat.tobytes(), a.count
-        ab = merge_moments(a, b)
-        assert (a.sigma0_hat.tobytes(), a.sigma1_hat.tobytes(), a.count) == before
-        assert (ab.count, ab.seed, ab.names) == (100, 3, dct.names)
+        np.testing.assert_allclose(ab.sigma1_hat, ba.sigma1_hat, rtol=1e-13)
+        assert (ab.count, ab.seed, ba.seed, ab.names) == (1000, 1, 2, dct.names)
 
     def test_dimension_mismatch(self, baseline_params):
-        dct = make_monomial_dictionary(MonomialSpec(3, 1))
+        dct = make_monomial_dictionary(3, 1)
         system = make_closed_quadratic(baseline_params)
         ss = simulate(system, np.zeros(2), 10, seed=0)
         with pytest.raises(ValueError, match="dimension"):
@@ -245,7 +227,7 @@ class TestEstimateKoopman:
 def _dictionary(max_degree):
     if max_degree is None:
         return closed_quadratic_dictionary()  # N = 4
-    return make_monomial_dictionary(MonomialSpec(2, max_degree))
+    return make_monomial_dictionary(2, max_degree)
 
 
 class TestEstimateStack:
@@ -255,7 +237,7 @@ class TestEstimateStack:
         "max_degree, m", [(None, 21), (None, 200), (2, 4097), (4, 50), (4, BLOCK)],
         ids=["N=4-m=21", "N=4-m=200", "N=6-m=4097", "N=15-m=50", "N=15-m=BLOCK"],
     )
-    def test_stacked_sums_match_absorb_lifted(self, baseline_params, max_degree, m):
+    def test_stacked_sums_match_accumulate(self, baseline_params, max_degree, m):
         dct = _dictionary(max_degree)
         system = make_closed_quadratic(baseline_params)
         trajectories = [simulate(system, None, m, seed=s, domain=unit_box(2)) for s in (5, 6, 7)]
@@ -403,7 +385,7 @@ class TestClosureCheck:
     def test_vanderpol_not_closed(self):
         # exact propagation (silent noise): cubic drift terms leave the span
         system = make_vanderpol(1e-4, noise=NoiseModel.none(2))
-        dct = make_monomial_dictionary(MonomialSpec(2, 2))
+        dct = make_monomial_dictionary(2, 2)
         defects = closure_check(dct, system, n_states=40, n_mc=1, seed=20)
         assert defects.max() > 1e-9
         # x2 picks up the pure cubic term; x1^2 stays inside the span
@@ -412,6 +394,6 @@ class TestClosureCheck:
 
     def test_constant_dictionary_closed(self, baseline_params):
         system = make_closed_quadratic(baseline_params)
-        dct = make_monomial_dictionary(MonomialSpec(2, 0))
+        dct = make_monomial_dictionary(2, 0)
         defects = closure_check(dct, system, n_states=5, n_mc=10, seed=21)
         assert defects[0] == 0.0

@@ -43,6 +43,14 @@ from koopest.experiments import (
 )
 
 CLOSED_QUADRATIC = {"kind": "closed-quadratic", "params": {"rho": 0.2, "mu": 0.3, "c": 1.0}}
+# a valid value of each config section, by its dotted key
+SECTIONS = {
+    "dictionary": {"kind": "monomial", "state_dim": 2, "max_degree": 2},
+    "system": CLOSED_QUADRATIC,
+    "system.params": CLOSED_QUADRATIC["params"],
+    "system.noise": {"kind": "gaussian-iid", "std": [1.0, 1.0]},
+    "domain": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+}
 
 
 class TestDeriveSeed:
@@ -226,22 +234,39 @@ class TestConfig:
             ("delta_hat_override", float("nan")),
             ("delta_hat_override", float("inf")),
             ("delta_hat_override", True),
+            ("T_grid", [200.7, 400]),
+            ("T_grid", [1.0e3, 2000]),
+            ("base_seed", 1.5),
+            ("base_seed", True),
+            ("system.params.rho", True),
+            ("system.params.c", "1.0"),
+            ("system.noise.std", True),
+            ("system.noise.std", [1.0, True]),
+            ("system.noise.std", ["1.0", 1.0]),
+            ("epsilon_list", [0.1, "0.5"]),
+            ("epsilon_list", [True]),
+            ("domain.lower", ["-1", -1.0]),
+            ("domain.upper", [1.0, True]),
         ],
         ids=["quadrature-zero", "quadrature-fraction", "closure-one-draw", "closure-below-N",
              "threshold-negative", "threshold-text", "reference-zero", "realizations-text",
              "state-dim-text", "state-dim-one", "degree-fraction", "degree-bool",
              "override-negative", "override-text", "override-nan", "override-inf",
-             "override-bool"],
+             "override-bool", "T_grid-fraction", "T_grid-float", "seed-fraction", "seed-bool",
+             "rho-bool", "c-text", "std-bool", "std-bool-entry", "std-text", "epsilon-text",
+             "epsilon-bool", "lower-text", "upper-bool"],
     )
     def test_bad_count_or_threshold_named(self, smoke_config, key, value):
         # each used to load, then fail late (a bare TypeError, a failed quadrature,
         # -1 as delta_hat after every fit) or run silently wrong (NaN closure
-        # floors, every fit diverged, degree 1, a NaN bound that no error exceeds)
+        # floors, every fit diverged, degree 1, a NaN bound that no error exceeds,
+        # T = 200.7 run as 200, a bool or a string read as a number)
         section, _, leaf = key.rpartition(".")
-        if section:  # a size of a monomial dictionary
-            value = {"kind": "monomial", "state_dim": 2, "max_degree": 2, leaf: value}
+        while section:  # the value replaces one key of a valid section
+            value = {**SECTIONS[section], leaf: value}
+            section, _, leaf = section.rpartition(".")
         with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be "):
-            smoke_config(**{section or key: value})
+            smoke_config(**{leaf: value})
 
     def test_delta_hat_override_takes_a_finite_nonnegative_number(self, smoke_config):
         for value in (None, 0, 2.5):
@@ -529,8 +554,8 @@ class TestRunBoundCalibration:
         cfg = smoke_config(epsilon_list=[0.1, 0.5])
         results = run_bound_calibration(cfg)
         assert len(results) == len(cfg.T_grid) * 2
-        for report, stats in results:
-            assert stats.violation_rate <= report.epsilon
+        for report in results:
+            assert report.violation_rate <= report.epsilon
             assert report.pf_bound >= report.koopman_bound
         path = os.path.join(cfg.output_dir, "bounds.csv")
         with open(path) as fh:
@@ -544,7 +569,7 @@ class TestRunBoundCalibration:
         cfg = smoke_config(epsilon_list=[0.1, 0.5])
         results = run_bound_calibration(cfg)
         by_t = {}
-        for report, _ in results:
+        for report in results:
             by_t.setdefault(report.sample_count, {})[report.epsilon] = report
         for t, reports in by_t.items():
             assert reports[0.1].koopman_bound == pytest.approx(
@@ -571,11 +596,11 @@ class TestRunBoundCalibration:
         )
         results = run_bound_calibration(cfg)
         assert len(results) == 2
-        for report, stats in results:
+        for report in results:
             # bound collapses to solver roundoff scale without noise
             assert report.koopman_bound <= 1e-6
-            assert stats.n_violations == 0
-            assert stats.violation_rate == 0.0
+            assert report.n_violations == 0
+            assert report.violation_rate == 0.0
 
     def test_diverging_term_realization_named(self, smoke_config):
         # the pure doubling map leaves the config's threshold of 1e4 long
@@ -621,10 +646,10 @@ class TestRunBoundCalibration:
             epsilon_list=[0.25, 0.5, 0.99],
         )
         results = run_bound_calibration(cfg)
-        assert [report.epsilon for report, _ in results] == [0.25, 0.5, 0.99]
-        for report, stats in results:
-            assert stats.n_realizations + stats.n_failed == 100
-            assert stats.violation_rate <= report.epsilon
+        assert [report.epsilon for report in results] == [0.25, 0.5, 0.99]
+        for report in results:
+            assert report.n_realizations + report.n_failed == 100
+            assert report.violation_rate <= report.epsilon
 
 
 class TestRunPFPipeline:

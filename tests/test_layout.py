@@ -27,6 +27,13 @@ every CSV body with ``np.loadtxt``, never ``genfromtxt``.  Every
 ``io.save_*`` writes its CSV through the one helper ``io._write_rows``, the
 only code that makes a ``csv.writer``, so numbers are formatted one way and
 string cells such as labels keep ``csv`` quoting.
+No concept sits behind a pass-through wrapper: a monomial dictionary is made
+from its two ints or its exponent table (no ``MonomialSpec`` or
+``dictionary_from_exponents``), ``accumulate`` is the only way into a
+``MomentPair`` (no ``merge_moments`` or ``absorb_lifted``), a ``bounds.csv``
+row is one ``BoundReport`` (no ``ViolationStats`` or ``make_bound_report``),
+and a system's noiseless map is ``transition``, its noisy step
+``step_pairs`` (``StochasticSystem`` has no ``step``).
 """
 
 import ast
@@ -266,3 +273,24 @@ def test_every_save_writes_through_one_helper():
                 todo.append(callee)
         assert "_write_rows" in reached, name
     assert _callers("writer") == {"io._write_rows"}
+
+
+def test_no_pass_through_wrappers():
+    deleted = {"MonomialSpec", "dictionary_from_exponents", "merge_moments", "absorb_lifted",
+               "ViolationStats", "make_bound_report", "_config_meta"}
+    defined = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(_parse(path.stem))
+        if (isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name in deleted)
+        or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id in deleted)
+    ]
+    assert defined == []
+    (system,) = [
+        node
+        for node in _parse("dynamics").body
+        if isinstance(node, ast.ClassDef) and node.name == "StochasticSystem"
+    ]
+    methods = {node.name for node in system.body if isinstance(node, ast.FunctionDef)}
+    assert "transition" in methods and "step" not in methods

@@ -25,17 +25,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from koopest import (
-    MonomialSpec,
+    Dictionary,
     closed_quadratic_dictionary,
-    dictionary_from_exponents,
     evaluate_many,
     make_monomial_dictionary,
 )
 
 DICTIONARIES = {
     "closed-quadratic": closed_quadratic_dictionary,
-    "monomial-2": lambda: make_monomial_dictionary(MonomialSpec(2, 2)),
-    "monomial-4": lambda: make_monomial_dictionary(MonomialSpec(2, 4)),
+    "monomial-2": lambda: make_monomial_dictionary(2, 2),
+    "monomial-4": lambda: make_monomial_dictionary(2, 4),
 }
 ROWS = (1, 21, 65_573)
 
@@ -86,7 +85,7 @@ def _monomial_case(draw):
 @given(_monomial_case())
 def test_monomial_columns_equal_the_per_observable_form(case):
     exponents, xs = case
-    out = evaluate_many(dictionary_from_exponents(exponents), xs)
+    out = evaluate_many(Dictionary(exponents), xs)
     for j, e in enumerate(np.asarray(exponents, dtype=float)):
         column = np.prod(xs**e, axis=-1)
         assert np.ascontiguousarray(out[:, j]).tobytes() == column.tobytes()
@@ -96,4 +95,4 @@ def test_monomial_columns_equal_the_per_observable_form(case):
 def test_fewer_than_two_coordinates_rejected(exponents):
     width = np.shape(exponents)[1]
     with pytest.raises(ValueError, match=rf"at least 2 columns .*, got {width}$"):
-        dictionary_from_exponents(exponents)
+        Dictionary(exponents)

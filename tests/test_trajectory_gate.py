@@ -24,7 +24,6 @@ from koopest import (
     make_closed_quadratic,
     make_monomial_dictionary,
     make_vanderpol,
-    MonomialSpec,
     simulate,
     step_pairs,
     unit_box,
@@ -77,7 +76,7 @@ def _hashes(kind):
     pairs = step_pairs(system, states, seed=77)
 
     quiet = SYSTEMS[kind](NoiseModel.none(2))
-    dictionary = make_monomial_dictionary(MonomialSpec(2, 2))
+    dictionary = make_monomial_dictionary(2, 2)
     coeffs = np.array([0.5, -1.0, 2.0, 0.25, -0.75, 1.5])
     values = [
         koopman_apply_mc(quiet, dictionary, coeffs, x, n_mc=3, seed=i)
