@@ -47,8 +47,10 @@ class Domain:
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise ValueError("lower and upper must be 1-D vectors of the same length")
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise ValueError("domain bounds must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            width = hi - lo
+        if not (np.isfinite(lo).all() and np.isfinite(width).all()):  # so hi is finite too
+            raise ValueError("domain bounds and widths must be finite")
         if not np.all(lo < hi):
             raise ValueError("domain must satisfy lower[i] < upper[i] for all i")
         object.__setattr__(self, "lower", lo)
@@ -63,10 +65,11 @@ class Domain:
         return float(np.prod(self.upper - self.lower))
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        """Uniform draws; shape ``(dim,)`` for size=None else ``(size, dim)``."""
-        if size is None:
-            return rng.uniform(self.lower, self.upper)
-        return rng.uniform(self.lower, self.upper, size=(size, self.dim))
+        """Uniform draws; shape ``(dim,)`` for size=None else ``(size, dim)``.
+        Bit-equal to ``rng.uniform(lower, upper, size)``, the same operations
+        on the same draws, without its per-call argument broadcasting."""
+        shape = (self.dim,) if size is None else (size, self.dim)
+        return self.lower + (self.upper - self.lower) * rng.random(shape)
 
 
 def unit_box(dim: int) -> Domain:

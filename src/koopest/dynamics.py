@@ -91,13 +91,13 @@ class NoiseModel:
         return rng.normal(0.0, 1.0, size=(m, self.dim)) * self.std_dev
 
     def density(self, v) -> np.ndarray:
-        """Product-Gaussian probability density evaluated at rows of v."""
+        """Product-Gaussian probability density of each state (last axis) of v."""
         if not self.has_density:
             raise ValueError("noise model has no density (kind 'none' or zero std)")
         v = np.atleast_2d(np.asarray(v, dtype=float))
         z = v / self.std_dev
         norm = (2.0 * np.pi) ** (self.dim / 2.0) * float(np.prod(self.std_dev))
-        return np.exp(-0.5 * np.sum(z * z, axis=1)) / norm
+        return np.exp(-0.5 * np.sum(z * z, axis=-1)) / norm
 
 
 @dataclass(frozen=True)

@@ -248,6 +248,9 @@ def closure_check(
     aggregated Monte Carlo standard error relative to the propagated values
     (an upper scale for the defect of a perfectly closed observable; zero
     for silent noise, where the propagation is exact).
+
+    Observable k is propagated through its one-row dictionary, so each draw
+    lifts only the column it keeps, bit-equal to column k of the full lift.
     """
     if n_states < dictionary.n_basis:
         raise ValueError("n_states should be at least the number of observables")
@@ -256,35 +259,20 @@ def closure_check(
     rng = make_rng(mix_seed(seed, 0x57A7E5))
     states = domain.sample(rng, n_states)
     design = evaluate_many(dictionary, states)
-    n = dictionary.n_basis
-    defects = np.empty(n)
-    floors = np.empty(n)
-    for k in range(n):
-        e_k = np.zeros(n)
-        e_k[k] = 1.0
-        vals = [
-            koopman_apply_mc(
-                system,
-                dictionary,
-                e_k,
-                states[i],
-                n_mc,
-                mix_seed(seed, i, k),
-                return_stderr=True,
-            )
-            for i in range(n_states)
-        ]
-        u = np.array([v for v, _ in vals])
-        ses = np.array([s for _, s in vals])
-        coef = np.linalg.lstsq(design, u, rcond=None)[0]
-        resid = u - design @ coef
+    defects = np.zeros(dictionary.n_basis)
+    floors = np.zeros(dictionary.n_basis)
+    for k in range(dictionary.n_basis):
+        psi_k = Dictionary(dictionary.exponents[k : k + 1])
+        u, ses = np.array([
+            koopman_apply_mc(system, psi_k, [1.0], x, n_mc, mix_seed(seed, i, k),
+                             return_stderr=True)
+            for i, x in enumerate(states)
+        ]).T
         denom = np.linalg.norm(u)
         if denom > 0:
+            resid = u - design @ np.linalg.lstsq(design, u, rcond=None)[0]
             defects[k] = float(np.linalg.norm(resid) / denom)
             floors[k] = float(np.sqrt(np.sum(ses**2)) / denom)
-        else:
-            defects[k] = 0.0
-            floors[k] = 0.0
     if return_floor:
         return defects, floors
     return defects

@@ -151,6 +151,10 @@ class ExperimentConfig:
             ("domain_upper", "domain.upper", float),
         ):
             object.__setattr__(self, name, _numbers(key, getattr(self, name), kind))
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a string, got {self.label!r}")
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ValueError(f"output_dir must be a non-empty string, got {self.output_dir!r}")
         if not _is_number(self.base_seed, int):
             raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
         object.__setattr__(self, "base_seed", int(self.base_seed))

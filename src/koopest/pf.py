@@ -17,7 +17,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dpotrs
 
 from .basis import DEFAULT_QUADRATURE_ORDER, Dictionary, GramMatrix, evaluate_many, gauss_legendre_nodes
-from .dynamics import StochasticSystem
+from .dynamics import BLOCK, StochasticSystem
 from .estimator import OperatorEstimate
 from .seeding import make_rng, mix_seed
 
@@ -122,6 +122,11 @@ def pf_apply_integral_mc(
     that the conjugated matrix propagates coefficients consistently with the
     kernel integral.
 
+    Node j draws from its own stream ``mix_seed(seed, j)``.  Whole nodes are
+    lifted, mapped and weighed in batches of at most ``BLOCK // 2`` rows (at
+    least one node; full blocks raised the peak memory), bit-equal to one
+    node at a time.
+
     With ``return_stderr`` also returns per-coordinate Monte Carlo standard
     errors (node noises propagated through the quadrature weights and the
     Gram solve).
@@ -145,16 +150,19 @@ def pf_apply_integral_mc(
     nodes, weights = gauss_legendre_nodes(domain, quadrature_order)
     psi_nodes = evaluate_many(dictionary, nodes)
 
-    node_means = np.empty(nodes.shape[0])
-    node_vars = np.empty(nodes.shape[0])
-    for j in range(nodes.shape[0]):
-        rng = make_rng(mix_seed(seed, j))
-        ys = domain.sample(rng, n_mc)
-        g_vals = evaluate_many(dictionary, ys) @ coeffs_g
-        dens = system.noise.density(nodes[j][None, :] - system.transition(ys))
-        vals = vol * g_vals * dens
-        node_means[j] = np.mean(vals)
-        node_vars[j] = np.var(vals, ddof=1) / n_mc
+    node_means = np.empty(len(nodes))
+    node_vars = np.empty(len(nodes))
+    per_batch = max(1, (BLOCK // 2) // n_mc)
+    for start in range(0, len(nodes), per_batch):
+        batch = range(start, min(start + per_batch, len(nodes)))
+        ys = np.concatenate([domain.sample(make_rng(mix_seed(seed, j)), n_mc) for j in batch])
+        psi = evaluate_many(dictionary, ys).reshape(len(batch), n_mc, -1)
+        # one product per node: a batched (m, N) @ (N,) differs in the last bit
+        g_vals = np.array([p @ coeffs_g for p in psi])
+        tys = system.transition(ys).reshape(len(batch), n_mc, -1)
+        vals = vol * g_vals * system.noise.density(nodes[batch, None, :] - tys)
+        node_means[batch] = np.mean(vals, axis=1)
+        node_vars[batch] = np.var(vals, axis=1, ddof=1) / n_mc
 
     b = psi_nodes.T @ (weights * node_means)
     c, low = scipy.linalg.cho_factor(gram.matrix)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -17,6 +17,7 @@ from koopest import (
     gram,
     grlex_exponents,
     make_monomial_dictionary,
+    make_rng,
     monomial_name,
     unit_box,
 )
@@ -28,6 +29,8 @@ class TestDomain:
             Domain([0.0, 0.0], [1.0, 0.0])
         with pytest.raises(ValueError):
             Domain([0.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="widths must be finite"):
+            Domain([-1e308, 0.0], [1e308, 1.0])  # the width overflows
 
     def test_volume_and_sampling(self):
         d = Domain([-1.0, 0.0], [1.0, 3.0])
@@ -36,6 +39,25 @@ class TestDomain:
         pts = d.sample(rng, 500)
         assert pts.shape == (500, 2)
         assert (pts >= d.lower).all() and (pts <= d.upper).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        box=st.lists(
+            st.tuples(*[st.floats(-1e300, 1e300, allow_nan=False, width=64)] * 2).filter(
+                lambda b: b[0] != b[1]
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        size=st.sampled_from([None, 1, 6000]) | st.integers(0, 100).map(lambda k: 2 * k + 1),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_sample_is_bit_equal_to_generator_uniform(self, box, size, seed):
+        d = Domain([min(b) for b in box], [max(b) for b in box])
+        shape = None if size is None else (size, d.dim)
+        want = make_rng(seed).uniform(d.lower, d.upper, shape)
+        got = d.sample(make_rng(seed), size)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestMonomialEnumeration:

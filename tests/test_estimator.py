@@ -27,7 +27,7 @@ from koopest import (
     step_pairs,
     unit_box,
 )
-from koopest import estimator
+from koopest import basis, dynamics, estimator
 from koopest.dynamics import BLOCK
 from koopest.seeding import make_rng, mix_seed
 
@@ -391,6 +391,26 @@ class TestClosureCheck:
         # x2 picks up the pure cubic term; x1^2 stays inside the span
         assert defects[2] > 1e-9
         assert defects[3] <= 1e-12
+
+    @pytest.mark.parametrize("noisy", [True, False])
+    def test_lifts_one_column_per_draw(self, baseline_params, monkeypatch, noisy):
+        # koopman_apply_mc lifts through dynamics.evaluate_many, or through
+        # basis.evaluate for silent noise; the design matrix is lifted by
+        # estimator's own binding and is not counted
+        lift = basis.evaluate_many
+        shapes = []
+
+        def spy(dictionary, xs):
+            out = lift(dictionary, xs)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(dynamics, "evaluate_many", spy)
+        monkeypatch.setattr(basis, "evaluate_many", spy)
+        noise = None if noisy else NoiseModel.none(2)
+        system = make_closed_quadratic(baseline_params, noise=noise)
+        closure_check(make_monomial_dictionary(2, 2), system, n_states=8, n_mc=50, seed=22)
+        assert shapes == [(50 if noisy else 1, 1)] * (8 * 6)
 
     def test_constant_dictionary_closed(self, baseline_params):
         system = make_closed_quadratic(baseline_params)

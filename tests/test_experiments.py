@@ -216,6 +216,17 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "key, value",
+        [("label", ["x"]), ("label", 5), ("output_dir", 5), ("output_dir", ""), ("output_dir", None)],
+        ids=["label-list", "label-int", "output_dir-int", "output_dir-empty", "output_dir-null"],
+    )
+    def test_label_and_output_dir_must_be_text(self, smoke_config, key, value):
+        # run_closure used to run its whole Monte Carlo before os.path.join
+        # raised a TypeError naming no key
+        with pytest.raises(ValueError, match=rf"^{key} must be a (non-empty )?string, got "):
+            smoke_config(**{key: value})
+
+    @pytest.mark.parametrize(
+        "key, value",
         [
             ("quadrature_order", 0),
             ("quadrature_order", 2.5),
