@@ -20,6 +20,18 @@ from .estimator import MomentPair, accumulate, estimate_koopman
 from .io import load_samples, save_operator, save_samples
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count: anything but a positive integer is a usage
+    error naming the flag (exit code 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="koopest",
@@ -35,15 +47,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-dir", default=None, help="override output_dir")
         p.add_argument(
             "--workers",
-            type=int,
+            type=_positive_int,
             default=1,
-            help="worker processes (never changes the results)",
+            help="worker processes, at most one per task (never changes the results)",
         )
         return p
 
     p_sim = add("simulate", "simulate one trajectory and write a sample-pair CSV")
     p_sim.add_argument(
-        "--steps", type=int, default=None, help="trajectory length (default: max of T_grid)"
+        "--steps", type=_positive_int, default=None,
+        help="trajectory length (default: max of T_grid)",
     )
     p_est = add("estimate", "estimate the Koopman matrix from a sample-pair CSV")
     p_est.add_argument("--samples", required=True, help="sample-pair CSV to read")

@@ -109,29 +109,26 @@ class StochasticSystem:
     floats (the simulator), ``(R,)`` arrays of lockstep trajectories and
     arrays of states (``transition``, the noiseless T(x); :func:`step_pairs`
     adds the noise).  It must multiply rather than use ``**``, which raises
-    on float overflow.  ``state_dim`` must be ``STATE_DIM`` (2).  Systems are
-    immutable and safe to share across workers.
+    on float overflow.  The noise must have ``STATE_DIM`` (2) coordinates.
+    Systems are immutable and safe to share across workers.
     """
 
-    state_dim: int
+    STATE_DIM = STATE_DIM  # unannotated: a class constant, not a field
     drift: object
     noise: NoiseModel
     label: str = ""
 
     def __post_init__(self):
-        if self.state_dim != STATE_DIM:
+        if self.noise.dim != STATE_DIM:
             raise ValueError(
-                f"state_dim must be {STATE_DIM} (systems are planar), got {self.state_dim!r}"
+                f"noise dimension must be {STATE_DIM} (systems are planar), got {self.noise.dim}"
             )
-        if self.noise.dim != self.state_dim:
-            raise ValueError("noise dimension must match state_dim")
 
     def transition(self, x) -> np.ndarray:
-        """T applied to one state ``(n,)`` or to each row of ``(m, n)``."""
+        """T applied to one state ``(2,)`` or to each row of ``(m, 2)``."""
         x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.state_dim:
-            n = self.state_dim
-            raise ValueError(f"state must have shape ({n},) or (m, {n}), got {x.shape}")
+        if x.ndim not in (1, 2) or x.shape[-1] != STATE_DIM:
+            raise ValueError(f"state must have shape (2,) or (m, 2), got {x.shape}")
         return np.stack(self.drift(*x.T), axis=-1)
 
 
@@ -173,7 +170,7 @@ def make_closed_quadratic(
 
     if noise is None:
         noise = NoiseModel.gaussian(1.0, dim=STATE_DIM)
-    return StochasticSystem(STATE_DIM, drift, noise, label="closed-quadratic")
+    return StochasticSystem(drift, noise, label="closed-quadratic")
 
 
 def closed_quadratic_dictionary() -> Dictionary:
@@ -225,7 +222,7 @@ def make_vanderpol(
     if noise is None:
         noise = NoiseModel.gaussian(0.01, dim=STATE_DIM)
     label = "vanderpol-standard" if standard_vdp else "vanderpol"
-    return StochasticSystem(STATE_DIM, drift, noise, label=label)
+    return StochasticSystem(drift, noise, label=label)
 
 
 @dataclass(frozen=True)
@@ -394,8 +391,8 @@ def simulate(
 def step_pairs(system: StochasticSystem, xs, seed: int) -> SampleSet:
     """One noisy transition from each given state: independent (x, y) pairs."""
     xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != system.state_dim:
-        raise ValueError("xs must have shape (m, state_dim)")
+    if xs.ndim != 2 or xs.shape[1] != STATE_DIM:
+        raise ValueError("xs must have shape (m, 2)")
     rng = make_rng(seed)
     ys = system.transition(xs) + system.noise.draw(rng, xs.shape[0])
     return SampleSet(xs, ys, "independent-pairs", int(seed))

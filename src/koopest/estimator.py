@@ -117,10 +117,10 @@ def accumulate(
 
 @dataclass(frozen=True)
 class OperatorEstimate:
-    """A finite-dimensional operator matrix with provenance metadata."""
+    """A least-squares Koopman matrix with provenance metadata.  Building one
+    checks the 2N+2 sample floor: at or below it raises SampleFloorError."""
 
     matrix: np.ndarray
-    operator_kind: str  # "koopman" | "perron-frobenius"
     dict_names: tuple
     sample_count: int
     seed: int | None
@@ -131,13 +131,14 @@ class OperatorEstimate:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("operator matrix must be square")
+        n = m.shape[0]
+        if self.sample_count <= sample_floor(n):
+            raise SampleFloorError(
+                f"least-squares estimation requires more than 2N+2 = {sample_floor(n)} "
+                f"samples for N = {n}; got {self.sample_count}"
+            )
         if not np.isfinite(m).all():
             raise ValueError("operator matrix entries must be finite")
-        if self.sample_count <= sample_floor(m.shape[0]):
-            raise SampleFloorError(
-                f"operator estimate needs more than 2N+2 = {sample_floor(m.shape[0])} "
-                f"samples; got {self.sample_count}"
-            )
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dict_names", tuple(self.dict_names))
 
@@ -166,23 +167,16 @@ def estimate_stack(sigma0, sigma1, count: int, names, seeds) -> list[OperatorEst
     for a, b, cond, seed in zip(s0, sigma1, conds.tolist(), seeds):
         c, info = dpotrf(a, lower=0, clean=0) if cond <= CONDITION_FALLBACK else (None, 1)
         k_hat = dpotrs(c, b, lower=0)[0] if info == 0 else np.linalg.lstsq(a, b, rcond=None)[0]
-        out.append(OperatorEstimate(k_hat, "koopman", names, count, seed, cond, info != 0))
+        out.append(OperatorEstimate(k_hat, names, count, seed, cond, info != 0))
     return out
 
 
 def estimate_koopman(moments: MomentPair) -> OperatorEstimate:
     """Least-squares Koopman estimate from accumulated moments: solves
     ``sigma0_hat @ K = sigma1_hat`` as an :func:`estimate_stack` of one and
-    warns when the estimate is a fallback.  Raises SampleFloorError at or
-    below the 2N+2 floor, under which the error bound (and generically the
-    normal equations) are ill-posed.
+    warns when the estimate is a fallback.  At or below the 2N+2 floor the
+    estimate raises SampleFloorError (see :class:`OperatorEstimate`).
     """
-    n = moments.n_basis
-    if moments.count <= sample_floor(n):
-        raise SampleFloorError(
-            f"least-squares estimation requires more than 2N+2 = {sample_floor(n)} "
-            f"samples for N = {n}; got {moments.count}"
-        )
     (est,) = estimate_stack(moments.sigma0_hat[None], moments.sigma1_hat[None],
                             moments.count, moments.names, [moments.seed])
     if est.fallback:

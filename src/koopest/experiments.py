@@ -287,27 +287,43 @@ _KNOWN_KEYS = {
 }
 
 
+def _section(mapping: dict, where: str, default) -> dict:
+    """The section at dotted key ``where``, its last part a key of ``mapping``
+    (``default`` when absent); anything but a mapping raises ValueError naming it."""
+    value = mapping.get(where.rpartition(".")[2], default)
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a mapping, got {value!r}")
+    return value
+
+
 def config_from_dict(data: dict, **overrides) -> ExperimentConfig:
     """Build a config from nested mapping data (the YAML layout).
 
-    Raises ValueError naming the key for any key the layout does not know.
+    Raises ValueError naming the key for any key the layout does not know,
+    any required key that is missing and any section that is not a mapping.
     """
-    system = data.get("system", {})
-    noise = system.get("noise", {})
-    dictionary = data.get("dictionary", {})
-    domain = data.get("domain", {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]})
+    system = _section(data, "system", {})
+    noise = _section(system, "system.noise", {})
+    params = _section(system, "system.params", {})
+    dictionary = _section(data, "dictionary", {})
+    domain = _section(data, "domain", {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]})
     sections = {"config": data, "system": system, "system.noise": noise,
                 "dictionary": dictionary, "domain": domain}
     for where, mapping in sections.items():
         unknown = sorted(set(mapping) - _KNOWN_KEYS[where])
         if unknown:
             raise ValueError(f"unknown key {unknown[0]!r} in {where}")
+    for where, mapping, keys in (("config", data, ("T_grid", "base_seed")),
+                                 ("domain", domain, ("lower", "upper"))):
+        for key in keys:
+            if key not in mapping:
+                raise ValueError(f"missing key {key!r} in {where}")
     kind = system.get("kind", "closed-quadratic")
     std = noise.get("std", [0.01, 0.01] if kind == "vanderpol" else [1.0, 1.0])
     flat = dict(
         label=data.get("label", kind),
         system_kind=kind,
-        system_params=dict(system.get("params", {})),
+        system_params=dict(params),
         noise_kind=noise.get("kind", "gaussian-iid"),
         noise_std=std if isinstance(std, (list, tuple)) else [std],  # a scalar std serves both axes
         dictionary_kind=dictionary.get("kind", "monomial"),
@@ -381,7 +397,8 @@ def _ordered_map(fn, tasks, workers: int):
     if workers <= 1 or len(tasks) <= 1:
         return [fn(*t) for t in tasks]
     chunk = max(1, len(tasks) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the pool forks all its workers at the first submit: start no idle ones
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(fn, *zip(*tasks), chunksize=chunk))
 
 
@@ -389,9 +406,8 @@ def _ordered_map(fn, tasks, workers: int):
 class Realization:
     """How one trajectory -> moments -> estimate run ended.
 
-    ``status`` is "ok" or the failure cause: "diverged" (with its
-    DivergenceError in ``error``), "floor" or "singular" (a flagged
-    fallback estimate, which is kept).
+    ``status`` is "ok", "diverged" (with its DivergenceError in ``error``)
+    or "singular" (a flagged fallback estimate, which is kept).
     ``sigma0`` is the raw moment matrix S0 whenever the trajectory was
     completed, whatever the estimate's fate.
     """
@@ -413,8 +429,8 @@ def fit_realizations(
     which seeds share a call.  The block's moments are ``(R, N, N)`` stacks,
     fitted by one ``estimate_stack``.  A diverged trajectory leaves the block
     and the others keep stepping.  With ``estimate`` False a realization
-    stops at S0 ("ok" or "diverged"); otherwise K_hat is fitted and the
-    outcome classified.
+    stops at S0 ("ok" or "diverged"); otherwise K_hat is fitted, which at or
+    below the 2N+2 floor raises SampleFloorError.
     """
     system = build_system(config)
     dictionary = build_dictionary(config)
@@ -432,14 +448,13 @@ def fit_realizations(
         sums[:, index] = part
     sigma0, sigma1 = (sums[0::2] - sums[1::2]) / T
     live = [k for k in range(len(seeds)) if k not in errors]
-    status = "floor" if estimate and T <= sample_floor(n) else "ok"
     estimates = [None] * len(live)
-    if estimate and live and status == "ok":
+    if estimate and live:
         estimates = estimate_stack(sigma0[live], sigma1[live], T, dictionary.names,
                                    [int(seeds[k]) for k in live])
     fits = {k: Realization("diverged", None, error=err) for k, err in errors.items()}
     for k, est in zip(live, estimates):
-        fits[k] = Realization("singular" if est and est.fallback else status, est, sigma0[k])
+        fits[k] = Realization("singular" if est and est.fallback else "ok", est, sigma0[k])
     return [fits[k] for k in range(len(seeds))]
 
 
@@ -484,18 +499,26 @@ def _fit_groups(config: ExperimentConfig, groups, workers: int) -> list[list[Rea
     return [[fit for block in islice(fits, count) for fit in block] for count in counts]
 
 
+def _required_fit(config: ExperimentConfig, what: str, T: int, seed: int) -> OperatorEstimate:
+    """The estimate of one seed's fit that a run cannot do without: raises
+    RuntimeError naming ``what``, T and the status if there is none, and
+    warns when it is a singular fallback."""
+    (fit,) = fit_realizations(config, T, [seed])
+    if fit.estimate is None:
+        raise RuntimeError(f"the {what} at T={T} failed: {fit.status}") from fit.error
+    if fit.status == "singular":
+        warnings.warn(f"the {what} at T={T} is singular; using its fallback")
+    return fit.estimate
+
+
 def _reference_koopman(config: ExperimentConfig):
     """The analytic operator, or one high-T fit."""
     if has_true_koopman(config):
         return true_koopman(config), {"kind": "analytic"}
     t_ref = config.reference_T_factor * max(config.T_grid)
     seed = derive_seed(config.base_seed, t_ref, REFERENCE_STREAM)
-    (fit,) = fit_realizations(config, t_ref, [seed])
-    if fit.estimate is None:
-        raise RuntimeError(f"the reference fit at T={t_ref} failed: {fit.status}")
-    if fit.status == "singular":
-        warnings.warn(f"the reference fit at T={t_ref} is singular; using its fallback")
-    return fit.estimate.matrix, {"kind": "high-T estimate", "T_ref": t_ref, "seed": seed}
+    est = _required_fit(config, "reference fit", t_ref, seed)
+    return est.matrix, {"kind": "high-T estimate", "T_ref": t_ref, "seed": seed}
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> ErrorCurve:
@@ -504,9 +527,10 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> ErrorCurve:
     For every T in the grid and every realization a fresh trajectory is
     simulated with seed ``derive_seed(base_seed, T, r)`` and the estimate's
     relative Frobenius error against the reference operator is recorded.
-    Writes ``sweep.csv`` (aggregates), ``sweep_points.csv`` (per realization)
-    and ``sweep.meta.json`` into the config's output directory.  A T point
-    whose failure fraction exceeds 20% is flagged invalid in the metadata.
+    Each T's realizations are reduced in one pass into its ``sweep.csv``
+    row (aggregates) and its ``sweep_points.csv`` rows (per realization);
+    both files and ``sweep.meta.json`` go into the config's output directory.
+    A T point whose failure fraction exceeds 20% is flagged invalid.
     """
     ref, ref_info = _reference_koopman(config)
     seeds = [
@@ -515,23 +539,23 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> ErrorCurve:
     ]
     fits = _fit_groups(config, [(T, s, True) for T, s in zip(config.T_grid, seeds)], workers)
     denom = np.linalg.norm(ref, "fro")
-    results = []  # (T, realization, seed, status, relative error)
+    stats, rows, points = [], [], []  # stats: (mean, se, n_ok, n_failed, invalid) per T
     for T, group_seeds, group in zip(config.T_grid, seeds, fits):
+        errs = []
         for r, (seed, fit) in enumerate(zip(group_seeds, group)):
             rel = float("nan")
             if fit.status == "ok":
                 rel = float(np.linalg.norm(fit.estimate.matrix - ref, "fro") / denom)
-            results.append((T, r, seed, fit.status, rel))
-
-    means, ses, n_oks, n_faileds, invalids = [], [], [], [], []
-    for T in config.T_grid:
-        errs = [rel for (t, _, _, status, rel) in results if t == T and status == "ok"]
+                errs.append(rel)
+            points.append([config.label, T, r, seed, fit.status, fmt(rel)])
         n_ok = len(errs)
-        n_oks.append(n_ok)
-        n_faileds.append(config.n_realizations - n_ok)
-        means.append(float(np.mean(errs)) if n_ok else float("nan"))
-        ses.append(float(np.std(errs, ddof=1) / math.sqrt(n_ok)) if n_ok > 1 else float("nan"))
-        invalids.append(n_faileds[-1] > MAX_FAILED_FRACTION * config.n_realizations)
+        n_failed = config.n_realizations - n_ok
+        invalid = n_failed > MAX_FAILED_FRACTION * config.n_realizations
+        mean = float(np.mean(errs)) if n_ok else float("nan")
+        se = float(np.std(errs, ddof=1) / math.sqrt(n_ok)) if n_ok > 1 else float("nan")
+        stats.append((mean, se, n_ok, n_failed, invalid))
+        rows.append([config.label, T, n_ok, n_failed, fmt(mean), fmt(se)])
+    means, ses, n_oks, n_faileds, invalids = zip(*stats)
 
     usable = [
         (t, m)
@@ -543,52 +567,26 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> ErrorCurve:
     else:
         slope, slope_se = float("nan"), float("nan")
 
-    curve = ErrorCurve(
-        label=config.label,
-        T_values=tuple(config.T_grid),
-        mean_rel_err=tuple(means),
-        std_err=tuple(ses),
-        n_ok=tuple(n_oks),
-        n_failed=tuple(n_faileds),
-        invalid=tuple(invalids),
-        fitted_slope=slope,
-        slope_stderr=slope_se,
-        reference=ref_info,
-    )
-    _write_sweep_outputs(config, curve, results)
-    return curve
-
-
-def _write_sweep_outputs(config, curve, results):
     out = config.output_dir
-    _write_rows(
-        os.path.join(out, "sweep.csv"),
-        ["label", "T", "n_ok", "n_failed", "mean_rel_err", "std_err"],
-        [
-            [config.label, T, n_ok, n_failed, fmt(mean), fmt(se)]
-            for T, n_ok, n_failed, mean, se in zip(
-                curve.T_values, curve.n_ok, curve.n_failed, curve.mean_rel_err, curve.std_err
-            )
-        ],
-    )
-    _write_rows(
-        os.path.join(out, "sweep_points.csv"),
-        ["label", "T", "realization", "seed", "status", "rel_err"],
-        [[config.label, T, r, seed, status, fmt(rel)] for T, r, seed, status, rel in results],
-    )
+    _write_rows(os.path.join(out, "sweep.csv"),
+                ["label", "T", "n_ok", "n_failed", "mean_rel_err", "std_err"], rows)
+    _write_rows(os.path.join(out, "sweep_points.csv"),
+                ["label", "T", "realization", "seed", "status", "rel_err"], points)
     write_sidecar(
         os.path.join(out, "sweep.meta.json"),
         {
             "config": asdict(config),
-            "reference": curve.reference,
-            "fitted_slope": None if math.isnan(curve.fitted_slope) else curve.fitted_slope,
-            "slope_stderr": None if math.isnan(curve.slope_stderr) else curve.slope_stderr,
-            "invalid_T": [int(t) for t, bad in zip(curve.T_values, curve.invalid) if bad],
+            "reference": ref_info,
+            "fitted_slope": None if math.isnan(slope) else slope,
+            "slope_stderr": None if math.isnan(slope_se) else slope_se,
+            "invalid_T": [int(t) for t, bad in zip(config.T_grid, invalids) if bad],
             "error_metric": "mean over realizations of |K_hat - K_ref|_F / |K_ref|_F",
             "initial_conditions": "uniform on the domain, one draw per realization",
             "seed_derivation": "splitmix64 chain over (base_seed, T, realization)",
         },
     )
+    return ErrorCurve(config.label, tuple(config.T_grid), means, ses, n_oks, n_faileds,
+                      invalids, slope, slope_se, ref_info)
 
 
 def run_bound_calibration(config: ExperimentConfig, workers: int = 1) -> list[BoundReport]:
@@ -689,10 +687,8 @@ def run_pf_pipeline(config: ExperimentConfig, workers: int = 1):
     """
     lam = gram(build_dictionary(config), build_domain(config))
     T = max(config.T_grid)
-    (fit,) = fit_realizations(config, T, [derive_seed(config.base_seed, T, PF_STREAM)])
-    if fit.estimate is None:
-        raise RuntimeError(f"the transfer-matrix fit at T={T} failed: {fit.status}")
-    est = fit.estimate
+    seed = derive_seed(config.base_seed, T, PF_STREAM)
+    est = _required_fit(config, "transfer-matrix fit", T, seed)
     p_hat = koopman_to_pf(est, lam)
     defect = duality_check(
         est.matrix,

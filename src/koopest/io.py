@@ -141,7 +141,7 @@ def save_operator(est, path: str) -> None:
     """Operator matrix as CSV plus provenance sidecar (Koopman or transfer)."""
     if isinstance(est, OperatorEstimate):
         meta = {
-            "operator_kind": est.operator_kind,
+            "operator_kind": "koopman",
             "dict_names": list(est.dict_names),
             "sample_count": int(est.sample_count),
             "seed": None if est.seed is None else int(est.seed),

@@ -43,12 +43,6 @@ class PFEstimate:
         return self.matrix.shape[0]
 
 
-def _as_matrix(k) -> np.ndarray:
-    if isinstance(k, OperatorEstimate):
-        return k.matrix
-    return np.asarray(k, dtype=float)
-
-
 def conjugate_stack(kmats, gram: GramMatrix) -> list[np.ndarray]:
     """Transfer matrices ``Lambda^-1 K^T Lambda`` of a sequence of Koopman
     matrices, the Gram matrix factored once and each solve LAPACK ``dpotrs``
@@ -73,24 +67,24 @@ def conjugate_stack(kmats, gram: GramMatrix) -> list[np.ndarray]:
 def koopman_to_pf(k, gram: GramMatrix) -> PFEstimate:
     """Conjugate a Koopman matrix (an OperatorEstimate or a plain square
     matrix) into the transfer-operator matrix: a :func:`conjugate_stack` of one."""
-    kmat = _as_matrix(k)
+    source = k if isinstance(k, OperatorEstimate) else None
+    kmat = k.matrix if source else np.asarray(k, dtype=float)
     n = gram.n_basis
     if kmat.shape != (n, n):
         raise ValueError("koopman matrix size must match the gram matrix")
     (p,) = conjugate_stack([kmat], gram)
-    return PFEstimate(p, gram, k if isinstance(k, OperatorEstimate) else None)
+    return PFEstimate(p, gram, source)
 
 
-def duality_check(k, p, gram: GramMatrix, n_trials: int, seed: int) -> float:
-    """Max defect of the pairing identity ``(K a)^T Lambda b = a^T Lambda (P b)``.
+def duality_check(kmat, pmat, gram: GramMatrix, n_trials: int, seed: int) -> float:
+    """Max defect of the pairing identity ``(K a)^T Lambda b = a^T Lambda (P b)``
+    of a Koopman matrix K and a transfer matrix P.
 
     Coefficient pairs (a, b) are drawn with unit norm; for a transfer matrix
     built by :func:`koopman_to_pf` the defect is at roundoff level (<= 1e-10).
     """
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
-    kmat = _as_matrix(k)
-    pmat = _as_matrix(p)
     lam = gram.matrix
     n = lam.shape[0]
     rng = make_rng(seed)

@@ -58,13 +58,18 @@ class TestBoundTerms:
         assert abs(a.mean_frob_sq_inv_sigma0 - b.mean_frob_sq_inv_sigma0) <= tol
 
     def test_floor_enforced(self, smoke_config):
-        # T = 10 = 2N+2 for N = 4: the fit is refused but its S0 is kept,
-        # and the bound itself refuses the sample count
-        (fit,) = fit_realizations(smoke_config(), 10, [0])
-        assert fit.status == "floor"
-        assert fit.estimate is None
-        assert fit.sigma0.shape == (4, 4)
-        terms = bound_terms([fit.sigma0, fit.sigma0])
+        # T = 10 = 2N+2 for N = 4: an estimating fit of a block or of one seed
+        # raises, a fit that stops at S0 keeps it, and the bound itself
+        # refuses the sample count
+        cfg = smoke_config()
+        for seeds in ([0], list(range(5))):
+            with pytest.raises(SampleFloorError, match=r"2N\+2 = 10 samples for N = 4; got 10"):
+                fit_realizations(cfg, 10, seeds)
+        fits = fit_realizations(cfg, 10, [0, 1], estimate=False)
+        assert [(fit.status, fit.estimate, fit.sigma0.shape) for fit in fits] == [
+            ("ok", None, (4, 4))
+        ] * 2
+        terms = bound_terms([fit.sigma0 for fit in fits])
         with pytest.raises(SampleFloorError):
             koopman_error_bound(1.0, 0.5, 10, terms)
 

@@ -112,3 +112,19 @@ class TestOtherCommands:
 
     def test_workers_flag_accepted(self, config_path):
         assert main(["sweep", config_path(), "--workers", "2"]) == 0
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--steps", "0"), ("--steps", "-3"), ("--workers", "0"), ("--workers", "-2")],
+    )
+    def test_non_positive_count_is_a_usage_error(self, config_path, capsys, flag, value):
+        # --steps 0 used to end in a traceback naming no flag, and --workers 0
+        # or -2 ran serially without a word
+        argv = ["simulate", config_path(), "--steps", "5", flag, value]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        message = f"argument {flag}: must be a positive integer, got '{value}'"
+        assert message in capsys.readouterr().err

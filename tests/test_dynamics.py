@@ -145,8 +145,11 @@ _coordinate = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 class TestPlanarContract:
     def test_other_dimensions_are_rejected(self):
-        with pytest.raises(ValueError, match=r"state_dim must be 2 \(systems are planar\), got 3"):
-            StochasticSystem(3, lambda x1, x2, x3: (x1, x2, x3), NoiseModel.none(3))
+        # the dimension is a class constant, not an argument: noise fixes it
+        assert StochasticSystem.STATE_DIM == 2
+        message = r"noise dimension must be 2 \(systems are planar\), got 3"
+        with pytest.raises(ValueError, match=message):
+            StochasticSystem(lambda x1, x2, x3: (x1, x2, x3), NoiseModel.none(3))
 
 
 class TestDriftForms:

@@ -15,7 +15,6 @@ from koopest import (
     closed_quadratic_koopman,
     ClosedQuadraticParams,
     MomentPair,
-    SampleFloorError,
     accumulate,
     config_from_dict,
     derive_seed,
@@ -279,6 +278,31 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be "):
             smoke_config(**{leaf: value})
 
+    @pytest.mark.parametrize("key", ["T_grid", "base_seed", "domain.lower", "domain.upper"])
+    def test_missing_required_key_named(self, key):
+        # each used to raise a bare KeyError
+        data = {"T_grid": [200, 400], "base_seed": 1, "domain": dict(SECTIONS["domain"])}
+        section, _, leaf = key.rpartition(".")
+        del (data[section] if section else data)[leaf]
+        with pytest.raises(ValueError, match=rf"^missing key '{leaf}' in {section or 'config'}$"):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("system", "closed-quadratic"), ("system.noise", None), ("system.params", "rho"),
+         ("dictionary", "monomial"), ("domain", [[-1.0, -1.0], [1.0, 1.0]])],
+        ids=["system", "system.noise", "system.params", "dictionary", "domain"],
+    )
+    def test_section_must_be_a_mapping(self, smoke_config, key, value):
+        # each used to fail without the key: an AttributeError, "'NoneType'
+        # object is not iterable" (an empty YAML section), a dict() error,
+        # unknown key 'c' in dictionary, an unhashable list
+        section, _, leaf = key.rpartition(".")
+        if section:
+            value = {**SECTIONS[section], leaf: value}
+        with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be a mapping, got "):
+            smoke_config(**{section or leaf: value})
+
     def test_delta_hat_override_takes_a_finite_nonnegative_number(self, smoke_config):
         for value in (None, 0, 2.5):
             assert smoke_config(delta_hat_override=value).delta_hat_override == value
@@ -453,12 +477,9 @@ def _materialized_fit(cfg, T, seed):
     except DivergenceError as err:
         return Realization("diverged", None, error=err)
     moments = accumulate(MomentPair.empty(dct), dct, samples)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a fallback is flagged "singular"
-            est = estimate_koopman(moments)
-    except SampleFloorError:
-        return Realization("floor", None, moments.sigma0_hat)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a fallback is flagged "singular"
+        est = estimate_koopman(moments)
     return Realization("singular" if est.fallback else "ok", est, moments.sigma0_hat)
 
 
@@ -476,7 +497,6 @@ class TestStackedFit:
         [
             # seed 4 leaves the bounded region at step 309, the others stay
             ({"divergence_threshold": 4.5}, 500, range(8), ["ok"] * 4 + ["diverged"] + ["ok"] * 3),
-            ({}, 10, range(5), ["floor"] * 5),  # T = 2N + 2
             # the noiseless contracting map: seed 2's states collapse fastest
             ({"system": _NOISELESS}, 1000, range(6), ["ok", "ok", "singular", "ok", "ok", "ok"]),
             ({"dictionary": {"kind": "monomial", "state_dim": 2, "max_degree": 2}}, 300,
@@ -485,7 +505,7 @@ class TestStackedFit:
             # BLOCK rows at N = 15, where a 2-D product could differ from a stacked one
             (_DEGREE_4, BLOCK + 37, [3, 4], ["ok"] * 2),
         ],
-        ids=["diverges-mid-block", "floor", "singular", "N=6", "N=15", "N=15-beyond-BLOCK"],
+        ids=["diverges-mid-block", "singular", "N=6", "N=15", "N=15-beyond-BLOCK"],
     )
     def test_block_matches_materialized_fits(self, smoke_config, overrides, T, seeds, statuses):
         cfg = smoke_config(**overrides)
@@ -497,6 +517,28 @@ class TestStackedFit:
             _assert_same_fit(fit, solo)
             if fit.estimate is not None:
                 assert fit.estimate.fallback == solo.estimate.fallback
+
+
+class TestRequiredFit:
+    """The reference and transfer-matrix fits share one rule: no estimate is
+    an error naming the fit, T and status; a singular one warns."""
+
+    def test_singular_fit_warns(self, smoke_config):
+        # seed 2's noiseless trajectory collapses (TestStackedFit)
+        cfg = smoke_config(system=_NOISELESS)
+        with pytest.warns(UserWarning, match=r"the transfer-matrix fit at T=1000 is singular"):
+            est = experiments._required_fit(cfg, "transfer-matrix fit", 1000, 2)
+        assert est.fallback
+
+    def test_diverged_fit_is_named(self, smoke_config):
+        with pytest.warns(UserWarning, match="diverge"):  # the system is built at load
+            cfg = smoke_config(
+                system={"kind": "closed-quadratic", "params": {"rho": 2.0, "mu": 4.0, "c": 1.0}},
+                divergence_threshold=1e4,
+            )
+        message = r"^the reference fit at T=120 failed: diverged$"
+        with pytest.warns(UserWarning, match="diverge"), pytest.raises(RuntimeError, match=message):
+            experiments._required_fit(cfg, "reference fit", 120, 5)
 
 
 class TestRunSweep:
@@ -558,6 +600,55 @@ class TestRunSweep:
             curve = run_sweep(cfg)
         assert curve.any_invalid
         assert curve.n_failed[0] == 4
+
+    @pytest.mark.parametrize("threshold", [4.0, 4.5])
+    def test_aggregates_recompute_from_points(self, smoke_config, threshold):
+        # a low divergence threshold fails some realizations at every T; at
+        # 4.0 one T keeps a single estimate, whose standard error is nan
+        cfg = smoke_config(n_realizations=6, divergence_threshold=threshold)
+        curve = run_sweep(cfg)
+        assert all(0 < n for n in curve.n_failed)
+
+        def rows(name):
+            with open(os.path.join(cfg.output_dir, name), newline="") as fh:
+                return list(csv.DictReader(fh))
+
+        points = rows("sweep_points.csv")
+        sweep = rows("sweep.csv")
+        assert [int(row["T"]) for row in sweep] == list(cfg.T_grid)
+        for row in sweep:
+            group = [p for p in points if p["T"] == row["T"]]
+            errs = [float(p["rel_err"]) for p in group if p["status"] == "ok"]
+            assert len(group) == cfg.n_realizations
+            assert int(row["n_ok"]) == len(errs)
+            assert int(row["n_failed"]) == len(group) - len(errs)
+            assert row["mean_rel_err"] == repr(float(np.mean(errs)))
+            se = np.std(errs, ddof=1) / np.sqrt(len(errs)) if len(errs) > 1 else np.nan
+            assert row["std_err"] == repr(float(se))
+
+
+class TestOrderedMap:
+    def test_starts_no_more_processes_than_tasks(self, monkeypatch):
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+        tasks = [(k, 1) for k in range(4)]
+        assert experiments._ordered_map(pow, tasks, 8) == [0, 1, 2, 3]
+        assert experiments._ordered_map(pow, tasks, 3) == [0, 1, 2, 3]
+        assert started == [4, 3]
 
 
 class TestRunBoundCalibration:

@@ -34,6 +34,14 @@ from its two ints or its exponent table (no ``MonomialSpec`` or
 row is one ``BoundReport`` (no ``ViolationStats`` or ``make_bound_report``),
 and a system's noiseless map is ``transition``, its noisy step
 ``step_pairs`` (``StochasticSystem`` has no ``step``).
+A fit ends one of three ways: ``fit_realizations`` builds a ``Realization``
+only as "ok", "diverged" or "singular".  The 2N+2 sample floor is checked
+once at load (``ExperimentConfig``), once per estimate (``OperatorEstimate``)
+and once by the bound (``koopman_error_bound``), so no fit has a floor status
+of its own.  A fit a run cannot do without (the high-T reference, the
+transfer matrix) goes through ``experiments._required_fit``, the only code
+that calls ``fit_realizations`` directly; the sweeps reach it through the
+one parallel map.
 """
 
 import ast
@@ -60,7 +68,7 @@ def test_bounds_imports_no_simulation_layers():
 
 
 class _Callers(ast.NodeVisitor):
-    """Qualified names of the functions that call ``target``."""
+    """Qualified names of the functions (and methods) that call ``target``."""
 
     def __init__(self, module, target):
         self.scope = [module]
@@ -72,7 +80,7 @@ class _Callers(ast.NodeVisitor):
         self.generic_visit(node)
         self.scope.pop()
 
-    visit_AsyncFunctionDef = visit_FunctionDef
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
 
     def visit_Call(self, node):
         func = node.func
@@ -92,6 +100,39 @@ def _callers(target):
 
 def test_trajectory_chunks_has_two_consumers():
     assert _callers("trajectory_chunks") == {"dynamics.simulate", "experiments.fit_realizations"}
+
+
+def test_sample_floor_is_checked_at_load_per_estimate_and_by_the_bound():
+    assert _callers("sample_floor") == {
+        "estimator.OperatorEstimate.__post_init__",
+        "experiments.ExperimentConfig.__post_init__",
+        "bounds.koopman_error_bound",
+    }
+
+
+def test_only_the_required_fit_calls_fit_realizations():
+    assert _callers("fit_realizations") == {"experiments._required_fit"}
+
+
+def test_a_realization_is_ok_diverged_or_singular():
+    (fit,) = [
+        node
+        for node in _parse("experiments").body
+        if isinstance(node, ast.FunctionDef) and node.name == "fit_realizations"
+    ]
+    built = [
+        node
+        for node in ast.walk(fit)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Realization"
+    ]
+    assert built
+    statuses = {
+        n.value
+        for call in built
+        for n in ast.walk(call.args[0])
+        if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    }
+    assert statuses == {"ok", "diverged", "singular"}
 
 
 def test_stepping_loop_writes_no_row_and_builds_no_tuple():
