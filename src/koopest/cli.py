@@ -2,8 +2,10 @@
 
 Subcommands: simulate, estimate, sweep, bounds, pf, closure.  Each takes a
 config file plus optional overrides for the base seed, output directory and
-worker count.  The exit code is nonzero when a sweep point is flagged
-invalid.  All randomness flows from the config's base seed.
+worker count.  The exit code is 1 when a sweep point is flagged invalid or
+when the config, an input file or the run raises ``ValueError``,
+``RuntimeError`` or ``OSError``; that error is printed as one line on
+stderr.  All randomness flows from the config's base seed.
 """
 
 from __future__ import annotations
@@ -78,6 +80,14 @@ def _load(args) -> xp.ExperimentConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except (ValueError, RuntimeError, OSError) as err:
+        print(f"koopest {args.command}: {err}", file=sys.stderr)
+        return 1
+
+
+def _run(args) -> int:
     config = _load(args)
 
     if args.command == "simulate":

@@ -14,7 +14,7 @@ import numbers
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
 
 import numpy as np
@@ -76,6 +76,8 @@ _SYSTEM_PARAMS = {
     "vanderpol": ({"dt"}, {"standard_vdp"}),
 }
 
+# An open system's sweep reference is one fit this many times the largest T.
+REFERENCE_T_FACTOR = 100
 SLOPE_FLOOR = 1e-10  # mean errors at the solver floor carry no scaling signal
 MAX_FAILED_FRACTION = 0.2
 
@@ -117,40 +119,38 @@ def _count(key: str, value, least: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description; see the README for the YAML schema."""
+    """Validated experiment description, laid out as its YAML (see the README).
+
+    The fields are the config's top-level keys.  ``system``, ``dictionary``
+    and ``domain`` are the YAML sections as :func:`config_from_dict` fills
+    in their defaults; here every value is checked and normalized once
+    (``system.params`` and each number as the type a run uses, each list a
+    tuple), so ``asdict`` of a config, the block the run sidecars record,
+    loads back to an equal config.
+    """
 
     label: str
-    system_kind: str  # "closed-quadratic" | "vanderpol"
-    system_params: dict
-    noise_kind: str  # "gaussian-iid" | "none"
-    noise_std: tuple
-    dictionary_kind: str  # "closed-quadratic" | "monomial"
-    dict_state_dim: int | None
-    dict_max_degree: int | None
-    domain_lower: tuple
-    domain_upper: tuple
+    system: dict  # kind, params, noise: {kind, std}
+    dictionary: dict  # kind; a monomial one also state_dim and max_degree
+    domain: dict  # lower, upper
     T_grid: tuple
     base_seed: int
-    epsilon_list: tuple
-    output_dir: str
+    epsilon_list: tuple = (0.1, 0.25, 0.5)
+    output_dir: str = "out"
     n_realizations: int = 50
-    reference_T_factor: int = 100
     n_term_realizations: int = 50
-    delta_hat_override: float | None = None
     divergence_threshold: float = DEFAULT_DIVERGENCE_NORM
     closure_n_states: int = 20
     closure_n_mc: int = 10000
     quadrature_order: int = DEFAULT_QUADRATURE_ORDER
 
     def __post_init__(self):
-        for name, key, kind in (
-            ("T_grid", "T_grid", int),
-            ("noise_std", "system.noise.std", float),
-            ("epsilon_list", "epsilon_list", float),
-            ("domain_lower", "domain.lower", float),
-            ("domain_upper", "domain.upper", float),
-        ):
-            object.__setattr__(self, name, _numbers(key, getattr(self, name), kind))
+        system, noise, dictionary = self.system, self.system["noise"], dict(self.dictionary)
+        for key, kind in (("T_grid", int), ("epsilon_list", float)):
+            object.__setattr__(self, key, _numbers(key, getattr(self, key), kind))
+        std = _numbers("system.noise.std", noise["std"], float)
+        domain = {key: _numbers(f"domain.{key}", self.domain[key], float)
+                  for key in ("lower", "upper")}
         if not isinstance(self.label, str):
             raise ValueError(f"label must be a string, got {self.label!r}")
         if not isinstance(self.output_dir, str) or not self.output_dir:
@@ -160,20 +160,12 @@ class ExperimentConfig:
         object.__setattr__(self, "base_seed", int(self.base_seed))
         # two term realizations and two closure draws give a standard error
         for key, least in (("n_realizations", 1), ("n_term_realizations", 2),
-                           ("reference_T_factor", 1), ("closure_n_mc", 2),
-                           ("quadrature_order", 1)):
+                           ("closure_n_mc", 2), ("quadrature_order", 1)):
             object.__setattr__(self, key, _count(key, getattr(self, key), least))
-        if self.dictionary_kind == "monomial":
+        if dictionary["kind"] == "monomial":
             # below STATE_DIM, Dictionary would reject the width without naming the key
-            for name, key, least in (("dict_state_dim", "dictionary.state_dim", STATE_DIM),
-                                     ("dict_max_degree", "dictionary.max_degree", 0)):
-                object.__setattr__(self, name, _count(key, getattr(self, name), least))
-        override = self.delta_hat_override
-        if override is not None and (not _is_number(override, float)
-                                     or not 0.0 <= override < math.inf):
-            raise ValueError(
-                f"delta_hat_override must be null or a finite number >= 0, got {override!r}"
-            )
+            for key, least in (("state_dim", STATE_DIM), ("max_degree", 0)):
+                dictionary[key] = _count(f"dictionary.{key}", dictionary.get(key), least)
         limit = self.divergence_threshold
         if not _is_number(limit, float) or not limit > 0:
             raise ValueError(f"divergence_threshold must be a positive number, got {limit!r}")
@@ -184,18 +176,22 @@ class ExperimentConfig:
         for eps in self.epsilon_list:
             if not 0.0 < eps < 1.0:
                 raise ValueError("epsilon values must lie in (0, 1)")
-        if self.system_kind not in _SYSTEM_PARAMS:
-            raise ValueError(f"unknown system.kind {self.system_kind!r}")
-        required, optional = _SYSTEM_PARAMS[self.system_kind]
-        keys = set(self.system_params)
+        if system["kind"] not in _SYSTEM_PARAMS:
+            raise ValueError(f"unknown system.kind {system['kind']!r}")
+        required, optional = _SYSTEM_PARAMS[system["kind"]]
+        keys = set(system["params"])
         if required - keys:
             raise ValueError(f"missing key {min(required - keys)!r} in system.params")
         if keys - required - optional:
             raise ValueError(f"unknown key {min(keys - required - optional)!r} in system.params")
-        if self.noise_kind not in (GAUSSIAN_IID, NO_NOISE):
-            raise ValueError(f"unknown system.noise.kind {self.noise_kind!r}")
-        if len(self.noise_std) not in (1, STATE_DIM):
+        if noise["kind"] not in (GAUSSIAN_IID, NO_NOISE):
+            raise ValueError(f"unknown system.noise.kind {noise['kind']!r}")
+        if len(std) not in (1, STATE_DIM):
             raise ValueError(f"system.noise.std needs 1 or {STATE_DIM} entries")
+        system = {"kind": system["kind"], "params": _system_params(system["params"]),
+                  "noise": {"kind": noise["kind"], "std": std}}
+        for key, section in (("system", system), ("dictionary", dictionary), ("domain", domain)):
+            object.__setattr__(self, key, section)
         build_system(self)
         dictionary = build_dictionary(self)
         dims = {"dictionary.state_dim": dictionary.state_dim, "domain": build_domain(self).dim}
@@ -215,71 +211,66 @@ class ExperimentConfig:
 
 
 def build_domain(config: ExperimentConfig) -> Domain:
-    return Domain(np.array(config.domain_lower), np.array(config.domain_upper))
+    return Domain(np.array(config.domain["lower"]), np.array(config.domain["upper"]))
 
 
 def build_dictionary(config: ExperimentConfig) -> Dictionary:
-    if config.dictionary_kind == "closed-quadratic":
+    kind = config.dictionary["kind"]
+    if kind == "closed-quadratic":
         return closed_quadratic_dictionary()
-    if config.dictionary_kind == "monomial":
-        return make_monomial_dictionary(config.dict_state_dim, config.dict_max_degree)
-    raise ValueError(f"unknown dictionary kind {config.dictionary_kind!r}")
+    if kind == "monomial":
+        return make_monomial_dictionary(config.dictionary["state_dim"],
+                                        config.dictionary["max_degree"])
+    raise ValueError(f"unknown dictionary kind {kind!r}")
 
 
-def _system_params(config: ExperimentConfig) -> dict:
+def _system_params(params: dict) -> dict:
     """``system.params`` as keyword arguments of the system's constructor."""
-    params = {}
-    for key, value in config.system_params.items():
+    coerced = {}
+    for key, value in params.items():
         if key == "standard_vdp":
             if not isinstance(value, bool):
                 raise ValueError(f"system.params.standard_vdp must be true or false, got {value!r}")
-            params[key] = value
+            coerced[key] = value
         elif _is_number(value, float):
-            params[key] = float(value)
+            coerced[key] = float(value)
         else:
             raise ValueError(f"system.params.{key} must be a number, got {value!r}")
-    return params
+    return coerced
 
 
 def build_system(config: ExperimentConfig):
     """The configured system; a value it rejects raises ValueError naming the key."""
+    system, noise = config.system, config.system["noise"]
     try:
-        if config.noise_kind == NO_NOISE:
+        if noise["kind"] == NO_NOISE:
             noise = NoiseModel.none(STATE_DIM)
         else:
-            noise = NoiseModel.gaussian(np.array(config.noise_std), dim=STATE_DIM)
+            noise = NoiseModel.gaussian(np.array(noise["std"]), dim=STATE_DIM)
     except ValueError as err:
         raise ValueError(f"system.noise.std: {err}") from None
-    params = _system_params(config)
     try:
-        if config.system_kind == "closed-quadratic":
-            return make_closed_quadratic(ClosedQuadraticParams(**params), noise=noise)
-        return make_vanderpol(noise=noise, **params)
+        if system["kind"] == "closed-quadratic":
+            return make_closed_quadratic(ClosedQuadraticParams(**system["params"]), noise=noise)
+        return make_vanderpol(noise=noise, **system["params"])
     except ValueError as err:
         # each constructor's message begins with the parameter's name, its key
         raise ValueError(f"system.params.{err}") from None
 
 
-def has_true_koopman(config: ExperimentConfig) -> bool:
-    """Ground truth exists only for the closed system/dictionary pairing."""
-    return (
-        config.system_kind == "closed-quadratic"
-        and config.dictionary_kind == "closed-quadratic"
-    )
-
-
-def true_koopman(config: ExperimentConfig) -> np.ndarray:
-    if not has_true_koopman(config):
-        raise ValueError("no ground-truth operator for this configuration")
-    var = 0.0 if config.noise_kind == NO_NOISE else config.noise_std[0] ** 2
-    return closed_quadratic_koopman(ClosedQuadraticParams(**_system_params(config)), var)
+def true_koopman(config: ExperimentConfig) -> np.ndarray | None:
+    """The analytic operator, which exists only for the closed system on the
+    closed dictionary; None for any other pairing."""
+    system, noise = config.system, config.system["noise"]
+    if (system["kind"], config.dictionary["kind"]) != ("closed-quadratic", "closed-quadratic"):
+        return None
+    var = 0.0 if noise["kind"] == NO_NOISE else noise["std"][0] ** 2
+    return closed_quadratic_koopman(ClosedQuadraticParams(**system["params"]), var)
 
 
 # Keys a config may hold, per section; anything else is rejected by name.
-_OPTIONAL_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.default is not MISSING)
 _KNOWN_KEYS = {
-    "config": {"label", "system", "dictionary", "domain", "T_grid", "base_seed",
-               "epsilon_list", "output_dir", *_OPTIONAL_KEYS},
+    "config": {f.name for f in fields(ExperimentConfig)},
     "system": {"kind", "params", "noise"},
     "system.noise": {"kind", "std"},
     "dictionary": {"kind", "state_dim", "max_degree"},
@@ -297,11 +288,13 @@ def _section(mapping: dict, where: str, default) -> dict:
 
 
 def config_from_dict(data: dict, **overrides) -> ExperimentConfig:
-    """Build a config from nested mapping data (the YAML layout).
+    """Build a config from nested mapping data (the YAML layout), each
+    override replacing one top-level key, and fill in the sections' defaults.
 
     Raises ValueError naming the key for any key the layout does not know,
     any required key that is missing and any section that is not a mapping.
     """
+    data = {**data, **overrides}
     system = _section(data, "system", {})
     noise = _section(system, "system.noise", {})
     params = _section(system, "system.params", {})
@@ -320,25 +313,15 @@ def config_from_dict(data: dict, **overrides) -> ExperimentConfig:
                 raise ValueError(f"missing key {key!r} in {where}")
     kind = system.get("kind", "closed-quadratic")
     std = noise.get("std", [0.01, 0.01] if kind == "vanderpol" else [1.0, 1.0])
-    flat = dict(
-        label=data.get("label", kind),
-        system_kind=kind,
-        system_params=dict(params),
-        noise_kind=noise.get("kind", "gaussian-iid"),
-        noise_std=std if isinstance(std, (list, tuple)) else [std],  # a scalar std serves both axes
-        dictionary_kind=dictionary.get("kind", "monomial"),
-        dict_state_dim=dictionary.get("state_dim"),
-        dict_max_degree=dictionary.get("max_degree"),
-        domain_lower=domain["lower"],
-        domain_upper=domain["upper"],
-        T_grid=data["T_grid"],
-        base_seed=data["base_seed"],
-        epsilon_list=data.get("epsilon_list", [0.1, 0.25, 0.5]),
-        output_dir=data.get("output_dir", "out"),
-    )
-    flat.update({key: data[key] for key in _OPTIONAL_KEYS if key in data})
-    flat.update(overrides)
-    return ExperimentConfig(**flat)
+    noise = {"kind": noise.get("kind", GAUSSIAN_IID),
+             "std": std if isinstance(std, (list, tuple)) else [std]}  # a scalar serves both axes
+    return ExperimentConfig(**{
+        "label": kind,
+        **data,
+        "system": {"kind": kind, "params": params, "noise": noise},
+        "dictionary": {"kind": "monomial", **dictionary},
+        "domain": domain,
+    })
 
 
 def load_config(path: str, **overrides) -> ExperimentConfig:
@@ -513,9 +496,10 @@ def _required_fit(config: ExperimentConfig, what: str, T: int, seed: int) -> Ope
 
 def _reference_koopman(config: ExperimentConfig):
     """The analytic operator, or one high-T fit."""
-    if has_true_koopman(config):
-        return true_koopman(config), {"kind": "analytic"}
-    t_ref = config.reference_T_factor * max(config.T_grid)
+    ref = true_koopman(config)
+    if ref is not None:
+        return ref, {"kind": "analytic"}
+    t_ref = REFERENCE_T_FACTOR * max(config.T_grid)
     seed = derive_seed(config.base_seed, t_ref, REFERENCE_STREAM)
     est = _required_fit(config, "reference fit", t_ref, seed)
     return est.matrix, {"kind": "high-T estimate", "T_ref": t_ref, "seed": seed}
@@ -596,17 +580,16 @@ def run_bound_calibration(config: ExperimentConfig, workers: int = 1) -> list[Bo
     estimates and ``n_term_realizations`` realizations for the bound's
     expectation terms per T.  Then for each T: reduces the term
     realizations' moment matrices, fits the residual-variance surrogate on
-    one trajectory simulated once (unless the config overrides it), and
-    scores the estimates against the bound for every epsilon.  Returns and
+    one trajectory simulated once, and scores the estimates against the bound for every epsilon.  Returns and
     writes one ``bounds.csv`` row per (T, epsilon).  Needs a ground-truth
     operator.
     """
-    if not has_true_koopman(config):
+    ref = true_koopman(config)
+    if ref is None:
         raise ValueError("bound calibration needs a ground-truth operator")
     system = build_system(config)
     dictionary = build_dictionary(config)
     domain = build_domain(config)
-    ref = true_koopman(config)
     cond_lambda = gram(dictionary, domain).cond
 
     n, n_terms = config.n_realizations, config.n_term_realizations
@@ -626,16 +609,13 @@ def run_bound_calibration(config: ExperimentConfig, workers: int = 1) -> list[Bo
             if fit.sigma0 is None:
                 raise RuntimeError(f"a bound-term realization at T={T} failed: {fit.status}")
         terms = bound_terms([fit.sigma0 for fit in term_fits])
-        if config.delta_hat_override is not None:
-            delta_hat = float(config.delta_hat_override)
-        else:
-            seed = derive_seed(config.base_seed, T, DELTA_STREAM)
-            try:
-                samples = simulate(system, None, T, seed, config.divergence_threshold, domain)
-            except DivergenceError as err:
-                raise RuntimeError(f"the delta_hat fit at T={T} failed: {err}") from err
-            est = estimate_koopman(accumulate(MomentPair.empty(dictionary), dictionary, samples))
-            delta_hat = residuals(dictionary, samples, est).delta_hat
+        seed = derive_seed(config.base_seed, T, DELTA_STREAM)
+        try:
+            samples = simulate(system, None, T, seed, config.divergence_threshold, domain)
+        except DivergenceError as err:
+            raise RuntimeError(f"the delta_hat fit at T={T} failed: {err}") from err
+        est = estimate_koopman(accumulate(MomentPair.empty(dictionary), dictionary, samples))
+        delta_hat = residuals(dictionary, samples, est).delta_hat
         errors = np.array(
             [
                 float(np.linalg.norm(fit.estimate.matrix - ref, "fro"))
@@ -669,9 +649,7 @@ def run_bound_calibration(config: ExperimentConfig, workers: int = 1) -> list[Bo
         {
             "config": asdict(config),
             "cond_lambda": cond_lambda,
-            "delta_hat_source": "override"
-            if config.delta_hat_override is not None
-            else "max per-observable mean squared residual of one fitted run per T",
+            "delta_hat_source": "max per-observable mean squared residual of one fitted run per T",
         },
     )
     return reports
@@ -699,9 +677,9 @@ def run_pf_pipeline(config: ExperimentConfig, workers: int = 1):
     )
 
     transfer_ok = transfer_total = 0
-    if has_true_koopman(config):
+    ref = true_koopman(config)
+    if ref is not None:
         # |P_hat - P|_F <= cond(Lambda) |K_hat - K|_F for every realization
-        ref = true_koopman(config)
         p_ref = koopman_to_pf(ref, lam).matrix
         seed_base = derive_seed(config.base_seed, T, SCORE_STREAM)
         seeds = [mix_seed(seed_base, r) for r in range(config.n_realizations)]

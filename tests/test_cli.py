@@ -128,3 +128,41 @@ class TestCountFlags:
         assert exit_info.value.code == 2
         message = f"argument {flag}: must be a positive integer, got '{value}'"
         assert message in capsys.readouterr().err
+
+
+class TestErrorsEndInOneLine:
+    """A bad config, input file or run exits 1 with one stderr line that
+    names the problem; each used to end in a traceback."""
+
+    def _fails(self, argv, capsys, message, unwritten):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"koopest {argv[0]}: ") and message in err
+        for path in unwritten:
+            assert not os.path.exists(path)
+
+    def test_bounds_without_ground_truth(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["bounds", "configs/vanderpol.yaml", "--output-dir", str(out)]
+        self._fails(argv, capsys, "bound calibration needs a ground-truth operator",
+                    [out / "bounds.csv"])
+
+    def test_estimate_below_the_sample_floor(self, config_path, tmp_path, capsys):
+        cfg = config_path()
+        assert main(["simulate", cfg, "--steps", "5"]) == 0
+        capsys.readouterr()
+        argv = ["estimate", cfg, "--samples", str(tmp_path / "out" / "samples.csv")]
+        self._fails(argv, capsys, "more than 2N+2 = 10 samples for N = 4; got 5",
+                    [tmp_path / "out" / "koopman.csv", tmp_path / "out" / "bounds.csv"])
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["bounds", str(tmp_path / "missing.yaml"), "--output-dir", str(out)]
+        self._fails(argv, capsys, f"No such file or directory: '{tmp_path / 'missing.yaml'}'",
+                    [out / "bounds.csv"])
+
+    def test_unknown_config_key(self, config_path, tmp_path, capsys):
+        argv = ["bounds", config_path(n_realisations=3)]
+        self._fails(argv, capsys, "unknown key 'n_realisations' in config",
+                    [tmp_path / "out" / "bounds.csv"])

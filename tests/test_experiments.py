@@ -4,6 +4,7 @@ import os
 import pickle
 import re
 import warnings
+from dataclasses import asdict
 from functools import lru_cache
 
 import numpy as np
@@ -145,8 +146,13 @@ class TestConfig:
             ),
             ("dictionary", {"kind": "monomial", "state_dim": 2, "degree": 2}, "'degree' in dictionary$"),
             ("domain", {"lower": [-1.0, -1.0], "upper": [1.0, 1.0], "uper": [2.0]}, "'uper' in domain$"),
+            # keys no config varied: the reference length is a module constant,
+            # and delta_hat is always fitted
+            ("reference_T_factor", 100, "'reference_T_factor' in config$"),
+            ("delta_hat_override", 0.5, "'delta_hat_override' in config$"),
         ],
-        ids=["top-level", "system", "noise", "dictionary", "domain"],
+        ids=["top-level", "system", "noise", "dictionary", "domain", "reference_T_factor",
+             "delta_hat_override"],
     )
     def test_unknown_key_rejected(self, smoke_config, key, value, message):
         with pytest.raises(ValueError, match=message):
@@ -233,17 +239,11 @@ class TestConfig:
             ("closure_n_states", 3),
             ("divergence_threshold", -1),
             ("divergence_threshold", "1e6"),
-            ("reference_T_factor", 0),
             ("n_realizations", "abc"),
             ("dictionary.state_dim", "2"),
             ("dictionary.state_dim", 1),
             ("dictionary.max_degree", 2.5),
             ("dictionary.max_degree", True),
-            ("delta_hat_override", -1),
-            ("delta_hat_override", "abc"),
-            ("delta_hat_override", float("nan")),
-            ("delta_hat_override", float("inf")),
-            ("delta_hat_override", True),
             ("T_grid", [200.7, 400]),
             ("T_grid", [1.0e3, 2000]),
             ("base_seed", 1.5),
@@ -259,17 +259,15 @@ class TestConfig:
             ("domain.upper", [1.0, True]),
         ],
         ids=["quadrature-zero", "quadrature-fraction", "closure-one-draw", "closure-below-N",
-             "threshold-negative", "threshold-text", "reference-zero", "realizations-text",
-             "state-dim-text", "state-dim-one", "degree-fraction", "degree-bool",
-             "override-negative", "override-text", "override-nan", "override-inf",
-             "override-bool", "T_grid-fraction", "T_grid-float", "seed-fraction", "seed-bool",
+             "threshold-negative", "threshold-text", "realizations-text", "state-dim-text",
+             "state-dim-one", "degree-fraction", "degree-bool", "T_grid-fraction", "T_grid-float",
+             "seed-fraction", "seed-bool",
              "rho-bool", "c-text", "std-bool", "std-bool-entry", "std-text", "epsilon-text",
              "epsilon-bool", "lower-text", "upper-bool"],
     )
     def test_bad_count_or_threshold_named(self, smoke_config, key, value):
-        # each used to load, then fail late (a bare TypeError, a failed quadrature,
-        # -1 as delta_hat after every fit) or run silently wrong (NaN closure
-        # floors, every fit diverged, degree 1, a NaN bound that no error exceeds,
+        # each used to load, then fail late (a bare TypeError, a failed quadrature)
+        # or run silently wrong (NaN closure floors, every fit diverged, degree 1,
         # T = 200.7 run as 200, a bool or a string read as a number)
         section, _, leaf = key.rpartition(".")
         while section:  # the value replaces one key of a valid section
@@ -303,9 +301,26 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be a mapping, got "):
             smoke_config(**{section or leaf: value})
 
-    def test_delta_hat_override_takes_a_finite_nonnegative_number(self, smoke_config):
-        for value in (None, 0, 2.5):
-            assert smoke_config(delta_hat_override=value).delta_hat_override == value
+    @pytest.mark.parametrize(
+        "name", ["closed_quadratic_baseline", "closed_quadratic_strong", "vanderpol", "smoke"]
+    )
+    def test_shipped_config_round_trips_through_json(self, name):
+        # the run sidecars record asdict(config); it used to hold flat fields
+        # that config_from_dict rejected ("unknown key 'dict_max_degree'")
+        cfg = load_config(os.path.join("configs", f"{name}.yaml"))
+        assert config_from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
+
+    def test_sections_hold_defaults_and_normalized_values(self, smoke_config):
+        # a scalar std, integer params and bounds, a dictionary without its kind
+        system = {"kind": "closed-quadratic", "params": {"rho": 0, "mu": 0.3}, "noise": {"std": 2}}
+        cfg = smoke_config(system=system, dictionary={"state_dim": 2, "max_degree": 1},
+                           domain={"lower": [-1, -2], "upper": [1, 2]})
+        assert cfg.system == {"kind": "closed-quadratic", "params": {"rho": 0.0, "mu": 0.3},
+                              "noise": {"kind": "gaussian-iid", "std": (2.0,)}}
+        assert type(cfg.system["params"]["rho"]) is float
+        assert cfg.dictionary == {"kind": "monomial", "state_dim": 2, "max_degree": 1}
+        assert cfg.domain == {"lower": (-1.0, -2.0), "upper": (1.0, 2.0)}
+        assert config_from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
     def test_standard_vdp_takes_only_a_boolean(self, smoke_config):
         system = {"kind": "vanderpol", "params": {"dt": 0.001, "standard_vdp": "false"}}
@@ -322,6 +337,7 @@ class TestConfig:
             ClosedQuadraticParams(0.2, 0.3, 1.0), noise_variance=1.0
         )
         np.testing.assert_array_equal(k, expected)
+        assert true_koopman(smoke_config(dictionary=SECTIONS["dictionary"])) is None
 
 
 class TestFitRealization:
@@ -625,6 +641,16 @@ class TestRunSweep:
             assert row["mean_rel_err"] == repr(float(np.mean(errs)))
             se = np.std(errs, ddof=1) / np.sqrt(len(errs)) if len(errs) > 1 else np.nan
             assert row["std_err"] == repr(float(se))
+
+
+class TestSidecarConfig:
+    def test_smoke_run_sidecars_load_back(self, smoke_config):
+        cfg = smoke_config()
+        run_sweep(cfg)
+        run_bound_calibration(cfg)
+        for name in ("sweep.meta.json", "bounds.meta.json"):
+            with open(os.path.join(cfg.output_dir, name)) as fh:
+                assert config_from_dict(json.load(fh)["config"]) == cfg, name
 
 
 class TestOrderedMap:

@@ -42,6 +42,11 @@ of its own.  A fit a run cannot do without (the high-T reference, the
 transfer matrix) goes through ``experiments._required_fit``, the only code
 that calls ``fit_realizations`` directly; the sweeps reach it through the
 one parallel map.
+A config is its YAML: ``ExperimentConfig`` holds the sections as loaded, and
+``system.params`` is coerced once, at load (``_system_params`` is called only
+by ``ExperimentConfig.__post_init__``), so no builder re-reads raw params and
+the ground truth is one ``true_koopman`` (None without one), with no
+``has_true_koopman`` beside it.
 """
 
 import ast
@@ -335,3 +340,13 @@ def test_no_pass_through_wrappers():
     ]
     methods = {node.name for node in system.body if isinstance(node, ast.FunctionDef)}
     assert "transition" in methods and "step" not in methods
+
+
+def test_config_params_are_coerced_once_at_load():
+    assert _callers("_system_params") == {"experiments.ExperimentConfig.__post_init__"}
+
+
+def test_ground_truth_is_one_function():
+    defined = {node.name for node in ast.walk(_parse("experiments"))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert "ExperimentConfig" in defined and "has_true_koopman" not in defined
