@@ -46,7 +46,7 @@ print("transfer spectrum:", np.round(np.sort(np.linalg.eigvals(p.matrix).real), 
 # scale must stay resolvable by the projection quadrature (order 16 covers
 # standard deviations down to ~0.15 on [-1, 1] axes).
 sigma = 0.15
-small = make_closed_quadratic(params, noise=NoiseModel.gaussian(sigma, 2))
+small = make_closed_quadratic(params, noise=NoiseModel.gaussian(sigma))
 p_small = koopman_to_pf(closed_quadratic_koopman(params, sigma**2), lam)
 g = np.array([0.3, -0.2, 0.5, 0.1])
 coords, se = pf_apply_integral_mc(

@@ -44,7 +44,6 @@ from .dynamics import (
 from .estimator import (
     MomentPair,
     OperatorEstimate,
-    ResidualStats,
     SampleFloorError,
     accumulate,
     closure_check,

@@ -52,7 +52,10 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Additive iid noise, drawn independently across time steps and coordinates."""
+    """Additive iid noise on the plane, drawn independently across time steps
+    and the two coordinates.  ``std_dev`` holds one standard deviation per
+    coordinate; a single entry serves both.  Kind ``"none"`` draws zeros
+    whatever its ``std_dev``."""
 
     kind: str  # "gaussian-iid" | "none"
     std_dev: np.ndarray
@@ -61,34 +64,33 @@ class NoiseModel:
         if self.kind not in (GAUSSIAN_IID, NO_NOISE):
             raise ValueError(f"unknown noise kind {self.kind!r}")
         sd = np.atleast_1d(np.asarray(self.std_dev, dtype=float))
+        if sd.shape == (1,):
+            sd = np.full(STATE_DIM, sd[0])
+        if sd.shape != (STATE_DIM,):
+            raise ValueError(
+                f"std_dev needs 1 or {STATE_DIM} entries (systems are planar), got {sd.size}"
+            )
         if (sd < 0).any() or not np.isfinite(sd).all():
             raise ValueError("std_dev entries must be finite and nonnegative")
         object.__setattr__(self, "std_dev", sd)
 
     @classmethod
-    def gaussian(cls, std_dev, dim: int | None = None) -> "NoiseModel":
-        sd = np.atleast_1d(np.asarray(std_dev, dtype=float))
-        if dim is not None and sd.size == 1:
-            sd = np.full(dim, float(sd[0]))
-        return cls(GAUSSIAN_IID, sd)
+    def gaussian(cls, std_dev) -> "NoiseModel":
+        return cls(GAUSSIAN_IID, std_dev)
 
     @classmethod
-    def none(cls, dim: int) -> "NoiseModel":
-        return cls(NO_NOISE, np.zeros(dim))
-
-    @property
-    def dim(self) -> int:
-        return self.std_dev.size
+    def none(cls) -> "NoiseModel":
+        return cls(NO_NOISE, 0.0)
 
     @property
     def has_density(self) -> bool:
         return self.kind == GAUSSIAN_IID and bool((self.std_dev > 0).all())
 
     def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        """m iid noise vectors, shape (m, dim).  Consumes no randomness if silent."""
+        """m iid noise vectors, shape (m, 2).  Consumes no randomness if silent."""
         if self.kind == NO_NOISE:
-            return np.zeros((m, self.dim))
-        return rng.normal(0.0, 1.0, size=(m, self.dim)) * self.std_dev
+            return np.zeros((m, STATE_DIM))
+        return rng.normal(0.0, 1.0, size=(m, STATE_DIM)) * self.std_dev
 
     def density(self, v) -> np.ndarray:
         """Product-Gaussian probability density of each state (last axis) of v."""
@@ -96,7 +98,7 @@ class NoiseModel:
             raise ValueError("noise model has no density (kind 'none' or zero std)")
         v = np.atleast_2d(np.asarray(v, dtype=float))
         z = v / self.std_dev
-        norm = (2.0 * np.pi) ** (self.dim / 2.0) * float(np.prod(self.std_dev))
+        norm = (2.0 * np.pi) ** (STATE_DIM / 2.0) * float(np.prod(self.std_dev))
         return np.exp(-0.5 * np.sum(z * z, axis=-1)) / norm
 
 
@@ -109,20 +111,12 @@ class StochasticSystem:
     floats (the simulator), ``(R,)`` arrays of lockstep trajectories and
     arrays of states (``transition``, the noiseless T(x); :func:`step_pairs`
     adds the noise).  It must multiply rather than use ``**``, which raises
-    on float overflow.  The noise must have ``STATE_DIM`` (2) coordinates.
-    Systems are immutable and safe to share across workers.
+    on float overflow.  The noise is planar, as the drift is.  Systems are
+    immutable and safe to share across workers.
     """
 
-    STATE_DIM = STATE_DIM  # unannotated: a class constant, not a field
     drift: object
     noise: NoiseModel
-    label: str = ""
-
-    def __post_init__(self):
-        if self.noise.dim != STATE_DIM:
-            raise ValueError(
-                f"noise dimension must be {STATE_DIM} (systems are planar), got {self.noise.dim}"
-            )
 
     def transition(self, x) -> np.ndarray:
         """T applied to one state ``(2,)`` or to each row of ``(m, 2)``."""
@@ -168,9 +162,7 @@ def make_closed_quadratic(
     def drift(x1, x2):
         return rho * x1, mu * x2 + a * x1 * x1
 
-    if noise is None:
-        noise = NoiseModel.gaussian(1.0, dim=STATE_DIM)
-    return StochasticSystem(drift, noise, label="closed-quadratic")
+    return StochasticSystem(drift, NoiseModel.gaussian(1.0) if noise is None else noise)
 
 
 def closed_quadratic_dictionary() -> Dictionary:
@@ -219,10 +211,7 @@ def make_vanderpol(
         damped = x2 if standard_vdp else x1
         return x1 + dt * x2, x2 + dt * ((1.0 - x1 * x1) * damped - x1)
 
-    if noise is None:
-        noise = NoiseModel.gaussian(0.01, dim=STATE_DIM)
-    label = "vanderpol-standard" if standard_vdp else "vanderpol"
-    return StochasticSystem(drift, noise, label=label)
+    return StochasticSystem(drift, NoiseModel.gaussian(0.01) if noise is None else noise)
 
 
 @dataclass(frozen=True)

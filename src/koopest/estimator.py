@@ -188,36 +188,21 @@ def estimate_koopman(moments: MomentPair) -> OperatorEstimate:
     return est
 
 
-@dataclass(frozen=True)
-class ResidualStats:
-    """Per-sample lifting residuals and the noise-variance bound surrogate.
+def residuals(dictionary: Dictionary, samples: SampleSet, k_hat: OperatorEstimate) -> np.ndarray:
+    """Per-observable mean squared residuals ``delta_t = Psi(y_t) - K_hat^T Psi(x_t)``,
+    shape ``(N,)``; their maximum is the noise-variance bound surrogate Delta-hat.
 
-    ``delta_hat`` is the largest per-observable mean squared residual.  The
-    residual means vanish by the normal equations whenever the constant
-    observable is in the dictionary, so the mean square doubles as the
-    sample variance.
+    The residual means vanish by the normal equations whenever the constant
+    observable is in the dictionary, so each mean square is also the
+    observable's residual variance.
     """
-
-    delta_hat: float
-    per_basis_variance: np.ndarray
-
-    def __post_init__(self):
-        if (np.asarray(self.per_basis_variance) < 0).any():
-            raise ValueError("per-basis variances must be nonnegative")
-
-
-def residuals(
-    dictionary: Dictionary, samples: SampleSet, k_hat: OperatorEstimate
-) -> ResidualStats:
-    """Residuals ``delta_t = Psi(y_t) - K_hat^T Psi(x_t)`` and their statistics."""
     if k_hat.n_basis != dictionary.n_basis:
         raise ValueError("operator size does not match the dictionary")
     sq_sum = np.zeros(dictionary.n_basis)
     for psi_x, psi_y in _lifted_pairs(dictionary, samples):
         delta = psi_y - psi_x @ k_hat.matrix
         sq_sum += np.sum(delta * delta, axis=0)
-    per_basis = sq_sum / samples.n_samples
-    return ResidualStats(delta_hat=float(per_basis.max()), per_basis_variance=per_basis)
+    return sq_sum / samples.n_samples
 
 
 def closure_check(

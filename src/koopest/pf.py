@@ -38,10 +38,6 @@ class PFEstimate:
             raise ValueError("transfer matrix size must match the gram matrix")
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def n_basis(self) -> int:
-        return self.matrix.shape[0]
-
 
 def conjugate_stack(kmats, gram: GramMatrix) -> list[np.ndarray]:
     """Transfer matrices ``Lambda^-1 K^T Lambda`` of a sequence of Koopman

@@ -54,7 +54,7 @@ BASELINE = ClosedQuadraticParams(rho=0.2, mu=0.3, c=1.0)
 
 def test_c01_exact_recovery_noiseless():
     t0 = time.perf_counter()
-    system = make_closed_quadratic(BASELINE, noise=NoiseModel.none(2))
+    system = make_closed_quadratic(BASELINE, noise=NoiseModel.none())
     dct = closed_quadratic_dictionary()
     states = make_rng(101).uniform(-1, 1, size=(200, 2))
     samples = step_pairs(system, states, seed=102)
@@ -200,7 +200,7 @@ def test_c08_closure_diagnostics():
     closed_ok = bool((defects <= 3.0 * floors + 1e-12).all())
 
     dct6 = make_monomial_dictionary(2, 2)
-    vdp = make_vanderpol(1e-4, noise=NoiseModel.none(2))
+    vdp = make_vanderpol(1e-4, noise=NoiseModel.none())
     vdp_defects = closure_check(dct6, vdp, n_states=40, n_mc=1, seed=802)
     open_ok = bool(vdp_defects.max() > 1e-9)
     gate(
@@ -272,7 +272,7 @@ def test_c11_monte_carlo_oracles():
 
     # kernel-integral application against matrix propagation
     sigma = 0.15
-    small = make_closed_quadratic(BASELINE, noise=NoiseModel.gaussian(sigma, 2))
+    small = make_closed_quadratic(BASELINE, noise=NoiseModel.gaussian(sigma))
     lam = gram(dct, unit_box(2))
     p = koopman_to_pf(closed_quadratic_koopman(BASELINE, sigma**2), lam)
     g = np.array([0.3, -0.2, 0.5, 0.1])

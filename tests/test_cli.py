@@ -141,6 +141,7 @@ class TestErrorsEndInOneLine:
         assert err.startswith(f"koopest {argv[0]}: ") and message in err
         for path in unwritten:
             assert not os.path.exists(path)
+        return err
 
     def test_bounds_without_ground_truth(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -166,3 +167,12 @@ class TestErrorsEndInOneLine:
         argv = ["bounds", config_path(n_realisations=3)]
         self._fails(argv, capsys, "unknown key 'n_realisations' in config",
                     [tmp_path / "out" / "bounds.csv"])
+
+    def test_config_that_is_not_yaml(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("T_grid: [200\n")
+        out = tmp_path / "out"
+        argv = ["sweep", str(path), "--output-dir", str(out)]
+        # it used to end in a yaml.parser.ParserError traceback
+        err = self._fails(argv, capsys, f"{path} is not valid YAML: ", [out / "sweep.csv"])
+        assert f'in "{path}", line 1, column 9' in err

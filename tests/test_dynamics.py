@@ -27,7 +27,7 @@ from koopest.seeding import make_rng, mix_seed
 
 
 def noiseless_quadratic(params):
-    return make_closed_quadratic(params, noise=NoiseModel.none(2))
+    return make_closed_quadratic(params, noise=NoiseModel.none())
 
 
 class TestClosedQuadratic:
@@ -42,7 +42,8 @@ class TestClosedQuadratic:
 
     def test_strong_parameters_accepted(self, strong_params):
         system = make_closed_quadratic(strong_params)
-        assert system.label == "closed-quadratic"
+        # hand evaluation: (rho^2 - mu) * c * 1 = (0.64 - 0.8) * 0.9
+        np.testing.assert_allclose(system.transition([1.0, 0.0]), [0.8, -0.144])
 
     def test_warns_outside_contraction(self):
         with pytest.warns(UserWarning, match="diverge"):
@@ -114,16 +115,16 @@ class TestGroundTruthKoopman:
 
 class TestVanDerPol:
     def test_origin_fixed_point(self):
-        system = make_vanderpol(1e-4, noise=NoiseModel.none(2))
+        system = make_vanderpol(1e-4, noise=NoiseModel.none())
         np.testing.assert_array_equal(system.transition(np.zeros(2)), np.zeros(2))
 
     def test_drift_as_printed(self):
-        system = make_vanderpol(1e-4, noise=NoiseModel.none(2))
+        system = make_vanderpol(1e-4, noise=NoiseModel.none())
         np.testing.assert_allclose(system.transition([1.0, 1.0]), [1.0001, 1.0 - 0.0001])
 
     def test_standard_variant_differs(self):
-        printed = make_vanderpol(0.01, noise=NoiseModel.none(2))
-        textbook = make_vanderpol(0.01, noise=NoiseModel.none(2), standard_vdp=True)
+        printed = make_vanderpol(0.01, noise=NoiseModel.none())
+        textbook = make_vanderpol(0.01, noise=NoiseModel.none(), standard_vdp=True)
         # at (2, 1): printed x2 drift (1-4)*2-2 = -8, textbook (1-4)*1-2 = -5
         np.testing.assert_allclose(printed.transition([2.0, 1.0]), [2.01, 1.0 - 0.08])
         np.testing.assert_allclose(textbook.transition([2.0, 1.0]), [2.01, 1.0 - 0.05])
@@ -145,11 +146,26 @@ _coordinate = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 class TestPlanarContract:
     def test_other_dimensions_are_rejected(self):
-        # the dimension is a class constant, not an argument: noise fixes it
-        assert StochasticSystem.STATE_DIM == 2
-        message = r"noise dimension must be 2 \(systems are planar\), got 3"
+        # the dimension is the constant STATE_DIM, not an argument: the noise
+        # of a system has two coordinates, whatever std it is given
+        message = r"std_dev needs 1 or 2 entries \(systems are planar\), got 3"
         with pytest.raises(ValueError, match=message):
-            StochasticSystem(lambda x1, x2, x3: (x1, x2, x3), NoiseModel.none(3))
+            NoiseModel.gaussian([1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match=message):
+            NoiseModel("none", np.zeros(3))
+        assert NoiseModel.none().draw(make_rng(0), 3).shape == (3, 2)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        std=st.floats(0.0, 1e3, allow_nan=False),
+        seed=st.integers(0, 2**64 - 1),
+        m=st.integers(1, 40),
+    )
+    def test_one_entry_std_serves_both_coordinates(self, std, seed, m):
+        one = NoiseModel.gaussian(std).draw(make_rng(seed), m)
+        two = NoiseModel.gaussian([std, std]).draw(make_rng(seed), m)
+        assert one.shape == (m, 2)
+        assert one.tobytes() == two.tobytes()
 
 
 class TestDriftForms:
@@ -345,8 +361,8 @@ class TestKoopmanApplyMC:
 
 class TestNoiseModel:
     def test_none_draws_zero(self):
-        nm = NoiseModel.none(3)
-        assert (nm.draw(make_rng(0), 5) == 0).all()
+        draws = NoiseModel.none().draw(make_rng(0), 5)
+        assert draws.shape == (5, 2) and (draws == 0).all()
 
     def test_density_integrates_to_one(self):
         nm = NoiseModel.gaussian([0.5, 2.0])
@@ -359,4 +375,4 @@ class TestNoiseModel:
 
     def test_density_unavailable(self):
         with pytest.raises(ValueError, match="density"):
-            NoiseModel.none(2).density(np.zeros((1, 2)))
+            NoiseModel.none().density(np.zeros((1, 2)))

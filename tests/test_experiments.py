@@ -22,6 +22,7 @@ from koopest import (
     estimate_koopman,
     fit_loglog_slope,
     load_config,
+    make_vanderpol,
     run_bound_calibration,
     run_closure,
     run_pf_pipeline,
@@ -128,6 +129,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="T_grid must not be empty"):
             smoke_config(T_grid=[])
 
+    def test_empty_epsilon_list_rejected(self, smoke_config):
+        # it used to run every fit and write a bounds.csv of only its header
+        with pytest.raises(ValueError, match="^epsilon_list must not be empty$"):
+            smoke_config(epsilon_list=[])
+
     def test_single_term_realization_rejected(self, smoke_config):
         # the bound terms need a standard error; fail at load, not after the scored fits
         with pytest.raises(ValueError, match="n_term_realizations"):
@@ -172,14 +178,16 @@ class TestConfig:
              "unknown key 'mu' in system.params"),
             ("system", {"kind": "duffing", "params": {}}, "unknown system.kind 'duffing'"),
             ("system", {**CLOSED_QUADRATIC, "noise": {"std": [1.0, 1.0, 1.0]}},
-             "system.noise.std needs 1 or 2 entries"),
+             r"^system.noise.std: std_dev needs 1 or 2 entries \(systems are planar\), got 3$"),
+            ("system", {**CLOSED_QUADRATIC, "noise": {"kind": "none", "std": [0.0] * 3}},
+             r"^system.noise.std: std_dev needs 1 or 2 entries"),
             ("dictionary", {"kind": "monomial", "state_dim": 3, "max_degree": 2},
              "dictionary.state_dim gives dimension 3"),
             ("domain", {"lower": [-1.0, -1.0, -1.0], "upper": [1.0, 1.0, 1.0]},
              "domain gives dimension 3"),
         ],
         ids=["noise-kind", "param-typo", "param-missing", "vanderpol-param", "system-kind",
-             "noise-std-count", "dictionary-dim", "domain-dim"],
+             "noise-std-count", "silent-noise-std-count", "dictionary-dim", "domain-dim"],
     )
     def test_bad_system_rejected_at_load(self, smoke_config, key, value, message):
         with pytest.raises(ValueError, match=message):
@@ -276,10 +284,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be "):
             smoke_config(**{leaf: value})
 
-    @pytest.mark.parametrize("key", ["T_grid", "base_seed", "domain.lower", "domain.upper"])
+    @pytest.mark.parametrize("key", ["T_grid", "base_seed", "domain.lower", "domain.upper",
+                                     "dictionary.state_dim", "dictionary.max_degree"])
     def test_missing_required_key_named(self, key):
-        # each used to raise a bare KeyError
-        data = {"T_grid": [200, 400], "base_seed": 1, "domain": dict(SECTIONS["domain"])}
+        # each used to raise a bare KeyError, or for a monomial dictionary
+        # read "dictionary.state_dim must be an integer of at least 2, got None"
+        data = {"T_grid": [200, 400], "base_seed": 1, "domain": dict(SECTIONS["domain"]),
+                "dictionary": dict(SECTIONS["dictionary"])}
         section, _, leaf = key.rpartition(".")
         del (data[section] if section else data)[leaf]
         with pytest.raises(ValueError, match=rf"^missing key '{leaf}' in {section or 'config'}$"):
@@ -328,7 +339,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="system.params.standard_vdp must be true or false"):
             smoke_config(system=system)
         system["params"]["standard_vdp"] = True
-        assert build_system(smoke_config(system=system)).label == "vanderpol-standard"
+        built = build_system(smoke_config(system=system))
+        textbook = make_vanderpol(0.001, standard_vdp=True)
+        states = np.array([[2.0, 1.0], [-0.5, 0.25]])
+        assert built.transition(states).tobytes() == textbook.transition(states).tobytes()
+        assert not np.array_equal(make_vanderpol(0.001).transition(states),
+                                  textbook.transition(states))
 
     def test_true_koopman_uses_noise_variance(self, smoke_config):
         cfg = smoke_config()

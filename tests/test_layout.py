@@ -32,8 +32,12 @@ from its two ints or its exponent table (no ``MonomialSpec`` or
 ``dictionary_from_exponents``), ``accumulate`` is the only way into a
 ``MomentPair`` (no ``merge_moments`` or ``absorb_lifted``), a ``bounds.csv``
 row is one ``BoundReport`` (no ``ViolationStats`` or ``make_bound_report``),
-and a system's noiseless map is ``transition``, its noisy step
-``step_pairs`` (``StochasticSystem`` has no ``step``).
+a system's noiseless map is ``transition``, its noisy step
+``step_pairs`` (``StochasticSystem`` has no ``step``), and the residuals of
+a fit are their ``(N,)`` array (no ``ResidualStats`` holding its maximum).
+A system is its drift and its planar noise: ``StochasticSystem`` has the
+two fields ``drift`` and ``noise`` and no class constant, and no
+``NoiseModel`` constructor takes a dimension.
 A fit ends one of three ways: ``fit_realizations`` builds a ``Realization``
 only as "ok", "diverged" or "singular".  The 2N+2 sample floor is checked
 once at load (``ExperimentConfig``), once per estimate (``OperatorEstimate``)
@@ -58,6 +62,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "koopest"
 def _parse(name):
     path = SRC / f"{name}.py"
     return ast.parse(path.read_text(), filename=str(path))
+
+
+def _class(module, name):
+    (node,) = [n for n in _parse(module).body if isinstance(n, ast.ClassDef) and n.name == name]
+    return node
 
 
 def test_bounds_imports_no_simulation_layers():
@@ -323,7 +332,7 @@ def test_every_save_writes_through_one_helper():
 
 def test_no_pass_through_wrappers():
     deleted = {"MonomialSpec", "dictionary_from_exponents", "merge_moments", "absorb_lifted",
-               "ViolationStats", "make_bound_report", "_config_meta"}
+               "ViolationStats", "make_bound_report", "_config_meta", "ResidualStats"}
     defined = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
@@ -333,11 +342,7 @@ def test_no_pass_through_wrappers():
         or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id in deleted)
     ]
     assert defined == []
-    (system,) = [
-        node
-        for node in _parse("dynamics").body
-        if isinstance(node, ast.ClassDef) and node.name == "StochasticSystem"
-    ]
+    system = _class("dynamics", "StochasticSystem")
     methods = {node.name for node in system.body if isinstance(node, ast.FunctionDef)}
     assert "transition" in methods and "step" not in methods
 
@@ -350,3 +355,18 @@ def test_ground_truth_is_one_function():
     defined = {node.name for node in ast.walk(_parse("experiments"))
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert "ExperimentConfig" in defined and "has_true_koopman" not in defined
+
+
+def test_a_system_is_its_drift_and_its_noise():
+    body = _class("dynamics", "StochasticSystem").body
+    assert [n.target.id for n in body if isinstance(n, ast.AnnAssign)] == ["drift", "noise"]
+    assert not any(isinstance(n, ast.Assign) for n in body)
+
+
+def test_noise_constructors_take_no_dimension():
+    methods = {n.name: n.args for n in _class("dynamics", "NoiseModel").body
+               if isinstance(n, ast.FunctionDef)}
+    params = {name: [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+              for name, args in methods.items() if name in ("gaussian", "none")}
+    assert params == {"gaussian": ["cls", "std_dev"], "none": ["cls"]}
+    assert "dim" not in methods

@@ -40,7 +40,7 @@ BOX = Domain([-1.5, -0.5], [2.0, 1.25])
 
 def _quadratic(sigma=1.0):
     params = ClosedQuadraticParams(rho=0.2, mu=0.3, c=1.0)
-    return make_closed_quadratic(params, noise=NoiseModel.gaussian(sigma, 2))
+    return make_closed_quadratic(params, noise=NoiseModel.gaussian(sigma))
 
 
 def _vanderpol(noise):
@@ -52,11 +52,11 @@ CLOSURE = {
         closed_quadratic_dictionary(), _quadratic(), 12, 2000, 41, return_floor=True
     ),
     "vanderpol-n15": lambda: closure_check(
-        make_monomial_dictionary(2, 4), _vanderpol(NoiseModel.gaussian(0.2, 2)),
+        make_monomial_dictionary(2, 4), _vanderpol(NoiseModel.gaussian(0.2)),
         20, 300, 42, domain=BOX, return_floor=True,
     ),
     "noiseless-n_mc-1": lambda: closure_check(
-        make_monomial_dictionary(2, 2), _vanderpol(NoiseModel.none(2)),
+        make_monomial_dictionary(2, 2), _vanderpol(NoiseModel.none()),
         15, 1, 43, domain=BOX, return_floor=True,
     ),
 }
@@ -80,10 +80,10 @@ INTEGRAL = {
         _quadratic(0.3), closed_quadratic_dictionary(), unit_box(2), G4, 40_001, 52
     ),
     "vanderpol-n15-777": lambda: _integral(
-        _vanderpol(NoiseModel.gaussian(0.3, 2)), make_monomial_dictionary(2, 4), BOX, G15, 777, 53
+        _vanderpol(NoiseModel.gaussian(0.3)), make_monomial_dictionary(2, 4), BOX, G15, 777, 53
     ),
     "vanderpol-n15-6000": lambda: _integral(
-        _vanderpol(NoiseModel.gaussian(0.3, 2)), make_monomial_dictionary(2, 4), BOX, G15, 6000, 54
+        _vanderpol(NoiseModel.gaussian(0.3)), make_monomial_dictionary(2, 4), BOX, G15, 6000, 54
     ),
 }
 

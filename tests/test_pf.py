@@ -134,7 +134,7 @@ class TestIntegralOracle:
     def small_noise_setup(self, baseline_params):
         sigma = 0.15
         system = make_closed_quadratic(
-            baseline_params, noise=NoiseModel.gaussian(sigma, 2)
+            baseline_params, noise=NoiseModel.gaussian(sigma)
         )
         dct = closed_quadratic_dictionary()
         lam = gram(dct, unit_box(2))
@@ -172,7 +172,7 @@ class TestIntegralOracle:
         assert (np.abs(coords - expected) <= 4.0 * se).all()
 
     def test_silent_noise_unsupported(self, baseline_params):
-        system = make_closed_quadratic(baseline_params, noise=NoiseModel.none(2))
+        system = make_closed_quadratic(baseline_params, noise=NoiseModel.none())
         dct = closed_quadratic_dictionary()
         lam = gram(dct, unit_box(2))
         with pytest.raises(ValueError, match="density"):

@@ -75,7 +75,7 @@ def _hashes(kind):
     states = np.random.default_rng(5).uniform(-1.0, 1.0, size=(1000, 2))
     pairs = step_pairs(system, states, seed=77)
 
-    quiet = SYSTEMS[kind](NoiseModel.none(2))
+    quiet = SYSTEMS[kind](NoiseModel.none())
     dictionary = make_monomial_dictionary(2, 2)
     coeffs = np.array([0.5, -1.0, 2.0, 0.25, -0.75, 1.5])
     values = [
