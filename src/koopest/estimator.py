@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .basis import Dictionary, Domain, evaluate_many, unit_box
 from .dynamics import BLOCK, SampleSet, StochasticSystem, koopman_apply_mc
@@ -157,6 +156,7 @@ def estimate_stack(sigma0, sigma1, count: int, names, seeds) -> list[OperatorEst
     its condition exceeds 1e12 or the factorization fails, it falls back to
     a minimum-norm least-squares pseudo-solution, flagged ``fallback``.
     """
+    from scipy.linalg.lapack import dpotrf, dpotrs  # loaded at the first solve, not at import
     if not (np.isfinite(sigma0).all() and np.isfinite(sigma1).all()):
         raise ValueError("moment matrices contain non-finite entries")
     s0 = 0.5 * (sigma0 + np.swapaxes(sigma0, -1, -2))

@@ -13,7 +13,6 @@ import math
 import numbers
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
 
@@ -297,11 +296,13 @@ def config_from_dict(data: dict, **overrides) -> ExperimentConfig:
     domain = _section(data, "domain", {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]})
     sections = {"config": data, "system": system, "system.noise": noise,
                 "dictionary": dictionary, "domain": domain}
+    monomial = dictionary.get("kind", "monomial") == "monomial"
     for where, mapping in sections.items():
-        unknown = sorted(set(mapping) - _KNOWN_KEYS[where])
+        # only a monomial dictionary reads state_dim and max_degree
+        known = {"kind"} if where == "dictionary" and not monomial else _KNOWN_KEYS[where]
+        unknown = sorted(set(mapping) - known)
         if unknown:
             raise ValueError(f"unknown key {unknown[0]!r} in {where}")
-    monomial = dictionary.get("kind", "monomial") == "monomial"
     for where, mapping, keys in (("config", data, ("T_grid", "base_seed")),
                                  ("dictionary", dictionary,
                                   ("state_dim", "max_degree") if monomial else ()),
@@ -377,9 +378,15 @@ class ErrorCurve:
 
 
 def _ordered_map(fn, tasks, workers: int):
-    """``[fn(*task) for task in tasks]``, spread over ``workers`` processes."""
+    """``[fn(*task) for task in tasks]``, spread over ``workers`` processes.
+
+    The pool is imported at its first use, and scipy's LAPACK before the pool
+    forks, so that every worker inherits it rather than importing it again.
+    """
     if workers <= 1 or len(tasks) <= 1:
         return [fn(*t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+    import scipy.linalg  # noqa: F401  (for the workers to inherit)
     chunk = max(1, len(tasks) // (4 * workers))
     # the pool forks all its workers at the first submit: start no idle ones
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:

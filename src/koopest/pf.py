@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrs
 
 from .basis import DEFAULT_QUADRATURE_ORDER, Dictionary, GramMatrix, evaluate_many, gauss_legendre_nodes
 from .dynamics import BLOCK, StochasticSystem
@@ -45,13 +43,14 @@ def conjugate_stack(kmats, gram: GramMatrix) -> list[np.ndarray]:
     (what ``cho_solve`` calls).  Each is checked against the construction
     identity ``Lambda P = K^T Lambda`` to 1e-10 in Frobenius norm (after
     back-substitution)."""
+    import scipy.linalg  # loaded at the first solve, not at import
     lam = gram.matrix
     c, lower = scipy.linalg.cho_factor(lam)
     out = []
     for kmat in kmats:
         rhs = kmat.T @ lam
-        p, _ = dpotrs(c, rhs, lower=lower)
-        defect, _ = dpotrs(c, lam @ p - rhs, lower=lower)
+        p, _ = scipy.linalg.lapack.dpotrs(c, rhs, lower=lower)
+        defect, _ = scipy.linalg.lapack.dpotrs(c, lam @ p - rhs, lower=lower)
         err = float(np.linalg.norm(defect, "fro"))
         scale = max(1.0, float(np.linalg.norm(p, "fro")))
         if err > CONSTRUCTION_TOL * scale:
@@ -154,6 +153,7 @@ def pf_apply_integral_mc(
         node_means[batch] = np.mean(vals, axis=1)
         node_vars[batch] = np.var(vals, axis=1, ddof=1) / n_mc
 
+    import scipy.linalg
     b = psi_nodes.T @ (weights * node_means)
     c, low = scipy.linalg.cho_factor(gram.matrix)
     coords = scipy.linalg.cho_solve((c, low), b)

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from koopest import ClosedQuadraticParams, config_from_dict
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -12,6 +19,22 @@ def baseline_params():
 @pytest.fixture
 def strong_params():
     return ClosedQuadraticParams(rho=0.8, mu=0.8, c=0.9)
+
+
+@pytest.fixture
+def fresh_python():
+    """Run ``python *args`` in a fresh interpreter on this checkout's sources,
+    from the repository root, and return its stdout.  This process has long
+    since loaded scipy, so only a fresh one shows what a CLI run loads."""
+
+    def run(*args):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    return run
 
 
 @pytest.fixture

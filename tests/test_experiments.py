@@ -193,6 +193,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             smoke_config(**{key: value})
 
+    @pytest.mark.parametrize("key", ["state_dim", "max_degree"])
+    def test_monomial_keys_rejected_for_another_dictionary_kind(self, smoke_config, key):
+        # both used to load, land in the sidecars and change nothing
+        with pytest.raises(ValueError, match=f"^unknown key {key!r} in dictionary$"):
+            smoke_config(dictionary={"kind": "closed-quadratic", key: 3})
+
     @pytest.mark.parametrize(
         "system, key",
         [
@@ -686,11 +692,27 @@ class TestOrderedMap:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+        # the pool is imported when first used, from its own module
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         tasks = [(k, 1) for k in range(4)]
         assert experiments._ordered_map(pow, tasks, 8) == [0, 1, 2, 3]
         assert experiments._ordered_map(pow, tasks, 3) == [0, 1, 2, 3]
         assert started == [4, 3]
+
+    def test_workers_forked_before_the_first_solve_inherit_scipy(self, fresh_python):
+        # a CLI run maps before it solves; a worker that had to import scipy
+        # itself would pay its import time once per worker
+        script = (
+            "import os, sys\n"
+            "from koopest.experiments import _ordered_map\n"
+            "def probe(k):\n"
+            "    return os.getpid(), 'scipy.linalg' in sys.modules\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "seen = _ordered_map(probe, [(k,) for k in range(4)], 2)\n"
+            "assert all(pid != os.getpid() for pid, _ in seen)\n"
+            "print([loaded for _, loaded in seen])\n"
+        )
+        assert fresh_python("-c", script).splitlines()[-1] == str([True] * 4)
 
 
 class TestRunBoundCalibration:
