@@ -44,11 +44,12 @@ config = config_from_dict(
 )
 
 # fit_realizations steps one seeded trajectory per seed in lockstep and
-# streams each into its moment matrix S0 and the estimate.  The bound terms
-# reduce the S0 of independent realizations.
+# streams each into its moment matrix S0 and the estimate; it returns the
+# stacks, one row per seed.  The bound terms reduce the S0 stack of
+# independent realizations.
 T = 5000
 fits = fit_realizations(config, T, [mix_seed(1, r) for r in range(40)])
-terms = bound_terms([fit.sigma0 for fit in fits])
+terms = bound_terms(fits.sigma0)
 print(f"E[tr S0]        ~ {terms.mean_trace_sigma0:.3f} (se {terms.se_trace:.3f})")
 print(f"E[|S0^-1|_F^2]  ~ {terms.mean_frob_sq_inv_sigma0:.3f} (se {terms.se_frob:.3f})")
 

@@ -116,8 +116,8 @@ def accumulate(
 
 @dataclass(frozen=True)
 class OperatorEstimate:
-    """A least-squares Koopman matrix with provenance metadata.  Building one
-    checks the 2N+2 sample floor: at or below it raises SampleFloorError."""
+    """A least-squares Koopman matrix with provenance metadata, built from
+    one row of :func:`estimate_stack`'s output."""
 
     matrix: np.ndarray
     dict_names: tuple
@@ -126,29 +126,15 @@ class OperatorEstimate:
     condition_sigma0: float
     fallback: bool = False
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("operator matrix must be square")
-        n = m.shape[0]
-        if self.sample_count <= sample_floor(n):
-            raise SampleFloorError(
-                f"least-squares estimation requires more than 2N+2 = {sample_floor(n)} "
-                f"samples for N = {n}; got {self.sample_count}"
-            )
-        if not np.isfinite(m).all():
-            raise ValueError("operator matrix entries must be finite")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dict_names", tuple(self.dict_names))
-
     @property
     def n_basis(self) -> int:
         return self.matrix.shape[0]
 
 
-def estimate_stack(sigma0, sigma1, count: int, names, seeds) -> list[OperatorEstimate]:
+def estimate_stack(sigma0, sigma1, count: int):
     """Least-squares Koopman estimates of ``(R, N, N)`` moment stacks of
-    ``count`` samples each, ``seeds`` their provenance.
+    ``count`` samples each: the ``(K_hat (R, N, N), cond (R,), fallback (R,))``
+    stacks.  At or below the 2N+2 sample floor raises SampleFloorError.
 
     One ``eigvalsh`` of the symmetrized S0 stack gives every condition.
     Each realization is factored and solved by LAPACK ``dpotrf``/``dpotrs``
@@ -157,28 +143,40 @@ def estimate_stack(sigma0, sigma1, count: int, names, seeds) -> list[OperatorEst
     a minimum-norm least-squares pseudo-solution, flagged ``fallback``.
     """
     from scipy.linalg.lapack import dpotrf, dpotrs  # loaded at the first solve, not at import
+    n = sigma0.shape[-1]
+    if count <= sample_floor(n):
+        raise SampleFloorError(
+            f"least-squares estimation requires more than 2N+2 = {sample_floor(n)} "
+            f"samples for N = {n}; got {count}"
+        )
     if not (np.isfinite(sigma0).all() and np.isfinite(sigma1).all()):
         raise ValueError("moment matrices contain non-finite entries")
     s0 = 0.5 * (sigma0 + np.swapaxes(sigma0, -1, -2))
     w = np.linalg.eigvalsh(s0)
     with np.errstate(divide="ignore", invalid="ignore"):
         conds = np.where(w[:, 0] > 0, w[:, -1] / w[:, 0], np.inf)
-    out = []
-    for a, b, cond, seed in zip(s0, sigma1, conds.tolist(), seeds):
+    k_hat = np.empty_like(s0)
+    fallback = np.zeros(len(s0), dtype=bool)
+    for r, (a, b, cond) in enumerate(zip(s0, sigma1, conds.tolist())):
         c, info = dpotrf(a, lower=0, clean=0) if cond <= CONDITION_FALLBACK else (None, 1)
-        k_hat = dpotrs(c, b, lower=0)[0] if info == 0 else np.linalg.lstsq(a, b, rcond=None)[0]
-        out.append(OperatorEstimate(k_hat, names, count, seed, cond, info != 0))
-    return out
+        k_hat[r] = dpotrs(c, b, lower=0)[0] if info == 0 else np.linalg.lstsq(a, b, rcond=None)[0]
+        fallback[r] = info != 0
+    if not np.isfinite(k_hat).all():
+        raise ValueError("operator matrix entries must be finite")
+    return k_hat, conds, fallback
 
 
 def estimate_koopman(moments: MomentPair) -> OperatorEstimate:
     """Least-squares Koopman estimate from accumulated moments: solves
     ``sigma0_hat @ K = sigma1_hat`` as an :func:`estimate_stack` of one and
-    warns when the estimate is a fallback.  At or below the 2N+2 floor the
-    estimate raises SampleFloorError (see :class:`OperatorEstimate`).
+    warns when the estimate is a fallback.  At or below the 2N+2 floor it
+    raises SampleFloorError.
     """
-    (est,) = estimate_stack(moments.sigma0_hat[None], moments.sigma1_hat[None],
-                            moments.count, moments.names, [moments.seed])
+    (k_hat,), (cond,), (fallback,) = estimate_stack(
+        moments.sigma0_hat[None], moments.sigma1_hat[None], moments.count
+    )
+    est = OperatorEstimate(k_hat, moments.names, moments.count, moments.seed,
+                           float(cond), bool(fallback))
     if est.fallback:
         warnings.warn(
             f"moment matrix numerically singular (condition {est.condition_sigma0:.3e}); "

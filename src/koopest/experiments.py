@@ -15,6 +15,7 @@ import os
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -139,7 +140,7 @@ class ExperimentConfig:
     n_realizations: int = 50
     n_term_realizations: int = 50
     divergence_threshold: float = DEFAULT_DIVERGENCE_NORM
-    closure_n_states: int = 20
+    closure_n_states: int | None = None  # max(20, N) when absent
     closure_n_mc: int = 10000
     quadrature_order: int = DEFAULT_QUADRATURE_ORDER
 
@@ -197,9 +198,8 @@ class ExperimentConfig:
                 raise ValueError(f"{key} gives dimension {dim}, the system has {STATE_DIM}")
         n = dictionary.n_basis
         # the closure regression fits N coefficients, one state per equation
-        object.__setattr__(
-            self, "closure_n_states", _count("closure_n_states", self.closure_n_states, n)
-        )
+        states = max(20, n) if self.closure_n_states is None else self.closure_n_states
+        object.__setattr__(self, "closure_n_states", _count("closure_n_states", states, n))
         floor = sample_floor(n)
         if self.T_grid[0] <= floor:
             raise ValueError(
@@ -393,25 +393,25 @@ def _ordered_map(fn, tasks, workers: int):
         return list(pool.map(fn, *zip(*tasks), chunksize=chunk))
 
 
-@dataclass(frozen=True)
-class Realization:
-    """How one trajectory -> moments -> estimate run ended.
+class Fits(NamedTuple):
+    """How a block of trajectory -> moments -> estimate runs ended, one row
+    per seed in seed order.
 
-    ``status`` is "ok", "diverged" (with its DivergenceError in ``error``)
-    or "singular" (a flagged fallback estimate, which is kept).
-    ``sigma0`` is the raw moment matrix S0 whenever the trajectory was
-    completed, whatever the estimate's fate.
+    ``status`` is "ok", "diverged" (its DivergenceError in ``cause``, else
+    None) or "singular" (a flagged fallback estimate, which is kept).
+    ``matrix`` holds the K_hat stack and ``cond`` the condition number of
+    each estimate's S0, NaN where there is no estimate; ``sigma0`` holds the
+    raw moment matrices S0, NaN where the trajectory diverged.
     """
 
-    status: str
-    estimate: OperatorEstimate | None
-    sigma0: np.ndarray | None = None
-    error: DivergenceError | None = None
+    status: np.ndarray
+    matrix: np.ndarray
+    sigma0: np.ndarray
+    cond: np.ndarray
+    cause: np.ndarray
 
 
-def fit_realizations(
-    config: ExperimentConfig, T: int, seeds, estimate: bool = True
-) -> list[Realization]:
+def fit_realizations(config: ExperimentConfig, T: int, seeds, estimate: bool = True) -> Fits:
     """Fit one realization per seed, their trajectories stepped in lockstep.
 
     Each seed streams T steps from a uniform initial state into its own
@@ -427,26 +427,26 @@ def fit_realizations(
     dictionary = build_dictionary(config)
     n = dictionary.n_basis
     sums = np.zeros((4, len(seeds), n, n))  # S0, comp0, S1, comp1 of every seed
-    errors = {}
+    cause = np.full(len(seeds), None)
     for paths, index, failed in trajectory_chunks(
         system, None, T, seeds, config.divergence_threshold, build_domain(config)
     ):
-        errors.update(failed)
+        for k, err in failed.items():
+            cause[k] = err
         # each trajectory's m + 1 states of the block, all lifted in one call
         psi = evaluate_many(dictionary, paths.reshape(-1, STATE_DIM)).reshape(*paths.shape[:2], n)
         part = sums[:, index]
         add_moments(part, psi[:, :-1], psi[:, 1:])
         sums[:, index] = part
     sigma0, sigma1 = (sums[0::2] - sums[1::2]) / T
-    live = [k for k in range(len(seeds)) if k not in errors]
-    estimates = [None] * len(live)
-    if estimate and live:
-        estimates = estimate_stack(sigma0[live], sigma1[live], T, dictionary.names,
-                                   [int(seeds[k]) for k in live])
-    fits = {k: Realization("diverged", None, error=err) for k, err in errors.items()}
-    for k, est in zip(live, estimates):
-        fits[k] = Realization("singular" if est and est.fallback else "ok", est, sigma0[k])
-    return [fits[k] for k in range(len(seeds))]
+    live = np.array([err is None for err in cause], dtype=bool)
+    status = np.where(live, "ok", "diverged")
+    sigma0[~live] = np.nan
+    matrix, cond = np.full_like(sigma0, np.nan), np.full(len(seeds), np.nan)
+    if estimate and live.any():
+        matrix[live], cond[live], fallback = estimate_stack(sigma0[live], sigma1[live], T)
+        status[np.flatnonzero(live)[fallback]] = "singular"
+    return Fits(status, matrix, sigma0, cond, cause)
 
 
 # Below lockstep_min_seeds(T) seeds per task, stepping them one at a time as
@@ -478,28 +478,30 @@ def _seed_blocks(seeds, T: int, workers: int) -> list:
     return [seeds[i : i + size] for i in range(0, len(seeds), size)]
 
 
-def _fit_groups(config: ExperimentConfig, groups, workers: int) -> list[list[Realization]]:
+def _fit_groups(config: ExperimentConfig, groups, workers: int) -> list[Fits]:
     """Fit ``(T, seeds, estimate)`` groups in seed blocks over one parallel map;
-    returns each group's realizations in seed order."""
+    returns each group's fits in seed order, its blocks joined field by field."""
     tasks, counts = [], []
     for T, seeds, estimate in groups:
         blocks = _seed_blocks(seeds, T, workers)
         tasks += [(config, T, block, estimate) for block in blocks]
         counts.append(len(blocks))
     fits = iter(_ordered_map(fit_realizations, tasks, workers))
-    return [[fit for block in islice(fits, count) for fit in block] for count in counts]
+    return [Fits(*map(np.concatenate, zip(*islice(fits, count)))) for count in counts]
 
 
 def _required_fit(config: ExperimentConfig, what: str, T: int, seed: int) -> OperatorEstimate:
     """The estimate of one seed's fit that a run cannot do without: raises
     RuntimeError naming ``what``, T and the status if there is none, and
     warns when it is a singular fallback."""
-    (fit,) = fit_realizations(config, T, [seed])
-    if fit.estimate is None:
-        raise RuntimeError(f"the {what} at T={T} failed: {fit.status}") from fit.error
-    if fit.status == "singular":
+    fits = fit_realizations(config, T, [seed])
+    status = str(fits.status[0])
+    if status == "diverged":
+        raise RuntimeError(f"the {what} at T={T} failed: {status}") from fits.cause[0]
+    if status == "singular":
         warnings.warn(f"the {what} at T={T} is singular; using its fallback")
-    return fit.estimate
+    return OperatorEstimate(fits.matrix[0], build_dictionary(config).names, T, seed,
+                            float(fits.cond[0]), status == "singular")
 
 
 def _reference_koopman(config: ExperimentConfig):
@@ -533,13 +535,12 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> ErrorCurve:
     denom = np.linalg.norm(ref, "fro")
     stats, rows, points = [], [], []  # stats: (mean, se, n_ok, n_failed, invalid) per T
     for T, group_seeds, group in zip(config.T_grid, seeds, fits):
-        errs = []
-        for r, (seed, fit) in enumerate(zip(group_seeds, group)):
-            rel = float("nan")
-            if fit.status == "ok":
-                rel = float(np.linalg.norm(fit.estimate.matrix - ref, "fro") / denom)
-                errs.append(rel)
-            points.append([config.label, T, r, seed, fit.status, fmt(rel)])
+        ok = group.status == "ok"
+        rels = np.full(len(ok), np.nan)
+        rels[ok] = [np.linalg.norm(k - ref, "fro") / denom for k in group.matrix[ok]]
+        errs = rels[ok]
+        points += [[config.label, T, r, seed, status, fmt(rel)] for r, (seed, status, rel)
+                   in enumerate(zip(group_seeds, group.status.tolist(), rels))]
         n_ok = len(errs)
         n_failed = config.n_realizations - n_ok
         invalid = n_failed > MAX_FAILED_FRACTION * config.n_realizations
@@ -613,10 +614,9 @@ def run_bound_calibration(config: ExperimentConfig, workers: int = 1) -> list[Bo
     reports = []
     for i, T in enumerate(config.T_grid):
         scored, term_fits = fits[2 * i], fits[2 * i + 1]
-        for fit in term_fits:
-            if fit.sigma0 is None:
-                raise RuntimeError(f"a bound-term realization at T={T} failed: {fit.status}")
-        terms = bound_terms([fit.sigma0 for fit in term_fits])
+        if (term_fits.status == "diverged").any():
+            raise RuntimeError(f"a bound-term realization at T={T} failed: diverged")
+        terms = bound_terms(term_fits.sigma0)
         seed = derive_seed(config.base_seed, T, DELTA_STREAM)
         try:
             samples = simulate(system, None, T, seed, config.divergence_threshold, domain)
@@ -625,11 +625,7 @@ def run_bound_calibration(config: ExperimentConfig, workers: int = 1) -> list[Bo
         est = estimate_koopman(accumulate(MomentPair.empty(dictionary), dictionary, samples))
         delta_hat = float(residuals(dictionary, samples, est).max())
         errors = np.array(
-            [
-                float(np.linalg.norm(fit.estimate.matrix - ref, "fro"))
-                for fit in scored
-                if fit.status == "ok"
-            ]
+            [float(np.linalg.norm(k - ref, "fro")) for k in scored.matrix[scored.status == "ok"]]
         )
         if errors.size == 0:
             raise RuntimeError(f"no realization produced an estimate at T={T}")
@@ -692,7 +688,7 @@ def run_pf_pipeline(config: ExperimentConfig, workers: int = 1):
         seed_base = derive_seed(config.base_seed, T, SCORE_STREAM)
         seeds = [mix_seed(seed_base, r) for r in range(config.n_realizations)]
         (fits,) = _fit_groups(config, [(T, seeds, True)], workers)
-        k_hats = [fit.estimate.matrix for fit in fits if fit.status == "ok"]
+        k_hats = fits.matrix[fits.status == "ok"]
         transfer_total = len(k_hats)
         transfer_ok = sum(
             1

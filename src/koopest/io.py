@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import warnings
 
 import numpy as np
 
@@ -63,7 +64,9 @@ def _read(path: str) -> tuple[list, np.ndarray, dict]:
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), [])
         try:
-            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            with warnings.catch_warnings():  # an empty body is reported below, naming the file
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
         except ValueError as err:
             raise ValueError(f"{path}: {_bad_line(path, len(header)) or err}") from None
     if table.size == 0 or table.shape[1] != len(header):

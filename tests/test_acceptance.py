@@ -235,15 +235,17 @@ def test_c10_determinism_across_workers(tmp_path):
     run_sweep(cfg2, workers=3)
     run_bound_calibration(cfg1, workers=1)
     run_bound_calibration(cfg2, workers=3)
+    run_pf_pipeline(cfg1, workers=1)
+    run_pf_pipeline(cfg2, workers=3)
     identical = []
-    for name in ("sweep.csv", "sweep_points.csv", "bounds.csv"):
+    for name in ("sweep.csv", "sweep_points.csv", "bounds.csv", "pf_report.csv"):
         a = open(os.path.join(cfg1.output_dir, name), "rb").read()
         b = open(os.path.join(cfg2.output_dir, name), "rb").read()
         identical.append(a == b)
     gate(
         "C10 determinism across worker counts",
         all(identical),
-        f"byte-identical sweep.csv, sweep_points.csv, bounds.csv: {identical}",
+        f"byte-identical sweep.csv, sweep_points.csv, bounds.csv, pf_report.csv: {identical}",
     )
 
 

@@ -21,7 +21,7 @@ from koopest.experiments import build_dictionary, fit_realizations
 def term_sigma0s(config, T, n_realizations, seed):
     """S0 of each bound-term realization, fitted as the calibration fits them."""
     seeds = [mix_seed(seed, r) for r in range(n_realizations)]
-    return [fit.sigma0 for fit in fit_realizations(config, T, seeds, estimate=False)]
+    return list(fit_realizations(config, T, seeds, estimate=False).sigma0)
 
 
 class TestBoundTerms:
@@ -66,10 +66,9 @@ class TestBoundTerms:
             with pytest.raises(SampleFloorError, match=r"2N\+2 = 10 samples for N = 4; got 10"):
                 fit_realizations(cfg, 10, seeds)
         fits = fit_realizations(cfg, 10, [0, 1], estimate=False)
-        assert [(fit.status, fit.estimate, fit.sigma0.shape) for fit in fits] == [
-            ("ok", None, (4, 4))
-        ] * 2
-        terms = bound_terms([fit.sigma0 for fit in fits])
+        assert fits.status.tolist() == ["ok"] * 2 and fits.sigma0.shape == (2, 4, 4)
+        assert np.isnan(fits.matrix).all() and np.isfinite(fits.sigma0).all()
+        terms = bound_terms(fits.sigma0)
         with pytest.raises(SampleFloorError):
             koopman_error_bound(1.0, 0.5, 10, terms)
 

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,17 @@ class TestErrorsEndInOneLine:
         argv = ["estimate", cfg, "--samples", str(tmp_path / "out" / "samples.csv")]
         self._fails(argv, capsys, "more than 2N+2 = 10 samples for N = 4; got 5",
                     [tmp_path / "out" / "koopman.csv", tmp_path / "out" / "bounds.csv"])
+
+    def test_samples_with_only_a_header(self, config_path, tmp_path, capsys):
+        samples = tmp_path / "h.csv"
+        samples.write_text("x_1,x_2,y_1,y_2\n")
+        argv = ["estimate", config_path(), "--samples", str(samples)]
+        # numpy's "loadtxt: input contained no data" warning used to print
+        # two more lines before the error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._fails(argv, capsys, f"{samples}: expected rows of 4 numbers under its header",
+                        [tmp_path / "out" / "koopman.csv"])
 
     def test_missing_config_file(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -259,34 +259,45 @@ class TestEstimateStack:
         sample_sets += [SampleSet(frozen[:-1], frozen[1:], "independent-pairs", 3)]
         sample_sets += [simulate(system, None, 299, seed=4, domain=unit_box(2))]
         moments = [accumulate(MomentPair.empty(dct), dct, ss) for ss in sample_sets]
-        stack = estimator.estimate_stack(
+        k_hat, conds, fallback = estimator.estimate_stack(
             np.array([mom.sigma0_hat for mom in moments]),
             np.array([mom.sigma1_hat for mom in moments]),
-            299, dct.names, [1, 2, 3, 4],
+            299,
         )
-        assert [est.fallback for est in stack] == [False, False, True, False]
-        for mom, est in zip(moments, stack):
+        assert (k_hat.shape, conds.shape) == ((4, dct.n_basis, dct.n_basis), (4,))
+        assert fallback.dtype == bool and fallback.tolist() == [False, False, True, False]
+        for mom, k, cond, flagged in zip(moments, k_hat, conds, fallback):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 one = estimate_koopman(mom)
             # the per-matrix forms: eigvalsh, then cho_factor/cho_solve or lstsq
             s0 = 0.5 * (mom.sigma0_hat + mom.sigma0_hat.T)
             w = np.linalg.eigvalsh(s0)
-            if est.fallback:
+            if flagged:
                 ref = np.linalg.lstsq(s0, mom.sigma1_hat, rcond=None)[0]
             else:
                 ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(s0), mom.sigma1_hat)
-                assert est.condition_sigma0 == float(w[-1] / w[0])
-            assert est.matrix.tobytes() == ref.tobytes() == one.matrix.tobytes()
-            assert (est.condition_sigma0, est.fallback, est.seed, est.sample_count) == (
-                one.condition_sigma0, one.fallback, one.seed, one.sample_count
-            )
-            assert est.dict_names == one.dict_names
+                assert cond == float(w[-1] / w[0])
+            assert k.tobytes() == ref.tobytes() == one.matrix.tobytes()
+            assert (cond, flagged) == (one.condition_sigma0, one.fallback)
 
     def test_non_finite_moments_rejected(self):
         s0 = np.stack([np.eye(4), np.full((4, 4), np.nan)])
         with pytest.raises(ValueError, match="non-finite"):
-            estimator.estimate_stack(s0, np.zeros((2, 4, 4)), 20, tuple("abcd"), [0, 1])
+            estimator.estimate_stack(s0, np.zeros((2, 4, 4)), 20)
+
+    def test_non_finite_estimate_rejected(self):
+        # finite, well-conditioned moments whose solve overflows
+        s0 = np.stack([np.eye(4), 1e-300 * np.eye(4)])
+        s1 = np.stack([np.eye(4), np.full((4, 4), 1e300)])
+        with pytest.raises(ValueError, match="^operator matrix entries must be finite$"):
+            estimator.estimate_stack(s0, s1, 20)
+
+    def test_floor_checked_for_the_whole_stack(self):
+        s0 = np.stack([np.eye(4)] * 3)
+        with pytest.raises(SampleFloorError, match=r"2N\+2 = 10 samples for N = 4; got 10$"):
+            estimator.estimate_stack(s0, s0, 10)
+        assert estimator.estimate_stack(s0, s0, 11)[0].tobytes() == s0.tobytes()
 
 
 class TestUnbiasedness:

@@ -33,7 +33,7 @@ from koopest import dynamics, experiments
 from koopest.dynamics import BLOCK, DivergenceError
 from koopest.experiments import (
     DELTA_STREAM,
-    Realization,
+    Fits,
     _seed_blocks,
     build_dictionary,
     build_domain,
@@ -352,6 +352,16 @@ class TestConfig:
         assert not np.array_equal(make_vanderpol(0.001).transition(states),
                                   textbook.transition(states))
 
+    def test_closure_states_default_to_at_least_N(self):
+        # it used to default to 20, so a dictionary of more than 20 observables
+        # could not load for any subcommand
+        big = {"kind": "monomial", "state_dim": 2, "max_degree": 5}  # N = 21
+        assert load_config("configs/vanderpol.yaml").closure_n_states == 20
+        assert load_config("configs/vanderpol.yaml", dictionary=big).closure_n_states == 21
+        message = r"^closure_n_states must be an integer of at least 21, got 20$"
+        with pytest.raises(ValueError, match=message):
+            load_config("configs/vanderpol.yaml", dictionary=big, closure_n_states=20)
+
     def test_true_koopman_uses_noise_variance(self, smoke_config):
         cfg = smoke_config()
         k = true_koopman(cfg)
@@ -378,18 +388,18 @@ class TestFitRealization:
         # T crosses the 65536-row block boundary
         cfg = smoke_config(**overrides)
         T, seed = 65_573, 2024
-        (fit,) = fit_realizations(cfg, T, [seed])
+        fits = fit_realizations(cfg, T, [seed])
         samples = simulate(
             build_system(cfg), None, T, seed, cfg.divergence_threshold, build_domain(cfg)
         )
         dct = build_dictionary(cfg)
         moments = accumulate(MomentPair.empty(dct), dct, samples)
         est = estimate_koopman(moments)
-        assert fit.status == "ok"
-        np.testing.assert_array_equal(fit.sigma0, moments.sigma0_hat)
-        np.testing.assert_array_equal(fit.estimate.matrix, est.matrix)
-        assert fit.estimate.seed == est.seed == seed
-        assert fit.estimate.condition_sigma0 == est.condition_sigma0
+        assert fits.status.tolist() == ["ok"] and fits.cause.tolist() == [None]
+        np.testing.assert_array_equal(fits.sigma0[0], moments.sigma0_hat)
+        np.testing.assert_array_equal(fits.matrix[0], est.matrix)
+        assert est.seed == seed
+        assert fits.cond[0] == est.condition_sigma0
 
     def test_divergence_keeps_no_moments(self, smoke_config):
         with pytest.warns(UserWarning, match="diverge"):  # the system is built at load
@@ -398,23 +408,29 @@ class TestFitRealization:
                 divergence_threshold=1e4,
             )
         with pytest.warns(UserWarning, match="diverge"):
-            (fit,) = fit_realizations(cfg, 120, [5])
-        assert (fit.status, fit.estimate, fit.sigma0) == ("diverged", None, None)
+            fits = fit_realizations(cfg, 120, [5])
+        assert fits.status.tolist() == ["diverged"]
+        assert isinstance(fits.cause[0], DivergenceError)
+        for stack in (fits.matrix, fits.sigma0, fits.cond):
+            assert np.isnan(stack).all()
 
 
 def _assert_same_fit(a, b):
-    assert a.status == b.status
-    for x, y in ((a.sigma0, b.sigma0), (a.estimate, b.estimate), (a.error, b.error)):
-        assert (x is None) == (y is None)
-    if a.sigma0 is not None:
-        assert a.sigma0.tobytes() == b.sigma0.tobytes()
-    if a.estimate is not None:
-        assert a.estimate.matrix.tobytes() == b.estimate.matrix.tobytes()
-        assert (a.estimate.seed, a.estimate.condition_sigma0) == (
-            b.estimate.seed, b.estimate.condition_sigma0
-        )
-    if a.error is not None:
-        assert (a.error.step, a.error.norm) == (b.error.step, b.error.norm)
+    """Two Fits records agree: statuses, the K_hat, S0 and condition stacks
+    bit for bit (NaN rows included), and each cause's step and norm."""
+    assert a.status.tolist() == b.status.tolist()
+    for x, y in ((a.matrix, b.matrix), (a.sigma0, b.sigma0), (a.cond, b.cond)):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    def steps(fits):
+        return [None if err is None else (err.step, err.norm) for err in fits.cause]
+
+    assert steps(a) == steps(b)
+
+
+def _row(fits, k):
+    """Row k of a Fits record, as a record of one."""
+    return Fits(*(field[k : k + 1] for field in fits))
 
 
 _BLOCK_CONFIG = config_from_dict(
@@ -425,8 +441,7 @@ _BLOCK_CONFIG = config_from_dict(
 
 @lru_cache(maxsize=None)
 def _solo_fit(T, seed):
-    (fit,) = fit_realizations(_BLOCK_CONFIG, T, [seed])
-    return fit
+    return fit_realizations(_BLOCK_CONFIG, T, [seed])
 
 
 class TestFitRealizations:
@@ -441,7 +456,8 @@ class TestFitRealizations:
     def test_any_blocking_matches_solo_fits(self, seeds, cuts, T):
         edges = sorted({c for c in cuts if c < len(seeds)})
         blocks = [seeds[a:b] for a, b in zip([0, *edges], [*edges, len(seeds)])]
-        fits = [fit for block in blocks for fit in fit_realizations(_BLOCK_CONFIG, T, block)]
+        stacks = [fit_realizations(_BLOCK_CONFIG, T, block) for block in blocks]
+        fits = [_row(stack, k) for stack, block in zip(stacks, blocks) for k in range(len(block))]
         assert len(fits) == len(seeds)
         for seed, fit in zip(seeds, fits):
             _assert_same_fit(fit, _solo_fit(T, seed))
@@ -449,9 +465,9 @@ class TestFitRealizations:
     def test_block_crosses_the_noise_block(self):
         T, seeds = BLOCK + 37, [11, 12, 13, 14, 15]
         fits = fit_realizations(_BLOCK_CONFIG, T, seeds)
-        assert [fit.status for fit in fits] == ["ok"] * len(seeds)
-        for seed, fit in zip(seeds, fits):
-            _assert_same_fit(fit, _solo_fit(T, seed))
+        assert fits.status.tolist() == ["ok"] * len(seeds)
+        for k, seed in enumerate(seeds):
+            _assert_same_fit(_row(fits, k), _solo_fit(T, seed))
 
     def test_diverged_realizations_leave_the_block(self, smoke_config):
         # a low threshold: three trajectories stay inside for all 70,000 steps,
@@ -459,28 +475,46 @@ class TestFitRealizations:
         cfg = smoke_config(divergence_threshold=6.5)
         T, seeds = 70_000, list(range(8))
         fits = fit_realizations(cfg, T, seeds)
-        assert [fit.status for fit in fits] == ["ok", "diverged", "diverged", "diverged",
-                                                "diverged", "ok", "ok", "diverged"]
-        assert fits[1].error.step >= BLOCK > max(fits[k].error.step for k in (2, 3, 4, 7))
+        assert fits.status.tolist() == ["ok", "diverged", "diverged", "diverged",
+                                        "diverged", "ok", "ok", "diverged"]
+        assert fits.cause[1].step >= BLOCK > max(fits.cause[k].step for k in (2, 3, 4, 7))
         system, domain = build_system(cfg), build_domain(cfg)
-        for seed, fit in zip(seeds, fits):
-            (solo,) = fit_realizations(cfg, T, [seed])
-            _assert_same_fit(fit, solo)
-            if fit.status == "diverged":
-                assert (fit.estimate, fit.sigma0) == (None, None)
+        for k, seed in enumerate(seeds):
+            fit = _row(fits, k)
+            _assert_same_fit(fit, fit_realizations(cfg, T, [seed]))
+            if fit.status[0] == "diverged":
+                assert np.isnan(fit.matrix).all() and np.isnan(fit.sigma0).all()
                 with pytest.raises(DivergenceError) as err:
                     simulate(system, None, T, seed, cfg.divergence_threshold, domain)
-                assert err.value.step == fit.error.step
-                restored = pickle.loads(pickle.dumps(fit.error))  # crosses the pool
-                assert (restored.step, str(restored)) == (fit.error.step, str(fit.error))
+                assert err.value.step == fit.cause[0].step
+                restored = pickle.loads(pickle.dumps(fit))  # crosses the pool
+                assert (restored.cause[0].step, str(restored.cause[0])) == (
+                    fit.cause[0].step, str(fit.cause[0])
+                )
+            else:
+                assert fit.cause[0] is None
 
     def test_stopping_at_sigma0_skips_only_the_estimate(self):
         seeds = list(range(6))
         full = fit_realizations(_BLOCK_CONFIG, 40, seeds)
         terms = fit_realizations(_BLOCK_CONFIG, 40, seeds, estimate=False)
-        for a, b in zip(full, terms):
-            assert (b.status, b.estimate) == ("ok", None)
-            assert a.sigma0.tobytes() == b.sigma0.tobytes()
+        assert terms.status.tolist() == ["ok"] * len(seeds)
+        assert np.isnan(terms.matrix).all() and np.isnan(terms.cond).all()
+        assert not np.isnan(full.matrix).any()
+        assert full.sigma0.tobytes() == terms.sigma0.tobytes()
+
+    def test_fit_groups_cross_the_pool(self, smoke_config):
+        # at T = 50 the 8 seeds are one lockstep block at workers=1 and two
+        # blocks of 4 at workers=2, each holding one diverged seed (steps 35, 44)
+        cfg = smoke_config(divergence_threshold=3.5)
+        groups = [(50, list(range(8)), True), (60, list(range(8, 14)), False)]
+        assert [len(b) for b in experiments._seed_blocks(groups[0][1], 50, 2)] == [4, 4]
+        one, two = (experiments._fit_groups(cfg, groups, workers) for workers in (1, 2))
+        assert one[0].status.tolist() == ["ok"] * 4 + ["diverged"] * 2 + ["ok"] * 2
+        assert [err.step for err in one[0].cause[4:6]] == [35, 44]
+        assert len(one[1].status) == 6 and np.isnan(one[1].matrix).all()
+        for a, b in zip(one, two):
+            _assert_same_fit(a, b)
 
     @pytest.mark.parametrize(
         "T, n_seeds, workers",
@@ -506,19 +540,22 @@ class TestFitRealizations:
 
 def _materialized_fit(cfg, T, seed):
     """One seed's fit through simulate -> accumulate -> estimate_koopman,
-    classified as fit_realizations classifies it."""
+    recorded as fit_realizations records it."""
     dct = build_dictionary(cfg)
+    none = np.full((1, dct.n_basis, dct.n_basis), np.nan)
     try:
         samples = simulate(
             build_system(cfg), None, T, seed, cfg.divergence_threshold, build_domain(cfg)
         )
     except DivergenceError as err:
-        return Realization("diverged", None, error=err)
+        return Fits(np.array(["diverged"]), none, none, np.array([np.nan]), np.array([err]))
     moments = accumulate(MomentPair.empty(dct), dct, samples)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a fallback is flagged "singular"
         est = estimate_koopman(moments)
-    return Realization("singular" if est.fallback else "ok", est, moments.sigma0_hat)
+    status = "singular" if est.fallback else "ok"
+    return Fits(np.array([status]), est.matrix[None], moments.sigma0_hat[None],
+                np.array([est.condition_sigma0]), np.array([None]))
 
 
 _NOISELESS = {**CLOSED_QUADRATIC, "noise": {"kind": "none", "std": [1.0]}}
@@ -549,12 +586,9 @@ class TestStackedFit:
         cfg = smoke_config(**overrides)
         seeds = list(seeds)
         fits = fit_realizations(cfg, T, seeds)
-        assert [fit.status for fit in fits] == statuses
-        for seed, fit in zip(seeds, fits):
-            solo = _materialized_fit(cfg, T, seed)
-            _assert_same_fit(fit, solo)
-            if fit.estimate is not None:
-                assert fit.estimate.fallback == solo.estimate.fallback
+        assert fits.status.tolist() == statuses
+        for k, seed in enumerate(seeds):
+            _assert_same_fit(_row(fits, k), _materialized_fit(cfg, T, seed))
 
 
 class TestRequiredFit:
@@ -566,7 +600,12 @@ class TestRequiredFit:
         cfg = smoke_config(system=_NOISELESS)
         with pytest.warns(UserWarning, match=r"the transfer-matrix fit at T=1000 is singular"):
             est = experiments._required_fit(cfg, "transfer-matrix fit", 1000, 2)
-        assert est.fallback
+        assert est.fallback is True
+        fits = fit_realizations(cfg, 1000, [2])
+        assert est.matrix.tobytes() == fits.matrix[0].tobytes()
+        assert (est.dict_names, est.sample_count, est.seed, est.condition_sigma0) == (
+            build_dictionary(cfg).names, 1000, 2, fits.cond[0]
+        )
 
     def test_diverged_fit_is_named(self, smoke_config):
         with pytest.warns(UserWarning, match="diverge"):  # the system is built at load

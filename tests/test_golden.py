@@ -1,10 +1,14 @@
-"""Golden-bytes gate for the CSV outputs of the shipped smoke config.
+"""Golden-bytes gate for the CSV outputs of the shipped smoke config and of
+a small Van der Pol sweep.
 
 Runs ``configs/smoke.yaml`` through the sweep, bounds, pf and closure
 subcommands at ``--workers 1`` and compares the sha256 of every CSV with
 hashes recorded before the realization pipeline was refactored, so any
-change to output bytes is caught.  ``.meta.json`` sidecars embed the output
-path and are not compared.
+change to output bytes is caught.  The smoke config scores against the
+analytic operator; the Van der Pol sweep (``configs/vanderpol.yaml`` at
+``T_grid: [100, 1000]``, 8 realizations) covers the other scoring path,
+against a fitted high-T reference.  ``.meta.json`` sidecars embed the
+output path and are not compared.
 
 The hashes were taken with Python 3.11.7, numpy 2.4.6, scipy 1.17.1 and
 OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH, Haswell kernels).  Another
@@ -17,6 +21,7 @@ import contextlib
 import hashlib
 import io
 
+from koopest import load_config, run_sweep
 from koopest.cli import main
 
 GOLDEN = {
@@ -40,3 +45,23 @@ def test_smoke_csv_bytes_match_golden_hashes(tmp_path):
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN
     }
     assert actual == GOLDEN
+
+
+# re-captured when the stacked fit made the reference a C-ordered matrix, so
+# that numpy's Frobenius norm of K_hat - K_ref sums in row order (each moved
+# cell within 2 ULP of the bytes before)
+GOLDEN_FITTED_REFERENCE = {
+    "sweep.csv": "4fe10694daaef3a00fb88aca7854b3ef2619faa843202ecf578954fad9e80a11",
+    "sweep_points.csv": "058570f33d6e4d8104e18037ea871335242b61f5ad4408a9ea2af5aa7e910ae5",
+}
+
+
+def test_fitted_reference_sweep_matches_golden_hashes(tmp_path):
+    cfg = load_config("configs/vanderpol.yaml", T_grid=[100, 1000], n_realizations=8,
+                      output_dir=str(tmp_path))
+    assert run_sweep(cfg).reference["kind"] == "high-T estimate"
+    actual = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_FITTED_REFERENCE
+    }
+    assert actual == GOLDEN_FITTED_REFERENCE

@@ -20,7 +20,11 @@ code lifts by ``np.prod`` of powers, the reference form that the power
 table reproduces.
 A realization has one fit: ``estimator`` factors moment matrices at one
 ``dpotrf`` call site, and ``fit_realizations`` fits its block as one
-stack, without ``estimate_koopman`` or a ``MomentPair`` per seed.
+stack, without ``estimate_koopman`` or a ``MomentPair`` per seed.  A block's
+fits stay one record of stacked arrays (``Fits``): nothing wraps each
+realization in an object of its own (there is no ``Realization``), and
+only the two fits that leave the stack as one estimate build an
+``OperatorEstimate``: ``estimate_koopman`` and ``experiments._required_fit``.
 A sample set has one path too: ``estimator`` walks its ``BLOCK`` rows in
 one loop, which ``accumulate`` and ``residuals`` share, and ``io`` parses
 every CSV body with ``np.loadtxt``, never ``genfromtxt``.  Every
@@ -38,14 +42,15 @@ a fit are their ``(N,)`` array (no ``ResidualStats`` holding its maximum).
 A system is its drift and its planar noise: ``StochasticSystem`` has the
 two fields ``drift`` and ``noise`` and no class constant, and no
 ``NoiseModel`` constructor takes a dimension.
-A fit ends one of three ways: ``fit_realizations`` builds a ``Realization``
-only as "ok", "diverged" or "singular".  The 2N+2 sample floor is checked
-once at load (``ExperimentConfig``), once per estimate (``OperatorEstimate``)
-and once by the bound (``koopman_error_bound``), so no fit has a floor status
-of its own.  A fit a run cannot do without (the high-T reference, the
-transfer matrix) goes through ``experiments._required_fit``, the only code
-that calls ``fit_realizations`` directly; the sweeps reach it through the
-one parallel map.
+A fit ends one of three ways: ``fit_realizations`` sets a row's ``status``
+only to "ok", "diverged" or "singular".  The 2N+2 sample floor is checked
+once at load (``ExperimentConfig``), once per estimate (``estimate_stack``,
+the solve every estimate goes through) and once by the bound
+(``koopman_error_bound``), so no fit has a floor status of its own.  A fit
+a run cannot do without (the high-T reference, the transfer matrix) goes
+through ``experiments._required_fit``, the only code that calls
+``fit_realizations`` directly; the sweeps reach it through the one
+parallel map.
 A config is its YAML: ``ExperimentConfig`` holds the sections as loaded, and
 ``system.params`` is coerced once, at load (``_system_params`` is called only
 by ``ExperimentConfig.__post_init__``), so no builder re-reads raw params and
@@ -118,7 +123,7 @@ def test_trajectory_chunks_has_two_consumers():
 
 def test_sample_floor_is_checked_at_load_per_estimate_and_by_the_bound():
     assert _callers("sample_floor") == {
-        "estimator.OperatorEstimate.__post_init__",
+        "estimator.estimate_stack",
         "experiments.ExperimentConfig.__post_init__",
         "bounds.koopman_error_bound",
     }
@@ -134,19 +139,31 @@ def test_a_realization_is_ok_diverged_or_singular():
         for node in _parse("experiments").body
         if isinstance(node, ast.FunctionDef) and node.name == "fit_realizations"
     ]
-    built = [
-        node
+    # every assignment to the status array, or to some of its rows
+    assigned = [
+        node.value
         for node in ast.walk(fit)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Realization"
+        if isinstance(node, ast.Assign)
+        and any(getattr(n, "id", None) == "status" for t in node.targets for n in ast.walk(t))
     ]
-    assert built
+    assert assigned
     statuses = {
         n.value
-        for call in built
-        for n in ast.walk(call.args[0])
+        for value in assigned
+        for n in ast.walk(value)
         if isinstance(n, ast.Constant) and isinstance(n.value, str)
     }
     assert statuses == {"ok", "diverged", "singular"}
+    defined = {node.name for node in ast.walk(_parse("experiments"))
+               if isinstance(node, ast.ClassDef)}
+    assert "Fits" in defined and "Realization" not in defined
+
+
+def test_only_single_estimates_build_an_operator_estimate():
+    assert _callers("OperatorEstimate") == {
+        "estimator.estimate_koopman",
+        "experiments._required_fit",
+    }
 
 
 def test_stepping_loop_writes_no_row_and_builds_no_tuple():
