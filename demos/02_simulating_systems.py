@@ -42,4 +42,7 @@ print("\nvan der pol after 1000 steps:", traj.ys[-1])
 # Independent pairs: one transition from each of many starting states.
 starts = unit_box(2).sample(np.random.default_rng(0), 4)
 pairs = step_pairs(system, starts, seed=3)
-print("\nindependent pairs source tag:", pairs.source)
+# Pairs whose successors are not the next predecessors form no trajectory,
+# so the set holds no single state array.
+print("\nindependent pairs hold one trajectory:", pairs.states is not None)
+print("a simulated trajectory holds its states once:", ss.states.shape)

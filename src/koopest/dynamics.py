@@ -218,16 +218,15 @@ def make_vanderpol(
 class SampleSet:
     """Paired predecessor/successor states (x_t, y_t) used for estimation.
 
-    A ``"single-trajectory"`` set is its T + 1 states x_0..x_T, held once in
-    the contiguous ``states`` array; ``xs`` and ``ys`` are its views
-    ``states[:-1]`` and ``states[1:]``, so they chain bit for bit.  An
-    ``"independent-pairs"`` set keeps ``xs`` and ``ys`` apart and has
+    Pairs that chain bit for bit (each ``ys[t]`` is ``xs[t + 1]``) are one
+    trajectory: its T + 1 states x_0..x_T are held once in the contiguous
+    ``states`` array, and ``xs`` and ``ys`` are its views ``states[:-1]`` and
+    ``states[1:]``.  Other pairs keep ``xs`` and ``ys`` apart and have
     ``states = None``.
     """
 
     xs: np.ndarray
     ys: np.ndarray
-    source: str  # "single-trajectory" | "independent-pairs"
     seed: int
     states: np.ndarray | None = field(init=False, repr=False, compare=False)
 
@@ -240,18 +239,9 @@ class SampleSet:
             raise ValueError("sample set must contain at least one pair")
         if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise ValueError("sample set entries must be finite")
-        if self.source not in ("single-trajectory", "independent-pairs"):
-            raise ValueError(f"unknown sample source {self.source!r}")
         states = None
-        if self.source == "single-trajectory":
-            # bits, not values: 0.0 == -0.0, but a lift or a CSV tells them apart
-            unchained = (xs[1:].view(np.uint64) != ys[:-1].view(np.uint64)).any(axis=1)
-            if unchained.any():
-                t = int(np.argmax(unchained))
-                raise ValueError(
-                    "single-trajectory samples must chain bit for bit: "
-                    f"ys[{t}] differs from xs[{t + 1}]"
-                )
+        # bits, not values: 0.0 == -0.0, but a lift or a CSV tells them apart
+        if (xs[1:].view(np.uint64) == ys[:-1].view(np.uint64)).all():
             states = np.concatenate([xs[:1], ys])
             xs, ys = states[:-1], states[1:]
         object.__setattr__(self, "xs", xs)
@@ -352,7 +342,7 @@ def simulate(
     domain: Domain | None = None,
 ) -> SampleSet:
     """Simulate one trajectory and return its consecutive (x_t, x_{t+1}) pairs,
-    a single-trajectory SampleSet over its ``steps + 1`` states.
+    a SampleSet over its ``steps + 1`` states.
 
     Parameters
     ----------
@@ -374,7 +364,7 @@ def simulate(
         blocks.append(paths[0, :-1])
     blocks.append(paths[0, -1:])  # a block's last state opens the next block
     states = np.concatenate(blocks)
-    return SampleSet(states[:-1], states[1:], "single-trajectory", int(seed))
+    return SampleSet(states[:-1], states[1:], int(seed))
 
 
 def step_pairs(system: StochasticSystem, xs, seed: int) -> SampleSet:
@@ -384,7 +374,7 @@ def step_pairs(system: StochasticSystem, xs, seed: int) -> SampleSet:
         raise ValueError("xs must have shape (m, 2)")
     rng = make_rng(seed)
     ys = system.transition(xs) + system.noise.draw(rng, xs.shape[0])
-    return SampleSet(xs, ys, "independent-pairs", int(seed))
+    return SampleSet(xs, ys, int(seed))
 
 
 def koopman_apply_mc(

@@ -176,14 +176,15 @@ class ExperimentConfig:
         for eps in self.epsilon_list:
             if not 0.0 < eps < 1.0:
                 raise ValueError("epsilon values must lie in (0, 1)")
-        if system["kind"] not in _SYSTEM_PARAMS:
+        if not isinstance(system["kind"], str) or system["kind"] not in _SYSTEM_PARAMS:
             raise ValueError(f"unknown system.kind {system['kind']!r}")
         required, optional = _SYSTEM_PARAMS[system["kind"]]
         keys = set(system["params"])
         if required - keys:
             raise ValueError(f"missing key {min(required - keys)!r} in system.params")
-        if keys - required - optional:
-            raise ValueError(f"unknown key {min(keys - required - optional)!r} in system.params")
+        unknown = keys - required - optional
+        if unknown:
+            raise ValueError(f"unknown key {min(unknown, key=str)!r} in system.params")
         if noise["kind"] not in (GAUSSIAN_IID, NO_NOISE):
             raise ValueError(f"unknown system.noise.kind {noise['kind']!r}")
         system = {"kind": system["kind"], "params": _system_params(system["params"]),
@@ -218,7 +219,7 @@ def build_dictionary(config: ExperimentConfig) -> Dictionary:
     if kind == "monomial":
         return make_monomial_dictionary(config.dictionary["state_dim"],
                                         config.dictionary["max_degree"])
-    raise ValueError(f"unknown dictionary kind {kind!r}")
+    raise ValueError(f"unknown dictionary.kind {kind!r}")
 
 
 def _system_params(params: dict) -> dict:
@@ -300,7 +301,7 @@ def config_from_dict(data: dict, **overrides) -> ExperimentConfig:
     for where, mapping in sections.items():
         # only a monomial dictionary reads state_dim and max_degree
         known = {"kind"} if where == "dictionary" and not monomial else _KNOWN_KEYS[where]
-        unknown = sorted(set(mapping) - known)
+        unknown = sorted(set(mapping) - known, key=str)
         if unknown:
             raise ValueError(f"unknown key {unknown[0]!r} in {where}")
     for where, mapping, keys in (("config", data, ("T_grid", "base_seed")),
@@ -378,7 +379,8 @@ class ErrorCurve:
 
 
 def _ordered_map(fn, tasks, workers: int):
-    """``[fn(*task) for task in tasks]``, spread over ``workers`` processes.
+    """``[fn(*task) for task in tasks]``, spread over ``workers`` processes,
+    one task at a time, so that every worker gets one of ``_seed_blocks``' tasks.
 
     The pool is imported at its first use, and scipy's LAPACK before the pool
     forks, so that every worker inherits it rather than importing it again.
@@ -387,10 +389,9 @@ def _ordered_map(fn, tasks, workers: int):
         return [fn(*t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor
     import scipy.linalg  # noqa: F401  (for the workers to inherit)
-    chunk = max(1, len(tasks) // (4 * workers))
     # the pool forks all its workers at the first submit: start no idle ones
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(fn, *zip(*tasks), chunksize=chunk))
+        return list(pool.map(fn, *zip(*tasks)))
 
 
 class Fits(NamedTuple):

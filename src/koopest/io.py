@@ -72,10 +72,18 @@ def _read(path: str) -> tuple[list, np.ndarray, dict]:
     if table.size == 0 or table.shape[1] != len(header):
         expected = f"expected rows of {len(header)} numbers under its header"
         raise ValueError(f"{path}: {_bad_line(path, len(header)) or expected}")
-    if not os.path.exists(_sidecar_path(path)):
+    sidecar = _sidecar_path(path)
+    if not os.path.exists(sidecar):
         return header, table, {}
-    with open(_sidecar_path(path)) as fh:
-        return header, table, json.load(fh)
+    with open(sidecar) as fh:
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{sidecar}: {err}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{sidecar}: a sidecar must hold a JSON object, "
+                         f"got {type(meta).__name__}")
+    return header, table, meta
 
 
 def _bad_line(path: str, width: int) -> str | None:
@@ -111,22 +119,22 @@ def save_samples(samples: SampleSet, path: str, label: str = "") -> None:
         x_text = _texts(samples.states)
         y_text = x_text[1:]
     _write_rows(path, header, lines=(f"{x},{y}\n" for x, y in zip(x_text, y_text)))
-    write_sidecar(
-        _sidecar_path(path),
-        {"seed": int(samples.seed), "label": label, "source": samples.source},
-    )
+    write_sidecar(_sidecar_path(path), {"seed": int(samples.seed), "label": label})
 
 
 def load_samples(path: str) -> SampleSet:
     """Read a sample-pair CSV headed exactly ``x_1..x_n,y_1..y_n``; the sidecar
-    restores seed and source if present.  Bad input raises ValueError naming the file."""
+    restores the seed if present (0 without one).  Rows that chain load as one
+    trajectory, sidecar or not.  Bad input raises ValueError naming the file."""
     header, table, meta = _read(path)
     n = len(header) // 2
     if n == 0 or header != [f"{c}_{i+1}" for c in "xy" for i in range(n)]:
         raise ValueError(f"{path}: a samples header must be x_1..x_n,y_1..y_n, got {header}")
-    source = meta.get("source", "independent-pairs")
+    seed = meta.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError(f"{_sidecar_path(path)}: seed must be an integer, got {seed!r}")
     try:
-        return SampleSet(table[:, :n], table[:, n:], source, int(meta.get("seed", 0)))
+        return SampleSet(table[:, :n], table[:, n:], seed)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
 

@@ -34,7 +34,7 @@ class TestSimulateAndEstimate:
         samples_path = str(tmp_path / "out" / "samples.csv")
         samples = load_samples(samples_path)
         assert samples.n_samples == 300
-        assert samples.source == "single-trajectory"
+        assert samples.states is not None
 
         assert main(["estimate", cfg, "--samples", samples_path]) == 0
         matrix, meta = load_operator(str(tmp_path / "out" / "koopman.csv"))
@@ -43,6 +43,26 @@ class TestSimulateAndEstimate:
         assert meta["sample_count"] == 300
         assert meta["fallback"] is False
         assert meta["dict_names"] == ["1", "x1", "x2", "x1^2"]
+
+    def test_trajectory_without_sidecar_lifts_each_state_once(
+        self, config_path, tmp_path, monkeypatch
+    ):
+        from koopest import estimator
+
+        rows, lift = [], estimator.evaluate_many
+        monkeypatch.setattr(
+            estimator, "evaluate_many", lambda d, xs: rows.append(len(xs)) or lift(d, xs)
+        )
+        cfg = config_path()
+        samples_path = str(tmp_path / "out" / "samples.csv")
+        assert main(["simulate", cfg, "--steps", "300"]) == 0
+        assert main(["estimate", cfg, "--samples", samples_path]) == 0
+        with_sidecar = (tmp_path / "out" / "koopman.csv").read_bytes()
+        os.remove(tmp_path / "out" / "samples.meta.json")
+        del rows[:]
+        assert main(["estimate", cfg, "--samples", samples_path]) == 0
+        assert rows == [301]  # the 301 states once, not 300 predecessors and 300 successors
+        assert (tmp_path / "out" / "koopman.csv").read_bytes() == with_sidecar
 
     def test_default_steps_from_grid(self, config_path, tmp_path):
         cfg = config_path()
@@ -168,6 +188,22 @@ class TestErrorsEndInOneLine:
             warnings.simplefilter("error")
             self._fails(argv, capsys, f"{samples}: expected rows of 4 numbers under its header",
                         [tmp_path / "out" / "koopman.csv"])
+
+    @pytest.mark.parametrize(
+        "sidecar, message",
+        [("{seed: 1}", "samples.meta.json: Expecting property name"),
+         ('["a"]', "samples.meta.json: a sidecar must hold a JSON object, got list")],
+        ids=["malformed", "not-an-object"],
+    )
+    def test_bad_samples_sidecar(self, config_path, tmp_path, capsys, sidecar, message):
+        # the first named no file, the second ended in an AttributeError traceback
+        cfg = config_path()
+        assert main(["simulate", cfg, "--steps", "50"]) == 0
+        capsys.readouterr()
+        (tmp_path / "out" / "samples.meta.json").write_text(sidecar)
+        argv = ["estimate", cfg, "--samples", str(tmp_path / "out" / "samples.csv")]
+        self._fails(argv, capsys, str(tmp_path / "out" / message),
+                    [tmp_path / "out" / "koopman.csv"])
 
     def test_missing_config_file(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -291,21 +291,22 @@ class TestSimulate:
             assert not np.isfinite(expected[1])
             assert (expected[0] == 0) if x1 == 1e300 else (expected[0] > 0)
 
-    def test_trajectory_chain_invariant_enforced(self):
+    def test_pairs_that_do_not_chain_are_no_trajectory(self):
         xs = np.zeros((3, 2))
         ys = np.ones((3, 2))
-        with pytest.raises(ValueError, match="chain"):
-            SampleSet(xs, ys, "single-trajectory", 0)
+        ss = SampleSet(xs, ys, 0)
+        assert ss.states is None
+        assert ss.xs.tobytes() == xs.tobytes() and ss.ys.tobytes() == ys.tobytes()
 
     def test_trajectory_chains_bit_for_bit(self):
         # np.array_equal takes -0.0 for 0.0, but a lift or a CSV row does not
         xs, ys = [[1.0], [0.0], [2.0]], [[-0.0], [2.0], [3.0]]
-        with pytest.raises(ValueError, match=re.escape("ys[0] differs from xs[1]")):
-            SampleSet(xs, ys, "single-trajectory", 0)
+        assert SampleSet(xs, ys, 0).states is None
         xs[1] = [-0.0]
-        ss = SampleSet(xs, ys, "single-trajectory", 0)
+        ss = SampleSet(xs, ys, 0)
         assert ss.states.tobytes() == np.array([[1.0], [-0.0], [2.0], [3.0]]).tobytes()
-        assert SampleSet(ys, xs, "independent-pairs", 0).states is None
+        assert ss.xs.base is ss.states and ss.ys.base is ss.states
+        assert SampleSet(ys, xs, 0).states is None
 
 
 class TestStepPairs:
@@ -313,7 +314,7 @@ class TestStepPairs:
         system = noiseless_quadratic(baseline_params)
         xs = np.random.default_rng(2).uniform(-1, 1, size=(25, 2))
         ss = step_pairs(system, xs, seed=8)
-        assert ss.source == "independent-pairs"
+        assert ss.states is None
         np.testing.assert_allclose(ss.ys, system.transition(xs))
 
     def test_seeded(self, baseline_params):

@@ -36,12 +36,20 @@ def uniform_states(n, seed=0, lo=-1.0, hi=1.0):
     return make_rng(seed).uniform(lo, hi, size=(n, 2))
 
 
+def lifted_apart(dct, samples):
+    """Each ``BLOCK`` of pairs with its predecessors and successors lifted
+    separately, as pairs that do not chain are lifted."""
+    for start in range(0, samples.n_samples, BLOCK):
+        stop = start + BLOCK
+        yield evaluate_many(dct, samples.xs[start:stop]), evaluate_many(dct, samples.ys[start:stop])
+
+
 class TestMomentAccumulation:
     def test_single_pair_definition(self, baseline_params):
         dct = closed_quadratic_dictionary()
         x = np.array([0.3, -0.5])
         y = np.array([0.1, 0.7])
-        ss = SampleSet(x[None, :], y[None, :], "independent-pairs", 0)
+        ss = SampleSet(x[None, :], y[None, :], 0)
         m = accumulate(MomentPair.empty(dct), dct, ss)
         px, py = evaluate(dct, x), evaluate(dct, y)
         np.testing.assert_allclose(m.sigma0_hat, np.outer(px, px))
@@ -70,7 +78,6 @@ class TestMomentAccumulation:
     def test_single_trajectory_lifts_each_state_once(self, baseline_params, monkeypatch):
         dct = closed_quadratic_dictionary()
         chained = simulate(make_closed_quadratic(baseline_params), np.zeros(2), BLOCK + 50, seed=9)
-        pairs = SampleSet(chained.xs, chained.ys, "independent-pairs", chained.seed)
         rows = []
         lift = estimator.evaluate_many
         monkeypatch.setattr(
@@ -78,10 +85,12 @@ class TestMomentAccumulation:
         )
         once = accumulate(MomentPair.empty(dct), dct, chained)
         assert rows == [BLOCK + 1, 51]  # each block's m + 1 states
-        twice = accumulate(MomentPair.empty(dct), dct, pairs)
-        assert rows[2:] == [BLOCK, BLOCK, 50, 50]
-        assert once.sigma0_hat.tobytes() == twice.sigma0_hat.tobytes()
-        assert once.sigma1_hat.tobytes() == twice.sigma1_hat.tobytes()
+        sums = np.zeros((4, dct.n_basis, dct.n_basis))
+        for psi_x, psi_y in lifted_apart(dct, chained):
+            estimator.add_moments(sums, psi_x, psi_y)
+        twice = (sums[0::2] - sums[1::2]) / chained.n_samples
+        assert once.sigma0_hat.tobytes() == twice[0].tobytes()
+        assert once.sigma1_hat.tobytes() == twice[1].tobytes()
 
     def test_merge_matches_single_pass(self, baseline_params):
         dct = closed_quadratic_dictionary()
@@ -91,7 +100,7 @@ class TestMomentAccumulation:
         cuts = [0, 17, 1203, 1204, 4999, 5000]
         merged = MomentPair.empty(dct)
         for a, b in zip(cuts[:-1], cuts[1:]):
-            sub = SampleSet(ss.xs[a:b], ss.ys[a:b], "single-trajectory", ss.seed)
+            sub = SampleSet(ss.xs[a:b], ss.ys[a:b], ss.seed)
             accumulate(merged, dct, sub)
         assert merged.count == whole.count
         np.testing.assert_allclose(merged.sigma0_hat, whole.sigma0_hat, rtol=1e-13)
@@ -107,7 +116,7 @@ class TestMomentAccumulation:
         cuts = [0, *sorted(inner_cuts), 3000]
         merged = MomentPair.empty(dct)
         for a, b in zip(cuts[:-1], cuts[1:]):
-            sub = SampleSet(ss.xs[a:b], ss.ys[a:b], "single-trajectory", ss.seed)
+            sub = SampleSet(ss.xs[a:b], ss.ys[a:b], ss.seed)
             accumulate(merged, dct, sub)
         assert merged.count == whole.count
         np.testing.assert_allclose(merged.sigma0_hat, whole.sigma0_hat, rtol=1e-13)
@@ -154,7 +163,7 @@ class TestEstimateKoopman:
     def test_identity_map(self):
         dct = closed_quadratic_dictionary()
         xs = uniform_states(60, seed=12)
-        ss = SampleSet(xs, xs, "independent-pairs", 0)
+        ss = SampleSet(xs, xs, 0)
         est = estimate_koopman(accumulate(MomentPair.empty(dct), dct, ss))
         assert np.linalg.norm(est.matrix - np.eye(4), "fro") <= 1e-10
 
@@ -189,7 +198,7 @@ class TestEstimateKoopman:
         dct = closed_quadratic_dictionary()
         xs = uniform_states(40, seed=13)
         xs[:, 0] = 0.5
-        ss = SampleSet(xs, xs, "independent-pairs", 0)
+        ss = SampleSet(xs, xs, 0)
         m = accumulate(MomentPair.empty(dct), dct, ss)
         with pytest.warns(UserWarning, match="singular"):
             est = estimate_koopman(m)
@@ -256,7 +265,7 @@ class TestEstimateStack:
         frozen = uniform_states(300, seed=13)
         frozen[:, 0] = 0.5  # x1 frozen: S0 singular, a fallback in mid-stack
         sample_sets = [simulate(system, None, 299, seed=s, domain=unit_box(2)) for s in (1, 2)]
-        sample_sets += [SampleSet(frozen[:-1], frozen[1:], "independent-pairs", 3)]
+        sample_sets += [SampleSet(frozen[:-1], frozen[1:], 3)]
         sample_sets += [simulate(system, None, 299, seed=4, domain=unit_box(2))]
         moments = [accumulate(MomentPair.empty(dct), dct, ss) for ss in sample_sets]
         k_hat, conds, fallback = estimator.estimate_stack(
@@ -358,7 +367,6 @@ class TestResiduals:
     def test_single_trajectory_lifts_each_state_once(self, baseline_params, monkeypatch):
         dct = closed_quadratic_dictionary()
         chained = simulate(make_closed_quadratic(baseline_params), np.zeros(2), BLOCK + 50, seed=9)
-        pairs = SampleSet(chained.xs, chained.ys, "independent-pairs", chained.seed)
         est = estimate_koopman(accumulate(MomentPair.empty(dct), dct, chained))
         rows = []
         lift = estimator.evaluate_many
@@ -367,9 +375,11 @@ class TestResiduals:
         )
         once = residuals(dct, chained, est)
         assert rows == [BLOCK + 1, 51]  # each block's m + 1 states
-        twice = residuals(dct, pairs, est)
-        assert rows[2:] == [BLOCK, BLOCK, 50, 50]
-        assert once.tobytes() == twice.tobytes()
+        sq_sum = np.zeros(dct.n_basis)
+        for psi_x, psi_y in lifted_apart(dct, chained):
+            delta = psi_y - psi_x @ est.matrix
+            sq_sum += np.sum(delta * delta, axis=0)
+        assert once.tobytes() == (sq_sum / chained.n_samples).tobytes()
 
 
 class TestClosureCheck:

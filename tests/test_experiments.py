@@ -156,13 +156,23 @@ class TestConfig:
             # and delta_hat is always fitted
             ("reference_T_factor", 100, "'reference_T_factor' in config$"),
             ("delta_hat_override", 0.5, "'delta_hat_override' in config$"),
+            # a YAML integer key beside a string key used to end in a TypeError
+            ("system", {**CLOSED_QUADRATIC, "params": {"rho": 0.2, "mu": 0.3, 1: 2, "zz": 3}},
+             "^unknown key 1 in system.params$"),
+            ("domain", {"lower": [-1.0, -1.0], "upper": [1.0, 1.0], 1: 2, "zz": 3},
+             "^unknown key 1 in domain$"),
         ],
         ids=["top-level", "system", "noise", "dictionary", "domain", "reference_T_factor",
-             "delta_hat_override"],
+             "delta_hat_override", "params-mixed-types", "domain-mixed-types"],
     )
     def test_unknown_key_rejected(self, smoke_config, key, value, message):
         with pytest.raises(ValueError, match=message):
             smoke_config(**{key: value})
+
+    def test_top_level_keys_of_mixed_type_rejected(self):
+        # sorting an integer key beside a string key used to raise a TypeError
+        with pytest.raises(ValueError, match="^unknown key 1 in config$"):
+            experiments.config_from_dict({1: 2, "zz": 3})
 
     @pytest.mark.parametrize(
         "key, value, message",
@@ -185,9 +195,14 @@ class TestConfig:
              "dictionary.state_dim gives dimension 3"),
             ("domain", {"lower": [-1.0, -1.0, -1.0], "upper": [1.0, 1.0, 1.0]},
              "domain gives dimension 3"),
+            # a list is no table key: it used to raise "unhashable type: 'list'"
+            ("system", {**CLOSED_QUADRATIC, "kind": ["closed-quadratic"]},
+             r"^unknown system\.kind \['closed-quadratic'\]$"),
+            ("dictionary", {"kind": "foo"}, r"^unknown dictionary\.kind 'foo'$"),
         ],
         ids=["noise-kind", "param-typo", "param-missing", "vanderpol-param", "system-kind",
-             "noise-std-count", "silent-noise-std-count", "dictionary-dim", "domain-dim"],
+             "noise-std-count", "silent-noise-std-count", "dictionary-dim", "domain-dim",
+             "system-kind-list", "dictionary-kind"],
     )
     def test_bad_system_rejected_at_load(self, smoke_config, key, value, message):
         with pytest.raises(ValueError, match=message):
@@ -716,7 +731,7 @@ class TestSidecarConfig:
 
 class TestOrderedMap:
     def test_starts_no_more_processes_than_tasks(self, monkeypatch):
-        started = []
+        started, chunks = [], []
 
         class FakePool:
             def __init__(self, max_workers):
@@ -729,6 +744,7 @@ class TestOrderedMap:
                 return False
 
             def map(self, fn, *iterables, chunksize=1):
+                chunks.append(chunksize)
                 return map(fn, *iterables)
 
         # the pool is imported when first used, from its own module
@@ -737,6 +753,11 @@ class TestOrderedMap:
         assert experiments._ordered_map(pow, tasks, 8) == [0, 1, 2, 3]
         assert experiments._ordered_map(pow, tasks, 3) == [0, 1, 2, 3]
         assert started == [4, 3]
+        # one task at a time: a chunk of several would undo the seed blocks'
+        # split of the work into at least one task per worker
+        tasks = [(k, 1) for k in range(40)]
+        assert experiments._ordered_map(pow, tasks, 2) == list(range(40))
+        assert chunks == [1, 1, 1]
 
     def test_workers_forked_before_the_first_solve_inherit_scipy(self, fresh_python):
         # a CLI run maps before it solves; a worker that had to import scipy

@@ -44,7 +44,7 @@ class TestSampleRoundTrip:
         save_samples(ss, path, label="roundtrip")
         back = load_samples(path)
         assert (back.xs == ss.xs).all() and (back.ys == ss.ys).all()
-        assert back.source == "single-trajectory"
+        assert back.states is not None
         assert back.seed == ss.seed
 
     def test_header_and_sidecar(self, baseline_params, tmp_path):
@@ -55,22 +55,47 @@ class TestSampleRoundTrip:
             assert fh.readline().strip() == "x_1,x_2,y_1,y_2"
         with open(str(tmp_path / "samples.meta.json")) as fh:
             meta = json.load(fh)
-        assert meta == {"seed": ss.seed, "label": "lbl", "source": "single-trajectory"}
+        assert meta == {"seed": ss.seed, "label": "lbl"}
 
-    def test_missing_sidecar_defaults(self, baseline_params, tmp_path):
+    def test_trajectory_without_sidecar_loads_as_one_trajectory(self, baseline_params, tmp_path):
         ss = make_samples(baseline_params)
         path = str(tmp_path / "samples.csv")
         save_samples(ss, path)
         os.remove(str(tmp_path / "samples.meta.json"))
         back = load_samples(path)
-        assert back.source == "independent-pairs"
+        assert back.states.tobytes() == ss.states.tobytes()
+        assert back.seed == 0
+
+    def test_source_in_an_older_sidecar_is_ignored(self, baseline_params, tmp_path):
+        ss = make_samples(baseline_params)
+        path = str(tmp_path / "samples.csv")
+        save_samples(ss, path)
+        meta = {"seed": 4, "label": "", "source": "independent-pairs"}
+        (tmp_path / "samples.meta.json").write_text(json.dumps(meta))
+        back = load_samples(path)
+        assert back.states.tobytes() == ss.states.tobytes()
+        assert back.seed == 4
+
+    @pytest.mark.parametrize(
+        "sidecar, message",
+        [("{seed: 1}", r"samples\.meta\.json: Expecting property name"),
+         ('["a"]', r"samples\.meta\.json: a sidecar must hold a JSON object, got list"),
+         ('{"seed": 1.5}', r"samples\.meta\.json: seed must be an integer, got 1\.5"),
+         ('{"seed": true}', r"samples\.meta\.json: seed must be an integer, got True"),
+         ('{"seed": "1"}', r"samples\.meta\.json: seed must be an integer, got '1'")],
+        ids=["malformed", "not-an-object", "float-seed", "bool-seed", "string-seed"],
+    )
+    def test_bad_sidecar_rejected_naming_it(self, baseline_params, tmp_path, sidecar, message):
+        path = str(tmp_path / "samples.csv")
+        save_samples(make_samples(baseline_params), path)
+        (tmp_path / "samples.meta.json").write_text(sidecar)
+        with pytest.raises(ValueError, match=message):
+            load_samples(path)
 
     def test_single_row(self, tmp_path):
         from koopest import SampleSet
 
-        ss = SampleSet(
-            np.array([[0.1, 0.2]]), np.array([[0.3, 0.4]]), "independent-pairs", 5
-        )
+        ss = SampleSet(np.array([[0.1, 0.2]]), np.array([[0.3, 0.4]]), 5)
         path = str(tmp_path / "one.csv")
         save_samples(ss, path)
         back = load_samples(path)
@@ -98,8 +123,9 @@ def special_sets():
     rng = np.random.default_rng(3)
     values = np.concatenate([SPECIAL, SPECIAL, rng.normal(size=120)])
     states = rng.permutation(values).reshape(-1, 3)
-    chained = SampleSet(states[:-1], states[1:], "single-trajectory", 11)
-    pairs = SampleSet(states[::2][:20], states[1::2][:20], "independent-pairs", 12)
+    chained = SampleSet(states[:-1], states[1:], 11)
+    pairs = SampleSet(states[::2][:20], states[1::2][:20], 12)
+    assert chained.states is not None and pairs.states is None
     return {"chained": chained, "independent": pairs}
 
 
@@ -116,7 +142,7 @@ class TestSampleBytes:
         first, again = tmp_path / "a" / "samples.csv", tmp_path / "b" / "samples.csv"
         save_samples(special_sets()[kind], str(first))
         back = load_samples(str(first))
-        assert back.source == special_sets()[kind].source
+        assert (back.states is None) == (special_sets()[kind].states is None)
         save_samples(back, str(again))
         assert again.read_bytes() == first.read_bytes()
 
@@ -212,6 +238,14 @@ class TestOperatorRoundTrip:
         assert (matrix == p.matrix).all()
         assert meta["operator_kind"] == "perron-frobenius"
         assert meta["cond_lambda"] == lam.cond
+
+    @pytest.mark.parametrize("sidecar", ["{", "[1, 2]"], ids=["malformed", "not-an-object"])
+    def test_bad_sidecar_named(self, tmp_path, sidecar):
+        path = tmp_path / "k.csv"
+        save_matrix(np.eye(2), str(path), header=["a", "b"])
+        (tmp_path / "k.meta.json").write_text(sidecar)
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'k.meta.json'}: ")):
+            load_operator(str(path))
 
 
 class TestGramExport:

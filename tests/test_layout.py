@@ -42,6 +42,9 @@ a fit are their ``(N,)`` array (no ``ResidualStats`` holding its maximum).
 A system is its drift and its planar noise: ``StochasticSystem`` has the
 two fields ``drift`` and ``noise`` and no class constant, and no
 ``NoiseModel`` constructor takes a dimension.
+A sample set is its pairs: ``SampleSet`` has the fields ``xs``, ``ys``,
+``seed`` and ``states``, the last worked out from whether the rows chain, and
+no source string names its kind.
 A fit ends one of three ways: ``fit_realizations`` sets a row's ``status``
 only to "ok", "diverged" or "singular".  The 2N+2 sample floor is checked
 once at load (``ExperimentConfig``), once per estimate (``estimate_stack``,
@@ -387,3 +390,17 @@ def test_noise_constructors_take_no_dimension():
               for name, args in methods.items() if name in ("gaussian", "none")}
     assert params == {"gaussian": ["cls", "std_dev"], "none": ["cls"]}
     assert "dim" not in methods
+
+
+def test_a_sample_set_is_its_pairs():
+    body = _class("dynamics", "SampleSet").body
+    fields = [n.target.id for n in body if isinstance(n, ast.AnnAssign)]
+    assert fields == ["xs", "ys", "seed", "states"]
+    literals = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(_parse(path.stem))
+        if isinstance(node, ast.Constant)
+        and node.value in ("single-trajectory", "independent-pairs")
+    ]
+    assert literals == []
