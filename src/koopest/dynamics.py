@@ -204,8 +204,8 @@ def make_vanderpol(
     Gaussian with standard deviation 0.01 per coordinate, comparable to the
     dt-scale drift.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
 
     def drift(x1, x2):
         damped = x2 if standard_vdp else x1

@@ -70,12 +70,6 @@ PF_STREAM = 2**33 + 4
 DUALITY_STREAM = 2**33 + 5
 CLOSURE_STREAM = 2**33 + 6
 
-# Parameters of each system kind, (required, optional); both maps are planar.
-_SYSTEM_PARAMS = {
-    "closed-quadratic": ({"rho", "mu"}, {"c"}),
-    "vanderpol": ({"dt"}, {"standard_vdp"}),
-}
-
 # An open system's sweep reference is one fit this many times the largest T.
 REFERENCE_T_FACTOR = 100
 SLOPE_FLOOR = 1e-10  # mean errors at the solver floor carry no scaling signal
@@ -110,6 +104,16 @@ def _numbers(key: str, values, kind) -> tuple:
     raise ValueError(f"{key} must be a list of {what}, got {values!r}")
 
 
+def _real(key: str, value, positive: bool = False) -> float:
+    """``value`` as a float, positive if asked; else ValueError naming the key."""
+    try:
+        if _is_number(value, float) and (not positive or value > 0):
+            return float(value)
+    except OverflowError:  # an integer too large for a float
+        pass
+    raise ValueError(f"{key} must be a {'positive ' if positive else ''}number, got {value!r}")
+
+
 def _count(key: str, value, least: int) -> int:
     """``value`` as an int of at least ``least``; else ValueError naming the key."""
     if not _is_number(value, int) or value < least:
@@ -123,10 +127,11 @@ class ExperimentConfig:
 
     The fields are the config's top-level keys.  ``system``, ``dictionary``
     and ``domain`` are the YAML sections as :func:`config_from_dict` fills
-    in their defaults; here every value is checked and normalized once
-    (``system.params`` and each number as the type a run uses, each list a
-    tuple), so ``asdict`` of a config, the block the run sidecars record,
-    loads back to an equal config.
+    in their defaults.  :func:`config_from_dict` checks which keys each
+    section holds and which kinds it names; here every value is checked and
+    normalized once (``system.params`` and each number as the type a run
+    uses, each list a tuple), so ``asdict`` of a config, the block the run
+    sidecars record, loads back to an equal config.
     """
 
     label: str
@@ -168,25 +173,13 @@ class ExperimentConfig:
             # below STATE_DIM, Dictionary would reject the width without naming the key
             for key, least in (("state_dim", STATE_DIM), ("max_degree", 0)):
                 dictionary[key] = _count(f"dictionary.{key}", dictionary[key], least)
-        limit = self.divergence_threshold
-        if not _is_number(limit, float) or not limit > 0:
-            raise ValueError(f"divergence_threshold must be a positive number, got {limit!r}")
+        object.__setattr__(self, "divergence_threshold",
+                           _real("divergence_threshold", self.divergence_threshold, positive=True))
         if list(self.T_grid) != sorted(set(self.T_grid)):
             raise ValueError("T_grid must be strictly ascending")
         for eps in self.epsilon_list:
             if not 0.0 < eps < 1.0:
                 raise ValueError("epsilon values must lie in (0, 1)")
-        if not isinstance(system["kind"], str) or system["kind"] not in _SYSTEM_PARAMS:
-            raise ValueError(f"unknown system.kind {system['kind']!r}")
-        required, optional = _SYSTEM_PARAMS[system["kind"]]
-        keys = set(system["params"])
-        if required - keys:
-            raise ValueError(f"missing key {min(required - keys)!r} in system.params")
-        unknown = keys - required - optional
-        if unknown:
-            raise ValueError(f"unknown key {min(unknown, key=str)!r} in system.params")
-        if noise["kind"] not in (GAUSSIAN_IID, NO_NOISE):
-            raise ValueError(f"unknown system.noise.kind {noise['kind']!r}")
         system = {"kind": system["kind"], "params": _system_params(system["params"]),
                   "noise": {"kind": noise["kind"], "std": std}}
         for key, section in (("system", system), ("dictionary", dictionary), ("domain", domain)):
@@ -213,13 +206,10 @@ def build_domain(config: ExperimentConfig) -> Domain:
 
 
 def build_dictionary(config: ExperimentConfig) -> Dictionary:
-    kind = config.dictionary["kind"]
-    if kind == "closed-quadratic":
+    if config.dictionary["kind"] == "closed-quadratic":
         return closed_quadratic_dictionary()
-    if kind == "monomial":
-        return make_monomial_dictionary(config.dictionary["state_dim"],
-                                        config.dictionary["max_degree"])
-    raise ValueError(f"unknown dictionary.kind {kind!r}")
+    return make_monomial_dictionary(config.dictionary["state_dim"],
+                                    config.dictionary["max_degree"])
 
 
 def _system_params(params: dict) -> dict:
@@ -230,10 +220,8 @@ def _system_params(params: dict) -> dict:
             if not isinstance(value, bool):
                 raise ValueError(f"system.params.standard_vdp must be true or false, got {value!r}")
             coerced[key] = value
-        elif _is_number(value, float):
-            coerced[key] = float(value)
         else:
-            raise ValueError(f"system.params.{key} must be a number, got {value!r}")
+            coerced[key] = _real(f"system.params.{key}", value)
     return coerced
 
 
@@ -263,13 +251,18 @@ def true_koopman(config: ExperimentConfig) -> np.ndarray | None:
     return closed_quadratic_koopman(ClosedQuadraticParams(**system["params"]), var)
 
 
-# Keys a config may hold, per section; anything else is rejected by name.
-_KNOWN_KEYS = {
-    "config": {f.name for f in fields(ExperimentConfig)},
-    "system": {"kind", "params", "noise"},
-    "system.noise": {"kind", "std"},
-    "dictionary": {"kind", "state_dim", "max_degree"},
-    "domain": {"lower", "upper"},
+# The (required, optional) keys of each config section, or of each of its kinds.
+# system.params comes last: a config without a system section is the closed
+# quadratic map, whose missing mu must not hide a missing key elsewhere.
+_KEYS = {
+    "config": ({"T_grid", "base_seed"}, {f.name for f in fields(ExperimentConfig)}),
+    "system": (set(), {"kind", "params", "noise"}),
+    "system.noise": {kind: (set(), {"kind", "std"}) for kind in (GAUSSIAN_IID, NO_NOISE)},
+    "dictionary": {"closed-quadratic": (set(), {"kind"}),
+                   "monomial": ({"state_dim", "max_degree"}, {"kind"})},
+    "domain": ({"lower", "upper"}, set()),
+    "system.params": {"closed-quadratic": ({"rho", "mu"}, {"c"}),
+                      "vanderpol": ({"dt"}, {"standard_vdp"})},
 }
 
 
@@ -286,41 +279,46 @@ def config_from_dict(data: dict, **overrides) -> ExperimentConfig:
     """Build a config from nested mapping data (the YAML layout), each
     override replacing one top-level key, and fill in the sections' defaults.
 
-    Raises ValueError naming the key for any key the layout does not know,
-    any required key that is missing and any section that is not a mapping.
+    Raises ValueError naming the key for any section that is not a mapping,
+    then, section by section in the order of ``_KEYS``, for a kind the table
+    does not know, a key the section may not hold and a required key that is
+    missing; :class:`ExperimentConfig` checks the values.
     """
     data = {**data, **overrides}
-    system = _section(data, "system", {})
-    noise = _section(system, "system.noise", {})
-    params = _section(system, "system.params", {})
-    dictionary = _section(data, "dictionary", {})
-    domain = _section(data, "domain", {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]})
-    sections = {"config": data, "system": system, "system.noise": noise,
-                "dictionary": dictionary, "domain": domain}
-    monomial = dictionary.get("kind", "monomial") == "monomial"
-    for where, mapping in sections.items():
-        # only a monomial dictionary reads state_dim and max_degree
-        known = {"kind"} if where == "dictionary" and not monomial else _KNOWN_KEYS[where]
-        unknown = sorted(set(mapping) - known, key=str)
+    system = {"kind": "closed-quadratic", **_section(data, "system", {})}
+    sections = {
+        "config": data,
+        "system": system,
+        "system.noise": {"kind": GAUSSIAN_IID, **_section(system, "system.noise", {})},
+        "dictionary": {"kind": "monomial", **_section(data, "dictionary", {})},
+        "domain": _section(data, "domain", {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}),
+        "system.params": _section(system, "system.params", {}),
+    }
+    for where, keys in _KEYS.items():
+        mapping = sections[where]
+        if isinstance(keys, dict):  # the keys of the section's kind
+            owner = "system" if where == "system.params" else where
+            kind = sections[owner]["kind"]
+            if not isinstance(kind, str) or kind not in keys:
+                raise ValueError(f"unknown {owner}.kind {kind!r}")
+            keys = keys[kind]
+        required, optional = keys
+        unknown = sorted(set(mapping) - required - optional, key=str)
         if unknown:
             raise ValueError(f"unknown key {unknown[0]!r} in {where}")
-    for where, mapping, keys in (("config", data, ("T_grid", "base_seed")),
-                                 ("dictionary", dictionary,
-                                  ("state_dim", "max_degree") if monomial else ()),
-                                 ("domain", domain, ("lower", "upper"))):
-        for key in keys:
-            if key not in mapping:
-                raise ValueError(f"missing key {key!r} in {where}")
-    kind = system.get("kind", "closed-quadratic")
+        missing = sorted(required - set(mapping))
+        if missing:
+            raise ValueError(f"missing key {missing[0]!r} in {where}")
+    kind, noise = system["kind"], sections["system.noise"]
     std = noise.get("std", [0.01, 0.01] if kind == "vanderpol" else [1.0, 1.0])
-    noise = {"kind": noise.get("kind", GAUSSIAN_IID),
+    noise = {"kind": noise["kind"],
              "std": std if isinstance(std, (list, tuple)) else [std]}  # a scalar serves both axes
     return ExperimentConfig(**{
         "label": kind,
         **data,
-        "system": {"kind": kind, "params": params, "noise": noise},
-        "dictionary": {"kind": "monomial", **dictionary},
-        "domain": domain,
+        "system": {"kind": kind, "params": sections["system.params"], "noise": noise},
+        "dictionary": sections["dictionary"],
+        "domain": sections["domain"],
     })
 
 

@@ -138,11 +138,12 @@ class TestOtherCommands:
 class TestCountFlags:
     @pytest.mark.parametrize(
         "flag, value",
-        [("--steps", "0"), ("--steps", "-3"), ("--workers", "0"), ("--workers", "-2")],
+        [("--steps", "0"), ("--steps", "-3"), ("--workers", "0"), ("--workers", "-2"),
+         ("--workers", "abc"), ("--steps", "2.5")],
     )
     def test_non_positive_count_is_a_usage_error(self, config_path, capsys, flag, value):
         # --steps 0 used to end in a traceback naming no flag, and --workers 0
-        # or -2 ran serially without a word
+        # or -2 ran serially without a word; text that is no integer is named too
         argv = ["simulate", config_path(), "--steps", "5", flag, value]
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
@@ -215,6 +216,14 @@ class TestErrorsEndInOneLine:
         argv = ["bounds", config_path(n_realisations=3)]
         self._fails(argv, capsys, "unknown key 'n_realisations' in config",
                     [tmp_path / "out" / "bounds.csv"])
+
+    @pytest.mark.parametrize("text", ["- 1\n- 2\n", ""], ids=["list", "empty"])
+    def test_config_that_is_not_a_mapping(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        out = tmp_path / "out"
+        argv = ["sweep", str(path), "--output-dir", str(out)]
+        self._fails(argv, capsys, f"{path} does not contain a mapping", [out / "sweep.csv"])
 
     def test_config_that_is_not_yaml(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

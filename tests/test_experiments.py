@@ -219,11 +219,12 @@ class TestConfig:
         [
             ({"kind": "vanderpol", "params": {"dt": -0.1}}, "system.params.dt"),
             ({"kind": "vanderpol", "params": {"dt": float("nan")}}, "system.params.dt"),
+            ({"kind": "vanderpol", "params": {"dt": float("inf")}}, "system.params.dt"),
             ({**CLOSED_QUADRATIC, "params": {"rho": 0.2, "mu": 0.3, "c": -1}}, "system.params.c"),
             ({**CLOSED_QUADRATIC, "params": {"rho": "abc", "mu": 0.3}}, "system.params.rho"),
             ({**CLOSED_QUADRATIC, "noise": {"std": [-1.0, 1.0]}}, "system.noise.std"),
         ],
-        ids=["dt-negative", "dt-nan", "c-negative", "rho-text", "std-negative"],
+        ids=["dt-negative", "dt-nan", "dt-inf", "c-negative", "rho-text", "std-negative"],
     )
     def test_bad_system_value_rejected_at_load(self, smoke_config, system, key):
         # each used to load and fail only at the first fit, inside the sweep
@@ -268,6 +269,7 @@ class TestConfig:
             ("closure_n_states", 3),
             ("divergence_threshold", -1),
             ("divergence_threshold", "1e6"),
+            ("divergence_threshold", 10**400),
             ("n_realizations", "abc"),
             ("dictionary.state_dim", "2"),
             ("dictionary.state_dim", 1),
@@ -279,6 +281,7 @@ class TestConfig:
             ("base_seed", True),
             ("system.params.rho", True),
             ("system.params.c", "1.0"),
+            ("system.params.rho", 10**400),
             ("system.noise.std", True),
             ("system.noise.std", [1.0, True]),
             ("system.noise.std", ["1.0", 1.0]),
@@ -288,16 +291,17 @@ class TestConfig:
             ("domain.upper", [1.0, True]),
         ],
         ids=["quadrature-zero", "quadrature-fraction", "closure-one-draw", "closure-below-N",
-             "threshold-negative", "threshold-text", "realizations-text", "state-dim-text",
-             "state-dim-one", "degree-fraction", "degree-bool", "T_grid-fraction", "T_grid-float",
-             "seed-fraction", "seed-bool",
-             "rho-bool", "c-text", "std-bool", "std-bool-entry", "std-text", "epsilon-text",
-             "epsilon-bool", "lower-text", "upper-bool"],
+             "threshold-negative", "threshold-text", "threshold-huge", "realizations-text",
+             "state-dim-text", "state-dim-one", "degree-fraction", "degree-bool",
+             "T_grid-fraction", "T_grid-float", "seed-fraction", "seed-bool",
+             "rho-bool", "c-text", "rho-huge", "std-bool", "std-bool-entry", "std-text",
+             "epsilon-text", "epsilon-bool", "lower-text", "upper-bool"],
     )
     def test_bad_count_or_threshold_named(self, smoke_config, key, value):
         # each used to load, then fail late (a bare TypeError, a failed quadrature)
         # or run silently wrong (NaN closure floors, every fit diverged, degree 1,
-        # T = 200.7 run as 200, a bool or a string read as a number)
+        # T = 200.7 run as 200, a bool or a string read as a number, an
+        # integer too large for a float ending in an OverflowError traceback)
         section, _, leaf = key.rpartition(".")
         while section:  # the value replaces one key of a valid section
             value = {**SECTIONS[section], leaf: value}
@@ -343,13 +347,14 @@ class TestConfig:
         assert config_from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
     def test_sections_hold_defaults_and_normalized_values(self, smoke_config):
-        # a scalar std, integer params and bounds, a dictionary without its kind
+        # a scalar std, integer params, bounds and threshold, a dictionary without its kind
         system = {"kind": "closed-quadratic", "params": {"rho": 0, "mu": 0.3}, "noise": {"std": 2}}
         cfg = smoke_config(system=system, dictionary={"state_dim": 2, "max_degree": 1},
-                           domain={"lower": [-1, -2], "upper": [1, 2]})
+                           domain={"lower": [-1, -2], "upper": [1, 2]}, divergence_threshold=5)
         assert cfg.system == {"kind": "closed-quadratic", "params": {"rho": 0.0, "mu": 0.3},
                               "noise": {"kind": "gaussian-iid", "std": (2.0,)}}
         assert type(cfg.system["params"]["rho"]) is float
+        assert type(cfg.divergence_threshold) is float
         assert cfg.dictionary == {"kind": "monomial", "state_dim": 2, "max_degree": 1}
         assert cfg.domain == {"lower": (-1.0, -2.0), "upper": (1.0, 2.0)}
         assert config_from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg

@@ -59,9 +59,13 @@ A config is its YAML: ``ExperimentConfig`` holds the sections as loaded, and
 by ``ExperimentConfig.__post_init__``), so no builder re-reads raw params and
 the ground truth is one ``true_koopman`` (None without one), with no
 ``has_true_koopman`` beside it.
+``config_from_dict`` checks a section's keys and kind, in one walk over one
+key table, and ``ExperimentConfig`` checks its values: ``experiments`` raises
+each of "unknown key", "missing key" and "unknown <section>.kind" once.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "koopest"
@@ -404,3 +408,20 @@ def test_a_sample_set_is_its_pairs():
         and node.value in ("single-trajectory", "independent-pairs")
     ]
     assert literals == []
+
+
+def test_a_config_section_is_checked_in_one_walk():
+    messages = []
+    for node in ast.walk(_parse("experiments")):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+            text = node.exc.args[0]
+            parts = text.values if isinstance(text, ast.JoinedStr) else [text]
+            # a formatted value reads as "{}"
+            messages.append("".join(str(p.value) if isinstance(p, ast.Constant) else "{}"
+                                    for p in parts))
+    counts = [sum(re.match(pattern, text) is not None for text in messages)
+              for pattern in (r"unknown key ", r"missing key ", r"unknown \S*\.kind ")]
+    assert counts == [1, 1, 1]
+    defined = {node.id for node in ast.walk(_parse("experiments"))
+               if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert "_KEYS" in defined and defined.isdisjoint({"_SYSTEM_PARAMS", "_KNOWN_KEYS"})
