@@ -86,6 +86,13 @@ def derive_seed(base_seed: int, T: int, realization_index: int) -> int:
     return mix_seed(base_seed, T, realization_index)
 
 
+def _stream_seeds(config: ExperimentConfig, T: int, stream: int, count: int) -> list[int]:
+    """``mix_seed(derive_seed(base_seed, T, stream), r)`` for r < count: the seeds
+    of ``bounds``' term and scored realizations, the latter refitted by ``pf``."""
+    base = derive_seed(config.base_seed, T, stream)
+    return [mix_seed(base, r) for r in range(count)]
+
+
 def _is_number(value, kind) -> bool:
     """Whether ``value`` is an integer (``kind`` int) or a real number (float);
     a bool or a string is neither."""
@@ -180,6 +187,8 @@ class ExperimentConfig:
         for eps in self.epsilon_list:
             if not 0.0 < eps < 1.0:
                 raise ValueError("epsilon values must lie in (0, 1)")
+        if len(set(self.epsilon_list)) < len(self.epsilon_list):
+            raise ValueError(f"epsilon_list must not repeat a value, got {list(self.epsilon_list)}")
         system = {"kind": system["kind"], "params": _system_params(system["params"]),
                   "noise": {"kind": noise["kind"], "std": std}}
         for key, section in (("system", system), ("dictionary", dictionary), ("domain", domain)):
@@ -259,7 +268,7 @@ _KEYS = {
     "system": (set(), {"kind", "params", "noise"}),
     "system.noise": {kind: (set(), {"kind", "std"}) for kind in (GAUSSIAN_IID, NO_NOISE)},
     "dictionary": {"closed-quadratic": (set(), {"kind"}),
-                   "monomial": ({"state_dim", "max_degree"}, {"kind"})},
+                   "monomial": ({"max_degree"}, {"kind", "state_dim"})},
     "domain": ({"lower", "upper"}, set()),
     "system.params": {"closed-quadratic": ({"rho", "mu"}, {"c"}),
                       "vanderpol": ({"dt"}, {"standard_vdp"})},
@@ -309,6 +318,8 @@ def config_from_dict(data: dict, **overrides) -> ExperimentConfig:
         missing = sorted(required - set(mapping))
         if missing:
             raise ValueError(f"missing key {missing[0]!r} in {where}")
+    if sections["dictionary"]["kind"] == "monomial":
+        sections["dictionary"].setdefault("state_dim", STATE_DIM)
     kind, noise = system["kind"], sections["system.noise"]
     std = noise.get("std", [0.01, 0.01] if kind == "vanderpol" else [1.0, 1.0])
     noise = {"kind": noise["kind"],
@@ -603,10 +614,9 @@ def run_bound_calibration(config: ExperimentConfig, workers: int = 1) -> list[Bo
     n, n_terms = config.n_realizations, config.n_term_realizations
     # the term realizations only need S0: they stop before the estimate
     groups = [
-        (T, [mix_seed(base, r) for r in range(count)], stream == SCORE_STREAM)
+        (T, _stream_seeds(config, T, stream, count), stream == SCORE_STREAM)
         for T in config.T_grid
         for stream, count in ((SCORE_STREAM, n), (TERMS_STREAM, n_terms))
-        for base in (derive_seed(config.base_seed, T, stream),)
     ]
     fits = _fit_groups(config, groups, workers)
 
@@ -663,14 +673,14 @@ def run_pf_pipeline(config: ExperimentConfig, workers: int = 1):
     verify the duality identity, and (when ground truth exists) check the
     deterministic error-transfer inequality realization by realization.
 
-    Persists the transfer matrix with its sidecar, the Gram matrix, and a
-    one-row ``pf_report.csv``.  Returns (PFEstimate, report dict).
+    Persists the transfer and Koopman matrices with their sidecars, the Gram
+    matrix and a one-row ``pf_report.csv``.  Returns (PFEstimate, report dict).
     """
     lam = gram(build_dictionary(config), build_domain(config))
     T = max(config.T_grid)
     seed = derive_seed(config.base_seed, T, PF_STREAM)
     est = _required_fit(config, "transfer-matrix fit", T, seed)
-    p_hat = koopman_to_pf(est, lam)
+    p_hat = koopman_to_pf(est.matrix, lam)
     defect = duality_check(
         est.matrix,
         p_hat.matrix,
@@ -684,8 +694,7 @@ def run_pf_pipeline(config: ExperimentConfig, workers: int = 1):
     if ref is not None:
         # |P_hat - P|_F <= cond(Lambda) |K_hat - K|_F for every realization
         p_ref = koopman_to_pf(ref, lam).matrix
-        seed_base = derive_seed(config.base_seed, T, SCORE_STREAM)
-        seeds = [mix_seed(seed_base, r) for r in range(config.n_realizations)]
+        seeds = _stream_seeds(config, T, SCORE_STREAM, config.n_realizations)
         (fits,) = _fit_groups(config, [(T, seeds, True)], workers)
         k_hats = fits.matrix[fits.status == "ok"]
         transfer_total = len(k_hats)
@@ -702,7 +711,6 @@ def run_pf_pipeline(config: ExperimentConfig, workers: int = 1):
         "cond_lambda": lam.cond,
         "transfer_ok": transfer_ok,
         "transfer_total": transfer_total,
-        "fallback": est.fallback,
     }
     out = config.output_dir
     save_operator(p_hat, os.path.join(out, "pf_matrix.csv"))

@@ -159,15 +159,10 @@ def save_operator(est, path: str) -> None:
             "condition_sigma0": float(est.condition_sigma0),
             "fallback": bool(est.fallback),
         }
-    elif isinstance(est, PFEstimate):
-        src = est.source_koopman
+    elif isinstance(est, PFEstimate):  # the fit's provenance stays with K
         meta = {
             "operator_kind": "perron-frobenius",
             "dict_names": list(est.gram.names),
-            "sample_count": None if src is None else int(src.sample_count),
-            "seed": None if src is None or src.seed is None else int(src.seed),
-            "condition_sigma0": None if src is None else float(src.condition_sigma0),
-            "fallback": False if src is None else bool(src.fallback),
             "cond_lambda": float(est.gram.cond),
             "gram_method": "analytic-monomial",
         }

@@ -16,7 +16,6 @@ import numpy as np
 
 from .basis import DEFAULT_QUADRATURE_ORDER, Dictionary, GramMatrix, evaluate_many, gauss_legendre_nodes
 from .dynamics import BLOCK, StochasticSystem
-from .estimator import OperatorEstimate
 from .seeding import make_rng, mix_seed
 
 CONSTRUCTION_TOL = 1e-10
@@ -24,11 +23,10 @@ CONSTRUCTION_TOL = 1e-10
 
 @dataclass(frozen=True)
 class PFEstimate:
-    """Transfer-operator matrix tied to the Gram matrix and Koopman source."""
+    """Transfer-operator matrix and the Gram matrix it is conjugated by."""
 
     matrix: np.ndarray
     gram: GramMatrix
-    source_koopman: OperatorEstimate | None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -59,16 +57,14 @@ def conjugate_stack(kmats, gram: GramMatrix) -> list[np.ndarray]:
     return out
 
 
-def koopman_to_pf(k, gram: GramMatrix) -> PFEstimate:
-    """Conjugate a Koopman matrix (an OperatorEstimate or a plain square
-    matrix) into the transfer-operator matrix: a :func:`conjugate_stack` of one."""
-    source = k if isinstance(k, OperatorEstimate) else None
-    kmat = k.matrix if source else np.asarray(k, dtype=float)
-    n = gram.n_basis
-    if kmat.shape != (n, n):
+def koopman_to_pf(kmat, gram: GramMatrix) -> PFEstimate:
+    """Conjugate a square Koopman matrix into the transfer-operator matrix: a
+    :func:`conjugate_stack` of one."""
+    kmat = np.asarray(kmat, dtype=float)
+    if kmat.shape != (gram.n_basis, gram.n_basis):
         raise ValueError("koopman matrix size must match the gram matrix")
     (p,) = conjugate_stack([kmat], gram)
-    return PFEstimate(p, gram, source)
+    return PFEstimate(p, gram)
 
 
 def duality_check(kmat, pmat, gram: GramMatrix, n_trials: int, seed: int) -> float:

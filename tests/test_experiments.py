@@ -124,6 +124,9 @@ class TestConfig:
     def test_bad_epsilon_rejected(self, smoke_config):
         with pytest.raises(ValueError, match="epsilon"):
             smoke_config(epsilon_list=[0.0])
+        # a repeat used to load and write two identical bounds.csv rows per T
+        with pytest.raises(ValueError, match=r"^epsilon_list must not repeat a value"):
+            smoke_config(epsilon_list=[0.1, 0.1])
 
     def test_empty_grid_rejected(self, smoke_config):
         with pytest.raises(ValueError, match="T_grid must not be empty"):
@@ -310,10 +313,9 @@ class TestConfig:
             smoke_config(**{leaf: value})
 
     @pytest.mark.parametrize("key", ["T_grid", "base_seed", "domain.lower", "domain.upper",
-                                     "dictionary.state_dim", "dictionary.max_degree"])
+                                     "dictionary.max_degree"])
     def test_missing_required_key_named(self, key):
-        # each used to raise a bare KeyError, or for a monomial dictionary
-        # read "dictionary.state_dim must be an integer of at least 2, got None"
+        # each used to raise a bare KeyError
         data = {"T_grid": [200, 400], "base_seed": 1, "domain": dict(SECTIONS["domain"]),
                 "dictionary": dict(SECTIONS["dictionary"])}
         section, _, leaf = key.rpartition(".")
@@ -358,6 +360,13 @@ class TestConfig:
         assert cfg.dictionary == {"kind": "monomial", "state_dim": 2, "max_degree": 1}
         assert cfg.domain == {"lower": (-1.0, -2.0), "upper": (1.0, 2.0)}
         assert config_from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
+
+    def test_monomial_state_dim_defaults_to_the_system_dimension(self, smoke_config):
+        # "missing key 'state_dim'" used to reject a dictionary whose only
+        # loadable state_dim is the system's 2; the sidecars still record it
+        implicit = smoke_config(dictionary={"kind": "monomial", "max_degree": 2})
+        assert implicit == smoke_config(dictionary=SECTIONS["dictionary"])
+        assert asdict(implicit)["dictionary"]["state_dim"] == 2
 
     def test_standard_vdp_takes_only_a_boolean(self, smoke_config):
         system = {"kind": "vanderpol", "params": {"dt": 0.001, "standard_vdp": "false"}}
@@ -813,6 +822,25 @@ class TestRunBoundCalibration:
         )
         with pytest.raises(ValueError, match="ground-truth"):
             run_bound_calibration(cfg)
+
+    def test_transfer_check_fits_the_seeds_bounds_scores(self, smoke_config, monkeypatch):
+        # pf's error-transfer tally reads as a tally over bounds' scored runs
+        cfg = smoke_config()
+        groups = []
+        fit_groups = experiments._fit_groups
+
+        def recorded(config, run_groups, workers):
+            groups.append([(T, list(seeds), estimate) for T, seeds, estimate in run_groups])
+            return fit_groups(config, run_groups, workers)
+
+        monkeypatch.setattr(experiments, "_fit_groups", recorded)
+        run_bound_calibration(cfg)
+        run_pf_pipeline(cfg)
+        bounds_groups, (pf_group,) = groups
+        T = max(cfg.T_grid)
+        (scored,) = [seeds for t, seeds, estimate in bounds_groups if t == T and estimate]
+        assert len(scored) == cfg.n_realizations
+        assert pf_group == (T, scored, True)
 
     def test_noiseless_bounds_and_rates_vanish(self, smoke_config):
         cfg = smoke_config(

@@ -1,5 +1,5 @@
-"""Golden-bytes gate for the CSV outputs of the shipped smoke config and of
-a small Van der Pol sweep.
+"""Golden-bytes gate for the CSV outputs of the shipped smoke config, of
+a small Van der Pol sweep and of the simulate/estimate CSV round trip.
 
 Runs ``configs/smoke.yaml`` through the sweep, bounds, pf and closure
 subcommands at ``--workers 1`` and compares the sha256 of every CSV with
@@ -7,7 +7,11 @@ hashes recorded before the realization pipeline was refactored, so any
 change to output bytes is caught.  The smoke config scores against the
 analytic operator; the Van der Pol sweep (``configs/vanderpol.yaml`` at
 ``T_grid: [100, 1000]``, 8 realizations) covers the other scoring path,
-against a fitted high-T reference.  ``.meta.json`` sidecars embed the
+against a fitted high-T reference.  The round trip writes ``samples.csv``
+with ``koopest simulate`` and reads it back with ``koopest estimate
+--samples``, for the smoke config at its default 400 steps and for
+``configs/vanderpol.yaml`` at 70,000 steps, past the 65,536-row block in
+which ``accumulate`` walks a sample set.  ``.meta.json`` sidecars embed the
 output path and are not compared.
 
 The hashes were taken with Python 3.11.7, numpy 2.4.6, scipy 1.17.1 and
@@ -20,6 +24,8 @@ hashes and be named in CHANGES.md.
 import contextlib
 import hashlib
 import io
+
+import pytest
 
 from koopest import load_config, run_sweep
 from koopest.cli import main
@@ -65,3 +71,28 @@ def test_fitted_reference_sweep_matches_golden_hashes(tmp_path):
         for name in GOLDEN_FITTED_REFERENCE
     }
     assert actual == GOLDEN_FITTED_REFERENCE
+
+
+GOLDEN_ROUND_TRIP = {
+    ("configs/smoke.yaml", None): {
+        "samples.csv": "c2b40a0ae4bf05811e73406ea62263fb266d1638ca9974b8ca9a98cadb0e6c76",
+        "koopman.csv": "7dc9da2ebc11a3fdd6b6db6b5f60518af2c8d1d1491d35a165cdf46ab918c5fd",
+    },
+    ("configs/vanderpol.yaml", "70000"): {
+        "samples.csv": "de1693e1b37eb97be39565b63a62101d5c4a13dc2e7048b06e916bd41ac82a15",
+        "koopman.csv": "2a9556ba44408c9da7df3f59256f8fdd92589dd41cd78965717262dc525100c9",
+    },
+}
+
+
+@pytest.mark.parametrize("config, steps", GOLDEN_ROUND_TRIP, ids=["smoke", "vanderpol-70000"])
+def test_simulate_estimate_round_trip_matches_golden_hashes(tmp_path, config, steps):
+    common = [config, "--output-dir", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", *common] + (["--steps", steps] if steps else [])) == 0
+        assert main(["estimate", *common, "--samples", str(tmp_path / "samples.csv")]) == 0
+    actual = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("samples.csv", "koopman.csv")
+    }
+    assert actual == GOLDEN_ROUND_TRIP[config, steps]

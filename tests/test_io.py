@@ -231,13 +231,15 @@ class TestOperatorRoundTrip:
         lam = gram(dct, unit_box(2))
         ss = make_samples(baseline_params, steps=100)
         est = estimate_koopman(accumulate(MomentPair.empty(dct), dct, ss))
-        p = koopman_to_pf(est, lam)
+        p = koopman_to_pf(est.matrix, lam)
         path = str(tmp_path / "p.csv")
         save_operator(p, path)
         matrix, meta = load_operator(path)
         assert (matrix == p.matrix).all()
         assert meta["operator_kind"] == "perron-frobenius"
         assert meta["cond_lambda"] == lam.cond
+        # the fit's provenance lives in the Koopman sidecar alone
+        assert sorted(meta) == ["cond_lambda", "dict_names", "gram_method", "operator_kind"]
 
     @pytest.mark.parametrize("sidecar", ["{", "[1, 2]"], ids=["malformed", "not-an-object"])
     def test_bad_sidecar_named(self, tmp_path, sidecar):

@@ -62,6 +62,10 @@ the ground truth is one ``true_koopman`` (None without one), with no
 ``config_from_dict`` checks a section's keys and kind, in one walk over one
 key table, and ``ExperimentConfig`` checks its values: ``experiments`` raises
 each of "unknown key", "missing key" and "unknown <section>.kind" once.
+A transfer matrix is P and the Gram matrix: ``pf`` imports nothing from
+``estimator``, ``PFEstimate`` has the fields ``matrix`` and ``gram`` (the
+fit's provenance stays with K), and ``koopman_to_pf`` takes a matrix, with
+no ``isinstance`` branch on what it was given.
 """
 
 import ast
@@ -425,3 +429,14 @@ def test_a_config_section_is_checked_in_one_walk():
     defined = {node.id for node in ast.walk(_parse("experiments"))
                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
     assert "_KEYS" in defined and defined.isdisjoint({"_SYSTEM_PARAMS", "_KNOWN_KEYS"})
+
+
+def test_a_transfer_matrix_is_p_and_the_gram_matrix():
+    imported = {node.module for node in ast.walk(_parse("pf")) if isinstance(node, ast.ImportFrom)}
+    assert "dynamics" in imported and "estimator" not in imported
+    body = _class("pf", "PFEstimate").body
+    assert tuple(n.target.id for n in body if isinstance(n, ast.AnnAssign)) == ("matrix", "gram")
+    (to_pf,) = [node for node in _parse("pf").body
+                if isinstance(node, ast.FunctionDef) and node.name == "koopman_to_pf"]
+    calls = {getattr(n.func, "id", None) for n in ast.walk(to_pf) if isinstance(n, ast.Call)}
+    assert "conjugate_stack" in calls and "isinstance" not in calls
