@@ -54,8 +54,8 @@ class DivergenceError(RuntimeError):
 class NoiseModel:
     """Additive iid noise on the plane, drawn independently across time steps
     and the two coordinates.  ``std_dev`` holds one standard deviation per
-    coordinate; a single entry serves both.  Kind ``"none"`` draws zeros
-    whatever its ``std_dev``."""
+    coordinate; a single entry serves both.  Kind ``"none"`` draws -0.0, which
+    adds nothing to any state (+0.0 turns a -0.0 into +0.0), whatever its ``std_dev``."""
 
     kind: str  # "gaussian-iid" | "none"
     std_dev: np.ndarray
@@ -89,7 +89,7 @@ class NoiseModel:
     def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """m iid noise vectors, shape (m, 2).  Consumes no randomness if silent."""
         if self.kind == NO_NOISE:
-            return np.zeros((m, STATE_DIM))
+            return np.full((m, STATE_DIM), -0.0)
         return rng.normal(0.0, 1.0, size=(m, STATE_DIM)) * self.std_dev
 
     def density(self, v) -> np.ndarray:
@@ -106,24 +106,25 @@ class NoiseModel:
 class StochasticSystem:
     """State-transition law ``x+ = T(x) + noise`` on the plane.
 
-    ``drift(x1, x2) -> (y1, y2)`` is the map T written once, in plain
-    arithmetic on its two coordinates, so the same function steps Python
-    floats (the simulator), ``(R,)`` arrays of lockstep trajectories and
-    arrays of states (``transition``, the noiseless T(x); :func:`step_pairs`
-    adds the noise).  It must multiply rather than use ``**``, which raises
-    on float overflow.  The noise is planar, as the drift is.  Systems are
-    immutable and safe to share across workers.
+    A system is its step loop and its planar noise.  ``steps(x1, x2, noise1,
+    noise2, append1, append2) -> (x1, x2)`` writes the map T once, in plain
+    arithmetic on the two coordinates: for each noise pair ``(w1, w2)`` it
+    sets ``x <- T(x) + w`` and appends the new coordinates.  The same loop
+    steps Python floats (one trajectory), ``(R,)`` arrays of lockstep
+    trajectories and arrays of states (``transition``, one step with -0.0
+    noise).  It must multiply rather than use ``**``, which raises on float
+    overflow.  Systems are immutable and safe to share across workers.
     """
 
-    drift: object
+    steps: object
     noise: NoiseModel
 
     def transition(self, x) -> np.ndarray:
-        """T applied to one state ``(2,)`` or to each row of ``(m, 2)``."""
+        """T of one state ``(2,)`` or of each row of ``(m, 2)``: one step with noise -0.0."""
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != STATE_DIM:
             raise ValueError(f"state must have shape (2,) or (m, 2), got {x.shape}")
-        return np.stack(self.drift(*x.T), axis=-1)
+        return np.stack(self.steps(*x.T, (-0.0,), (-0.0,), [].append, [].append), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -159,10 +160,14 @@ def make_closed_quadratic(
     rho, mu, c = params.rho, params.mu, params.c
     a = (rho * rho - mu) * c
 
-    def drift(x1, x2):
-        return rho * x1, mu * x2 + a * x1 * x1
+    def steps(x1, x2, noise1, noise2, append1, append2):
+        for w1, w2 in zip(noise1, noise2):
+            x1, x2 = rho * x1 + w1, mu * x2 + a * x1 * x1 + w2
+            append1(x1)
+            append2(x2)
+        return x1, x2
 
-    return StochasticSystem(drift, NoiseModel.gaussian(1.0) if noise is None else noise)
+    return StochasticSystem(steps, NoiseModel.gaussian(1.0) if noise is None else noise)
 
 
 def closed_quadratic_dictionary() -> Dictionary:
@@ -198,7 +203,7 @@ def make_vanderpol(
 ) -> StochasticSystem:
     """Euler-discretized Van der Pol oscillator with additive noise.
 
-    The default drift is ``x1+ = x1 + dt*x2``,
+    The default map is ``x1+ = x1 + dt*x2``,
     ``x2+ = x2 + dt*((1 - x1^2)*x1 - x1)``; setting ``standard_vdp`` swaps in
     the textbook damping field ``(1 - x1^2)*x2 - x1``.  Default noise is
     Gaussian with standard deviation 0.01 per coordinate, comparable to the
@@ -207,11 +212,15 @@ def make_vanderpol(
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
 
-    def drift(x1, x2):
-        damped = x2 if standard_vdp else x1
-        return x1 + dt * x2, x2 + dt * ((1.0 - x1 * x1) * damped - x1)
+    def steps(x1, x2, noise1, noise2, append1, append2):
+        for w1, w2 in zip(noise1, noise2):
+            x1, x2 = (x1 + dt * x2 + w1,
+                      x2 + dt * ((1.0 - x1 * x1) * (x2 if standard_vdp else x1) - x1) + w2)
+            append1(x1)
+            append2(x2)
+        return x1, x2
 
-    return StochasticSystem(drift, NoiseModel.gaussian(0.01) if noise is None else noise)
+    return StochasticSystem(steps, NoiseModel.gaussian(0.01) if noise is None else noise)
 
 
 @dataclass(frozen=True)
@@ -276,11 +285,9 @@ def trajectory_chunks(
     initial state (``x0=None``, uniform on ``domain``) and its noise from its
     own seed stream, ``BLOCK`` rows at a time, so its states do not depend on
     the other seeds: identical arguments give :func:`simulate`'s trajectory.
-    Each step calls the planar ``drift(x1, x2)`` once and adds the noise to
-    each coordinate; the states are collected per coordinate in two lists,
-    and each block's ``paths`` is built from them once.  One seed steps
-    Python floats, several step ``(R,)`` arrays through the same loop; both
-    are the same IEEE operations in the same order.
+    Each block is one call of the system's ``steps`` loop, which collects the
+    states per coordinate in two lists; one seed steps Python floats, several
+    step ``(R,)`` arrays.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -297,7 +304,6 @@ def trajectory_chunks(
     lockstep = len(rngs) > 1
     x1, x2 = x.T.copy() if lockstep else x[0].tolist()
     index = np.arange(len(rngs))
-    drift = system.drift
     done = 0
     while done < steps and index.size:
         m = min(BLOCK, steps - done)
@@ -306,16 +312,10 @@ def trajectory_chunks(
         # of an array, or for one trajectory a list of Python floats
         columns = np.stack(noise, axis=-1).transpose(1, 0, 2) if lockstep else noise[0].T.tolist()
         out1, out2 = [x1], [x2]
-        append1, append2 = out1.append, out2.append
         # arrays and norms overflow to inf as Python floats do, without a
         # warning; the norm check catches it
         with np.errstate(over="ignore", invalid="ignore"):
-            for w1, w2 in zip(*columns):
-                y1, y2 = drift(x1, x2)
-                x1 = y1 + w1
-                x2 = y2 + w2
-                append1(x1)
-                append2(x2)
+            x1, x2 = system.steps(x1, x2, *columns, out1.append, out2.append)
             path = np.stack([np.array(out1), np.array(out2)], axis=1)
             paths = path.transpose(2, 0, 1) if lockstep else path[None]
             norms = np.linalg.norm(paths[:, 1:], axis=-1)

@@ -1,8 +1,9 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koopest import (
@@ -142,6 +143,7 @@ SYSTEMS = {
 }
 
 _coordinate = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+_unit_coordinate = st.floats(-1.0, 1.0)  # states that stay bounded for a few steps
 
 
 class TestPlanarContract:
@@ -168,8 +170,47 @@ class TestPlanarContract:
         assert one.tobytes() == two.tobytes()
 
 
+def _bits(a):
+    """The bytes of a float array, every NaN read as the one NaN."""
+    a = np.asarray(a, dtype=float)
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+def _run(system, x1, x2, noise):
+    """The states of one call of the system's step loop, per coordinate."""
+    out1, out2 = [], []
+    last = system.steps(x1, x2, [w for w, _ in noise], [w for _, w in noise],
+                        out1.append, out2.append)
+    return out1, out2, last
+
+
 class TestDriftForms:
-    """One drift, three ways to call it: the same bits from each."""
+    """The drift T is written once, as each system's step loop: Python floats,
+    ``(R,)`` lockstep rows and ``transition`` give the same bits from it."""
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    @settings(max_examples=200, deadline=None)
+    @given(
+        state=st.tuples(_coordinate, _coordinate),
+        others=st.lists(st.tuples(_coordinate, _coordinate), max_size=6),
+        row=st.integers(0, 6),
+        noise=st.lists(st.lists(st.tuples(_coordinate, _coordinate), min_size=7, max_size=7),
+                       min_size=1, max_size=5),
+    )
+    def test_float_single_and_batch_agree(self, name, state, others, row, noise):
+        # a k-step run on Python floats is the matching row of the same run
+        # on (R,) arrays, overflow to inf and NaN included
+        system = SYSTEMS[name]
+        row = min(row, len(others))
+        states = np.array(others[:row] + [state] + others[row:])
+        draws = np.array(noise)[:, : len(states)]  # (k, R, 2)
+        on_floats = _run(system, *state, draws[:, row].tolist())
+        assert all(type(v) is float for out in on_floats[:2] for v in out)
+        columns = draws.transpose(2, 0, 1)  # two (k, R)
+        with np.errstate(over="ignore", invalid="ignore"):
+            on_rows = _run(system, *states.T.copy(), list(zip(*columns)))
+        for floats, rows in zip(on_floats, on_rows):
+            assert _bits(floats) == _bits([r[row] for r in rows])
 
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     @settings(max_examples=200, deadline=None)
@@ -178,19 +219,18 @@ class TestDriftForms:
         others=st.lists(st.tuples(_coordinate, _coordinate), max_size=6),
         row=st.integers(0, 6),
     )
-    def test_float_single_and_batch_agree(self, name, state, others, row):
+    def test_transition_is_one_step_with_negative_zero_noise(self, name, state, others, row):
         system = SYSTEMS[name]
-        on_floats = system.drift(*state)
-        assert all(type(v) is float for v in on_floats)
+        (y1,), (y2,), _ = _run(system, *state, [(-0.0, -0.0)])
+        expected = np.array([y1, y2]).tobytes()
         row = min(row, len(others))
         batch = np.array(others[:row] + [state] + others[row:])
-        expected = np.array(on_floats).tobytes()
         assert system.transition(np.array(state)).tobytes() == expected
         assert system.transition(batch)[row].tobytes() == expected
 
     @pytest.mark.parametrize("shape", [(3,), (5, 3), (1,), (), (2, 2, 2)])
     def test_wrong_state_shape_is_named(self, shape):
-        # a planar drift takes two coordinates; no other shape reaches it
+        # a planar map takes two coordinates; no other shape reaches it
         system = SYSTEMS["closed-quadratic-baseline"]
         message = rf"shape \(2,\) or \(m, 2\), got {re.escape(str(shape))}"
         with pytest.raises(ValueError, match=message):
@@ -317,6 +357,24 @@ class TestStepPairs:
         assert ss.states is None
         np.testing.assert_allclose(ss.ys, system.transition(xs))
 
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    @settings(max_examples=50, deadline=None)
+    @given(
+        xs=st.lists(st.tuples(_unit_coordinate, _unit_coordinate), min_size=1, max_size=8),
+        steps=st.integers(1, 6),
+    )
+    @example(xs=[(-0.0, -0.0)], steps=3)
+    def test_silent_noise_leaves_every_bit_to_transition(self, name, xs, steps):
+        # silent noise is -0.0, which keeps a -0.0 coordinate as transition does
+        system = dataclasses.replace(SYSTEMS[name], noise=NoiseModel.none())
+        xs = np.array(xs)
+        assert step_pairs(system, xs, seed=8).ys.tobytes() == system.transition(xs).tobytes()
+        states = [xs[0]]
+        for _ in range(steps):
+            states.append(system.transition(states[-1]))
+        ss = simulate(system, xs[0], steps, seed=8)
+        assert ss.states.tobytes() == np.array(states).tobytes()
+
     def test_seeded(self, baseline_params):
         system = make_closed_quadratic(baseline_params)
         xs = np.zeros((10, 2))
@@ -363,7 +421,7 @@ class TestKoopmanApplyMC:
 class TestNoiseModel:
     def test_none_draws_zero(self):
         draws = NoiseModel.none().draw(make_rng(0), 5)
-        assert draws.shape == (5, 2) and (draws == 0).all()
+        assert draws.shape == (5, 2) and draws.tobytes() == np.full((5, 2), -0.0).tobytes()
 
     def test_density_integrates_to_one(self):
         nm = NoiseModel.gaussian([0.5, 2.0])

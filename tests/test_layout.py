@@ -4,13 +4,14 @@ Parsed, not run: ``bounds`` holds only the mathematics of the bound, so it
 imports nothing that simulates, lifts or seeds; and ``trajectory_chunks``
 is consumed only by ``simulate`` (which materializes samples) and
 ``fit_realizations`` (which streams them into moments).  A second consumer
-would be a second copy of the fit, free to drift from it.  Its stepping
-loop keeps the two state coordinates as names and collects them in lists:
-it writes no numpy row and builds no tuple per step.  Likewise each
-system's map is one coordinate ``drift``: the only function named
-``transition`` is the method that stacks it over arrays, and no code
-branches on ``ndim == 1`` into a second, scalar copy of a map.  And a
-dictionary is one batch map: only ``basis.evaluate_many`` calls its
+would be a second copy of the fit, free to drift from it.  It holds no
+stepping loop of its own: it calls the system's ``steps`` once per block.
+Each system's map is written once, inside that step loop, which keeps the
+two state coordinates as names and collects them in lists: it writes no
+numpy row and builds no tuple per step.  The only function named
+``transition`` is the method that runs that loop for one step over arrays,
+and no code branches on ``ndim == 1`` into a second, scalar copy of a map.
+And a dictionary is one batch map: only ``basis.evaluate_many`` calls its
 ``lift`` (no code reads per-observable ``functions``), and the streamed fit
 lifts each block's states in one call, so every state is lifted once.
 A dictionary is one kind of thing, a monomial exponent table: ``basis``
@@ -39,8 +40,8 @@ row is one ``BoundReport`` (no ``ViolationStats`` or ``make_bound_report``),
 a system's noiseless map is ``transition``, its noisy step
 ``step_pairs`` (``StochasticSystem`` has no ``step``), and the residuals of
 a fit are their ``(N,)`` array (no ``ResidualStats`` holding its maximum).
-A system is its drift and its planar noise: ``StochasticSystem`` has the
-two fields ``drift`` and ``noise`` and no class constant, and no
+A system is its step loop and its planar noise: ``StochasticSystem`` has the
+two fields ``steps`` and ``noise`` and no class constant, and no
 ``NoiseModel`` constructor takes a dimension.
 A sample set is its pairs: ``SampleSet`` has the fields ``xs``, ``ys``,
 ``seed`` and ``states``, the last worked out from whether the rows chain, and
@@ -177,25 +178,36 @@ def test_only_single_estimates_build_an_operator_estimate():
     }
 
 
+def _noise_loops(node):
+    """The ``for ... in zip(...)`` loops under node: loops over noise columns."""
+    return [
+        n
+        for n in ast.walk(node)
+        if isinstance(n, ast.For) and any(getattr(c, "id", None) == "zip" for c in ast.walk(n.iter))
+    ]
+
+
 def test_stepping_loop_writes_no_row_and_builds_no_tuple():
-    (chunks,) = [
-        node
-        for node in _parse("dynamics").body
-        if isinstance(node, ast.FunctionDef) and node.name == "trajectory_chunks"
-    ]
-    (loop,) = [  # the loop over the noise columns
-        node
-        for node in ast.walk(chunks)
-        if isinstance(node, ast.For)
-        and any(getattr(n, "id", None) == "zip" for n in ast.walk(node.iter))
-    ]
-    body = [n for stmt in loop.body for n in ast.walk(stmt)]
-    targets = [t for n in body if isinstance(n, ast.Assign) for t in n.targets]
-    targets += [n.target for n in body if isinstance(n, (ast.AugAssign, ast.AnnAssign))]
-    assert targets
-    assert not any(isinstance(n, ast.Subscript) for t in targets for n in ast.walk(t))
-    calls = {getattr(n.func, "id", None) for n in body if isinstance(n, ast.Call)}
-    assert calls.isdisjoint({"map", "tuple"})
+    functions = {node.name: node for node in _parse("dynamics").body
+                 if isinstance(node, ast.FunctionDef)}
+    chunks = functions["trajectory_chunks"]
+    assert _noise_loops(chunks) == []
+    step_calls = [n for n in ast.walk(chunks)
+                  if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "steps"]
+    assert len(step_calls) == 1
+    for maker in ("make_closed_quadratic", "make_vanderpol"):
+        (steps,) = [n for n in functions[maker].body
+                    if isinstance(n, ast.FunctionDef) and n.name == "steps"]
+        (loop,) = _noise_loops(steps)
+        body = [n for stmt in loop.body for n in ast.walk(stmt)]
+        targets = [t for n in body if isinstance(n, ast.Assign) for t in n.targets]
+        targets += [n.target for n in body if isinstance(n, (ast.AugAssign, ast.AnnAssign))]
+        assert targets, maker
+        assert not any(isinstance(n, ast.Subscript) for t in targets for n in ast.walk(t))
+        calls = {getattr(n.func, "id", None) for n in body if isinstance(n, ast.Call)}
+        assert calls == {"append1", "append2"}, maker  # no map, tuple or drift call
+        # the new state is a pair of names, assigned from a pair of expressions
+        assert any(isinstance(t, ast.Tuple) for t in targets), maker
 
 
 class _Qualnames(ast.NodeVisitor):
@@ -385,9 +397,9 @@ def test_ground_truth_is_one_function():
     assert "ExperimentConfig" in defined and "has_true_koopman" not in defined
 
 
-def test_a_system_is_its_drift_and_its_noise():
+def test_a_system_is_its_step_loop_and_its_noise():
     body = _class("dynamics", "StochasticSystem").body
-    assert [n.target.id for n in body if isinstance(n, ast.AnnAssign)] == ["drift", "noise"]
+    assert [n.target.id for n in body if isinstance(n, ast.AnnAssign)] == ["steps", "noise"]
     assert not any(isinstance(n, ast.Assign) for n in body)
 
 
