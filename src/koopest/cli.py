@@ -109,6 +109,9 @@ def _run(args) -> int:
     if args.command == "estimate":
         dictionary = xp.build_dictionary(config)
         samples = load_samples(args.samples)
+        if samples.state_dim != dictionary.state_dim:
+            raise ValueError(f"{args.samples} holds states of width {samples.state_dim}, "
+                             f"the dictionary takes width {dictionary.state_dim}")
         moments = accumulate(MomentPair.empty(dictionary), dictionary, samples)
         est = estimate_koopman(moments)
         path = os.path.join(config.output_dir, "koopman.csv")

@@ -463,9 +463,9 @@ def fit_realizations(config: ExperimentConfig, T: int, seeds, estimate: bool = T
 # Python floats beats stepping them together as arrays: a block shares its
 # per-call costs but steps arrays, so the crossover grows with T.  Median time
 # of one block of R seeds over R one-seed fits (closed-quadratic, N = 4), R at
-# the rule: T = 20: R = 3 0.54; 50: 4 0.55; 200: 6 0.74; 500: 8-10 0.78-0.72;
-# 1,000: 12 0.80 (11 0.99); 2,000 and 4,096: 16 0.87 and 0.92.  The cap keeps
-# every T > 4,096 (at most BLOCK // T < 16 seeds a task) fitted alone.
+# the rule: T = 20: R = 3 0.55; 50: 4 0.55; 200: 6 0.72; 500: 9 0.86-0.92;
+# 1,000: 12 0.94; 2,000: 16 0.92-0.94; 4,096: 16 1.00-1.07, break-even.  The
+# cap keeps every T > 4,096 (at most BLOCK // T < 16 seeds a task) fitted alone.
 LOCKSTEP_MIN_SEEDS = 16
 
 
@@ -500,29 +500,22 @@ def _fit_groups(config: ExperimentConfig, groups, workers: int) -> list[Fits]:
     return [Fits(*map(np.concatenate, zip(*islice(fits, count)))) for count in counts]
 
 
-def _required_fit(config: ExperimentConfig, what: str, T: int, seed: int) -> OperatorEstimate:
-    """The estimate of one seed's fit that a run cannot do without: raises
-    RuntimeError naming ``what``, T and the status if there is none, and
-    warns when it is a singular fallback."""
-    fits = fit_realizations(config, T, [seed])
-    status = str(fits.status[0])
-    if status == "diverged":
-        raise RuntimeError(f"the {what} at T={T} failed: {status}") from fits.cause[0]
-    if status == "singular":
+def _required(fits: Fits, what: str, T: int) -> Fits:
+    """``fits`` of a group a run cannot do without.  A diverged row raises
+    RuntimeError naming ``what`` and T, chained from the first such row's
+    DivergenceError; a singular fallback warns once."""
+    diverged = np.flatnonzero(fits.status == "diverged")
+    if diverged.size:
+        raise RuntimeError(f"the {what} at T={T} failed: diverged") from fits.cause[diverged[0]]
+    if (fits.status == "singular").any():
         warnings.warn(f"the {what} at T={T} is singular; using its fallback")
-    return OperatorEstimate(fits.matrix[0], build_dictionary(config).names, T, seed,
-                            float(fits.cond[0]), status == "singular")
+    return fits
 
 
-def _reference_koopman(config: ExperimentConfig):
-    """The analytic operator, or one high-T fit."""
-    ref = true_koopman(config)
-    if ref is not None:
-        return ref, {"kind": "analytic"}
-    t_ref = REFERENCE_T_FACTOR * max(config.T_grid)
-    seed = derive_seed(config.base_seed, t_ref, REFERENCE_STREAM)
-    est = _required_fit(config, "reference fit", t_ref, seed)
-    return est.matrix, {"kind": "high-T estimate", "T_ref": t_ref, "seed": seed}
+def _frobenius_errors(stack, ref) -> np.ndarray:
+    """``|M - ref|_F`` of each matrix M of the stack, one norm per matrix: it
+    sums in memory order, where a stacked ``axis=(1, 2)`` norm would not."""
+    return np.array([np.linalg.norm(m - ref, "fro") for m in stack])
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> ErrorCurve:
@@ -536,18 +529,24 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> ErrorCurve:
     both files and ``sweep.meta.json`` go into the config's output directory.
     A T point whose failure fraction exceeds 20% is flagged invalid.
     """
-    ref, ref_info = _reference_koopman(config)
-    seeds = [
-        [derive_seed(config.base_seed, T, r) for r in range(config.n_realizations)]
-        for T in config.T_grid
-    ]
-    fits = _fit_groups(config, [(T, s, True) for T, s in zip(config.T_grid, seeds)], workers)
+    seeds = [[derive_seed(config.base_seed, T, r) for r in range(config.n_realizations)]
+             for T in config.T_grid]
+    groups = [(T, s, True) for T, s in zip(config.T_grid, seeds)]
+    ref, ref_info = true_koopman(config), {"kind": "analytic"}
+    if ref is None:  # the reference is one high-T fit, the first group of the map
+        t_ref = REFERENCE_T_FACTOR * max(config.T_grid)
+        seed = derive_seed(config.base_seed, t_ref, REFERENCE_STREAM)
+        ref_info = {"kind": "high-T estimate", "T_ref": t_ref, "seed": seed}
+        groups.insert(0, (t_ref, [seed], True))
+    fits = _fit_groups(config, groups, workers)
+    if ref is None:
+        ref = _required(fits.pop(0), "reference fit", t_ref).matrix[0]
     denom = np.linalg.norm(ref, "fro")
     stats, rows, points = [], [], []  # stats: (mean, se, n_ok, n_failed, invalid) per T
     for T, group_seeds, group in zip(config.T_grid, seeds, fits):
         ok = group.status == "ok"
         rels = np.full(len(ok), np.nan)
-        rels[ok] = [np.linalg.norm(k - ref, "fro") / denom for k in group.matrix[ok]]
+        rels[ok] = _frobenius_errors(group.matrix[ok], ref) / denom
         errs = rels[ok]
         points += [[config.label, T, r, seed, status, fmt(rel)] for r, (seed, status, rel)
                    in enumerate(zip(group_seeds, group.status.tolist(), rels))]
@@ -599,9 +598,9 @@ def run_bound_calibration(config: ExperimentConfig, workers: int = 1) -> list[Bo
     estimates and ``n_term_realizations`` realizations for the bound's
     expectation terms per T.  Then for each T: reduces the term
     realizations' moment matrices, fits the residual-variance surrogate on
-    one trajectory simulated once, and scores the estimates against the bound for every epsilon.  Returns and
-    writes one ``bounds.csv`` row per (T, epsilon).  Needs a ground-truth
-    operator.
+    one trajectory simulated once, and scores the estimates against the
+    bound for every epsilon.  Returns and writes one ``bounds.csv`` row per
+    (T, epsilon).  Needs a ground-truth operator.
     """
     ref = true_koopman(config)
     if ref is None:
@@ -621,11 +620,8 @@ def run_bound_calibration(config: ExperimentConfig, workers: int = 1) -> list[Bo
     fits = _fit_groups(config, groups, workers)
 
     reports = []
-    for i, T in enumerate(config.T_grid):
-        scored, term_fits = fits[2 * i], fits[2 * i + 1]
-        if (term_fits.status == "diverged").any():
-            raise RuntimeError(f"a bound-term realization at T={T} failed: diverged")
-        terms = bound_terms(term_fits.sigma0)
+    for T, scored, term_fits in zip(config.T_grid, fits[::2], fits[1::2]):
+        terms = bound_terms(_required(term_fits, "bound-term fit", T).sigma0)
         seed = derive_seed(config.base_seed, T, DELTA_STREAM)
         try:
             samples = simulate(system, None, T, seed, config.divergence_threshold, domain)
@@ -633,9 +629,7 @@ def run_bound_calibration(config: ExperimentConfig, workers: int = 1) -> list[Bo
             raise RuntimeError(f"the delta_hat fit at T={T} failed: {err}") from err
         est = estimate_koopman(accumulate(MomentPair.empty(dictionary), dictionary, samples))
         delta_hat = float(residuals(dictionary, samples, est).max())
-        errors = np.array(
-            [float(np.linalg.norm(k - ref, "fro")) for k in scored.matrix[scored.status == "ok"]]
-        )
+        errors = _frobenius_errors(scored.matrix[scored.status == "ok"], ref)
         if errors.size == 0:
             raise RuntimeError(f"no realization produced an estimate at T={T}")
         for eps in config.epsilon_list:
@@ -676,10 +670,18 @@ def run_pf_pipeline(config: ExperimentConfig, workers: int = 1):
     Persists the transfer and Koopman matrices with their sidecars, the Gram
     matrix and a one-row ``pf_report.csv``.  Returns (PFEstimate, report dict).
     """
-    lam = gram(build_dictionary(config), build_domain(config))
+    dictionary = build_dictionary(config)
+    lam = gram(dictionary, build_domain(config))
     T = max(config.T_grid)
     seed = derive_seed(config.base_seed, T, PF_STREAM)
-    est = _required_fit(config, "transfer-matrix fit", T, seed)
+    ref = true_koopman(config)
+    groups = [(T, [seed], True)]
+    if ref is not None:  # the transfer check refits bounds' scored seeds at the largest T
+        groups.append((T, _stream_seeds(config, T, SCORE_STREAM, config.n_realizations), True))
+    fit, *checked = _fit_groups(config, groups, workers)
+    _required(fit, "transfer-matrix fit", T)
+    est = OperatorEstimate(fit.matrix[0], dictionary.names, T, seed, float(fit.cond[0]),
+                           bool(fit.status[0] == "singular"))
     p_hat = koopman_to_pf(est.matrix, lam)
     defect = duality_check(
         est.matrix,
@@ -690,19 +692,12 @@ def run_pf_pipeline(config: ExperimentConfig, workers: int = 1):
     )
 
     transfer_ok = transfer_total = 0
-    ref = true_koopman(config)
     if ref is not None:
         # |P_hat - P|_F <= cond(Lambda) |K_hat - K|_F for every realization
-        p_ref = koopman_to_pf(ref, lam).matrix
-        seeds = _stream_seeds(config, T, SCORE_STREAM, config.n_realizations)
-        (fits,) = _fit_groups(config, [(T, seeds, True)], workers)
-        k_hats = fits.matrix[fits.status == "ok"]
+        k_hats = checked[0].matrix[checked[0].status == "ok"]
+        p_errors = _frobenius_errors(conjugate_stack(k_hats, lam), koopman_to_pf(ref, lam).matrix)
         transfer_total = len(k_hats)
-        transfer_ok = sum(
-            1
-            for k, p in zip(k_hats, conjugate_stack(k_hats, lam))
-            if np.linalg.norm(p - p_ref, "fro") <= lam.cond * np.linalg.norm(k - ref, "fro")
-        )
+        transfer_ok = int(np.sum(p_errors <= lam.cond * _frobenius_errors(k_hats, ref)))
 
     report = {
         "label": config.label,

@@ -190,6 +190,15 @@ class TestErrorsEndInOneLine:
             self._fails(argv, capsys, f"{samples}: expected rows of 4 numbers under its header",
                         [tmp_path / "out" / "koopman.csv"])
 
+    def test_samples_of_another_width(self, config_path, tmp_path, capsys):
+        # used to end in "sample dimension does not match the dictionary",
+        # naming neither the file nor a width
+        samples = tmp_path / "wide.csv"
+        samples.write_text("x_1,x_2,x_3,y_1,y_2,y_3\n" + "0.1,0.2,0.3,0.4,0.5,0.6\n" * 20)
+        argv = ["estimate", config_path(), "--samples", str(samples)]
+        message = f"{samples} holds states of width 3, the dictionary takes width 2"
+        self._fails(argv, capsys, message, [tmp_path / "out" / "koopman.csv"])
+
     @pytest.mark.parametrize(
         "sidecar, message",
         [("{seed: 1}", "samples.meta.json: Expecting property name"),

@@ -42,6 +42,7 @@ from koopest.experiments import (
     lockstep_min_seeds,
     true_koopman,
 )
+from koopest.io import load_operator
 
 CLOSED_QUADRATIC = {"kind": "closed-quadratic", "params": {"rho": 0.2, "mu": 0.3, "c": 1.0}}
 # a valid value of each config section, by its dotted key
@@ -621,30 +622,39 @@ class TestStackedFit:
 
 
 class TestRequiredFit:
-    """The reference and transfer-matrix fits share one rule: no estimate is
-    an error naming the fit, T and status; a singular one warns."""
+    """The fits a run cannot do without (the reference, the transfer matrix,
+    the bound terms) share one check: a diverged row is an error naming the
+    fit and T, chained from its DivergenceError; a singular one warns."""
 
-    def test_singular_fit_warns(self, smoke_config):
-        # seed 2's noiseless trajectory collapses (TestStackedFit)
-        cfg = smoke_config(system=_NOISELESS)
-        with pytest.warns(UserWarning, match=r"the transfer-matrix fit at T=1000 is singular"):
-            est = experiments._required_fit(cfg, "transfer-matrix fit", 1000, 2)
-        assert est.fallback is True
+    def test_singular_fit_warns(self, smoke_config, monkeypatch):
+        # seed 2's noiseless trajectory collapses (TestStackedFit): pf's
+        # transfer-matrix fit is kept with the bytes of its fit_realizations row
+        cfg = smoke_config(system=_NOISELESS, T_grid=[1000])
+        derive = experiments.derive_seed
+        monkeypatch.setattr(experiments, "derive_seed", lambda base, T, stream: (
+            2 if stream == experiments.PF_STREAM else derive(base, T, stream)))
+        with pytest.warns(UserWarning) as record:
+            run_pf_pipeline(cfg)
+        messages = [str(w.message) for w in record if "transfer-matrix" in str(w.message)]
+        assert messages == ["the transfer-matrix fit at T=1000 is singular; using its fallback"]
+        matrix, meta = load_operator(os.path.join(cfg.output_dir, "koopman_matrix.csv"))
         fits = fit_realizations(cfg, 1000, [2])
-        assert est.matrix.tobytes() == fits.matrix[0].tobytes()
-        assert (est.dict_names, est.sample_count, est.seed, est.condition_sigma0) == (
-            build_dictionary(cfg).names, 1000, 2, fits.cond[0]
-        )
+        assert fits.status.tolist() == ["singular"]
+        assert matrix.tobytes() == fits.matrix[0].tobytes()
+        assert meta == {"operator_kind": "koopman", "dict_names": list(build_dictionary(cfg).names),
+                        "sample_count": 1000, "seed": 2, "condition_sigma0": fits.cond[0],
+                        "fallback": True}
 
     def test_diverged_fit_is_named(self, smoke_config):
-        with pytest.warns(UserWarning, match="diverge"):  # the system is built at load
-            cfg = smoke_config(
-                system={"kind": "closed-quadratic", "params": {"rho": 2.0, "mu": 4.0, "c": 1.0}},
-                divergence_threshold=1e4,
-            )
-        message = r"^the reference fit at T=120 failed: diverged$"
-        with pytest.warns(UserWarning, match="diverge"), pytest.raises(RuntimeError, match=message):
-            experiments._required_fit(cfg, "reference fit", 120, 5)
+        # no analytic operator on the monomial dictionary: the sweep's
+        # reference is one fit at T = 4,000, which leaves the low threshold
+        cfg = smoke_config(dictionary=SECTIONS["dictionary"], T_grid=[20, 40],
+                           divergence_threshold=3.5)
+        message = r"^the reference fit at T=4000 failed: diverged$"
+        with pytest.raises(RuntimeError, match=message) as err:
+            run_sweep(cfg)
+        cause = err.value.__cause__
+        assert isinstance(cause, DivergenceError) and cause.step < 4000 and cause.norm > 3.5
 
 
 class TestRunSweep:
@@ -836,11 +846,13 @@ class TestRunBoundCalibration:
         monkeypatch.setattr(experiments, "_fit_groups", recorded)
         run_bound_calibration(cfg)
         run_pf_pipeline(cfg)
-        bounds_groups, (pf_group,) = groups
+        bounds_groups, pf_groups = groups
         T = max(cfg.T_grid)
         (scored,) = [seeds for t, seeds, estimate in bounds_groups if t == T and estimate]
         assert len(scored) == cfg.n_realizations
-        assert pf_group == (T, scored, True)
+        # pf's one map holds its transfer-matrix fit, then bounds' scored seeds
+        transfer_seed = derive_seed(cfg.base_seed, T, experiments.PF_STREAM)
+        assert pf_groups == [(T, [transfer_seed], True), (T, scored, True)]
 
     def test_noiseless_bounds_and_rates_vanish(self, smoke_config):
         cfg = smoke_config(
@@ -873,6 +885,19 @@ class TestRunBoundCalibration:
         with pytest.warns(UserWarning, match="diverge"):
             with pytest.raises(RuntimeError, match=r"T=120\b.*diverged"):
                 run_bound_calibration(cfg)
+
+    def test_failed_term_fit_chains_its_cause(self, tmp_path):
+        # the error used to drop its cause, so it named no step or norm
+        system = {"kind": "closed-quadratic", "params": {"rho": 1.2, "mu": 0.3, "c": 1.0}}
+        with pytest.warns(UserWarning, match="diverge"):  # the system is built at load
+            cfg = load_config("configs/smoke.yaml", system=system, divergence_threshold=50,
+                              T_grid=[60], n_term_realizations=4, output_dir=str(tmp_path))
+        message = r"^the bound-term fit at T=60 failed: diverged$"
+        with pytest.warns(UserWarning, match="diverge"):
+            with pytest.raises(RuntimeError, match=message) as err:
+                run_bound_calibration(cfg)
+        cause = err.value.__cause__
+        assert isinstance(cause, DivergenceError) and cause.step <= 60 and cause.norm > 50
 
     def test_delta_hat_trajectory_stepped_once_per_T(self, smoke_config, monkeypatch):
         cfg = smoke_config(T_grid=[60, 120], n_realizations=3, n_term_realizations=3)

@@ -7,12 +7,12 @@ hashes recorded before the realization pipeline was refactored, so any
 change to output bytes is caught.  The smoke config scores against the
 analytic operator; the Van der Pol sweep (``configs/vanderpol.yaml`` at
 ``T_grid: [100, 1000]``, 8 realizations) covers the other scoring path,
-against a fitted high-T reference.  The round trip writes ``samples.csv``
-with ``koopest simulate`` and reads it back with ``koopest estimate
---samples``, for the smoke config at its default 400 steps and for
-``configs/vanderpol.yaml`` at 70,000 steps, past the 65,536-row block in
-which ``accumulate`` walks a sample set.  ``.meta.json`` sidecars embed the
-output path and are not compared.
+against a fitted high-T reference, at ``--workers`` 1 and 2.  The round
+trip writes ``samples.csv`` with ``koopest simulate`` and reads it back
+with ``koopest estimate --samples``, for the smoke config at its default
+400 steps and for ``configs/vanderpol.yaml`` at 70,000 steps, past the
+65,536-row block in which ``accumulate`` walks a sample set.
+``.meta.json`` sidecars embed the output path and are not compared.
 
 The hashes were taken with Python 3.11.7, numpy 2.4.6, scipy 1.17.1 and
 OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH, Haswell kernels).  Another
@@ -63,14 +63,17 @@ GOLDEN_FITTED_REFERENCE = {
 
 
 def test_fitted_reference_sweep_matches_golden_hashes(tmp_path):
-    cfg = load_config("configs/vanderpol.yaml", T_grid=[100, 1000], n_realizations=8,
-                      output_dir=str(tmp_path))
-    assert run_sweep(cfg).reference["kind"] == "high-T estimate"
-    actual = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in GOLDEN_FITTED_REFERENCE
-    }
-    assert actual == GOLDEN_FITTED_REFERENCE
+    # the reference is one group of the sweep's map, fitted by a worker at 2
+    for workers in (1, 2):
+        out = tmp_path / f"workers-{workers}"
+        cfg = load_config("configs/vanderpol.yaml", T_grid=[100, 1000], n_realizations=8,
+                          output_dir=str(out))
+        assert run_sweep(cfg, workers).reference["kind"] == "high-T estimate"
+        actual = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in GOLDEN_FITTED_REFERENCE
+        }
+        assert actual == GOLDEN_FITTED_REFERENCE, f"--workers {workers}"
 
 
 GOLDEN_ROUND_TRIP = {

@@ -25,7 +25,8 @@ stack, without ``estimate_koopman`` or a ``MomentPair`` per seed.  A block's
 fits stay one record of stacked arrays (``Fits``): nothing wraps each
 realization in an object of its own (there is no ``Realization``), and
 only the two fits that leave the stack as one estimate build an
-``OperatorEstimate``: ``estimate_koopman`` and ``experiments._required_fit``.
+``OperatorEstimate``: ``estimate_koopman`` and ``experiments.run_pf_pipeline``
+(the transfer-matrix fit that ``koopman_matrix.csv`` records).
 A sample set has one path too: ``estimator`` walks its ``BLOCK`` rows in
 one loop, which ``accumulate`` and ``residuals`` share, and ``io`` parses
 every CSV body with ``np.loadtxt``, never ``genfromtxt``.  Every
@@ -50,11 +51,13 @@ A fit ends one of three ways: ``fit_realizations`` sets a row's ``status``
 only to "ok", "diverged" or "singular".  The 2N+2 sample floor is checked
 once at load (``ExperimentConfig``), once per estimate (``estimate_stack``,
 the solve every estimate goes through) and once by the bound
-(``koopman_error_bound``), so no fit has a floor status of its own.  A fit
-a run cannot do without (the high-T reference, the transfer matrix) goes
-through ``experiments._required_fit``, the only code that calls
-``fit_realizations`` directly; the sweeps reach it through the one
-parallel map.
+(``koopman_error_bound``), so no fit has a floor status of its own.  Every
+seeded fit of a run, those it cannot do without (the high-T reference, the
+transfer matrix, the bound terms) included, reaches ``fit_realizations``
+through ``experiments._fit_groups``, the one parallel map.  Their failure
+is raised at one site, ``experiments._required``, and every run scores a
+stack against its reference through the one per-matrix Frobenius error,
+``experiments._frobenius_errors``.
 A config is its YAML: ``ExperimentConfig`` holds the sections as loaded, and
 ``system.params`` is coerced once, at load (``_system_params`` is called only
 by ``ExperimentConfig.__post_init__``), so no builder re-reads raw params and
@@ -98,13 +101,14 @@ def test_bounds_imports_no_simulation_layers():
     assert imported.isdisjoint({"dynamics", "basis", "seeding"})
 
 
-class _Callers(ast.NodeVisitor):
-    """Qualified names of the functions (and methods) that call ``target``."""
+class _Sites(ast.NodeVisitor):
+    """Qualified name of the function (or method) around each node that
+    ``match`` accepts, once per node."""
 
-    def __init__(self, module, target):
+    def __init__(self, module, match):
         self.scope = [module]
-        self.target = target
-        self.found = set()
+        self.match = match
+        self.found = []
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
@@ -113,20 +117,29 @@ class _Callers(ast.NodeVisitor):
 
     visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
 
-    def visit_Call(self, node):
-        func = node.func
-        if self.target in (getattr(func, "id", None), getattr(func, "attr", None)):
-            self.found.add(".".join(self.scope))
-        self.generic_visit(node)
+    def generic_visit(self, node):
+        if self.match(node):
+            self.found.append(".".join(self.scope))
+        super().generic_visit(node)
+
+
+def _sites(match):
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        visitor = _Sites(path.stem, match)
+        visitor.visit(_parse(path.stem))
+        found += visitor.found
+    return found
+
+
+def _names(node):
+    """``(id, attr)`` of a node: a ``Name`` has the first, an ``Attribute`` the second."""
+    return getattr(node, "id", None), getattr(node, "attr", None)
 
 
 def _callers(target):
-    callers = set()
-    for path in sorted(SRC.glob("*.py")):
-        visitor = _Callers(path.stem, target)
-        visitor.visit(_parse(path.stem))
-        callers |= visitor.found
-    return callers
+    """Qualified names of the functions (and methods) that call ``target``."""
+    return set(_sites(lambda node: isinstance(node, ast.Call) and target in _names(node.func)))
 
 
 def test_trajectory_chunks_has_two_consumers():
@@ -141,8 +154,28 @@ def test_sample_floor_is_checked_at_load_per_estimate_and_by_the_bound():
     }
 
 
-def test_only_the_required_fit_calls_fit_realizations():
-    assert _callers("fit_realizations") == {"experiments._required_fit"}
+def test_only_fit_groups_reaches_fit_realizations():
+    # called or handed to the map: every seeded fit of a run goes through it
+    assert set(_sites(lambda node: isinstance(node, (ast.Name, ast.Attribute))
+                      and "fit_realizations" in _names(node))) == {"experiments._fit_groups"}
+
+
+def test_a_required_fit_fails_at_one_raise_site():
+    def raises_diverged(node):
+        return isinstance(node, ast.Raise) and any(
+            isinstance(n, ast.Constant) and "failed: diverged" in str(n.value)
+            for n in ast.walk(node)
+        )
+
+    assert _sites(raises_diverged) == ["experiments._required"]
+
+
+def test_frobenius_errors_are_scored_at_one_site():
+    def norm_of_difference(node):
+        return (isinstance(node, ast.Call) and "norm" in _names(node.func) and node.args
+                and isinstance(node.args[0], ast.BinOp) and isinstance(node.args[0].op, ast.Sub))
+
+    assert _sites(norm_of_difference) == ["experiments._frobenius_errors"]
 
 
 def test_a_realization_is_ok_diverged_or_singular():
@@ -174,7 +207,7 @@ def test_a_realization_is_ok_diverged_or_singular():
 def test_only_single_estimates_build_an_operator_estimate():
     assert _callers("OperatorEstimate") == {
         "estimator.estimate_koopman",
-        "experiments._required_fit",
+        "experiments.run_pf_pipeline",
     }
 
 
