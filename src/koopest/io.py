@@ -1,14 +1,18 @@
 """CSV and JSON-sidecar persistence with byte-deterministic formatting.
 
-Floats are written with ``repr`` (shortest round-trip form) and files use
-'\\n' newlines, so identical data always produces identical bytes.  Every
+Floats are written with ``repr``'s bytes (shortest round-trip form) and files
+use '\\n' newlines, so identical data always produces identical bytes.  Every
 CSV goes through one writer: the header and any row holding strings through
 ``csv.writer``, which quotes cells such as labels, and float tables as rows
 of ``repr`` text joined by commas, the same bytes ``csv`` would write.  A
-single trajectory's T + 1 states are each formatted once, row t joining the
-text of states t and t + 1.  One reader parses every CSV (the header by
-``csv.reader``, the body by ``np.loadtxt``) and names the file, and the file
-line of a bad row, in its errors.
+float table is formatted by one ``orjson`` call, whose text equals
+``repr``'s for every cell but those ``repr`` writes in exponent form or as
+``nan``/``inf``; ``repr`` formats the rows that hold such a cell.  orjson is
+imported at the first float-table write.  A single trajectory's T + 1 states
+are each formatted once, row t joining the text of states t and t + 1.  One
+reader parses every CSV (the header by ``csv.reader``, the body by
+``np.loadtxt``) and names the file, and the file line of a bad row, in its
+errors.
 """
 
 from __future__ import annotations
@@ -31,8 +35,22 @@ def fmt(x) -> str:
 
 
 def _texts(table: np.ndarray) -> list:
-    """Each row of a float table as the ``repr`` of its cells joined by commas."""
-    return [",".join(map(repr, row)) for row in table.tolist()]
+    """Each row of a float table as the ``repr`` of its cells joined by commas.
+
+    orjson writes the same shortest digits as ``repr`` but not its exponent
+    form (nonzero |x| < 1e-4, |x| >= 1e16) nor ``nan``/``inf``, so the rows
+    holding such a cell are formatted by ``repr``."""
+    import orjson  # loaded at the first float-table write, not at import
+
+    table = np.ascontiguousarray(table, dtype=float)  # orjson takes C order only
+    if not len(table):
+        return []
+    texts = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY).decode()[2:-2].split("],[")
+    size = np.abs(table)
+    plain = (size < 1e16) & ((size >= 1e-4) | (size == 0))  # False at nan
+    for i in np.flatnonzero(~plain.all(axis=1)):
+        texts[i] = ",".join(map(repr, table[i].tolist()))
+    return texts
 
 
 def _write_rows(path, header, rows=(), lines=()):
@@ -118,7 +136,8 @@ def save_samples(samples: SampleSet, path: str, label: str = "") -> None:
     else:
         x_text = _texts(samples.states)
         y_text = x_text[1:]
-    _write_rows(path, header, lines=(f"{x},{y}\n" for x, y in zip(x_text, y_text)))
+    # one body string, joined in C (a sample set holds at least one pair)
+    _write_rows(path, header, lines=["\n".join(map(",".join, zip(x_text, y_text))) + "\n"])
     write_sidecar(_sidecar_path(path), {"seed": int(samples.seed), "label": label})
 
 

@@ -244,36 +244,38 @@ class TestErrorsEndInOneLine:
         assert f'in "{path}", line 1, column 9' in err
 
 
-# prints which of scipy and the process pool the interpreter has loaded
+# prints which of scipy, the process pool and orjson the interpreter has loaded
 _HEAVY = """
 print(sorted(m for m in sys.modules
-             if m.split(".")[0] == "scipy" or m == "concurrent.futures.process"))
+             if m.split(".")[0] == "scipy" or m in ("orjson", "concurrent.futures.process")))
 """
 
 
 class TestColdStart:
     """Set-up, and a command that neither solves nor maps, start on numpy
-    alone: scipy's LAPACK and the process pool load when first used."""
+    alone: scipy's LAPACK and the process pool load when first used, and
+    orjson at the first float-table write (``simulate`` writes samples)."""
 
     @pytest.mark.parametrize(
-        "step",
+        "step, loaded",
         [
-            "import koopest\n"
-            "from koopest.experiments import build_dictionary, build_domain, build_system\n"
-            "c = koopest.load_config('configs/smoke.yaml')\n"
-            "build_system(c), build_dictionary(c), build_domain(c)",
-            "from koopest.cli import main\n"
-            "assert main(['simulate', 'configs/smoke.yaml', '--steps', '50',\n"
-            "             '--output-dir', sys.argv[1]]) == 0",
-            "from koopest.cli import main\n"
-            "assert main(['bounds', sys.argv[2]]) == 1",
+            ("import koopest\n"
+             "from koopest.experiments import build_dictionary, build_domain, build_system\n"
+             "c = koopest.load_config('configs/smoke.yaml')\n"
+             "build_system(c), build_dictionary(c), build_domain(c)", "[]"),
+            ("from koopest.cli import main\n"
+             "assert main(['simulate', 'configs/smoke.yaml', '--steps', '50',\n"
+             "             '--output-dir', sys.argv[1]]) == 0", "['orjson']"),
+            ("from koopest.cli import main\n"
+             "assert main(['bounds', sys.argv[2]]) == 1", "[]"),
         ],
         ids=["set-up", "simulate", "fails-at-load"],
     )
-    def test_loads_neither_scipy_nor_the_pool(self, fresh_python, config_path, tmp_path, step):
+    def test_loads_neither_scipy_nor_the_pool(self, fresh_python, config_path, tmp_path,
+                                              step, loaded):
         bad = config_path(n_realisations=3)
         out = fresh_python("-c", "import sys\n" + step + _HEAVY, str(tmp_path / "run"), bad)
-        assert out.splitlines()[-1] == "[]"
+        assert out.splitlines()[-1] == loaded
 
     def test_fresh_bounds_bytes_equal_across_workers(self, fresh_python, tmp_path):
         # the first map of a fresh run forks its pool before any solve

@@ -7,6 +7,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from koopest import (
     MomentPair,
@@ -21,6 +24,7 @@ from koopest import (
     unit_box,
 )
 from koopest.io import (
+    _texts,
     _write_rows,
     load_matrix,
     load_operator,
@@ -145,6 +149,56 @@ class TestSampleBytes:
         assert (back.states is None) == (special_sets()[kind].states is None)
         save_samples(back, str(again))
         assert again.read_bytes() == first.read_bytes()
+
+
+def repr_texts(table):
+    """The reference row texts: each cell's ``repr`` joined by commas."""
+    return [",".join(map(repr, row)) for row in table.tolist()]
+
+
+def bits(x):
+    return int(np.float64(x).view(np.uint64))
+
+
+# the edges of repr's positional form: it writes 1e-4 and nextafter(1e16, 0)
+# positionally, nextafter(1e-4, 0) and 1e16 in exponent form
+EDGES = [np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e16, 0), 1e16]
+
+# cells as float64 bit patterns: any pattern (NaN payloads, +-inf, +-0.0,
+# subnormals and exponents of every size), the edges, and plain floats
+CELLS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([bits(s * x) for x in EDGES for s in (1, -1)]),
+    st.floats(-1e17, 1e17).map(bits),
+)
+TABLES = arrays(np.uint64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+                elements=CELLS).map(lambda a: a.view(np.float64))
+
+
+class TestTexts:
+    """``_texts`` writes the bytes of ``repr`` for every table, whatever its
+    cells, shape or memory layout."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(TABLES)
+    def test_equals_repr_on_any_bits_and_layout(self, table):
+        wide = np.hstack([table, table])
+        for view in (table, table.T, table[::2], table[:, ::-1], wide[:, :table.shape[1]]):
+            assert _texts(view) == repr_texts(view)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 1), (1, 4), (4, 1)],
+                             ids=["0xn", "mx0", "1x1", "1xn", "mx1"])
+    def test_shapes(self, shape):
+        table = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape) / 3.0
+        assert _texts(table) == repr_texts(table)
+        assert _texts(table.T) == repr_texts(table.T)
+
+    def test_edges_of_the_positional_form(self):
+        table = np.array([EDGES, [-x for x in EDGES], [0.1, -0.0, 5e-324, np.nan]])
+        assert _texts(table) == ["9.999999999999999e-05,0.0001,9999999999999998.0,1e+16",
+                                 "-9.999999999999999e-05,-0.0001,-9999999999999998.0,-1e+16",
+                                 "0.1,-0.0,5e-324,nan"]
+        assert _texts(table) == repr_texts(table)
 
 
 class TestCsvQuoting:
