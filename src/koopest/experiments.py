@@ -67,7 +67,6 @@ TERMS_STREAM = 2**33 + 1
 DELTA_STREAM = 2**33 + 2
 SCORE_STREAM = 2**33 + 3
 PF_STREAM = 2**33 + 4
-DUALITY_STREAM = 2**33 + 5
 CLOSURE_STREAM = 2**33 + 6
 
 # An open system's sweep reference is one fit this many times the largest T.
@@ -211,7 +210,11 @@ class ExperimentConfig:
 
 
 def build_domain(config: ExperimentConfig) -> Domain:
-    return Domain(np.array(config.domain["lower"]), np.array(config.domain["upper"]))
+    """The configured box; a value it rejects raises ValueError naming the key."""
+    try:
+        return Domain(np.array(config.domain["lower"]), np.array(config.domain["upper"]))
+    except ValueError as err:
+        raise ValueError(f"domain: {err}") from None
 
 
 def build_dictionary(config: ExperimentConfig) -> Dictionary:
@@ -464,14 +467,12 @@ def fit_realizations(config: ExperimentConfig, T: int, seeds, estimate: bool = T
 # per-call costs but steps arrays, so the crossover grows with T.  Median time
 # of one block of R seeds over R one-seed fits (closed-quadratic, N = 4), R at
 # the rule: T = 20: R = 3 0.55; 50: 4 0.55; 200: 6 0.72; 500: 9 0.86-0.92;
-# 1,000: 12 0.94; 2,000: 16 0.92-0.94; 4,096: 16 1.00-1.07, break-even.  The
-# cap keeps every T > 4,096 (at most BLOCK // T < 16 seeds a task) fitted alone.
-LOCKSTEP_MIN_SEEDS = 16
-
-
+# 1,000: 12 0.94; 2,000: 16 0.92-0.94.  At T = 3,000-4,096 a block of 16 only
+# breaks even (0.95-1.07), and past T = 3,248 a task's BLOCK rows hold fewer
+# seeds than the rule asks, so each seed is fitted alone.
 def lockstep_min_seeds(T: int) -> int:
     """The fewest seeds per task that a lockstep block fits faster than alone."""
-    return min(LOCKSTEP_MIN_SEEDS, math.isqrt(T) // 3 + 2)
+    return math.isqrt(T) // 3 + 2
 
 
 def _seed_blocks(seeds, T: int, workers: int) -> list:
@@ -683,13 +684,7 @@ def run_pf_pipeline(config: ExperimentConfig, workers: int = 1):
     est = OperatorEstimate(fit.matrix[0], dictionary.names, T, seed, float(fit.cond[0]),
                            bool(fit.status[0] == "singular"))
     p_hat = koopman_to_pf(est.matrix, lam)
-    defect = duality_check(
-        est.matrix,
-        p_hat.matrix,
-        lam,
-        n_trials=1000,
-        seed=derive_seed(config.base_seed, T, DUALITY_STREAM),
-    )
+    defect = duality_check(est.matrix, p_hat.matrix, lam)
 
     transfer_ok = transfer_total = 0
     if ref is not None:

@@ -142,12 +142,12 @@ def test_c05_duality_identity():
     lam = gram(dct, unit_box(2))
     k = closed_quadratic_koopman(BASELINE, 1.0)
     p = koopman_to_pf(k, lam)
-    defect = duality_check(k, p.matrix, lam, n_trials=1000, seed=505)
+    defect = duality_check(k, p.matrix, lam)
     elapsed = time.perf_counter() - t0
     gate(
-        "C05 duality identity (1000 random unit pairs)",
+        "C05 duality identity (||K^T Lambda - Lambda P||_2, sup over unit pairs)",
         defect <= 1e-10 and elapsed < 1.0,
-        f"max defect {defect:.3e} <= 1e-10, {elapsed:.2f}s < 1s",
+        f"defect {defect:.3e} <= 1e-10, {elapsed:.2f}s < 1s",
     )
 
 

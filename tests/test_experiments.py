@@ -199,6 +199,9 @@ class TestConfig:
              "dictionary.state_dim gives dimension 3"),
             ("domain", {"lower": [-1.0, -1.0, -1.0], "upper": [1.0, 1.0, 1.0]},
              "domain gives dimension 3"),
+            # the one config error that named no key
+            ("domain", {"lower": [-1.0, -1.0], "upper": [1.0]},
+             r"^domain: lower and upper must be 1-D vectors of the same length$"),
             # a list is no table key: it used to raise "unhashable type: 'list'"
             ("system", {**CLOSED_QUADRATIC, "kind": ["closed-quadratic"]},
              r"^unknown system\.kind \['closed-quadratic'\]$"),
@@ -206,7 +209,7 @@ class TestConfig:
         ],
         ids=["noise-kind", "param-typo", "param-missing", "vanderpol-param", "system-kind",
              "noise-std-count", "silent-noise-std-count", "dictionary-dim", "domain-dim",
-             "system-kind-list", "dictionary-kind"],
+             "domain-lengths", "system-kind-list", "dictionary-kind"],
     )
     def test_bad_system_rejected_at_load(self, smoke_config, key, value, message):
         with pytest.raises(ValueError, match=message):

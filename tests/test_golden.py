@@ -34,7 +34,8 @@ GOLDEN = {
     "sweep.csv": "9c52b32aaa588170bd33d72324bee1466d0abc7f57990372a678d27272f33b53",
     "sweep_points.csv": "9bd189f98c3ca873e1d2d5ed5e925f3dc3476da6f0fb8a76626c270ba611b59d",
     "bounds.csv": "6fc41f82c109e5bb23e83c23993572dc786737f63dad0406bd13e83e85b28960",
-    "pf_report.csv": "a1d264110ba09c1ff3918f56a65cb5cc9b516e51a44aeea14dd5fa35efd28902",
+    # re-captured when duality_defect became the exact ||K^T Lambda - Lambda P||_2
+    "pf_report.csv": "49a1a272c24ea44e2367ceb286db680ffcc70b0b8824ab981c9c03af914f496a",
     "koopman_matrix.csv": "4bc18ac46fd2f6c8e0a6fea28f8e3f658991e19ea0fd7ba1acf3507e29d5b787",
     "pf_matrix.csv": "4b6401c23edc8b5c39afd2b754cf75f7d1f511f5c42d633663e68f441f8be651",
     "gram.csv": "5b3b672ed0ab22019ab92d8d0a7af6b42c06956c228b290006f1f66b879da63b",

@@ -69,7 +69,10 @@ each of "unknown key", "missing key" and "unknown <section>.kind" once.
 A transfer matrix is P and the Gram matrix: ``pf`` imports nothing from
 ``estimator``, ``PFEstimate`` has the fields ``matrix`` and ``gram`` (the
 fit's provenance stays with K), and ``koopman_to_pf`` takes a matrix, with
-no ``isinstance`` branch on what it was given.
+no ``isinstance`` branch on what it was given.  Its duality defect is the
+exact norm ``||K^T Lambda - Lambda P||_2``: ``pf.duality_check`` calls neither
+``make_rng`` nor ``mix_seed``, and ``experiments`` assigns no
+``DUALITY_STREAM``.
 """
 
 import ast
@@ -485,3 +488,13 @@ def test_a_transfer_matrix_is_p_and_the_gram_matrix():
                 if isinstance(node, ast.FunctionDef) and node.name == "koopman_to_pf"]
     calls = {getattr(n.func, "id", None) for n in ast.walk(to_pf) if isinstance(n, ast.Call)}
     assert "conjugate_stack" in calls and "isinstance" not in calls
+
+
+def test_the_duality_defect_draws_nothing():
+    (check,) = [node for node in _parse("pf").body
+                if isinstance(node, ast.FunctionDef) and node.name == "duality_check"]
+    calls = {name for n in ast.walk(check) if isinstance(n, ast.Call) for name in _names(n.func)}
+    assert "norm" in calls and calls.isdisjoint({"make_rng", "mix_seed"})
+    assigned = {node.id for node in ast.walk(_parse("experiments"))
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert "DUALITY_STREAM" not in assigned

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +14,16 @@ from koopest import (
     gram,
     koopman_to_pf,
     make_closed_quadratic,
+    make_monomial_dictionary,
     pf_apply_integral_mc,
     unit_box,
 )
 from koopest.seeding import make_rng
+
+
+@functools.cache
+def _monomial_gram(degree):
+    return gram(make_monomial_dictionary(2, degree), unit_box(2))
 
 
 @pytest.fixture
@@ -86,26 +94,55 @@ class TestKoopmanToPF:
 class TestDualityCheck:
     def test_constructed_pair_defect_at_roundoff(self, true_k, analytic_gram):
         p = koopman_to_pf(true_k, analytic_gram)
-        defect = duality_check(true_k, p.matrix, analytic_gram, 1000, seed=1)
-        assert defect <= 1e-10
+        assert duality_check(true_k, p.matrix, analytic_gram) <= 1e-10
 
     def test_perturbation_detected(self, true_k, analytic_gram):
         p = koopman_to_pf(true_k, analytic_gram)
         p_bad = p.matrix.copy()
         p_bad[1, 2] += 0.1
-        defect = duality_check(true_k, p_bad, analytic_gram, 1000, seed=2)
-        # oracle: for exact P the defect of the perturbed matrix is exactly
-        # max |a^T Lambda dP b| over the same trial draws
+        defect = duality_check(true_k, p_bad, analytic_gram)
+        # oracle: for exact P the residual of the perturbed matrix is -Lambda dP,
+        # whose largest singular value is the supremum over unit pairs
         lam = analytic_gram.matrix
+        d_p = p_bad - p.matrix
+        direct = np.linalg.svd(lam @ d_p, compute_uv=False)[0]
+        assert defect == pytest.approx(direct, abs=1e-10)
+        assert defect > 1e-3
+        # a maximum over random unit pairs can only fall below the supremum
         rng = make_rng(2)
         a = rng.standard_normal((1000, 4))
         b = rng.standard_normal((1000, 4))
         a /= np.linalg.norm(a, axis=1, keepdims=True)
         b /= np.linalg.norm(b, axis=1, keepdims=True)
-        d_p = p_bad - p.matrix
-        direct = np.max(np.abs(np.einsum("ij,ij->i", a, b @ (lam @ d_p).T)))
-        assert defect == pytest.approx(direct, abs=1e-10)
-        assert defect > 1e-3
+        sampled = np.max(np.abs(np.einsum("ij,ij->i", a, b @ (lam @ d_p).T)))
+        assert sampled <= direct
+
+    @settings(max_examples=100, deadline=None)
+    @given(degree=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_defect_is_the_supremum_over_unit_pairs(self, degree, seed):
+        lam = _monomial_gram(degree)
+        n = lam.n_basis
+        rng = np.random.default_rng(seed)
+        k, p = rng.normal(size=(2, n, n))
+        defect = duality_check(k, p, lam)
+
+        def pairing_defect(a, b):  # (K a)^T Lambda b - a^T Lambda (P b), row by row
+            return np.einsum("ij,ij->i", a @ k.T, b @ lam.matrix) - np.einsum(
+                "ij,ij->i", a @ lam.matrix, b @ p.T)
+
+        a, b = rng.normal(size=(2, 500, n))
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        b /= np.linalg.norm(b, axis=1, keepdims=True)
+        assert np.all(np.abs(pairing_defect(a, b)) <= defect * (1 + 1e-12))
+        u, _, vt = np.linalg.svd(k.T @ lam.matrix - lam.matrix @ p)
+        (top,) = np.abs(pairing_defect(u[None, :, 0], vt[None, 0]))
+        assert defect == pytest.approx(top, rel=1e-12)
+
+    def test_mis_shaped_matrix_rejected(self, true_k, analytic_gram):
+        with pytest.raises(ValueError, match="must match the gram matrix"):
+            duality_check(np.eye(3), np.eye(4), analytic_gram)
+        with pytest.raises(ValueError, match="must match the gram matrix"):
+            duality_check(true_k, np.eye(4)[:, :3], analytic_gram)
 
     def test_zero_coefficient_contributes_nothing(self, true_k, analytic_gram):
         p = koopman_to_pf(true_k, analytic_gram)
