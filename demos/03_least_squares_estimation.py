@@ -49,7 +49,7 @@ for T in (1000, 10000, 100000):
 
 # The per-observable mean squared residuals expose the noise level; the
 # largest is the plug-in noise-variance bound for the error-bound module.
-mean_sq = residuals(dct, ss, est)
+mean_sq = residuals(dct, ss, est.matrix)
 print("\nper-observable mean squared residuals:", np.round(mean_sq, 3))
 print("noise-variance bound surrogate (max): ", round(float(mean_sq.max()), 3))
 

@@ -1,11 +1,12 @@
 """Command-line front end for the experiment harness.
 
 Subcommands: simulate, estimate, sweep, bounds, pf, closure.  Each takes a
-config file plus optional overrides for the base seed, output directory and
-worker count.  The exit code is 1 when a sweep point is flagged invalid or
-when the config, an input file or the run raises ``ValueError``,
-``RuntimeError`` or ``OSError``; that error is printed as one line on
-stderr.  All randomness flows from the config's base seed.
+config file plus only the overrides it reads: the output directory, the
+base seed (all but estimate, which draws nothing) and the worker count
+(sweep, bounds and pf, which map).  The exit code is 1 when a sweep point is
+flagged invalid or when the config, an input file or the run raises
+``ValueError``, ``RuntimeError`` or ``OSError``; that error is printed as
+one line on stderr.  All randomness flows from the config's base seed.
 """
 
 from __future__ import annotations
@@ -42,17 +43,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, help_text, seeded=True, mapped=False):
+        """A subcommand: --base-seed if it draws, --workers if it maps."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to a YAML experiment config")
-        p.add_argument("--base-seed", type=int, default=None, help="override base_seed")
+        if seeded:
+            p.add_argument("--base-seed", type=int, default=None, help="override base_seed")
         p.add_argument("--output-dir", default=None, help="override output_dir")
-        p.add_argument(
-            "--workers",
-            type=_positive_int,
-            default=1,
-            help="worker processes, at most one per task (never changes the results)",
-        )
+        if mapped:
+            p.add_argument("--workers", type=_positive_int, default=1, help="worker processes, "
+                           "at most one per task (never changes the results)")
         return p
 
     p_sim = add("simulate", "simulate one trajectory and write a sample-pair CSV")
@@ -60,18 +60,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--steps", type=_positive_int, default=None,
         help="trajectory length (default: max of T_grid)",
     )
-    p_est = add("estimate", "estimate the Koopman matrix from a sample-pair CSV")
+    p_est = add("estimate", "estimate the Koopman matrix from a sample-pair CSV", seeded=False)
     p_est.add_argument("--samples", required=True, help="sample-pair CSV to read")
-    add("sweep", "error-versus-T sweep with realization averaging")
-    add("bounds", "evaluate error bounds and empirical violation rates")
-    add("pf", "estimate, conjugate into the transfer matrix, verify duality")
+    add("sweep", "error-versus-T sweep with realization averaging", mapped=True)
+    add("bounds", "evaluate error bounds and empirical violation rates", mapped=True)
+    add("pf", "estimate, conjugate into the transfer matrix, verify duality", mapped=True)
     add("closure", "per-observable closure diagnostics for the dictionary")
     return parser
 
 
 def _load(args) -> xp.ExperimentConfig:
     overrides = {}
-    if args.base_seed is not None:
+    if getattr(args, "base_seed", None) is not None:
         overrides["base_seed"] = args.base_seed
     if args.output_dir is not None:
         overrides["output_dir"] = args.output_dir

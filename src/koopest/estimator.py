@@ -186,19 +186,20 @@ def estimate_koopman(moments: MomentPair) -> OperatorEstimate:
     return est
 
 
-def residuals(dictionary: Dictionary, samples: SampleSet, k_hat: OperatorEstimate) -> np.ndarray:
-    """Per-observable mean squared residuals ``delta_t = Psi(y_t) - K_hat^T Psi(x_t)``,
-    shape ``(N,)``; their maximum is the noise-variance bound surrogate Delta-hat.
+def residuals(dictionary: Dictionary, samples: SampleSet, kmat: np.ndarray) -> np.ndarray:
+    """Per-observable mean squared residuals ``delta_t = Psi(y_t) - K^T Psi(x_t)``
+    of the ``(N, N)`` Koopman matrix ``kmat``, shape ``(N,)``; their maximum
+    is the noise-variance bound surrogate Delta-hat.
 
     The residual means vanish by the normal equations whenever the constant
     observable is in the dictionary, so each mean square is also the
     observable's residual variance.
     """
-    if k_hat.n_basis != dictionary.n_basis:
+    if np.shape(kmat) != (dictionary.n_basis,) * 2:
         raise ValueError("operator size does not match the dictionary")
     sq_sum = np.zeros(dictionary.n_basis)
     for psi_x, psi_y in _lifted_pairs(dictionary, samples):
-        delta = psi_y - psi_x @ k_hat.matrix
+        delta = psi_y - psi_x @ kmat
         sq_sum += np.sum(delta * delta, axis=0)
     return sq_sum / samples.n_samples
 

@@ -36,7 +36,6 @@ from .dynamics import (
     NO_NOISE,
     STATE_DIM,
     ClosedQuadraticParams,
-    DivergenceError,
     NoiseModel,
     closed_quadratic_dictionary,
     closed_quadratic_koopman,
@@ -46,12 +45,9 @@ from .dynamics import (
     trajectory_chunks,
 )
 from .estimator import (
-    MomentPair,
     OperatorEstimate,
-    accumulate,
     add_moments,
     closure_check,
-    estimate_koopman,
     estimate_stack,
     residuals,
     sample_floor,
@@ -60,11 +56,9 @@ from .io import _write_rows, fmt, save_gram, save_operator, write_sidecar
 from .pf import conjugate_stack, duality_check, koopman_to_pf
 from .seeding import mix_seed
 
-# Stream tags keep auxiliary seed streams (reference runs, bound terms, ...)
-# disjoint from the per-realization streams, which use indices 0..R-1.
+# Stream tags keep auxiliary seed streams (the reference run, the bounds' fit
+# set, ...) disjoint from the sweep's streams, which use indices 0..R-1.
 REFERENCE_STREAM = 2**33
-TERMS_STREAM = 2**33 + 1
-DELTA_STREAM = 2**33 + 2
 SCORE_STREAM = 2**33 + 3
 PF_STREAM = 2**33 + 4
 CLOSURE_STREAM = 2**33 + 6
@@ -86,8 +80,9 @@ def derive_seed(base_seed: int, T: int, realization_index: int) -> int:
 
 
 def _stream_seeds(config: ExperimentConfig, T: int, stream: int, count: int) -> list[int]:
-    """``mix_seed(derive_seed(base_seed, T, stream), r)`` for r < count: the seeds
-    of ``bounds``' term and scored realizations, the latter refitted by ``pf``."""
+    """``mix_seed(derive_seed(base_seed, T, stream), r)`` for r < count: with
+    ``SCORE_STREAM``, the seeds of ``bounds``' one fit set per T, whose first
+    ``n_realizations`` ``pf`` refits at the largest T."""
     base = derive_seed(config.base_seed, T, stream)
     return [mix_seed(base, r) for r in range(count)]
 
@@ -424,7 +419,7 @@ class Fits(NamedTuple):
     cause: np.ndarray
 
 
-def fit_realizations(config: ExperimentConfig, T: int, seeds, estimate: bool = True) -> Fits:
+def fit_realizations(config: ExperimentConfig, T: int, seeds) -> Fits:
     """Fit one realization per seed, their trajectories stepped in lockstep.
 
     Each seed streams T steps from a uniform initial state into its own
@@ -432,9 +427,8 @@ def fit_realizations(config: ExperimentConfig, T: int, seeds, estimate: bool = T
     bit, so ``simulate`` regenerates needed samples and no result depends on
     which seeds share a call.  The block's moments are ``(R, N, N)`` stacks,
     fitted by one ``estimate_stack``.  A diverged trajectory leaves the block
-    and the others keep stepping.  With ``estimate`` False a realization
-    stops at S0 ("ok" or "diverged"); otherwise K_hat is fitted, which at or
-    below the 2N+2 floor raises SampleFloorError.
+    and the others keep stepping.  At or below the 2N+2 floor the estimate
+    raises SampleFloorError.
     """
     system = build_system(config)
     dictionary = build_dictionary(config)
@@ -456,7 +450,7 @@ def fit_realizations(config: ExperimentConfig, T: int, seeds, estimate: bool = T
     status = np.where(live, "ok", "diverged")
     sigma0[~live] = np.nan
     matrix, cond = np.full_like(sigma0, np.nan), np.full(len(seeds), np.nan)
-    if estimate and live.any():
+    if live.any():
         matrix[live], cond[live], fallback = estimate_stack(sigma0[live], sigma1[live], T)
         status[np.flatnonzero(live)[fallback]] = "singular"
     return Fits(status, matrix, sigma0, cond, cause)
@@ -490,12 +484,12 @@ def _seed_blocks(seeds, T: int, workers: int) -> list:
 
 
 def _fit_groups(config: ExperimentConfig, groups, workers: int) -> list[Fits]:
-    """Fit ``(T, seeds, estimate)`` groups in seed blocks over one parallel map;
-    returns each group's fits in seed order, its blocks joined field by field."""
+    """Fit ``(T, seeds)`` groups in seed blocks over one parallel map; returns
+    each group's fits in seed order, its blocks joined field by field."""
     tasks, counts = [], []
-    for T, seeds, estimate in groups:
+    for T, seeds in groups:
         blocks = _seed_blocks(seeds, T, workers)
-        tasks += [(config, T, block, estimate) for block in blocks]
+        tasks += [(config, T, block) for block in blocks]
         counts.append(len(blocks))
     fits = iter(_ordered_map(fit_realizations, tasks, workers))
     return [Fits(*map(np.concatenate, zip(*islice(fits, count)))) for count in counts]
@@ -504,11 +498,12 @@ def _fit_groups(config: ExperimentConfig, groups, workers: int) -> list[Fits]:
 def _required(fits: Fits, what: str, T: int) -> Fits:
     """``fits`` of a group a run cannot do without.  A diverged row raises
     RuntimeError naming ``what`` and T, chained from the first such row's
-    DivergenceError; a singular fallback warns once."""
+    DivergenceError; a singular first row, the estimate the run keeps, warns
+    once with its fallback."""
     diverged = np.flatnonzero(fits.status == "diverged")
     if diverged.size:
         raise RuntimeError(f"the {what} at T={T} failed: diverged") from fits.cause[diverged[0]]
-    if (fits.status == "singular").any():
+    if fits.status[0] == "singular":
         warnings.warn(f"the {what} at T={T} is singular; using its fallback")
     return fits
 
@@ -532,13 +527,13 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> ErrorCurve:
     """
     seeds = [[derive_seed(config.base_seed, T, r) for r in range(config.n_realizations)]
              for T in config.T_grid]
-    groups = [(T, s, True) for T, s in zip(config.T_grid, seeds)]
+    groups = list(zip(config.T_grid, seeds))
     ref, ref_info = true_koopman(config), {"kind": "analytic"}
     if ref is None:  # the reference is one high-T fit, the first group of the map
         t_ref = REFERENCE_T_FACTOR * max(config.T_grid)
         seed = derive_seed(config.base_seed, t_ref, REFERENCE_STREAM)
         ref_info = {"kind": "high-T estimate", "T_ref": t_ref, "seed": seed}
-        groups.insert(0, (t_ref, [seed], True))
+        groups.insert(0, (t_ref, [seed]))
     fits = _fit_groups(config, groups, workers)
     if ref is None:
         ref = _required(fits.pop(0), "reference fit", t_ref).matrix[0]
@@ -595,13 +590,15 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> ErrorCurve:
 def run_bound_calibration(config: ExperimentConfig, workers: int = 1) -> list[BoundReport]:
     """Evaluate the error bound and its empirical violation rate on a grid.
 
-    Fits, for the whole grid in one parallel map, ``n_realizations`` scored
-    estimates and ``n_term_realizations`` realizations for the bound's
-    expectation terms per T.  Then for each T: reduces the term
-    realizations' moment matrices, fits the residual-variance surrogate on
-    one trajectory simulated once, and scores the estimates against the
-    bound for every epsilon.  Returns and writes one ``bounds.csv`` row per
-    (T, epsilon).  Needs a ground-truth operator.
+    Fits one set per T, the whole grid in one parallel map: the first
+    ``max(n_realizations, n_term_realizations)`` seeds of ``SCORE_STREAM``.
+    For each T, the moment matrices S0 of the first ``n_term_realizations``
+    fits give the bound's expectation terms, and the residual-variance
+    surrogate delta_hat is the largest per-observable mean squared residual
+    of the first fit, its trajectory simulated again; the first
+    ``n_realizations`` estimates are scored against the bound for every
+    epsilon.  Returns and writes one ``bounds.csv`` row per (T, epsilon).
+    Needs a ground-truth operator.
     """
     ref = true_koopman(config)
     if ref is None:
@@ -612,25 +609,17 @@ def run_bound_calibration(config: ExperimentConfig, workers: int = 1) -> list[Bo
     cond_lambda = gram(dictionary, domain).cond
 
     n, n_terms = config.n_realizations, config.n_term_realizations
-    # the term realizations only need S0: they stop before the estimate
-    groups = [
-        (T, _stream_seeds(config, T, stream, count), stream == SCORE_STREAM)
-        for T in config.T_grid
-        for stream, count in ((SCORE_STREAM, n), (TERMS_STREAM, n_terms))
-    ]
-    fits = _fit_groups(config, groups, workers)
+    seeds = [_stream_seeds(config, T, SCORE_STREAM, max(n, n_terms)) for T in config.T_grid]
+    fits = _fit_groups(config, list(zip(config.T_grid, seeds)), workers)
 
-    reports = []
-    for T, scored, term_fits in zip(config.T_grid, fits[::2], fits[1::2]):
-        terms = bound_terms(_required(term_fits, "bound-term fit", T).sigma0)
-        seed = derive_seed(config.base_seed, T, DELTA_STREAM)
-        try:
-            samples = simulate(system, None, T, seed, config.divergence_threshold, domain)
-        except DivergenceError as err:
-            raise RuntimeError(f"the delta_hat fit at T={T} failed: {err}") from err
-        est = estimate_koopman(accumulate(MomentPair.empty(dictionary), dictionary, samples))
-        delta_hat = float(residuals(dictionary, samples, est).max())
-        errors = _frobenius_errors(scored.matrix[scored.status == "ok"], ref)
+    reports, inputs = [], []
+    for T, group_seeds, group in zip(config.T_grid, seeds, fits):
+        # the term fits begin with the first fit, whose estimate delta_hat uses
+        head = Fits(*(f[:n_terms] for f in group))
+        terms = bound_terms(_required(head, "bound-term fit", T).sigma0)
+        samples = simulate(system, None, T, group_seeds[0], config.divergence_threshold, domain)
+        delta_hat = float(residuals(dictionary, samples, group.matrix[0]).max())
+        errors = _frobenius_errors(group.matrix[:n][group.status[:n] == "ok"], ref)
         if errors.size == 0:
             raise RuntimeError(f"no realization produced an estimate at T={T}")
         for eps in config.epsilon_list:
@@ -638,6 +627,10 @@ def run_bound_calibration(config: ExperimentConfig, workers: int = 1) -> list[Bo
             n_viol = int(np.sum(errors > bound + VIOLATION_ATOL))
             reports.append(BoundReport(eps, T, delta_hat, terms, bound, bound * cond_lambda,
                                        cond_lambda, errors.size, n_viol, n - errors.size))
+        ses = {key: None if math.isnan(se) else se
+               for key, se in (("se_trace", terms.se_trace), ("se_frob", terms.se_frob))}
+        inputs.append({"T": T, "delta_hat_seed": group_seeds[0],
+                       "n_excluded": terms.n_excluded, **ses})
 
     out = config.output_dir
     _write_rows(
@@ -657,7 +650,11 @@ def run_bound_calibration(config: ExperimentConfig, workers: int = 1) -> list[Bo
         {
             "config": asdict(config),
             "cond_lambda": cond_lambda,
-            "delta_hat_source": "max per-observable mean squared residual of one fitted run per T",
+            "delta_hat_source": "max per-observable mean squared residual of the first "
+                                "scored realization at each T, its trajectory simulated again",
+            "terms_source": "moment matrices S0 of the first n_term_realizations "
+                            "scored-stream realizations at each T",
+            "bound_inputs": inputs,
         },
     )
     return reports
@@ -676,9 +673,9 @@ def run_pf_pipeline(config: ExperimentConfig, workers: int = 1):
     T = max(config.T_grid)
     seed = derive_seed(config.base_seed, T, PF_STREAM)
     ref = true_koopman(config)
-    groups = [(T, [seed], True)]
+    groups = [(T, [seed])]
     if ref is not None:  # the transfer check refits bounds' scored seeds at the largest T
-        groups.append((T, _stream_seeds(config, T, SCORE_STREAM, config.n_realizations), True))
+        groups.append((T, _stream_seeds(config, T, SCORE_STREAM, config.n_realizations)))
     fit, *checked = _fit_groups(config, groups, workers)
     _required(fit, "transfer-matrix fit", T)
     est = OperatorEstimate(fit.matrix[0], dictionary.names, T, seed, float(fit.cond[0]),

@@ -21,7 +21,7 @@ from koopest.experiments import build_dictionary, fit_realizations
 def term_sigma0s(config, T, n_realizations, seed):
     """S0 of each bound-term realization, fitted as the calibration fits them."""
     seeds = [mix_seed(seed, r) for r in range(n_realizations)]
-    return list(fit_realizations(config, T, seeds, estimate=False).sigma0)
+    return list(fit_realizations(config, T, seeds).sigma0)
 
 
 class TestBoundTerms:
@@ -58,16 +58,14 @@ class TestBoundTerms:
         assert abs(a.mean_frob_sq_inv_sigma0 - b.mean_frob_sq_inv_sigma0) <= tol
 
     def test_floor_enforced(self, smoke_config):
-        # T = 10 = 2N+2 for N = 4: an estimating fit of a block or of one seed
-        # raises, a fit that stops at S0 keeps it, and the bound itself
-        # refuses the sample count
+        # T = 10 = 2N+2 for N = 4: a fit of a block or of one seed raises,
+        # and the bound itself refuses the sample count
         cfg = smoke_config()
         for seeds in ([0], list(range(5))):
             with pytest.raises(SampleFloorError, match=r"2N\+2 = 10 samples for N = 4; got 10"):
                 fit_realizations(cfg, 10, seeds)
-        fits = fit_realizations(cfg, 10, [0, 1], estimate=False)
+        fits = fit_realizations(cfg, 11, [0, 1])
         assert fits.status.tolist() == ["ok"] * 2 and fits.sigma0.shape == (2, 4, 4)
-        assert np.isnan(fits.matrix).all() and np.isfinite(fits.sigma0).all()
         terms = bound_terms(fits.sigma0)
         with pytest.raises(SampleFloorError):
             koopman_error_bound(1.0, 0.5, 10, terms)

@@ -144,12 +144,32 @@ class TestCountFlags:
     def test_non_positive_count_is_a_usage_error(self, config_path, capsys, flag, value):
         # --steps 0 used to end in a traceback naming no flag, and --workers 0
         # or -2 ran serially without a word; text that is no integer is named too
-        argv = ["simulate", config_path(), "--steps", "5", flag, value]
+        command = "sweep" if flag == "--workers" else "simulate"
+        argv = [command, config_path(), flag, value]
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         message = f"argument {flag}: must be a positive integer, got '{value}'"
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("closure", "--workers", "2"), ("simulate", "--workers", "2"),
+         ("estimate", "--workers", "2"), ("estimate", "--base-seed", "7")],
+    )
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(
+        self, config_path, capsys, tmp_path, command, flag, value
+    ):
+        # each was accepted and ignored: only sweep, bounds and pf map, and
+        # estimate draws nothing
+        argv = [command, config_path(), flag, value]
+        if command == "estimate":
+            argv += ["--samples", str(tmp_path / "samples.csv")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
 
 
 class TestErrorsEndInOneLine:

@@ -344,14 +344,14 @@ class TestResiduals:
         dct = closed_quadratic_dictionary()
         ss = step_pairs(system, uniform_states(200, seed=14), seed=15)
         est = estimate_koopman(accumulate(MomentPair.empty(dct), dct, ss))
-        assert residuals(dct, ss, est).max() <= 1e-20
+        assert residuals(dct, ss, est.matrix).max() <= 1e-20
 
     def test_linear_components_have_unit_variance(self, baseline_params):
         system = make_closed_quadratic(baseline_params)
         dct = closed_quadratic_dictionary()
         ss = simulate(system, np.zeros(2), 10**5, seed=16)
         est = estimate_koopman(accumulate(MomentPair.empty(dct), dct, ss))
-        mean_sq = residuals(dct, ss, est)
+        mean_sq = residuals(dct, ss, est.matrix)
         # x1 and x2 residuals are exactly the injected unit-variance noise
         assert mean_sq.shape == (dct.n_basis,)
         assert mean_sq[1] == pytest.approx(1.0, rel=0.10)
@@ -362,7 +362,7 @@ class TestResiduals:
         dct = closed_quadratic_dictionary()
         ss = simulate(system, np.zeros(2), 5000, seed=17)
         est = estimate_koopman(accumulate(MomentPair.empty(dct), dct, ss))
-        assert residuals(dct, ss, est)[0] <= 1e-20
+        assert residuals(dct, ss, est.matrix)[0] <= 1e-20
 
     def test_single_trajectory_lifts_each_state_once(self, baseline_params, monkeypatch):
         dct = closed_quadratic_dictionary()
@@ -373,7 +373,7 @@ class TestResiduals:
         monkeypatch.setattr(
             estimator, "evaluate_many", lambda d, xs: rows.append(len(xs)) or lift(d, xs)
         )
-        once = residuals(dct, chained, est)
+        once = residuals(dct, chained, est.matrix)
         assert rows == [BLOCK + 1, 51]  # each block's m + 1 states
         sq_sum = np.zeros(dct.n_basis)
         for psi_x, psi_y in lifted_apart(dct, chained):

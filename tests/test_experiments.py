@@ -17,12 +17,14 @@ from koopest import (
     ClosedQuadraticParams,
     MomentPair,
     accumulate,
+    bound_terms,
     config_from_dict,
     derive_seed,
     estimate_koopman,
     fit_loglog_slope,
     load_config,
     make_vanderpol,
+    residuals,
     run_bound_calibration,
     run_closure,
     run_pf_pipeline,
@@ -32,7 +34,7 @@ from koopest import (
 from koopest import dynamics, experiments
 from koopest.dynamics import BLOCK, DivergenceError
 from koopest.experiments import (
-    DELTA_STREAM,
+    SCORE_STREAM,
     Fits,
     _seed_blocks,
     build_dictionary,
@@ -527,25 +529,16 @@ class TestFitRealizations:
             else:
                 assert fit.cause[0] is None
 
-    def test_stopping_at_sigma0_skips_only_the_estimate(self):
-        seeds = list(range(6))
-        full = fit_realizations(_BLOCK_CONFIG, 40, seeds)
-        terms = fit_realizations(_BLOCK_CONFIG, 40, seeds, estimate=False)
-        assert terms.status.tolist() == ["ok"] * len(seeds)
-        assert np.isnan(terms.matrix).all() and np.isnan(terms.cond).all()
-        assert not np.isnan(full.matrix).any()
-        assert full.sigma0.tobytes() == terms.sigma0.tobytes()
-
     def test_fit_groups_cross_the_pool(self, smoke_config):
         # at T = 50 the 8 seeds are one lockstep block at workers=1 and two
         # blocks of 4 at workers=2, each holding one diverged seed (steps 35, 44)
         cfg = smoke_config(divergence_threshold=3.5)
-        groups = [(50, list(range(8)), True), (60, list(range(8, 14)), False)]
+        groups = [(50, list(range(8))), (60, list(range(8, 14)))]
         assert [len(b) for b in experiments._seed_blocks(groups[0][1], 50, 2)] == [4, 4]
         one, two = (experiments._fit_groups(cfg, groups, workers) for workers in (1, 2))
         assert one[0].status.tolist() == ["ok"] * 4 + ["diverged"] * 2 + ["ok"] * 2
         assert [err.step for err in one[0].cause[4:6]] == [35, 44]
-        assert len(one[1].status) == 6 and np.isnan(one[1].matrix).all()
+        assert len(one[1].status) == 6
         for a, b in zip(one, two):
             _assert_same_fit(a, b)
 
@@ -647,6 +640,21 @@ class TestRequiredFit:
         assert meta == {"operator_kind": "koopman", "dict_names": list(build_dictionary(cfg).names),
                         "sample_count": 1000, "seed": 2, "condition_sigma0": fits.cond[0],
                         "fallback": True}
+
+    def test_only_a_singular_first_bounds_fit_warns(self, smoke_config, monkeypatch):
+        # delta_hat keeps the first fit's estimate, so its fallback warns; any
+        # other singular fit is only counted as failed
+        cfg = smoke_config(system=_NOISELESS, T_grid=[1000], n_realizations=6,
+                           n_term_realizations=6)
+        message = "the bound-term fit at T=1000 is singular; using its fallback"
+        for seeds, expected in (([2, 0, 1, 3, 4, 5], [message]), ([0, 1, 2, 3, 4, 5], [])):
+            monkeypatch.setattr(experiments, "_stream_seeds",
+                                lambda config, T, stream, count: seeds[:count])
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                (report,) = run_bound_calibration(cfg)
+            assert [str(w.message) for w in record] == expected
+            assert (report.n_realizations, report.n_failed) == (5, 1)
 
     def test_diverged_fit_is_named(self, smoke_config):
         # no analytic operator on the monomial dictionary: the sweep's
@@ -843,19 +851,21 @@ class TestRunBoundCalibration:
         fit_groups = experiments._fit_groups
 
         def recorded(config, run_groups, workers):
-            groups.append([(T, list(seeds), estimate) for T, seeds, estimate in run_groups])
+            groups.append([(T, list(seeds)) for T, seeds in run_groups])
             return fit_groups(config, run_groups, workers)
 
         monkeypatch.setattr(experiments, "_fit_groups", recorded)
         run_bound_calibration(cfg)
         run_pf_pipeline(cfg)
         bounds_groups, pf_groups = groups
+        # bounds fits one set per T, which its scored seeds begin
+        assert [t for t, _ in bounds_groups] == list(cfg.T_grid)
         T = max(cfg.T_grid)
-        (scored,) = [seeds for t, seeds, estimate in bounds_groups if t == T and estimate]
+        scored = bounds_groups[-1][1][: cfg.n_realizations]
         assert len(scored) == cfg.n_realizations
         # pf's one map holds its transfer-matrix fit, then bounds' scored seeds
         transfer_seed = derive_seed(cfg.base_seed, T, experiments.PF_STREAM)
-        assert pf_groups == [(T, [transfer_seed], True), (T, scored, True)]
+        assert pf_groups == [(T, [transfer_seed]), (T, scored)]
 
     def test_noiseless_bounds_and_rates_vanish(self, smoke_config):
         cfg = smoke_config(
@@ -902,8 +912,9 @@ class TestRunBoundCalibration:
         cause = err.value.__cause__
         assert isinstance(cause, DivergenceError) and cause.step <= 60 and cause.norm > 50
 
-    def test_delta_hat_trajectory_stepped_once_per_T(self, smoke_config, monkeypatch):
-        cfg = smoke_config(T_grid=[60, 120], n_realizations=3, n_term_realizations=3)
+    def test_bounds_steps_only_its_one_fit_set(self, smoke_config, monkeypatch):
+        # each scored-stream seed is stepped once by its fit and the first
+        # once more, for delta_hat's residual walk; no other seed is stepped
         stepped = []
         chunks = dynamics.trajectory_chunks
 
@@ -913,17 +924,60 @@ class TestRunBoundCalibration:
 
         monkeypatch.setattr(dynamics, "trajectory_chunks", counted)
         monkeypatch.setattr(experiments, "trajectory_chunks", counted)
-        run_bound_calibration(cfg)
+        for n, n_terms in ((3, 5), (5, 3)):
+            cfg = smoke_config(T_grid=[60, 120], n_realizations=n, n_term_realizations=n_terms)
+            stepped.clear()
+            run_bound_calibration(cfg)
+            expected = []
+            for T in cfg.T_grid:
+                first, *rest = experiments._stream_seeds(cfg, T, SCORE_STREAM, max(n, n_terms))
+                expected += [(T, first)] * 2 + [(T, seed) for seed in rest]
+            assert sorted(stepped) == sorted(expected)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"n_realizations": 6, "n_term_realizations": 3}],
+        ids=["more-term-fits", "more-scored-fits"],
+    )
+    def test_terms_and_delta_hat_read_the_scored_set(self, smoke_config, overrides):
+        # the smoke fixture's 8 term fits outnumber its 4 scored ones: the
+        # extra fits feed the terms and are not scored
+        cfg = smoke_config(**overrides)
+        n, n_terms = cfg.n_realizations, cfg.n_term_realizations
+        dictionary, system, domain = build_dictionary(cfg), build_system(cfg), build_domain(cfg)
+        ref = true_koopman(cfg)
+        reports = {r.sample_count: r for r in run_bound_calibration(cfg)}
         for T in cfg.T_grid:
-            assert stepped.count((T, derive_seed(cfg.base_seed, T, DELTA_STREAM))) == 1
+            seeds = experiments._stream_seeds(cfg, T, SCORE_STREAM, max(n, n_terms))
+            fits = fit_realizations(cfg, T, seeds)
+            report = reports[T]
+            assert report.terms == bound_terms(fit_realizations(cfg, T, seeds[:n_terms]).sigma0)
+            assert report.terms.n_realizations == n_terms
+            samples = simulate(system, None, T, seeds[0], cfg.divergence_threshold, domain)
+            assert report.delta_hat == residuals(dictionary, samples, fits.matrix[0]).max()
+            # bit-equal to the fit of one trajectory walked by accumulate
+            moments = accumulate(MomentPair.empty(dictionary), dictionary, samples)
+            assert fits.matrix[0].tobytes() == estimate_koopman(moments).matrix.tobytes()
+            errors = [np.linalg.norm(k - ref, "fro") for k in fits.matrix[:n]]
+            assert report.n_realizations == n
+            assert report.n_violations == sum(e > report.koopman_bound + 1e-9 for e in errors)
 
-    def test_diverging_delta_hat_trajectory_named(self, smoke_config, monkeypatch):
-        def diverged(*args):
-            raise DivergenceError(7, float("inf"), 1e6)
-
-        monkeypatch.setattr(experiments, "simulate", diverged)
-        with pytest.raises(RuntimeError, match=r"delta_hat fit at T=60\b.*diverged at step 7"):
-            run_bound_calibration(smoke_config(T_grid=[60]))
+    def test_sidecar_names_each_bound_input(self, smoke_config):
+        cfg = smoke_config()
+        reports = {r.sample_count: r for r in run_bound_calibration(cfg)}
+        with open(os.path.join(cfg.output_dir, "bounds.meta.json")) as fh:
+            meta = json.load(fh)
+        assert "first scored realization" in meta["delta_hat_source"]
+        assert [entry["T"] for entry in meta["bound_inputs"]] == list(cfg.T_grid)
+        for entry in meta["bound_inputs"]:
+            T, terms = entry["T"], reports[entry["T"]].terms
+            assert entry == {
+                "T": T,
+                "delta_hat_seed": experiments._stream_seeds(cfg, T, SCORE_STREAM, 1)[0],
+                "se_trace": terms.se_trace,
+                "se_frob": terms.se_frob,
+                "n_excluded": terms.n_excluded,
+            }
 
     def test_markov_calibration_small(self, smoke_config):
         cfg = smoke_config(

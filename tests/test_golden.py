@@ -1,8 +1,9 @@
 """Golden-bytes gate for the CSV outputs of the shipped smoke config, of
 a small Van der Pol sweep and of the simulate/estimate CSV round trip.
 
-Runs ``configs/smoke.yaml`` through the sweep, bounds, pf and closure
-subcommands at ``--workers 1`` and compares the sha256 of every CSV with
+Runs ``configs/smoke.yaml`` through the sweep, bounds and pf subcommands
+at ``--workers 1`` and through closure, which takes no worker count, and
+compares the sha256 of every CSV with
 hashes recorded before the realization pipeline was refactored, so any
 change to output bytes is caught.  The smoke config scores against the
 analytic operator; the Van der Pol sweep (``configs/vanderpol.yaml`` at
@@ -33,7 +34,9 @@ from koopest.cli import main
 GOLDEN = {
     "sweep.csv": "9c52b32aaa588170bd33d72324bee1466d0abc7f57990372a678d27272f33b53",
     "sweep_points.csv": "9bd189f98c3ca873e1d2d5ed5e925f3dc3476da6f0fb8a76626c270ba611b59d",
-    "bounds.csv": "6fc41f82c109e5bb23e83c23993572dc786737f63dad0406bd13e83e85b28960",
+    # re-captured when the bound terms and delta_hat came to read bounds' one
+    # fit set per T, the scored realizations
+    "bounds.csv": "c2674376ec910ce37edf9e1023829c72119b62916fd7faaf742e32079d2201d3",
     # re-captured when duality_defect became the exact ||K^T Lambda - Lambda P||_2
     "pf_report.csv": "49a1a272c24ea44e2367ceb286db680ffcc70b0b8824ab981c9c03af914f496a",
     "koopman_matrix.csv": "4bc18ac46fd2f6c8e0a6fea28f8e3f658991e19ea0fd7ba1acf3507e29d5b787",
@@ -45,7 +48,9 @@ GOLDEN = {
 
 def test_smoke_csv_bytes_match_golden_hashes(tmp_path):
     for command in ("sweep", "bounds", "pf", "closure"):
-        argv = [command, "configs/smoke.yaml", "--output-dir", str(tmp_path), "--workers", "1"]
+        argv = [command, "configs/smoke.yaml", "--output-dir", str(tmp_path)]
+        if command != "closure":  # closure does not map, so takes no worker count
+            argv += ["--workers", "1"]
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
     actual = {

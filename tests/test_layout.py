@@ -73,6 +73,11 @@ no ``isinstance`` branch on what it was given.  Its duality defect is the
 exact norm ``||K^T Lambda - Lambda P||_2``: ``pf.duality_check`` calls neither
 ``make_rng`` nor ``mix_seed``, and ``experiments`` assigns no
 ``DUALITY_STREAM``.
+The bounds read one fit set per T: ``experiments`` assigns no
+``TERMS_STREAM`` or ``DELTA_STREAM``, imports none of ``accumulate``,
+``MomentPair`` and ``estimate_koopman`` (delta_hat takes the first fit's
+estimate from the map), and ``fit_realizations`` takes no ``estimate``
+switch that stops a fit at S0.
 """
 
 import ast
@@ -498,3 +503,19 @@ def test_the_duality_defect_draws_nothing():
     assigned = {node.id for node in ast.walk(_parse("experiments"))
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
     assert "DUALITY_STREAM" not in assigned
+
+
+def test_bounds_read_one_fit_set_per_t():
+    tree = _parse("experiments")
+    assigned = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert "SCORE_STREAM" in assigned
+    assert assigned.isdisjoint({"TERMS_STREAM", "DELTA_STREAM"})
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "estimate_stack" in imported
+    assert imported.isdisjoint({"accumulate", "MomentPair", "estimate_koopman"})
+    (fit,) = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "fit_realizations"]
+    args = fit.args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["config", "T", "seeds"]
