@@ -13,6 +13,14 @@ Trajectories are bit-reproducible functions of (system, x0, steps, seed).
 
 from __future__ import annotations
 
+import ast
+import ctypes
+import functools
+import keyword
+import math
+import os
+import shutil
+import tempfile
 import warnings
 from dataclasses import dataclass, field
 
@@ -102,29 +110,161 @@ class NoiseModel:
         return np.exp(-0.5 * np.sum(z * z, axis=-1)) / norm
 
 
+STEP_NAMES = ("x1", "x2", "w1", "w2")  # the state and the noise of one step
+# gcc contracts ``a * b + c`` into one fused multiply-add, rounded once, on a
+# machine that has one (aarch64, for example), where Python rounds twice;
+# -ffp-contract=off keeps Python's bits.
+COMPILE = ("gcc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*"}
+_ADMITTED = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.USub, ast.Load, *_OPERATORS)
+
+# Both kernels step one path after another, the coordinates kept as names; a
+# Python step calls only the two list appends.
+_PYTHON = """
+def kernel(_params, _paths, _noise):
+    {names} = _params
+    for _path, _w in _zip(_paths, _noise):
+        x1, x2 = _path[0].tolist()
+        _out1, _out2 = [], []
+        _append1, _append2 = _out1.append, _out2.append
+        for w1, w2 in _zip(*_w.T.tolist()):
+            x1, x2 = {0}, {1}
+            _append1(x1)
+            _append2(x2)
+        _path[1:] = _array([_out1, _out2]).T
+"""
+_C = """void kernel(const double *p, double *x, const double *w, long n, long m) {{
+    {names}
+    for (long r = 0; r < n; r++, x += 2) {{
+        double v_x1 = x[0], v_x2 = x[1];
+        for (long t = 0; t < m; t++, x += 2, w += 2) {{
+            const double v_w1 = w[0], v_w2 = w[1], y1 = {0}, y2 = {1};
+            x[2] = v_x1 = y1;
+            x[3] = v_x2 = y2;
+        }}
+    }}
+}}
+"""
+
+
+def _parse_update(expr: str, names) -> ast.expr:
+    """The tree of an update expression.  It may read only ``names`` and
+    finite float constants through ``+``, ``-`` and ``*``, so Python and C
+    evaluate the same IEEE operations in the same order."""
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError:
+        raise ValueError(f"update {expr!r} is not a Python expression") from None
+    for node in ast.walk(tree):
+        if not (isinstance(node, _ADMITTED) or isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.Constant) and type(node.value) is float
+                and math.isfinite(node.value)):
+            what = ast.unparse(node) if isinstance(node, ast.expr) else type(node).__name__
+            raise ValueError(f"update {expr!r} may use only {', '.join(names)}, finite float "
+                             f"constants, +, -, * and parentheses, not {what}")
+    return tree.body
+
+
+def _c(node: ast.expr) -> str:
+    """C text of an admitted tree, each operation in parentheses."""
+    if isinstance(node, ast.BinOp):
+        return f"({_c(node.left)} {_OPERATORS[type(node.op)]} {_c(node.right)})"
+    if isinstance(node, ast.UnaryOp):
+        return f"(-{_c(node.operand)})"
+    return f"v_{node.id}" if isinstance(node, ast.Name) else repr(node.value)
+
+
+@functools.cache
+def _python(update: tuple, names: tuple):
+    """The generated Python kernel of an update pair, and the pair compiled."""
+    namespace = {"_zip": zip, "_array": np.array}
+    exec(_PYTHON.format(*update, names=f"[{', '.join(names)}]"), namespace)
+    return namespace["kernel"], compile(f"({update[0]}), ({update[1]})", "<update>", "eval")
+
+
+@functools.cache
+def _kernel(update: tuple, names: tuple):
+    """``(kernel, stepping)`` of an update pair in this process: the C kernel,
+    built in a temporary directory at the first call, else the Python kernel
+    and the reason."""
+    e1, e2 = (_c(_parse_update(expr, STEP_NAMES + names)) for expr in update)
+    unpack = " ".join(f"const double v_{name} = p[{i}];" for i, name in enumerate(names))
+    try:
+        if (compiler := shutil.which(COMPILE[0])) is None:
+            raise OSError("no C compiler found")
+        import subprocess  # here: a run that steps nothing starts no process
+
+        with tempfile.TemporaryDirectory() as tmp:
+            source, library = os.path.join(tmp, "kernel.c"), os.path.join(tmp, "kernel.so")
+            with open(source, "w") as fh:
+                fh.write(_C.format(e1, e2, names=unpack))
+            done = subprocess.run([compiler, *COMPILE[1:], "-o", library, source],
+                                  capture_output=True)
+            if done.returncode:
+                raise OSError(f"{COMPILE[0]} exited with status {done.returncode}")
+            try:
+                fn = ctypes.CDLL(library).kernel
+            except (OSError, AttributeError):
+                raise OSError(f"the library {COMPILE[0]} built did not load") from None
+    except OSError as err:
+        return _python(update, names)[0], f"python: {err}"
+    fn.argtypes, fn.restype = [ctypes.c_void_p] * 3 + [ctypes.c_long] * 2, None
+
+    def kernel(params, paths, noise):
+        params = np.ascontiguousarray(params, dtype=float)
+        n, m, _ = noise.shape
+        if ((params.shape, noise.shape, paths.shape) != ((len(names),), (n, m, 2), (n, m + 1, 2))
+                or not all(a.dtype == float and a.flags.c_contiguous for a in (paths, noise))
+                or not paths.flags.writeable):
+            raise ValueError("the kernel takes float64 C-contiguous paths (R, m + 1, 2), "
+                             f"noise (R, m, 2) and {len(names)} parameters")
+        fn(params.ctypes.data, paths.ctypes.data, noise.ctypes.data, n, m)
+
+    return kernel, f"compiled ({' '.join(COMPILE[:3])})"
+
+
 @dataclass(frozen=True)
 class StochasticSystem:
     """State-transition law ``x+ = T(x) + noise`` on the plane.
 
-    A system is its step loop and its planar noise.  ``steps(x1, x2, noise1,
-    noise2, append1, append2) -> (x1, x2)`` writes the map T once, in plain
-    arithmetic on the two coordinates: for each noise pair ``(w1, w2)`` it
-    sets ``x <- T(x) + w`` and appends the new coordinates.  The same loop
-    steps Python floats (one trajectory), ``(R,)`` arrays of lockstep
-    trajectories and arrays of states (``transition``, one step with -0.0
-    noise).  It must multiply rather than use ``**``, which raises on float
-    overflow.  Systems are immutable and safe to share across workers.
+    A system is its map and its planar noise.  ``update`` writes the step
+    ``x <- T(x) + w`` once, as two expressions for the new ``x1`` and ``x2``
+    over ``x1, x2``, the noise ``w1, w2`` and the names of ``params``
+    (floats), checked by ``_parse_update``.  From it come the kernels
+    ``kernel(params, paths, noise)``, compiled C or Python, which write the
+    same bytes, and ``transition``.  Systems are immutable and safe to share
+    across workers.
     """
 
-    steps: object
+    update: tuple
+    params: dict
     noise: NoiseModel
+
+    def __post_init__(self):
+        if len(self.update) != STATE_DIM:
+            raise ValueError(f"update needs one expression per coordinate, got {self.update!r}")
+        if any(not name.isidentifier() or keyword.iskeyword(name) or name[0] == "_"
+               or name in STEP_NAMES for name in self.params):
+            raise ValueError(f"parameter names {list(self.params)} must be identifiers other "
+                             f"than {', '.join(STEP_NAMES)}, not beginning with '_'")
+        for expr in self.update:
+            _parse_update(expr, STEP_NAMES + tuple(self.params))
+        object.__setattr__(self, "update", tuple(self.update))
+        object.__setattr__(self, "params", {k: float(v) for k, v in self.params.items()})
+
+    @property
+    def stepping(self) -> str:
+        """How this process steps the system: "compiled (...)" or "python: <why>"."""
+        return _kernel(self.update, tuple(self.params))[1]
 
     def transition(self, x) -> np.ndarray:
         """T of one state ``(2,)`` or of each row of ``(m, 2)``: one step with noise -0.0."""
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != STATE_DIM:
             raise ValueError(f"state must have shape (2,) or (m, 2), got {x.shape}")
-        return np.stack(self.steps(*x.T, (-0.0,), (-0.0,), [].append, [].append), axis=-1)
+        update = _python(self.update, tuple(self.params))[1]
+        return np.stack(eval(update, {**self.params, **dict(zip(STEP_NAMES, (*x.T, -0.0, -0.0)))}),
+                        axis=-1)
 
 
 @dataclass(frozen=True)
@@ -158,16 +298,9 @@ def make_closed_quadratic(
 ) -> StochasticSystem:
     """Closed quadratic benchmark; default noise is unit-variance Gaussian."""
     rho, mu, c = params.rho, params.mu, params.c
-    a = (rho * rho - mu) * c
-
-    def steps(x1, x2, noise1, noise2, append1, append2):
-        for w1, w2 in zip(noise1, noise2):
-            x1, x2 = rho * x1 + w1, mu * x2 + a * x1 * x1 + w2
-            append1(x1)
-            append2(x2)
-        return x1, x2
-
-    return StochasticSystem(steps, NoiseModel.gaussian(1.0) if noise is None else noise)
+    return StochasticSystem(("rho * x1 + w1", "mu * x2 + a * x1 * x1 + w2"),
+                            {"rho": rho, "mu": mu, "a": (rho * rho - mu) * c},
+                            NoiseModel.gaussian(1.0) if noise is None else noise)
 
 
 def closed_quadratic_dictionary() -> Dictionary:
@@ -211,16 +344,10 @@ def make_vanderpol(
     """
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-
-    def steps(x1, x2, noise1, noise2, append1, append2):
-        for w1, w2 in zip(noise1, noise2):
-            x1, x2 = (x1 + dt * x2 + w1,
-                      x2 + dt * ((1.0 - x1 * x1) * (x2 if standard_vdp else x1) - x1) + w2)
-            append1(x1)
-            append2(x2)
-        return x1, x2
-
-    return StochasticSystem(steps, NoiseModel.gaussian(0.01) if noise is None else noise)
+    damped = "x2" if standard_vdp else "x1"
+    return StochasticSystem(
+        ("x1 + dt * x2 + w1", f"x2 + dt * ((1.0 - x1 * x1) * {damped} - x1) + w2"),
+        {"dt": dt}, NoiseModel.gaussian(0.01) if noise is None else noise)
 
 
 @dataclass(frozen=True)
@@ -274,7 +401,7 @@ def trajectory_chunks(
     max_norm: float = DEFAULT_DIVERGENCE_NORM,
     domain: Domain | None = None,
 ):
-    """Step one trajectory per seed in lockstep; yield their states block by block.
+    """Step one trajectory per seed; yield their states block by block.
 
     Each item is ``(paths, index, failed)``.  ``paths`` has shape
     ``(len(index), m + 1, 2)``: the m + 1 states of this block of each
@@ -285,9 +412,8 @@ def trajectory_chunks(
     initial state (``x0=None``, uniform on ``domain``) and its noise from its
     own seed stream, ``BLOCK`` rows at a time, so its states do not depend on
     the other seeds: identical arguments give :func:`simulate`'s trajectory.
-    Each block is one call of the system's ``steps`` loop, which collects the
-    states per coordinate in two lists; one seed steps Python floats, several
-    step ``(R,)`` arrays.
+    Each block is one call of the system's kernel, compiled at the first
+    call in the process (see :class:`StochasticSystem`).
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -301,23 +427,18 @@ def trajectory_chunks(
     x = np.array(starts, dtype=float)
     if x.shape != (len(rngs), STATE_DIM) or not np.isfinite(x).all():
         raise ValueError("x0 must be a finite state of the system's dimension")
-    lockstep = len(rngs) > 1
-    x1, x2 = x.T.copy() if lockstep else x[0].tolist()
+    kernel, _ = _kernel(system.update, tuple(system.params))
+    params = tuple(system.params.values())
     index = np.arange(len(rngs))
     done = 0
     while done < steps and index.size:
         m = min(BLOCK, steps - done)
-        noise = [system.noise.draw(rngs[k], m) for k in index]
-        # per coordinate, the m noise values of every trajectory: (R,) rows
-        # of an array, or for one trajectory a list of Python floats
-        columns = np.stack(noise, axis=-1).transpose(1, 0, 2) if lockstep else noise[0].T.tolist()
-        out1, out2 = [x1], [x2]
-        # arrays and norms overflow to inf as Python floats do, without a
-        # warning; the norm check catches it
+        noise = np.stack([system.noise.draw(rngs[k], m) for k in index])
+        paths = np.empty((index.size, m + 1, STATE_DIM))
+        paths[:, 0] = x
+        kernel(params, paths, noise)
+        # states overflow to inf without a warning; the norm check catches it
         with np.errstate(over="ignore", invalid="ignore"):
-            x1, x2 = system.steps(x1, x2, *columns, out1.append, out2.append)
-            path = np.stack([np.array(out1), np.array(out2)], axis=1)
-            paths = path.transpose(2, 0, 1) if lockstep else path[None]
             norms = np.linalg.norm(paths[:, 1:], axis=-1)
         bad = ~np.isfinite(norms) | (norms > max_norm)
         failed = {}
@@ -327,8 +448,7 @@ def trajectory_chunks(
         if failed:
             keep = ~bad.any(axis=1)
             index, paths = index[keep], paths[keep]
-            if lockstep:
-                x1, x2 = x1[keep], x2[keep]
+        x = paths[:, -1].copy()
         yield paths, index, failed
         done += m
 

@@ -420,7 +420,7 @@ class Fits(NamedTuple):
 
 
 def fit_realizations(config: ExperimentConfig, T: int, seeds) -> Fits:
-    """Fit one realization per seed, their trajectories stepped in lockstep.
+    """Fit one realization per seed, their trajectories stepped in one block.
 
     Each seed streams T steps from a uniform initial state into its own
     moments, which equal ``accumulate(simulate(...))`` of that seed bit for
@@ -456,36 +456,22 @@ def fit_realizations(config: ExperimentConfig, T: int, seeds) -> Fits:
     return Fits(status, matrix, sigma0, cond, cause)
 
 
-# Below lockstep_min_seeds(T) seeds per task, stepping them one at a time as
-# Python floats beats stepping them together as arrays: a block shares its
-# per-call costs but steps arrays, so the crossover grows with T.  Median time
-# of one block of R seeds over R one-seed fits (closed-quadratic, N = 4), R at
-# the rule: T = 20: R = 3 0.55; 50: 4 0.55; 200: 6 0.72; 500: 9 0.86-0.92;
-# 1,000: 12 0.94; 2,000: 16 0.92-0.94.  At T = 3,000-4,096 a block of 16 only
-# breaks even (0.95-1.07), and past T = 3,248 a task's BLOCK rows hold fewer
-# seeds than the rule asks, so each seed is fitted alone.
-def lockstep_min_seeds(T: int) -> int:
-    """The fewest seeds per task that a lockstep block fits faster than alone."""
-    return math.isqrt(T) // 3 + 2
-
-
 def _seed_blocks(seeds, T: int, workers: int) -> list:
     """One T's seeds split into pool tasks of equal size.
 
     A task holds at most ``BLOCK`` state rows at once, so its memory stays at
-    one fit's block, and there are at least ``workers`` tasks.  Below
-    ``lockstep_min_seeds(T)`` seeds per task each seed is fitted alone.
+    one fit's block, and there are at least ``workers`` tasks.
     """
     tasks = max(workers, -(-len(seeds) // (BLOCK // min(T, BLOCK))))
     size = -(-len(seeds) // tasks)
-    if size < lockstep_min_seeds(T):
-        size = 1
     return [seeds[i : i + size] for i in range(0, len(seeds), size)]
 
 
 def _fit_groups(config: ExperimentConfig, groups, workers: int) -> list[Fits]:
     """Fit ``(T, seeds)`` groups in seed blocks over one parallel map; returns
-    each group's fits in seed order, its blocks joined field by field."""
+    each group's fits in seed order, its blocks joined field by field.  The
+    system's kernel is loaded first, so the pool's workers inherit it."""
+    build_system(config).stepping  # compiles the kernel before the pool forks, once
     tasks, counts = [], []
     for T, seeds in groups:
         blocks = _seed_blocks(seeds, T, workers)
@@ -581,6 +567,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> ErrorCurve:
             "error_metric": "mean over realizations of |K_hat - K_ref|_F / |K_ref|_F",
             "initial_conditions": "uniform on the domain, one draw per realization",
             "seed_derivation": "splitmix64 chain over (base_seed, T, realization)",
+            "stepping": build_system(config).stepping,
         },
     )
     return ErrorCurve(config.label, tuple(config.T_grid), means, ses, n_oks, n_faileds,
@@ -655,6 +642,7 @@ def run_bound_calibration(config: ExperimentConfig, workers: int = 1) -> list[Bo
             "terms_source": "moment matrices S0 of the first n_term_realizations "
                             "scored-stream realizations at each T",
             "bound_inputs": inputs,
+            "stepping": system.stepping,
         },
     )
     return reports

@@ -2,13 +2,27 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from koopest import ClosedQuadraticParams, config_from_dict
+from koopest import ClosedQuadraticParams, config_from_dict, dynamics
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def compiler(monkeypatch):
+    """``compiler(path)``: from now on in this test the C compiler lookup
+    finds ``path`` (None: no compiler), and kernels are built again."""
+
+    def find(path):
+        monkeypatch.setattr(dynamics, "shutil", SimpleNamespace(which=lambda name: path))
+        dynamics._kernel.cache_clear()
+
+    yield find
+    dynamics._kernel.cache_clear()
 
 
 @pytest.fixture

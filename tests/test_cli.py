@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import warnings
 
 import numpy as np
@@ -264,17 +265,21 @@ class TestErrorsEndInOneLine:
         assert f'in "{path}", line 1, column 9' in err
 
 
-# prints which of scipy, the process pool and orjson the interpreter has loaded
+# prints which of scipy, the process pool, orjson and subprocess (which the
+# kernel's compile imports) the interpreter has loaded
 _HEAVY = """
-print(sorted(m for m in sys.modules
-             if m.split(".")[0] == "scipy" or m in ("orjson", "concurrent.futures.process")))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+             or m in ("orjson", "concurrent.futures.process", "subprocess")))
 """
+_GCC = shutil.which("gcc") is not None
 
 
 class TestColdStart:
     """Set-up, and a command that neither solves nor maps, start on numpy
-    alone: scipy's LAPACK and the process pool load when first used, and
-    orjson at the first float-table write (``simulate`` writes samples)."""
+    alone: scipy's LAPACK and the process pool load when first used, orjson
+    at the first float-table write (``simulate`` writes samples), and the
+    kernel is compiled at the first stepping call (``simulate`` steps): set-up
+    and a failed load start no compiler."""
 
     @pytest.mark.parametrize(
         "step, loaded",
@@ -285,7 +290,8 @@ class TestColdStart:
              "build_system(c), build_dictionary(c), build_domain(c)", "[]"),
             ("from koopest.cli import main\n"
              "assert main(['simulate', 'configs/smoke.yaml', '--steps', '50',\n"
-             "             '--output-dir', sys.argv[1]]) == 0", "['orjson']"),
+             "             '--output-dir', sys.argv[1]]) == 0",
+             "['orjson', 'subprocess']" if _GCC else "['orjson']"),
             ("from koopest.cli import main\n"
              "assert main(['bounds', sys.argv[2]]) == 1", "[]"),
         ],
@@ -306,3 +312,57 @@ class TestColdStart:
                          "--workers", workers, "--output-dir", str(out))
             written.append((out / "bounds.csv").read_bytes())
         assert written[0] == written[1]
+
+    @pytest.mark.skipif(not _GCC, reason="needs a C compiler")
+    def test_fresh_sweep_compiles_once_in_the_parent(self, fresh_python, tmp_path):
+        # the pool's workers inherit the kernel loaded before the fork; each
+        # compile appends the pid that started it to a log
+        script = (
+            "import os, subprocess, sys\n"
+            "from koopest.cli import main\n"
+            "run = subprocess.run\n"
+            "def logged(*args, **kwargs):\n"
+            "    with open(sys.argv[2], 'a') as fh:\n"
+            "        fh.write(f'{os.getpid()}\\n')\n"
+            "    return run(*args, **kwargs)\n"
+            "subprocess.run = logged\n"
+            "assert main(['sweep', 'configs/smoke.yaml', '--workers', sys.argv[3],\n"
+            "             '--output-dir', sys.argv[1]]) == 0\n"
+            "print(os.getpid(), 'concurrent.futures.process' in sys.modules)\n"
+        )
+        written = []
+        for workers in ("1", "2"):
+            out, log = tmp_path / workers, tmp_path / f"compiles{workers}.log"
+            pid, pooled = fresh_python("-c", script, str(out), str(log), workers).split()[-2:]
+            assert log.read_text().split() == [pid]
+            assert pooled == str(workers == "2")
+            written.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+        assert written[0] == written[1] and len(written[0]) == 2
+
+
+class TestKernelFallback:
+    """Without a working compiler the Python kernel steps, writes the bytes
+    of the compiled kernel, and the sidecars say why."""
+
+    @pytest.mark.skipif(not _GCC, reason="needs a C compiler for the bytes to compare")
+    @pytest.mark.parametrize(
+        "found, reason",
+        [(None, "no C compiler found"), ("false", "gcc exited with status 1"),
+         ("true", "the library gcc built did not load")],
+        ids=["no-compiler", "compile-fails", "library-will-not-load"],
+    )
+    def test_fallback_writes_the_compiled_bytes(self, tmp_path, compiler, found, reason):
+        commands = [["sweep", "configs/smoke.yaml"], ["bounds", "configs/smoke.yaml"],
+                    ["simulate", "configs/vanderpol.yaml", "--steps", "3000"]]
+        written, stepping = [], []
+        for side in ("compiled", "python"):
+            if side == "python":
+                compiler(found and shutil.which(found))
+            out = tmp_path / side
+            for argv in commands:
+                assert main([*argv, "--output-dir", str(out)]) == 0
+            written.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+            stepping.append({json.loads((out / name).read_text())["stepping"]
+                             for name in ("sweep.meta.json", "bounds.meta.json")})
+        assert stepping == [{"compiled (gcc -O2 -ffp-contract=off)"}, {f"python: {reason}"}]
+        assert written[0] == written[1] and len(written[0]) == 4

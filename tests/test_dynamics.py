@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from koopest import (
     trajectory_chunks,
     unit_box,
 )
+from koopest import dynamics
 from koopest.dynamics import BLOCK
 from koopest.seeding import make_rng, mix_seed
 
@@ -176,17 +178,52 @@ def _bits(a):
     return np.where(np.isnan(a), np.nan, a).tobytes()
 
 
-def _run(system, x1, x2, noise):
-    """The states of one call of the system's step loop, per coordinate."""
-    out1, out2 = [], []
-    last = system.steps(x1, x2, [w for w, _ in noise], [w for _, w in noise],
-                        out1.append, out2.append)
-    return out1, out2, last
+def _kernels(system):
+    """The system's compiled and Python kernels: both step ``update``."""
+    names = tuple(system.params)
+    if shutil.which("gcc") is None:
+        pytest.skip("needs a C compiler")
+    compiled, stepping = dynamics._kernel(system.update, names)
+    assert stepping == "compiled (gcc -O2 -ffp-contract=off)"
+    return {"compiled": compiled, "python": dynamics._python(system.update, names)[0]}
+
+
+def _run(kernel, system, starts, noise):
+    """The ``(R, m + 1, 2)`` paths of one kernel call from R states, noise ``(R, m, 2)``."""
+    noise = np.ascontiguousarray(noise, dtype=float)
+    paths = np.empty((len(starts), noise.shape[1] + 1, 2))
+    paths[:, 0] = starts
+    kernel(tuple(system.params.values()), paths, noise)
+    return paths
+
+
+_signed = st.one_of(st.just(-0.0), _coordinate)
 
 
 class TestDriftForms:
-    """The drift T is written once, as each system's step loop: Python floats,
-    ``(R,)`` lockstep rows and ``transition`` give the same bits from it."""
+    """The drift T is written once, as each system's update pair: its compiled
+    and Python kernels, one path or a block of them, and ``transition`` give
+    the same bits from it."""
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    @settings(max_examples=200, deadline=None)
+    @given(
+        starts=st.lists(st.tuples(_signed, _signed), min_size=1, max_size=6),
+        m=st.integers(1, 7),
+        noise=st.lists(st.tuples(_coordinate, _coordinate), min_size=42, max_size=42),
+        silent=st.booleans(),
+    )
+    @example(starts=[(-0.0, -0.0), (0.0, -0.0)], m=3, noise=[(0.0, 0.0)] * 42, silent=True)
+    @example(starts=[(1e6, -1e6)], m=7, noise=[(0.0, 0.0)] * 42, silent=False)
+    def test_compiled_and_python_kernels_agree(self, name, starts, m, noise, silent):
+        # R from 1 to 6 paths of m from 1 to 7 steps, states up to 1e6 that
+        # overflow to inf and NaN, and silent noise (-0.0) on -0.0 states
+        system = SYSTEMS[name]
+        draws = np.array(noise)[: len(starts) * m].reshape(len(starts), m, 2)
+        if silent:
+            draws = np.full_like(draws, -0.0)
+        compiled, python = (_run(k, system, starts, draws) for k in _kernels(system).values())
+        assert compiled.tobytes() == python.tobytes()
 
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     @settings(max_examples=200, deadline=None)
@@ -198,19 +235,15 @@ class TestDriftForms:
                        min_size=1, max_size=5),
     )
     def test_float_single_and_batch_agree(self, name, state, others, row, noise):
-        # a k-step run on Python floats is the matching row of the same run
-        # on (R,) arrays, overflow to inf and NaN included
+        # in either kernel, a k-step run of one path is the matching row of
+        # the same run of a block of paths, overflow to inf and NaN included
         system = SYSTEMS[name]
         row = min(row, len(others))
-        states = np.array(others[:row] + [state] + others[row:])
-        draws = np.array(noise)[:, : len(states)]  # (k, R, 2)
-        on_floats = _run(system, *state, draws[:, row].tolist())
-        assert all(type(v) is float for out in on_floats[:2] for v in out)
-        columns = draws.transpose(2, 0, 1)  # two (k, R)
-        with np.errstate(over="ignore", invalid="ignore"):
-            on_rows = _run(system, *states.T.copy(), list(zip(*columns)))
-        for floats, rows in zip(on_floats, on_rows):
-            assert _bits(floats) == _bits([r[row] for r in rows])
+        starts = others[:row] + [state] + others[row:]
+        draws = np.array(noise)[:, : len(starts)].transpose(1, 0, 2)  # (R, k, 2)
+        for kernel in _kernels(system).values():
+            alone = _run(kernel, system, [state], draws[row : row + 1])
+            assert _run(kernel, system, starts, draws)[row].tobytes() == alone[0].tobytes()
 
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     @settings(max_examples=200, deadline=None)
@@ -221,12 +254,36 @@ class TestDriftForms:
     )
     def test_transition_is_one_step_with_negative_zero_noise(self, name, state, others, row):
         system = SYSTEMS[name]
-        (y1,), (y2,), _ = _run(system, *state, [(-0.0, -0.0)])
-        expected = np.array([y1, y2]).tobytes()
+        python = dynamics._python(system.update, tuple(system.params))[0]
+        expected = _run(python, system, [state], [[(-0.0, -0.0)]])[0, 1]
         row = min(row, len(others))
         batch = np.array(others[:row] + [state] + others[row:])
-        assert system.transition(np.array(state)).tobytes() == expected
-        assert system.transition(batch)[row].tobytes() == expected
+        assert system.transition(np.array(state)).tobytes() == expected.tobytes()
+        assert system.transition(batch)[row].tobytes() == expected.tobytes()
+
+    def test_one_library_serves_every_parameter_value(self):
+        # parameters are doubles passed at call time, never printed into C
+        slow, fast = (make_closed_quadratic(ClosedQuadraticParams(rho, 0.3, 1.0))
+                      for rho in (0.2, 0.7))
+        assert _kernels(slow)["compiled"] is _kernels(fast)["compiled"]
+        path = [[(0.5, 0.25)]]
+        assert _run(_kernels(slow)["compiled"], slow, [(1.0, 2.0)], path)[0, 1].tolist() == [
+            0.2 + 0.5, 0.3 * 2.0 + (0.2 * 0.2 - 0.3) * 1.0 * 1.0 * 1.0 + 0.25]
+        assert _run(_kernels(fast)["compiled"], fast, [(1.0, 2.0)], path)[0, 1].tolist() == [
+            0.7 + 0.5, 0.3 * 2.0 + (0.7 * 0.7 - 0.3) * 1.0 * 1.0 * 1.0 + 0.25]
+
+    def test_the_compiled_kernel_checks_its_buffers(self):
+        system = SYSTEMS["vanderpol"]
+        kernel, params = _kernels(system)["compiled"], tuple(system.params.values())
+        for paths, noise, args in [
+            (np.zeros((2, 4, 2)), np.zeros((2, 2, 2)), params),  # m + 1 rows
+            (np.zeros((2, 3, 2)), np.zeros((1, 2, 2)), params),  # R paths
+            (np.zeros((2, 3, 2), dtype=np.float32), np.zeros((2, 2, 2)), params),
+            (np.zeros((2, 2, 3)).transpose(0, 2, 1), np.zeros((2, 2, 2)), params),
+            (np.zeros((2, 3, 2)), np.zeros((2, 2, 2)), ()),  # one parameter, dt
+        ]:
+            with pytest.raises(ValueError, match="float64 C-contiguous"):
+                kernel(args, paths, noise)
 
     @pytest.mark.parametrize("shape", [(3,), (5, 3), (1,), (), (2, 2, 2)])
     def test_wrong_state_shape_is_named(self, shape):
@@ -237,6 +294,41 @@ class TestDriftForms:
             system.transition(np.zeros(shape))
         with pytest.raises(ValueError, match=message):
             koopman_apply_mc(system, closed_quadratic_dictionary(), np.ones(4), np.zeros(shape), 10, 0)
+
+
+class TestUpdateGuard:
+    """An update may read only x1, x2, w1, w2 and the declared parameters,
+    through float constants, +, -, * and parentheses; the ValueError quotes it."""
+
+    @pytest.mark.parametrize(
+        "expr, found",
+        [("x1 ** 2", "Pow"), ("abs(x1)", "abs(x1)"), ("x1 / a", "Div"), ("x1.real", "x1.real"),
+         ("b * x1", "b"), ("2 * x1", "2"), ("1e999 * x1", "1e309"), ("x1 // a", "FloorDiv")],
+    )
+    def test_rejected(self, expr, found):
+        with pytest.raises(ValueError, match=re.escape(f"update {expr!r} may use only")) as err:
+            StochasticSystem((expr, "x2 + w2"), {"a": 1.0}, NoiseModel.none())
+        assert str(err.value).endswith(f"not {found}")
+
+    def test_not_an_expression_or_not_a_pair(self):
+        with pytest.raises(ValueError, match=re.escape("update 'x1 +' is not")):
+            StochasticSystem(("x1 +", "x2"), {}, NoiseModel.none())
+        with pytest.raises(ValueError, match="one expression per coordinate"):
+            StochasticSystem(("x1", "x2", "x1"), {}, NoiseModel.none())
+        for name in ("x1", "_a", "lambda", "a b"):  # the kernels' own names, or none
+            with pytest.raises(ValueError, match="parameter names"):
+                StochasticSystem(("x1", "x2"), {name: 1.0}, NoiseModel.none())
+        # a list is held as the pair, the kernels' cache key
+        assert StochasticSystem(["x1", "x2"], {}, NoiseModel.none()).update == ("x1", "x2")
+
+    def test_admitted_forms_step_alike(self):
+        system = StochasticSystem(("-x1 + a * (w1 - -0.5)", "x2 - (x1 - w2) * 1.5e-3"),
+                                  {"a": 2.0}, NoiseModel.none())
+        kernels = list(_kernels(system).values())
+        paths = [_run(k, system, [(1.0, -0.0), (3.0, 4.0)], np.ones((2, 3, 2))) for k in kernels]
+        assert paths[0].tobytes() == paths[1].tobytes()
+        assert paths[0][0, 1].tolist() == [-1.0 + 2.0 * 1.5, -0.0 - 0.0 * 1.5e-3]
+        assert system.transition(np.array([1.0, -0.0])).tolist() == [0.0, -0.0 - 1.0 * 1.5e-3]
 
 
 class TestSimulate:
@@ -314,8 +406,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("x1", [1e300, 1e150])
     def test_overflow_fails_alike_as_floats_and_as_arrays(self, x1):
-        # one seed steps Python floats, which overflow silently; a lockstep
-        # block steps arrays under np.errstate: both must stop at the same step
+        # a seed stepped alone and in a block of six overflows silently and
+        # stops at the same step
         with pytest.warns(UserWarning):
             params = ClosedQuadraticParams(rho=2.0, mu=4.0, c=1.0)
         system, x0, seeds = make_closed_quadratic(params), np.array([x1, 1.0]), range(6)

@@ -5,10 +5,13 @@ imports nothing that simulates, lifts or seeds; and ``trajectory_chunks``
 is consumed only by ``simulate`` (which materializes samples) and
 ``fit_realizations`` (which streams them into moments).  A second consumer
 would be a second copy of the fit, free to drift from it.  It holds no
-stepping loop of its own: it calls the system's ``steps`` once per block.
-Each system's map is written once, inside that step loop, which keeps the
-two state coordinates as names and collects them in lists: it writes no
-numpy row and builds no tuple per step.  The only function named
+stepping loop of its own: it calls the system's kernel once per block.
+Each system's map is written once, as the one pair of update expressions
+its constructor passes (no nested step function), and ``experiments`` has
+no rule that fits a block's seeds one at a time (``lockstep_min_seeds``).
+The Python kernel generated from the pair keeps the two state coordinates
+as names and collects them in lists: it writes no numpy row and builds no
+tuple per step.  The only function named
 ``transition`` is the method that runs that loop for one step over arrays,
 and no code branches on ``ndim == 1`` into a second, scalar copy of a map.
 And a dictionary is one batch map: only ``basis.evaluate_many`` calls its
@@ -41,8 +44,8 @@ row is one ``BoundReport`` (no ``ViolationStats`` or ``make_bound_report``),
 a system's noiseless map is ``transition``, its noisy step
 ``step_pairs`` (``StochasticSystem`` has no ``step``), and the residuals of
 a fit are their ``(N,)`` array (no ``ResidualStats`` holding its maximum).
-A system is its step loop and its planar noise: ``StochasticSystem`` has the
-two fields ``steps`` and ``noise`` and no class constant, and no
+A system is its update pair and its planar noise: ``StochasticSystem`` has
+the three fields ``update``, ``params`` and ``noise`` and no class constant, and no
 ``NoiseModel`` constructor takes a dimension.
 A sample set is its pairs: ``SampleSet`` has the fields ``xs``, ``ys``,
 ``seed`` and ``states``, the last worked out from whether the rows chain, and
@@ -229,26 +232,37 @@ def _noise_loops(node):
 
 
 def test_stepping_loop_writes_no_row_and_builds_no_tuple():
-    functions = {node.name: node for node in _parse("dynamics").body
-                 if isinstance(node, ast.FunctionDef)}
+    module = _parse("dynamics")
+    functions = {node.name: node for node in module.body if isinstance(node, ast.FunctionDef)}
     chunks = functions["trajectory_chunks"]
     assert _noise_loops(chunks) == []
-    step_calls = [n for n in ast.walk(chunks)
-                  if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "steps"]
-    assert len(step_calls) == 1
+    kernel_calls = [n for n in ast.walk(chunks)
+                    if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "kernel"]
+    assert len(kernel_calls) == 1
     for maker in ("make_closed_quadratic", "make_vanderpol"):
-        (steps,) = [n for n in functions[maker].body
-                    if isinstance(n, ast.FunctionDef) and n.name == "steps"]
-        (loop,) = _noise_loops(steps)
-        body = [n for stmt in loop.body for n in ast.walk(stmt)]
-        targets = [t for n in body if isinstance(n, ast.Assign) for t in n.targets]
-        targets += [n.target for n in body if isinstance(n, (ast.AugAssign, ast.AnnAssign))]
-        assert targets, maker
-        assert not any(isinstance(n, ast.Subscript) for t in targets for n in ast.walk(t))
-        calls = {getattr(n.func, "id", None) for n in body if isinstance(n, ast.Call)}
-        assert calls == {"append1", "append2"}, maker  # no map, tuple or drift call
-        # the new state is a pair of names, assigned from a pair of expressions
-        assert any(isinstance(t, ast.Tuple) for t in targets), maker
+        nested = [n for stmt in functions[maker].body for n in ast.walk(stmt)]
+        assert not any(isinstance(n, (ast.FunctionDef, ast.Lambda)) for n in nested), maker
+        (system,) = [n for n in ast.walk(functions[maker])
+                     if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "StochasticSystem"]
+        update = system.args[0]
+        assert isinstance(update, ast.Tuple) and len(update.elts) == 2, maker  # one pair
+    # the generated Python kernel, with a stand-in for the pair
+    (template,) = [n.value.value for n in module.body if isinstance(n, ast.Assign)
+                   and getattr(n.targets[0], "id", None) == "_PYTHON"]
+    (kernel,) = ast.parse(template.format("e1", "e2", names="[p]")).body
+    (loop,) = [n for n in ast.walk(kernel) if isinstance(n, ast.For)  # the innermost loop
+               and not any(isinstance(c, ast.For) for b in n.body for c in ast.walk(b))]
+    body = [n for stmt in loop.body for n in ast.walk(stmt)]
+    targets = [t for n in body if isinstance(n, ast.Assign) for t in n.targets]
+    targets += [n.target for n in body if isinstance(n, (ast.AugAssign, ast.AnnAssign))]
+    assert targets
+    assert not any(isinstance(n, ast.Subscript) for t in targets for n in ast.walk(t))
+    calls = {getattr(n.func, "id", None) for n in body if isinstance(n, ast.Call)}
+    assert calls == {"_append1", "_append2"}  # no map, tuple or drift call
+    # the new state is a pair of names, assigned from a pair of expressions
+    assert any(isinstance(t, ast.Tuple) for t in targets)
+    assert "lockstep_min_seeds" not in {n.name for n in ast.walk(_parse("experiments"))
+                                        if isinstance(n, ast.FunctionDef)}
 
 
 class _Qualnames(ast.NodeVisitor):
@@ -438,9 +452,10 @@ def test_ground_truth_is_one_function():
     assert "ExperimentConfig" in defined and "has_true_koopman" not in defined
 
 
-def test_a_system_is_its_step_loop_and_its_noise():
+def test_a_system_is_its_update_pair_and_its_noise():
     body = _class("dynamics", "StochasticSystem").body
-    assert [n.target.id for n in body if isinstance(n, ast.AnnAssign)] == ["steps", "noise"]
+    fields = [n.target.id for n in body if isinstance(n, ast.AnnAssign)]
+    assert fields == ["update", "params", "noise"]
     assert not any(isinstance(n, ast.Assign) for n in body)
 
 

@@ -11,7 +11,9 @@ any change to the order or kind of floating-point operations that step a
 state is caught.
 
 Taken with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1; the stepping is
-scalar IEEE arithmetic and does not depend on the BLAS build.
+scalar IEEE arithmetic and does not depend on the BLAS build.  Both of a
+system's kernels must write them: the compiled one (where a C compiler is
+found) and the Python one it falls back to.
 """
 
 import hashlib
@@ -93,4 +95,11 @@ def _hashes(kind):
 
 @pytest.mark.parametrize("kind", sorted(SYSTEMS))
 def test_stepping_bytes_match_recorded_hashes(kind):
+    assert _hashes(kind) == GOLDEN[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(SYSTEMS))
+def test_python_kernel_bytes_match_recorded_hashes(kind, compiler):
+    compiler(None)
+    assert SYSTEMS[kind]().stepping == "python: no C compiler found"
     assert _hashes(kind) == GOLDEN[kind]
