@@ -18,7 +18,6 @@ import ctypes
 import functools
 import keyword
 import math
-import os
 import shutil
 import tempfile
 import warnings
@@ -110,16 +109,15 @@ class NoiseModel:
         return np.exp(-0.5 * np.sum(z * z, axis=-1)) / norm
 
 
-STEP_NAMES = ("x1", "x2", "w1", "w2")  # the state and the noise of one step
+STEP_NAMES = ("x1", "x2", "w1", "w2")  # the state and the noise of a step; T reads the state
 # gcc contracts ``a * b + c`` into one fused multiply-add, rounded once, on a
 # machine that has one (aarch64, for example), where Python rounds twice;
 # -ffp-contract=off keeps Python's bits.
 COMPILE = ("gcc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*"}
-_ADMITTED = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.USub, ast.Load, *_OPERATORS)
 
-# Both kernels step one path after another, the coordinates kept as names; a
-# Python step calls only the two list appends.
+# Both kernels step one path after another, x <- T(x) + w with the noise added
+# last, the coordinates kept as names; a Python step calls only the two appends.
 _PYTHON = """
 def kernel(_params, _paths, _noise):
     {names} = _params
@@ -127,8 +125,8 @@ def kernel(_params, _paths, _noise):
         x1, x2 = _path[0].tolist()
         _out1, _out2 = [], []
         _append1, _append2 = _out1.append, _out2.append
-        for w1, w2 in _zip(*_w.T.tolist()):
-            x1, x2 = {0}, {1}
+        for _w1, _w2 in _zip(*_w.T.tolist()):
+            x1, x2 = ({0}) + _w1, ({1}) + _w2
             _append1(x1)
             _append2(x2)
         _path[1:] = _array([_out1, _out2]).T
@@ -138,7 +136,7 @@ _C = """void kernel(const double *p, double *x, const double *w, long n, long m)
     for (long r = 0; r < n; r++, x += 2) {{
         double v_x1 = x[0], v_x2 = x[1];
         for (long t = 0; t < m; t++, x += 2, w += 2) {{
-            const double v_w1 = w[0], v_w2 = w[1], y1 = {0}, y2 = {1};
+            const double y1 = {0} + w[0], y2 = {1} + w[1];
             x[2] = v_x1 = y1;
             x[3] = v_x2 = y2;
         }}
@@ -147,59 +145,56 @@ _C = """void kernel(const double *p, double *x, const double *w, long n, long m)
 """
 
 
-def _parse_update(expr: str, names) -> ast.expr:
-    """The tree of an update expression.  It may read only ``names`` and
-    finite float constants through ``+``, ``-`` and ``*``, so Python and C
-    evaluate the same IEEE operations in the same order."""
-    try:
-        tree = ast.parse(expr, mode="eval")
-    except SyntaxError:
-        raise ValueError(f"update {expr!r} is not a Python expression") from None
-    for node in ast.walk(tree):
-        if not (isinstance(node, _ADMITTED) or isinstance(node, ast.Name) and node.id in names
-                or isinstance(node, ast.Constant) and type(node.value) is float
-                and math.isfinite(node.value)):
-            what = ast.unparse(node) if isinstance(node, ast.expr) else type(node).__name__
-            raise ValueError(f"update {expr!r} may use only {', '.join(names)}, finite float "
-                             f"constants, +, -, * and parentheses, not {what}")
-    return tree.body
-
-
-def _c(node: ast.expr) -> str:
-    """C text of an admitted tree, each operation in parentheses."""
-    if isinstance(node, ast.BinOp):
-        return f"({_c(node.left)} {_OPERATORS[type(node.op)]} {_c(node.right)})"
-    if isinstance(node, ast.UnaryOp):
-        return f"(-{_c(node.operand)})"
-    return f"v_{node.id}" if isinstance(node, ast.Name) else repr(node.value)
-
-
 @functools.cache
 def _python(update: tuple, names: tuple):
-    """The generated Python kernel of an update pair, and the pair compiled."""
+    """The generated Python kernel of an update pair, the pair compiled, and
+    its C text, each operation in parentheses.  A map may read only x1, x2,
+    the parameter ``names`` and finite float constants through ``+``, ``-``
+    and ``*``, so Python and C evaluate the same IEEE operations in the same
+    order: one walk checks each tree and writes its C text before any runs."""
+    allowed = STEP_NAMES[:STATE_DIM] + names
+
+    def c(node):
+        op = getattr(node, "op", None)
+        if isinstance(node, ast.BinOp) and type(op) in _OPERATORS:
+            return f"({c(node.left)} {_OPERATORS[type(op)]} {c(node.right)})"
+        if isinstance(node, ast.UnaryOp) and isinstance(op, ast.USub):
+            return f"(-{c(node.operand)})"
+        if isinstance(node, ast.Name) and node.id in allowed:
+            return f"v_{node.id}"
+        if isinstance(node, ast.Constant) and type(node.value) is float and math.isfinite(node.value):
+            return repr(node.value)
+        what = ast.unparse(node) if op is None else type(op).__name__
+        raise ValueError(f"update {expr!r} may use only {', '.join(allowed)}, finite float "
+                         f"constants, +, -, * and parentheses, not {what}")
+
+    texts = []
+    for expr in update:
+        try:
+            texts.append(c(ast.parse(expr, mode="eval").body))
+        except SyntaxError:
+            raise ValueError(f"update {expr!r} is not a Python expression") from None
     namespace = {"_zip": zip, "_array": np.array}
     exec(_PYTHON.format(*update, names=f"[{', '.join(names)}]"), namespace)
-    return namespace["kernel"], compile(f"({update[0]}), ({update[1]})", "<update>", "eval")
+    return namespace["kernel"], compile(f"({update[0]}), ({update[1]})", "<update>", "eval"), texts
 
 
 @functools.cache
 def _kernel(update: tuple, names: tuple):
     """``(kernel, stepping)`` of an update pair in this process: the C kernel,
-    built in a temporary directory at the first call, else the Python kernel
-    and the reason."""
-    e1, e2 = (_c(_parse_update(expr, STEP_NAMES + names)) for expr in update)
+    built from stdin into a temporary directory at the first call, else the
+    Python kernel and the reason."""
     unpack = " ".join(f"const double v_{name} = p[{i}];" for i, name in enumerate(names))
+    source = _C.format(*_python(update, names)[2], names=unpack)
     try:
         if (compiler := shutil.which(COMPILE[0])) is None:
             raise OSError("no C compiler found")
         import subprocess  # here: a run that steps nothing starts no process
 
         with tempfile.TemporaryDirectory() as tmp:
-            source, library = os.path.join(tmp, "kernel.c"), os.path.join(tmp, "kernel.so")
-            with open(source, "w") as fh:
-                fh.write(_C.format(e1, e2, names=unpack))
-            done = subprocess.run([compiler, *COMPILE[1:], "-o", library, source],
-                                  capture_output=True)
+            library = f"{tmp}/kernel.so"
+            done = subprocess.run([compiler, *COMPILE[1:], "-x", "c", "-o", library, "-"],
+                                  input=source.encode(), capture_output=True)
             if done.returncode:
                 raise OSError(f"{COMPILE[0]} exited with status {done.returncode}")
             try:
@@ -227,13 +222,13 @@ def _kernel(update: tuple, names: tuple):
 class StochasticSystem:
     """State-transition law ``x+ = T(x) + noise`` on the plane.
 
-    A system is its map and its planar noise.  ``update`` writes the step
-    ``x <- T(x) + w`` once, as two expressions for the new ``x1`` and ``x2``
-    over ``x1, x2``, the noise ``w1, w2`` and the names of ``params``
-    (floats), checked by ``_parse_update``.  From it come the kernels
-    ``kernel(params, paths, noise)``, compiled C or Python, which write the
-    same bytes, and ``transition``.  Systems are immutable and safe to share
-    across workers.
+    A system is its map and its planar noise.  ``update`` is the map T,
+    written once as two expressions for ``T1`` and ``T2`` over ``x1, x2``
+    and the names of ``params`` (finite floats), checked by ``_python``.
+    From it come the kernels ``kernel(params, paths, noise)``, compiled C or
+    Python, which step ``x <- T(x) + w`` with the noise added last and write
+    the same bytes, and ``transition``, which is T.  Systems are immutable
+    and safe to share across workers.
     """
 
     update: tuple
@@ -247,10 +242,12 @@ class StochasticSystem:
                or name in STEP_NAMES for name in self.params):
             raise ValueError(f"parameter names {list(self.params)} must be identifiers other "
                              f"than {', '.join(STEP_NAMES)}, not beginning with '_'")
-        for expr in self.update:
-            _parse_update(expr, STEP_NAMES + tuple(self.params))
         object.__setattr__(self, "update", tuple(self.update))
+        _python(self.update, tuple(self.params))  # checks the pair
         object.__setattr__(self, "params", {k: float(v) for k, v in self.params.items()})
+        for name, value in self.params.items():
+            if not math.isfinite(value):
+                raise ValueError(f"parameter {name} must be finite, got {value!r}")
 
     @property
     def stepping(self) -> str:
@@ -258,13 +255,13 @@ class StochasticSystem:
         return _kernel(self.update, tuple(self.params))[1]
 
     def transition(self, x) -> np.ndarray:
-        """T of one state ``(2,)`` or of each row of ``(m, 2)``: one step with noise -0.0."""
+        """T of one state ``(2,)`` or of each row of ``(m, 2)``."""
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != STATE_DIM:
             raise ValueError(f"state must have shape (2,) or (m, 2), got {x.shape}")
-        update = _python(self.update, tuple(self.params))[1]
-        return np.stack(eval(update, {**self.params, **dict(zip(STEP_NAMES, (*x.T, -0.0, -0.0)))}),
-                        axis=-1)
+        pair = eval(_python(self.update, tuple(self.params))[1],
+                    {**self.params, **dict(zip(STEP_NAMES, x.T))})
+        return np.stack(np.broadcast_arrays(*pair), axis=-1)  # a map of no state is a float
 
 
 @dataclass(frozen=True)
@@ -298,7 +295,7 @@ def make_closed_quadratic(
 ) -> StochasticSystem:
     """Closed quadratic benchmark; default noise is unit-variance Gaussian."""
     rho, mu, c = params.rho, params.mu, params.c
-    return StochasticSystem(("rho * x1 + w1", "mu * x2 + a * x1 * x1 + w2"),
+    return StochasticSystem(("rho * x1", "mu * x2 + a * x1 * x1"),
                             {"rho": rho, "mu": mu, "a": (rho * rho - mu) * c},
                             NoiseModel.gaussian(1.0) if noise is None else noise)
 
@@ -346,7 +343,7 @@ def make_vanderpol(
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     damped = "x2" if standard_vdp else "x1"
     return StochasticSystem(
-        ("x1 + dt * x2 + w1", f"x2 + dt * ((1.0 - x1 * x1) * {damped} - x1) + w2"),
+        ("x1 + dt * x2", f"x2 + dt * ((1.0 - x1 * x1) * {damped} - x1)"),
         {"dt": dt}, NoiseModel.gaussian(0.01) if noise is None else noise)
 
 
@@ -461,21 +458,13 @@ def simulate(
     max_norm: float = DEFAULT_DIVERGENCE_NORM,
     domain: Domain | None = None,
 ) -> SampleSet:
-    """Simulate one trajectory and return its consecutive (x_t, x_{t+1}) pairs,
-    a SampleSet over its ``steps + 1`` states.
+    """Simulate one trajectory of ``steps`` transitions and return its
+    consecutive (x_t, x_{t+1}) pairs, a SampleSet over its ``steps + 1`` states.
 
-    Parameters
-    ----------
-    x0 :
-        Initial state.  Pass None together with ``domain`` to draw it
-        uniformly from the domain (using the same seed stream).
-    steps :
-        Number of transition pairs to generate.
-    seed :
-        64-bit seed; identical seeds give bit-identical sample sets.
-    max_norm :
-        Divergence threshold on the state 2-norm; exceeding it (or any
-        non-finite state) raises DivergenceError with the step index.
+    It starts at ``x0``, or with ``x0=None`` at a state drawn uniformly from
+    ``domain`` on the same seed stream.  Identical 64-bit seeds give
+    bit-identical sample sets.  A state whose 2-norm exceeds ``max_norm``, or
+    any non-finite state, raises DivergenceError with the step index.
     """
     blocks = []
     for paths, _, failed in trajectory_chunks(system, x0, steps, [seed], max_norm, domain):
@@ -519,6 +508,9 @@ def koopman_apply_mc(
     """
     if n_mc < 1:
         raise ValueError("n_mc must be positive")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (STATE_DIM,):  # one state: a batch would reach the lift as (1, n_mc, 2)
+        raise ValueError(f"state must have shape (2,), got {x.shape}")
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (dictionary.n_basis,):
         raise ValueError("coeffs must have length n_basis")

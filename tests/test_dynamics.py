@@ -16,9 +16,11 @@ from koopest import (
     closed_quadratic_dictionary,
     closed_quadratic_koopman,
     evaluate,
+    gram,
     koopman_apply_mc,
     make_closed_quadratic,
     make_vanderpol,
+    pf_apply_integral_mc,
     simulate,
     step_pairs,
     trajectory_chunks,
@@ -285,29 +287,32 @@ class TestDriftForms:
             with pytest.raises(ValueError, match="float64 C-contiguous"):
                 kernel(args, paths, noise)
 
-    @pytest.mark.parametrize("shape", [(3,), (5, 3), (1,), (), (2, 2, 2)])
+    @pytest.mark.parametrize("shape", [(3,), (5, 3), (1,), (), (2, 2, 2), (1, 2), (4, 2)])
     def test_wrong_state_shape_is_named(self, shape):
-        # a planar map takes two coordinates; no other shape reaches it
-        system = SYSTEMS["closed-quadratic-baseline"]
-        message = rf"shape \(2,\) or \(m, 2\), got {re.escape(str(shape))}"
-        with pytest.raises(ValueError, match=message):
-            system.transition(np.zeros(shape))
-        with pytest.raises(ValueError, match=message):
+        # a planar map takes two coordinates; no other shape reaches it, and
+        # the oracle takes one state, not a batch
+        system, got = SYSTEMS["closed-quadratic-baseline"], re.escape(str(shape))
+        if len(shape) != 2 or shape[1] != 2:  # (m, 2) is a batch that transition takes
+            with pytest.raises(ValueError, match=rf"shape \(2,\) or \(m, 2\), got {got}"):
+                system.transition(np.zeros(shape))
+        with pytest.raises(ValueError, match=rf"shape \(2,\), got {got}"):
             koopman_apply_mc(system, closed_quadratic_dictionary(), np.ones(4), np.zeros(shape), 10, 0)
 
 
 class TestUpdateGuard:
-    """An update may read only x1, x2, w1, w2 and the declared parameters,
-    through float constants, +, -, * and parentheses; the ValueError quotes it."""
+    """An update is the map T: it may read only x1, x2 and the declared
+    parameters, through float constants, +, -, * and parentheses, and not the
+    noise w1, w2, which the kernels add; the ValueError quotes it."""
 
     @pytest.mark.parametrize(
         "expr, found",
         [("x1 ** 2", "Pow"), ("abs(x1)", "abs(x1)"), ("x1 / a", "Div"), ("x1.real", "x1.real"),
-         ("b * x1", "b"), ("2 * x1", "2"), ("1e999 * x1", "1e309"), ("x1 // a", "FloorDiv")],
+         ("b * x1", "b"), ("2 * x1", "2"), ("1e999 * x1", "1e309"), ("x1 // a", "FloorDiv"),
+         ("x1 + w1", "w1")],
     )
     def test_rejected(self, expr, found):
         with pytest.raises(ValueError, match=re.escape(f"update {expr!r} may use only")) as err:
-            StochasticSystem((expr, "x2 + w2"), {"a": 1.0}, NoiseModel.none())
+            StochasticSystem((expr, "x2"), {"a": 1.0}, NoiseModel.none())
         assert str(err.value).endswith(f"not {found}")
 
     def test_not_an_expression_or_not_a_pair(self):
@@ -322,13 +327,107 @@ class TestUpdateGuard:
         assert StochasticSystem(["x1", "x2"], {}, NoiseModel.none()).update == ("x1", "x2")
 
     def test_admitted_forms_step_alike(self):
-        system = StochasticSystem(("-x1 + a * (w1 - -0.5)", "x2 - (x1 - w2) * 1.5e-3"),
+        system = StochasticSystem(("-x1 + a * (x2 - -0.5)", "x2 - (x1 - a) * 1.5e-3"),
                                   {"a": 2.0}, NoiseModel.none())
         kernels = list(_kernels(system).values())
         paths = [_run(k, system, [(1.0, -0.0), (3.0, 4.0)], np.ones((2, 3, 2))) for k in kernels]
         assert paths[0].tobytes() == paths[1].tobytes()
-        assert paths[0][0, 1].tolist() == [-1.0 + 2.0 * 1.5, -0.0 - 0.0 * 1.5e-3]
-        assert system.transition(np.array([1.0, -0.0])).tolist() == [0.0, -0.0 - 1.0 * 1.5e-3]
+        # the noise is added last, to T of the state
+        assert paths[0][0, 1].tolist() == [
+            (-1.0 + 2.0 * (-0.0 - -0.5)) + 1.0, (-0.0 - (1.0 - 2.0) * 1.5e-3) + 1.0]
+        assert system.transition(np.array([1.0, -0.0])).tolist() == [0.0, 1.5e-3]
+        # T keeps a -0.0 coordinate, and so does a step with silent noise (-0.0)
+        tx = system.transition(np.array([2.0, -0.0]))
+        assert tx.tobytes() == np.array([-1.0, -0.0]).tobytes()
+        assert simulate(system, [2.0, -0.0], 1, seed=0).ys.tobytes() == tx[None].tobytes()
+
+    def test_non_finite_parameter_is_named(self):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"parameter a must be finite, got {value!r}"):
+                StochasticSystem(("a * x1", "x2"), {"a": value}, NoiseModel.none())
+
+    def test_a_map_of_no_state_steps_a_batch(self):
+        # a coordinate that reads no state evaluates to a float, broadcast
+        # over the rows: transition, step_pairs and the transfer integral take it
+        system = StochasticSystem(("0.5 * x2", "0.25"), {}, NoiseModel.gaussian(0.5))
+        xs = np.array([[1.0, 2.0], [3.0, -4.0], [0.0, 0.0]])
+        assert system.transition(xs).tolist() == [[1.0, 0.25], [-2.0, 0.25], [0.0, 0.25]]
+        assert system.transition(xs[1]).tolist() == [-2.0, 0.25]
+        draws = system.noise.draw(make_rng(3), 3)
+        assert step_pairs(system, xs, 3).ys.tobytes() == (system.transition(xs) + draws).tobytes()
+        dct = closed_quadratic_dictionary()
+        coords = pf_apply_integral_mc(system, dct, gram(dct, unit_box(2)), np.ones(4), n_mc=20,
+                                      seed=1, quadrature_order=2)
+        assert coords.shape == (4,) and np.isfinite(coords).all()
+
+
+def _maps(depth):
+    """Update expressions of depth at most ``depth`` over x1, x2, the parameter
+    a and finite float constants, through +, -, * and unary -."""
+    leaf = st.one_of(st.sampled_from(["x1", "x2", "a"]),
+                     st.floats(allow_nan=False, allow_infinity=False).map(repr))
+    if depth == 0:
+        return leaf
+    sub = _maps(depth - 1)
+    return st.one_of(leaf, sub.map(lambda e: f"(-{e})"),
+                     st.tuples(sub, st.sampled_from("+-*"), sub).map(lambda t: f"({' '.join(t)})"))
+
+
+_pair = st.tuples(_maps(4), _maps(4))
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestOneLaw:
+    """Every generated map T steps one law, x <- T(x) + w: the compiled and
+    Python kernels and ``transition(x) + w`` give the same bytes (every NaN
+    read as the one NaN), and ``step_pairs`` is one kernel step."""
+
+    @settings(max_examples=40, deadline=None)  # each example compiles one kernel
+    @given(
+        update=_pair,
+        a=_finite,
+        starts=st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=3),
+        m=st.integers(1, 3),
+        noise=st.lists(st.tuples(_finite, _finite), min_size=9, max_size=9),
+    )
+    def test_kernels_step_transition_plus_noise(self, update, a, starts, m, noise):
+        system = StochasticSystem(update, {"a": a}, NoiseModel.none())
+        draws = np.array(noise)[: len(starts) * m].reshape(len(starts), m, 2)
+        compiled, python = (_run(k, system, starts, draws) for k in _kernels(system).values())
+        assert _bits(compiled) == _bits(python)
+        with np.errstate(all="ignore"):
+            stepped = system.transition(compiled[:, :-1].reshape(-1, 2)) + draws.reshape(-1, 2)
+        assert _bits(compiled[:, 1:].reshape(-1, 2)) == _bits(stepped)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        update=_pair,
+        a=st.floats(-10.0, 10.0),
+        xs=st.lists(st.tuples(_unit_coordinate, _unit_coordinate), min_size=1, max_size=6),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_step_pairs_is_one_kernel_step(self, update, a, xs, seed):
+        system = StochasticSystem(update, {"a": a}, NoiseModel.gaussian(0.5))
+        draws = system.noise.draw(make_rng(seed), len(xs))[:, None]
+        python = dynamics._python(system.update, ("a",))[0]
+        step = _run(python, system, xs, draws)[:, 1]
+        with np.errstate(all="ignore"):
+            if np.isfinite(step).all():
+                assert step_pairs(system, xs, seed).ys.tobytes() == step.tobytes()
+            else:  # a sample set holds finite states only
+                with pytest.raises(ValueError, match="finite"):
+                    step_pairs(system, xs, seed)
+
+    @settings(max_examples=50, deadline=None)
+    @given(update=_pair, w=st.sampled_from(["w1", "w2"]), op=st.sampled_from("+-*"),
+           k=st.integers(0, 1))
+    def test_a_map_that_reads_the_noise_is_rejected(self, update, w, op, k):
+        update = list(update)
+        update[k] = f"({update[k]}) {op} {w}"
+        message = re.escape(f"update {update[k]!r} may use only x1, x2, a, finite float")
+        with pytest.raises(ValueError, match=message) as err:
+            StochasticSystem(update, {"a": 1.0}, NoiseModel.none())
+        assert str(err.value).endswith(f"not {w}")
 
 
 class TestSimulate:

@@ -6,14 +6,15 @@ is consumed only by ``simulate`` (which materializes samples) and
 ``fit_realizations`` (which streams them into moments).  A second consumer
 would be a second copy of the fit, free to drift from it.  It holds no
 stepping loop of its own: it calls the system's kernel once per block.
-Each system's map is written once, as the one pair of update expressions
-its constructor passes (no nested step function), and ``experiments`` has
-no rule that fits a block's seeds one at a time (``lockstep_min_seeds``).
-The Python kernel generated from the pair keeps the two state coordinates
-as names and collects them in lists: it writes no numpy row and builds no
-tuple per step.  The only function named
-``transition`` is the method that runs that loop for one step over arrays,
-and no code branches on ``ndim == 1`` into a second, scalar copy of a map.
+Each system's map T is written once, as the one pair of update expressions
+its constructor passes (no nested step function, and no noise term: the
+kernels add the noise last), and ``experiments`` has no rule that fits a
+block's seeds one at a time (``lockstep_min_seeds``).  The Python kernel
+generated from the pair keeps the two state coordinates as names and
+collects them in lists: it writes no numpy row and builds no tuple per
+step.  The only function named ``transition`` is the method that evaluates
+that pair, T, over arrays, and no code branches on ``ndim == 1`` into a
+second, scalar copy of a map.
 And a dictionary is one batch map: only ``basis.evaluate_many`` calls its
 ``lift`` (no code reads per-observable ``functions``), and the streamed fit
 lifts each block's states in one call, so every state is lifted once.

@@ -5,10 +5,11 @@ for the closed quadratic map and both Van der Pol variants at
 T = 65,573, which crosses the 65,536-row noise block; of ``step_pairs``
 successors from 1,000 uniform states; and of noiseless ``koopman_apply_mc``
 values at 20 states.  The hashes were recorded before the systems'
-transitions were rewritten as coordinate functions and then as one step
-loop per system (``transition`` being one step of it with -0.0 noise), so
-any change to the order or kind of floating-point operations that step a
-state is caught.
+transitions were rewritten as coordinate functions, then as one step loop
+per system, and then as one update pair per system that is the noise-free
+map T (the kernels step ``T(x) + w``, the noise added last, and
+``transition`` is T), so any change to the order or kind of floating-point
+operations that step a state is caught.
 
 Taken with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1; the stepping is
 scalar IEEE arithmetic and does not depend on the BLAS build.  Both of a
