@@ -8,9 +8,10 @@ turns it into a high-probability bound via Markov's inequality.  The two
 expectation terms have no closed form for general systems, so they are
 estimated by an auxiliary Monte Carlo over independent realizations and
 reported with standard errors.  This module holds only the mathematics:
-:func:`bound_terms` reduces the stack of the realizations' moment
-matrices, which the harness fits (:func:`koopest.experiments.run_bound_calibration`,
-which also checks that the violation rate stays below ``epsilon``).
+:func:`bound_terms` reduces the S0 stack it is given and classifies none.
+The harness passes the S0 of the fits its score keeps, those the estimator
+calls usable (:func:`koopest.experiments.run_bound_calibration`, which
+also checks that the violation rate stays below ``epsilon``).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ class BoundTerms:
     se_frob: float
     n_basis: int
     n_realizations: int
-    n_excluded: int = 0
 
 
 @dataclass(frozen=True)
@@ -78,33 +78,23 @@ class BoundReport:
 def bound_terms(sigma0s) -> BoundTerms:
     """Estimate ``E[tr S0]`` and ``E[|S0^-1|_F^2]`` from independent realizations.
 
-    ``sigma0s`` is the ``(R, N, N)`` stack of the moment matrices S0.  One
-    ``eigvalsh`` of the symmetrized stack excludes and counts the singular
-    ones (relative condition above 1e14; all-singular is an error), and one
-    stacked solve against the identity gives each remaining S0's inverse.
+    ``sigma0s`` is an ``(R, N, N)`` stack of usable moment matrices S0,
+    R >= 2: their traces, and one stacked solve against the identity.
     """
     s0 = np.asarray(sigma0s, dtype=float)
     if len(s0) < 2:
         raise ValueError("need at least two realizations for standard errors")
     n = s0.shape[-1]
-    w = np.linalg.eigvalsh(0.5 * (s0 + np.swapaxes(s0, -1, -2)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        keep = (w[:, 0] > 0) & ~(w[:, -1] / w[:, 0] > 1e14)
-    if not keep.any():
-        raise RuntimeError("all realizations had singular moment matrices")
-    s0 = s0[keep]
     inv = np.linalg.solve(s0, np.eye(n))
     traces = np.trace(s0, axis1=1, axis2=2)
     frobs = np.sum((inv * inv).reshape(len(s0), -1), axis=1)
-    n_ok = traces.size
     return BoundTerms(
         mean_trace_sigma0=float(traces.mean()),
         mean_frob_sq_inv_sigma0=float(frobs.mean()),
-        se_trace=float(traces.std(ddof=1) / np.sqrt(n_ok)) if n_ok > 1 else float("nan"),
-        se_frob=float(frobs.std(ddof=1) / np.sqrt(n_ok)) if n_ok > 1 else float("nan"),
+        se_trace=float(traces.std(ddof=1) / np.sqrt(len(s0))),
+        se_frob=float(frobs.std(ddof=1) / np.sqrt(len(s0))),
         n_basis=n,
-        n_realizations=n_ok,
-        n_excluded=len(keep) - n_ok,
+        n_realizations=len(s0),
     )
 
 

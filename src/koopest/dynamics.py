@@ -223,7 +223,7 @@ class StochasticSystem:
     """State-transition law ``x+ = T(x) + noise`` on the plane.
 
     A system is its map and its planar noise.  ``update`` is the map T,
-    written once as two expressions for ``T1`` and ``T2`` over ``x1, x2``
+    written once as a pair of strings, ``T1`` and ``T2`` over ``x1, x2``
     and the names of ``params`` (finite floats), checked by ``_python``.
     From it come the kernels ``kernel(params, paths, noise)``, compiled C or
     Python, which step ``x <- T(x) + w`` with the noise added last and write
@@ -236,8 +236,10 @@ class StochasticSystem:
     noise: NoiseModel
 
     def __post_init__(self):
-        if len(self.update) != STATE_DIM:
-            raise ValueError(f"update needs one expression per coordinate, got {self.update!r}")
+        if not (isinstance(self.update, (tuple, list)) and len(self.update) == STATE_DIM
+                and all(isinstance(expr, str) for expr in self.update)):
+            raise ValueError(f"update must be a pair of strings, one expression per coordinate, "
+                             f"got {self.update!r}")
         if any(not name.isidentifier() or keyword.iskeyword(name) or name[0] == "_"
                or name in STEP_NAMES for name in self.params):
             raise ValueError(f"parameter names {list(self.params)} must be identifiers other "

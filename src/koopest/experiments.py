@@ -579,8 +579,9 @@ def run_bound_calibration(config: ExperimentConfig, workers: int = 1) -> list[Bo
 
     Fits one set per T, the whole grid in one parallel map: the first
     ``max(n_realizations, n_term_realizations)`` seeds of ``SCORE_STREAM``.
-    For each T, the moment matrices S0 of the first ``n_term_realizations``
-    fits give the bound's expectation terms, and the residual-variance
+    For each T, the moment matrices S0 of the usable ("ok") fits among the
+    first ``n_term_realizations`` give the bound's expectation terms (the
+    singular ones are counted as ``n_excluded``), and the residual-variance
     surrogate delta_hat is the largest per-observable mean squared residual
     of the first fit, its trajectory simulated again; the first
     ``n_realizations`` estimates are scored against the bound for every
@@ -601,12 +602,18 @@ def run_bound_calibration(config: ExperimentConfig, workers: int = 1) -> list[Bo
 
     reports, inputs = [], []
     for T, group_seeds, group in zip(config.T_grid, seeds, fits):
-        # the term fits begin with the first fit, whose estimate delta_hat uses
+        # the term fits begin with the first fit, whose estimate delta_hat uses;
+        # the terms and the score read the same usable ("ok") fits
         head = Fits(*(f[:n_terms] for f in group))
-        terms = bound_terms(_required(head, "bound-term fit", T).sigma0)
+        ok = group.status == "ok"
+        usable = _required(head, "bound-term fit", T).sigma0[ok[:n_terms]]
+        if len(usable) < 2:
+            raise RuntimeError(f"the bound terms at T={T} need two usable fits; "
+                               f"{len(usable)} of the {n_terms} bound-term fits are usable")
+        terms = bound_terms(usable)
         samples = simulate(system, None, T, group_seeds[0], config.divergence_threshold, domain)
         delta_hat = float(residuals(dictionary, samples, group.matrix[0]).max())
-        errors = _frobenius_errors(group.matrix[:n][group.status[:n] == "ok"], ref)
+        errors = _frobenius_errors(group.matrix[:n][ok[:n]], ref)
         if errors.size == 0:
             raise RuntimeError(f"no realization produced an estimate at T={T}")
         for eps in config.epsilon_list:
@@ -614,10 +621,8 @@ def run_bound_calibration(config: ExperimentConfig, workers: int = 1) -> list[Bo
             n_viol = int(np.sum(errors > bound + VIOLATION_ATOL))
             reports.append(BoundReport(eps, T, delta_hat, terms, bound, bound * cond_lambda,
                                        cond_lambda, errors.size, n_viol, n - errors.size))
-        ses = {key: None if math.isnan(se) else se
-               for key, se in (("se_trace", terms.se_trace), ("se_frob", terms.se_frob))}
-        inputs.append({"T": T, "delta_hat_seed": group_seeds[0],
-                       "n_excluded": terms.n_excluded, **ses})
+        inputs.append({"T": T, "delta_hat_seed": group_seeds[0], "se_trace": terms.se_trace,
+                       "se_frob": terms.se_frob, "n_excluded": n_terms - len(usable)})
 
     out = config.output_dir
     _write_rows(
@@ -639,8 +644,8 @@ def run_bound_calibration(config: ExperimentConfig, workers: int = 1) -> list[Bo
             "cond_lambda": cond_lambda,
             "delta_hat_source": "max per-observable mean squared residual of the first "
                                 "scored realization at each T, its trajectory simulated again",
-            "terms_source": "moment matrices S0 of the first n_term_realizations "
-                            "scored-stream realizations at each T",
+            "terms_source": "moment matrices S0 of the usable fits among the first "
+                            "n_term_realizations scored-stream realizations at each T",
             "bound_inputs": inputs,
             "stepping": system.stepping,
         },

@@ -175,7 +175,8 @@ def save_operator(est, path: str) -> None:
             "dict_names": list(est.dict_names),
             "sample_count": int(est.sample_count),
             "seed": None if est.seed is None else int(est.seed),
-            "condition_sigma0": float(est.condition_sigma0),
+            "condition_sigma0": (float(est.condition_sigma0)  # a singular S0's inf is null
+                                 if np.isfinite(est.condition_sigma0) else None),
             "fallback": bool(est.fallback),
         }
     elif isinstance(est, PFEstimate):  # the fit's provenance stays with K

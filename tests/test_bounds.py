@@ -15,6 +15,8 @@ from koopest import (
     run_bound_calibration,
     simulate,
 )
+from koopest import estimator
+from koopest.cli import main
 from koopest.experiments import build_dictionary, fit_realizations
 
 
@@ -22,6 +24,17 @@ def term_sigma0s(config, T, n_realizations, seed):
     """S0 of each bound-term realization, fitted as the calibration fits them."""
     seeds = [mix_seed(seed, r) for r in range(n_realizations)]
     return list(fit_realizations(config, T, seeds).sigma0)
+
+
+def _per_matrix_terms(sigma0s):
+    """The bound terms of S0 matrices, one trace and one solve per matrix."""
+    n, r = sigma0s[0].shape[0], len(sigma0s)
+    traces = np.array([float(np.trace(s0)) for s0 in sigma0s])
+    invs = [np.linalg.solve(s0, np.eye(n)) for s0 in sigma0s]
+    frobs = np.array([float(np.sum(inv * inv)) for inv in invs])
+    return BoundTerms(float(traces.mean()), float(frobs.mean()),
+                      float(traces.std(ddof=1) / np.sqrt(r)),
+                      float(frobs.std(ddof=1) / np.sqrt(r)), n, r)
 
 
 class TestBoundTerms:
@@ -80,27 +93,33 @@ class TestBoundTerms:
     def test_stack_equals_the_per_matrix_loop(self, smoke_config, dictionary):
         cfg = smoke_config(dictionary=dictionary, closure_n_states=15)
         sigma0s = term_sigma0s(cfg, T=300, n_realizations=12, seed=11)
-        n = sigma0s[0].shape[0]
-        sigma0s.insert(5, np.diag([1.0] * (n - 1) + [1e-15]))  # condition 1e15: excluded
-        terms = bound_terms(np.array(sigma0s))
-        traces, frobs = [], []
-        for s0 in sigma0s:  # one eigendecomposition and one solve per matrix
-            w = np.linalg.eigvalsh(0.5 * (s0 + s0.T))
-            if w[0] <= 0 or w[-1] / w[0] > 1e14:
-                continue
-            inv = np.linalg.solve(s0, np.eye(n))
-            traces.append(float(np.trace(s0)))
-            frobs.append(float(np.sum(inv * inv)))
-        traces, frobs = np.array(traces), np.array(frobs)
-        assert (terms.n_realizations, terms.n_excluded, terms.n_basis) == (12, 1, n)
-        assert terms.mean_trace_sigma0 == float(traces.mean())
-        assert terms.mean_frob_sq_inv_sigma0 == float(frobs.mean())
-        assert terms.se_trace == float(traces.std(ddof=1) / np.sqrt(12))
-        assert terms.se_frob == float(frobs.std(ddof=1) / np.sqrt(12))
+        assert _per_matrix_terms(sigma0s) == bound_terms(np.array(sigma0s))
 
-    def test_all_singular_is_an_error(self):
-        with pytest.raises(RuntimeError, match="singular"):
-            bound_terms(np.ones((3, 4, 4)))
+    @settings(max_examples=40, deadline=None)
+    @given(r=st.integers(0, 12), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_spd_stack_equals_the_per_matrix_loop(self, r, n, seed):
+        # bound_terms classifies nothing: any stack of two or more SPD
+        # matrices is reduced as it is, and a shorter one is refused
+        a = np.random.default_rng(seed).standard_normal((r, n, n))
+        sigma0s = a @ np.swapaxes(a, 1, 2) + 1e-3 * np.eye(n)
+        if r < 2:
+            with pytest.raises(ValueError, match="two realizations"):
+                bound_terms(sigma0s)
+        else:
+            assert bound_terms(sigma0s) == _per_matrix_terms(list(sigma0s))
+
+    def test_all_singular_is_an_error(self, smoke_config, monkeypatch, tmp_path, capsys):
+        # the estimator alone classifies an S0: when it calls every fit
+        # singular, the run and the CLI refuse the terms, naming T
+        monkeypatch.setattr(estimator, "CONDITION_FALLBACK", 1.0)
+        message = "the bound terms at T=200 need two usable fits; 0 of the 8 bound-term fits"
+        with pytest.warns(UserWarning, match="bound-term fit at T=200 is singular"):
+            with pytest.raises(RuntimeError, match=message):
+                run_bound_calibration(smoke_config())
+            argv = ["bounds", "configs/smoke.yaml", "--output-dir", str(tmp_path / "cli")]
+            assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "cli" / "bounds.csv").exists()
 
     def test_needs_two_realizations(self):
         with pytest.raises(ValueError, match="two realizations"):

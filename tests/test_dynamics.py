@@ -323,6 +323,11 @@ class TestUpdateGuard:
         for name in ("x1", "_a", "lambda", "a b"):  # the kernels' own names, or none
             with pytest.raises(ValueError, match="parameter names"):
                 StochasticSystem(("x1", "x2"), {name: 1.0}, NoiseModel.none())
+        # a lone string (not a pair of characters), a pair holding a number
+        # and a number are refused by the rule, not by the parser
+        for update in ("x1", ("x1", 2.0), 5):
+            with pytest.raises(ValueError, match="update must be a pair of strings"):
+                StochasticSystem(update, {}, NoiseModel.none())
         # a list is held as the pair, the kernels' cache key
         assert StochasticSystem(["x1", "x2"], {}, NoiseModel.none()).update == ("x1", "x2")
 

@@ -957,12 +957,33 @@ class TestRunBoundCalibration:
             assert report.n_realizations == n
             assert report.n_violations == sum(e > report.koopman_bound + 1e-9 for e in errors)
 
+    def test_terms_reduce_the_fits_the_score_keeps(self, smoke_config, monkeypatch):
+        # seed 2's noiseless S0 has condition 2.3e12: the estimator calls it
+        # singular, so the score counts it as failed and the terms leave it out
+        cfg = smoke_config(system=_NOISELESS, T_grid=[1000], n_realizations=6,
+                           n_term_realizations=6)
+        seeds = [2, 0, 1, 3, 4, 5]
+        monkeypatch.setattr(experiments, "_stream_seeds",
+                            lambda config, T, stream, count: seeds[:count])
+        with pytest.warns(UserWarning, match="bound-term fit at T=1000 is singular"):
+            (report,) = run_bound_calibration(cfg)
+        fits = fit_realizations(cfg, 1000, seeds)
+        assert fits.status.tolist() == ["singular"] + ["ok"] * 5
+        assert report.terms == bound_terms(fits.sigma0[fits.status == "ok"])
+        # with seed 2's S0 in the stack it read 8.9e23
+        assert report.terms.mean_frob_sq_inv_sigma0 == pytest.approx(7.0e17, rel=0.01)
+        assert (report.n_realizations, report.n_failed) == (5, 1)
+        with open(os.path.join(cfg.output_dir, "bounds.meta.json")) as fh:
+            (entry,) = json.load(fh)["bound_inputs"]
+        assert entry["n_excluded"] == 1
+
     def test_sidecar_names_each_bound_input(self, smoke_config):
         cfg = smoke_config()
         reports = {r.sample_count: r for r in run_bound_calibration(cfg)}
         with open(os.path.join(cfg.output_dir, "bounds.meta.json")) as fh:
             meta = json.load(fh)
         assert "first scored realization" in meta["delta_hat_source"]
+        assert "usable fits" in meta["terms_source"]
         assert [entry["T"] for entry in meta["bound_inputs"]] == list(cfg.T_grid)
         for entry in meta["bound_inputs"]:
             T, terms = entry["T"], reports[entry["T"]].terms
@@ -971,7 +992,7 @@ class TestRunBoundCalibration:
                 "delta_hat_seed": experiments._stream_seeds(cfg, T, SCORE_STREAM, 1)[0],
                 "se_trace": terms.se_trace,
                 "se_frob": terms.se_frob,
-                "n_excluded": terms.n_excluded,
+                "n_excluded": 0,  # no smoke fit is singular
             }
 
     def test_markov_calibration_small(self, smoke_config):

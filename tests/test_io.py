@@ -280,6 +280,25 @@ class TestOperatorRoundTrip:
         assert meta["seed"] == ss.seed
         assert meta["fallback"] is False
 
+    def test_singular_estimate_sidecar_is_standard_json(self, tmp_path):
+        # 50 all-zero pairs: S0 is singular, its condition inf, which the
+        # sidecar used to write as the non-JSON token Infinity
+        dct = closed_quadratic_dictionary()
+        zeros = SampleSet(np.zeros((50, 2)), np.zeros((50, 2)), 0)
+        with pytest.warns(UserWarning, match="numerically singular"):
+            est = estimate_koopman(accumulate(MomentPair.empty(dct), dct, zeros))
+        assert est.condition_sigma0 == np.inf and est.fallback
+        path = str(tmp_path / "k.csv")
+        save_operator(est, path)
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        with open(tmp_path / "k.meta.json") as fh:
+            meta = json.loads(fh.read(), parse_constant=refuse)
+        assert meta["condition_sigma0"] is None and meta["fallback"] is True
+        assert load_operator(path)[1] == meta
+
     def test_transfer_metadata(self, baseline_params, tmp_path):
         dct = closed_quadratic_dictionary()
         lam = gram(dct, unit_box(2))

@@ -82,6 +82,14 @@ The bounds read one fit set per T: ``experiments`` assigns no
 ``MomentPair`` and ``estimate_koopman`` (delta_hat takes the first fit's
 estimate from the map), and ``fit_realizations`` takes no ``estimate``
 switch that stops a fit at S0.
+A fit gets one verdict: the estimator alone decides whether an S0 is
+usable.  ``CONDITION_FALLBACK`` is the one condition threshold, assigned
+in ``estimator`` and read only by ``estimate_stack``, and no other float
+constant of a condition's scale (strictly between the 1e6 divergence
+default and ``io``'s 1e16 exponent-form bound) appears in the package.
+``bounds`` calls no ``eigvalsh`` and holds no float constant above 1: it
+reduces the S0 it is given, which the harness takes from the fits the
+score keeps.
 """
 
 import ast
@@ -535,3 +543,19 @@ def test_bounds_read_one_fit_set_per_t():
               if isinstance(node, ast.FunctionDef) and node.name == "fit_realizations"]
     args = fit.args
     assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["config", "T", "seeds"]
+
+
+def test_a_fit_gets_one_verdict():
+    def condition_fallback(ctx):
+        return lambda node: (isinstance(node, ast.Name) and node.id == "CONDITION_FALLBACK"
+                             and isinstance(node.ctx, ctx))
+
+    assert _sites(condition_fallback(ast.Store)) == ["estimator"]
+    assert set(_sites(condition_fallback(ast.Load))) == {"estimator.estimate_stack"}
+    assert _sites(lambda node: isinstance(node, ast.Constant) and type(node.value) is float
+                  and 1e6 < node.value < 1e16) == ["estimator"]
+    bounds = list(ast.walk(_parse("bounds")))
+    calls = {name for n in bounds if isinstance(n, ast.Call) for name in _names(n.func)}
+    assert "solve" in calls and "eigvalsh" not in calls
+    assert not [n.value for n in bounds if isinstance(n, ast.Constant)
+                and type(n.value) is float and n.value > 1.0]
