@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--base-seed", type=int, default=None, help="override base_seed")
         p.add_argument("--output-dir", default=None, help="override output_dir")
         if mapped:
-            p.add_argument("--workers", type=_positive_int, default=1, help="worker processes, "
+            p.add_argument("--workers", type=_positive_int, default=1, help="worker threads, "
                            "at most one per task (never changes the results)")
         return p
 

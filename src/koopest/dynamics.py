@@ -53,9 +53,6 @@ class DivergenceError(RuntimeError):
             f"exceeds threshold {threshold:.3e} (or is non-finite)"
         )
 
-    def __reduce__(self):  # rebuilt from its fields when it crosses a process pool
-        return DivergenceError, (self.step, self.norm, self.threshold)
-
 
 @dataclass(frozen=True)
 class NoiseModel:

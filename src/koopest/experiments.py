@@ -386,18 +386,16 @@ class ErrorCurve:
 
 
 def _ordered_map(fn, tasks, workers: int):
-    """``[fn(*task) for task in tasks]``, spread over ``workers`` processes,
-    one task at a time, so that every worker gets one of ``_seed_blocks``' tasks.
-
-    The pool is imported at its first use, and scipy's LAPACK before the pool
-    forks, so that every worker inherits it rather than importing it again.
+    """``[fn(*task) for task in tasks]``, spread over ``workers`` threads of
+    this process, one task at a time, so that every worker gets one of
+    ``_seed_blocks``' tasks.  The stepping kernel, the matmuls and the LAPACK
+    solves release the GIL, so the threads run a fit's heavy parts at once.
+    The pool is imported at its first use; it starts no idle threads.
     """
     if workers <= 1 or len(tasks) <= 1:
         return [fn(*t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-    import scipy.linalg  # noqa: F401  (for the workers to inherit)
-    # the pool forks all its workers at the first submit: start no idle ones
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(fn, *zip(*tasks)))
 
 
@@ -459,10 +457,12 @@ def fit_realizations(config: ExperimentConfig, T: int, seeds) -> Fits:
 def _seed_blocks(seeds, T: int, workers: int) -> list:
     """One T's seeds split into pool tasks of equal size.
 
-    A task holds at most ``BLOCK`` state rows at once, so its memory stays at
-    one fit's block, and there are at least ``workers`` tasks.
+    The ``workers`` tasks that run at once share one process, so together
+    they hold at most ``BLOCK`` state rows, or one seed each where a seed
+    holds more than its share: the map's memory stays at one fit's block.
+    There are at least ``workers`` tasks.
     """
-    tasks = max(workers, -(-len(seeds) // (BLOCK // min(T, BLOCK))))
+    tasks = max(workers, -(-len(seeds) // max(1, BLOCK // workers // min(T, BLOCK))))
     size = -(-len(seeds) // tasks)
     return [seeds[i : i + size] for i in range(0, len(seeds), size)]
 
@@ -470,8 +470,8 @@ def _seed_blocks(seeds, T: int, workers: int) -> list:
 def _fit_groups(config: ExperimentConfig, groups, workers: int) -> list[Fits]:
     """Fit ``(T, seeds)`` groups in seed blocks over one parallel map; returns
     each group's fits in seed order, its blocks joined field by field.  The
-    system's kernel is loaded first, so the pool's workers inherit it."""
-    build_system(config).stepping  # compiles the kernel before the pool forks, once
+    system's kernel is loaded first, so the run compiles it once."""
+    build_system(config).stepping  # functools.cache lets two threads compile at once
     tasks, counts = [], []
     for T, seeds in groups:
         blocks = _seed_blocks(seeds, T, workers)

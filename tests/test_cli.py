@@ -265,18 +265,18 @@ class TestErrorsEndInOneLine:
         assert f'in "{path}", line 1, column 9' in err
 
 
-# prints which of scipy, the process pool, orjson and subprocess (which the
+# prints which of scipy, the thread pool, orjson and subprocess (which the
 # kernel's compile imports) the interpreter has loaded
 _HEAVY = """
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
-             or m in ("orjson", "concurrent.futures.process", "subprocess")))
+             or m in ("orjson", "concurrent.futures.thread", "subprocess")))
 """
 _GCC = shutil.which("gcc") is not None
 
 
 class TestColdStart:
     """Set-up, and a command that neither solves nor maps, start on numpy
-    alone: scipy's LAPACK and the process pool load when first used, orjson
+    alone: scipy's LAPACK and the thread pool load when first used, orjson
     at the first float-table write (``simulate`` writes samples), and the
     kernel is compiled at the first stepping call (``simulate`` steps): set-up
     and a failed load start no compiler."""
@@ -304,7 +304,7 @@ class TestColdStart:
         assert out.splitlines()[-1] == loaded
 
     def test_fresh_bounds_bytes_equal_across_workers(self, fresh_python, tmp_path):
-        # the first map of a fresh run forks its pool before any solve
+        # the first map of a fresh run starts its pool before any solve
         written = []
         for workers in ("1", "2"):
             out = tmp_path / f"workers{workers}"
@@ -315,8 +315,8 @@ class TestColdStart:
 
     @pytest.mark.skipif(not _GCC, reason="needs a C compiler")
     def test_fresh_sweep_compiles_once_in_the_parent(self, fresh_python, tmp_path):
-        # the pool's workers inherit the kernel loaded before the fork; each
-        # compile appends the pid that started it to a log
+        # the kernel is loaded before the map, so its threads never compile it
+        # at once; each compile appends the pid that started it to a log
         script = (
             "import os, subprocess, sys\n"
             "from koopest.cli import main\n"
@@ -328,7 +328,7 @@ class TestColdStart:
             "subprocess.run = logged\n"
             "assert main(['sweep', 'configs/smoke.yaml', '--workers', sys.argv[3],\n"
             "             '--output-dir', sys.argv[1]]) == 0\n"
-            "print(os.getpid(), 'concurrent.futures.process' in sys.modules)\n"
+            "print(os.getpid(), 'concurrent.futures.thread' in sys.modules)\n"
         )
         written = []
         for workers in ("1", "2"):

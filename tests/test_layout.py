@@ -62,6 +62,10 @@ through ``experiments._fit_groups``, the one parallel map.  Their failure
 is raised at one site, ``experiments._required``, and every run scores a
 stack against its reference through the one per-matrix Frobenius error,
 ``experiments._frobenius_errors``.
+The parallel map runs on threads of one process: ``ThreadPoolExecutor``
+appears only in ``experiments._ordered_map``, no module names a process pool,
+``multiprocessing`` or a fork, and nothing defines ``__reduce__`` for a
+result to cross a process boundary.
 A config is its YAML: ``ExperimentConfig`` holds the sections as loaded, and
 ``system.params`` is coerced once, at load (``_system_params`` is called only
 by ``ExperimentConfig.__post_init__``), so no builder re-reads raw params and
@@ -178,6 +182,20 @@ def test_only_fit_groups_reaches_fit_realizations():
     # called or handed to the map: every seeded fit of a run goes through it
     assert set(_sites(lambda node: isinstance(node, (ast.Name, ast.Attribute))
                       and "fit_realizations" in _names(node))) == {"experiments._fit_groups"}
+
+
+def test_one_parallel_map_on_threads():
+    # a name, an attribute or an imported alias
+    pools = _sites(lambda node: "ThreadPoolExecutor" in (*_names(node), getattr(node, "name", None)))
+    assert set(pools) == {"experiments._ordered_map"}
+    processes = [
+        f"{path.name}: {hit}"
+        for path in sorted(SRC.glob("*.py"))
+        for hit in re.findall(r"ProcessPoolExecutor|multiprocessing|\bfork\w*", path.read_text(),
+                              re.IGNORECASE)
+    ]
+    assert processes == []
+    assert _sites(lambda node: isinstance(node, ast.FunctionDef) and node.name == "__reduce__") == []
 
 
 def test_a_required_fit_fails_at_one_raise_site():
