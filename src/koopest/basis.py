@@ -1,22 +1,19 @@
 """Monomial dictionaries and inner products on a compact box domain.
 
 A dictionary is an ordered set of N monomials ``x^e_j`` on an n-dimensional
-state, n >= 2, defined by its ``(N, n)`` exponent table: graded-lexicographic
+state, n >= 1, defined by its ``(N, n)`` exponent table: graded-lexicographic
 multi-indices (constant first) for the full basis, or any explicit list.
-It lifts ``(m, n)`` states to ``(m, N)`` values through a power table, and
+It lifts ``(m, n)`` states to ``(m, N)`` values by exact IEEE products, and
 its Gram matrix is exact and analytic.
 
-The lift is bit-equal to ``np.prod(xs ** e, axis=-1)`` for each exponent
-row ``e``, at a fraction of its cost.  Per coordinate, the power table
-holds ``x^0 = 1`` and ``x^1 = x`` (exact identities of ``pow``) and one
-``pow`` per state for each distinct exponent >= 2 over the whole batch,
-where the reference form calls ``pow`` once per state, observable and
-coordinate.  Each observable's column is then gathered from the table and
-multiplied in coordinate order.  The exponent operand of ``pow`` is a
-contiguous array: given a stride-0 exponent 2, numpy squares by ``x*x``,
-which differs from ``pow`` in the last bit of a few percent of values.
-With one coordinate the reference form itself takes that ``x*x`` path,
-which is why a dictionary needs at least two.
+The lift is defined by repeated multiplication: per coordinate ``x^0 = 1``,
+``x^1 = x`` and ``x^e = x^(e-1) * x``, and each observable is the product of
+its factors in coordinate order.  Every step is one correctly rounded
+multiply, so the values' bytes do not depend on the CPU or on numpy's SIMD
+dispatch, as a ``pow`` call's do.  A value stays within a few ULP of
+``np.prod(xs ** e, axis=-1)``.  The power table holds one row per distinct
+(coordinate, exponent) that the dictionary uses, and one scratch row for the
+powers on the way that it does not.
 
 Inner products use the uniform probability measure on a user-configured
 hyper-rectangle (default ``[-1, 1]^n``), which keeps the Gram matrix
@@ -111,7 +108,7 @@ def monomial_name(exponents: Sequence[int]) -> str:
 
 @dataclass(frozen=True, eq=False)  # compared by identity: its fields are arrays
 class Dictionary:
-    """Ordered set of N monomials on an n-dimensional state, n >= 2.
+    """Ordered set of N monomials on an n-dimensional state, n >= 1.
 
     Built from its ``(N, n)`` exponent table, row j the multi-index of the
     observable named ``names[j]``; the names, ``state_dim`` and the power
@@ -132,8 +129,8 @@ class Dictionary:
                              f"got {exps.dtype} of shape {exps.shape}")
         exps = exps.astype(int)
         n = exps.shape[1]
-        if n < 2:
-            raise ValueError(f"exponents need at least 2 columns (state coordinates), got {n}")
+        if n < 1:
+            raise ValueError(f"exponents need at least 1 column (state coordinates), got {n}")
         if (exps < 0).any():
             raise ValueError("exponents must be nonnegative")
         names = tuple(monomial_name(e) for e in exps)
@@ -142,43 +139,45 @@ class Dictionary:
         if len(set(names)) != len(names):
             raise ValueError("observable names must be distinct")
         # The power table's rows: 1, then x_1..x_n, then x_k^e for each
-        # distinct (k, e >= 2).  rows[k, j] is the row holding coordinate k's
-        # factor of observable j.
+        # distinct (k, e >= 2), then one scratch row for the powers on the way
+        # that no observable uses.  Each chain step (dst, src, base) sets row
+        # dst to row src times x_k, so x_k^e = x_k^(e-1) * x_k.  rows[k, j] is
+        # the row holding coordinate k's factor of observable j.
         high = sorted({(k, int(e)) for row in exps for k, e in enumerate(row) if e >= 2})
-        bases = np.array([1 + k for k, _ in high], dtype=np.intp)
-        degrees = np.array([e for _, e in high], dtype=float)
         row_of = {(k, 0): 0 for k in range(n)} | {(k, 1): 1 + k for k in range(n)}
         row_of |= {(k, e): 1 + n + i for i, (k, e) in enumerate(high)}
+        scratch, steps = 1 + n + len(high), []
+        for k in range(n):
+            chain = [1 + k] + [row_of.get((k, e), scratch) for e in range(2, exps[:, k].max() + 1)]
+            steps += [(dst, src, 1 + k) for src, dst in zip(chain, chain[1:])]
+        n_rows = scratch + any(dst == scratch for dst, _, _ in steps)
         rows = np.array([[row_of[k, e] for e in exps[:, k]] for k in range(n)], dtype=np.intp)
         object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "state_dim", n)
-        object.__setattr__(self, "_plan", (bases, degrees, rows))
+        object.__setattr__(self, "_plan", (n_rows, tuple(steps), rows))
 
     @property
     def n_basis(self) -> int:
         return len(self.names)
 
     def lift(self, xs: np.ndarray) -> np.ndarray:
-        """The ``(m, N)`` values at ``(m, n)`` states, bit-equal to
-        ``np.prod(xs ** e, axis=-1)`` per observable."""
-        # x^0 = 1 and x^1 = x are exact, every higher power is one pow per
-        # state with a contiguous exponent operand (a stride-0 exponent 2
-        # would make numpy square by x*x, which differs from pow in the last
-        # bit), and the factors are multiplied in coordinate order.
+        """The ``(m, N)`` values at ``(m, n)`` states: per observable the
+        product, in coordinate order, of each coordinate's power, itself
+        the repeated product ``x^e = x^(e-1) * x``."""
         # LIFT_ROWS states at a time, so the table and products stay small
         # next to the output.
-        bases, degrees, rows = self._plan
-        n, n_high = self.state_dim, len(degrees)
+        n_rows, steps, rows = self._plan
+        n = self.state_dim
         out = np.empty((len(xs), self.n_basis))
         for start in range(0, len(xs), LIFT_ROWS):
             chunk = xs[start : start + LIFT_ROWS]
             m = len(chunk)
-            table = np.empty((1 + n + n_high, m))
+            table = np.empty((n_rows, m))
             table[0] = 1.0
             table[1 : 1 + n] = chunk.T
-            exponent = np.repeat(degrees, m).reshape(n_high, m)
-            np.power(table[bases], exponent, out=table[1 + n :])
+            for dst, src, base in steps:
+                np.multiply(table[src], table[base], out=table[dst])
             product = table[rows[0]]
             for r in rows[1:]:
                 product *= table[r]

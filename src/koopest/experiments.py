@@ -171,7 +171,7 @@ class ExperimentConfig:
                            ("closure_n_mc", 2), ("quadrature_order", 1)):
             object.__setattr__(self, key, _count(key, getattr(self, key), least))
         if dictionary["kind"] == "monomial":
-            # below STATE_DIM, Dictionary would reject the width without naming the key
+            # a width below the system's fails here, naming the key, before any build
             for key, least in (("state_dim", STATE_DIM), ("max_degree", 0)):
                 dictionary[key] = _count(f"dictionary.{key}", dictionary[key], least)
         object.__setattr__(self, "divergence_threshold",

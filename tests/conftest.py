@@ -1,3 +1,5 @@
+import itertools
+import operator
 import os
 import subprocess
 import sys
@@ -23,6 +25,29 @@ def compiler(monkeypatch):
 
     yield find
     dynamics._kernel.cache_clear()
+
+
+@pytest.fixture(scope="session")
+def repeated_product():
+    """``repeated_product(exponents, xs)``: the ``(m, N)`` lift by its
+    definition, in Python floats.  Per coordinate ``x^0 = 1`` and
+    ``x^e = x^(e-1) * x``; per observable the product of its factors in
+    coordinate order, starting from 1."""
+
+    def lift(exponents, xs):
+        exponents = [tuple(map(int, e)) for e in exponents]
+        top = max(map(max, exponents))
+        values = []
+        for x in np.asarray(xs, dtype=float).tolist():
+            powers = [list(itertools.accumulate([xk] * top, operator.mul, initial=1.0)) for xk in x]
+            for e in exponents:
+                value = 1.0
+                for p, ek in zip(powers, e):
+                    value *= p[ek]
+                values.append(value)
+        return np.array(values, dtype=float).reshape(len(xs), len(exponents))
+
+    return lift
 
 
 @pytest.fixture

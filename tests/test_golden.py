@@ -3,9 +3,8 @@ a small Van der Pol sweep and of the simulate/estimate CSV round trip.
 
 Runs ``configs/smoke.yaml`` through the sweep, bounds and pf subcommands
 at ``--workers 1`` and through closure, which takes no worker count, and
-compares the sha256 of every CSV with
-hashes recorded before the realization pipeline was refactored, so any
-change to output bytes is caught.  The smoke config scores against the
+compares the sha256 of every CSV with recorded hashes, so any change to
+output bytes is caught.  The smoke config scores against the
 analytic operator; the Van der Pol sweep (``configs/vanderpol.yaml`` at
 ``T_grid: [100, 1000]``, 8 realizations) covers the other scoring path,
 against a fitted high-T reference, at ``--workers`` 1 and 2.  The round
@@ -16,10 +15,11 @@ with ``koopest estimate --samples``, for the smoke config at its default
 ``.meta.json`` sidecars embed the output path and are not compared.
 
 The hashes were taken with Python 3.11.7, numpy 2.4.6, scipy 1.17.1 and
-OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH, Haswell kernels).  Another
-BLAS build may round differently; a mismatch there means re-baselining the
-hashes, not a bug.  A deliberate change to output bytes must update the
-hashes and be named in CHANGES.md.
+OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH, Haswell kernels).  The lift
+is exact IEEE products, but the moment sums, solves and norms go through
+BLAS/LAPACK, and another BLAS build may round differently; a mismatch there
+means re-baselining the hashes, not a bug.  A deliberate change to output
+bytes must update the hashes and be named in CHANGES.md.
 """
 
 import contextlib
@@ -31,16 +31,18 @@ import pytest
 from koopest import load_config, run_sweep
 from koopest.cli import main
 
+# every hash but bounds.csv, gram.csv and closure.csv re-captured when the
+# lift came to be defined by repeated multiplication, not pow
 GOLDEN = {
-    "sweep.csv": "9c52b32aaa588170bd33d72324bee1466d0abc7f57990372a678d27272f33b53",
-    "sweep_points.csv": "9bd189f98c3ca873e1d2d5ed5e925f3dc3476da6f0fb8a76626c270ba611b59d",
+    "sweep.csv": "3950ba7ebc717c0f3b14b8b5a0a27e384230021a43a783c0b2219b32806fc4f4",
+    "sweep_points.csv": "e3eccfee8868be2d3c91f828c54c3e66634e57f828c128a2d25fd04a75a45f50",
     # re-captured when the bound terms and delta_hat came to read bounds' one
     # fit set per T, the scored realizations
     "bounds.csv": "c2674376ec910ce37edf9e1023829c72119b62916fd7faaf742e32079d2201d3",
     # re-captured when duality_defect became the exact ||K^T Lambda - Lambda P||_2
-    "pf_report.csv": "49a1a272c24ea44e2367ceb286db680ffcc70b0b8824ab981c9c03af914f496a",
-    "koopman_matrix.csv": "4bc18ac46fd2f6c8e0a6fea28f8e3f658991e19ea0fd7ba1acf3507e29d5b787",
-    "pf_matrix.csv": "4b6401c23edc8b5c39afd2b754cf75f7d1f511f5c42d633663e68f441f8be651",
+    "pf_report.csv": "4025546562eca209c403407d6aff9047b96e8be5ed27837a2057340d80d91787",
+    "koopman_matrix.csv": "f25372b8563c80446b88db8e597e9679cae9eac16cb8d1068965e72c6a96279d",
+    "pf_matrix.csv": "908466eb3712a8d525c81866b3bd4352fe903100ca31a1be864a8a2db257bd1b",
     "gram.csv": "5b3b672ed0ab22019ab92d8d0a7af6b42c06956c228b290006f1f66b879da63b",
     "closure.csv": "78a2b5c852533517e73c28dc6129267ae93187af0fa2face8001552284557f0a",
 }
@@ -59,12 +61,10 @@ def test_smoke_csv_bytes_match_golden_hashes(tmp_path):
     assert actual == GOLDEN
 
 
-# re-captured when the stacked fit made the reference a C-ordered matrix, so
-# that numpy's Frobenius norm of K_hat - K_ref sums in row order (each moved
-# cell within 2 ULP of the bytes before)
+# re-captured when the lift came to be defined by repeated multiplication
 GOLDEN_FITTED_REFERENCE = {
-    "sweep.csv": "4fe10694daaef3a00fb88aca7854b3ef2619faa843202ecf578954fad9e80a11",
-    "sweep_points.csv": "058570f33d6e4d8104e18037ea871335242b61f5ad4408a9ea2af5aa7e910ae5",
+    "sweep.csv": "f38f29beb21ca971b4a7ff1fb57c7d83052729a1e346700af5c7fd423b9e8334",
+    "sweep_points.csv": "7117abd739f3344ec016a384490aff2776557edaed4ea2dd03f0b8874e8a60c9",
 }
 
 
@@ -83,9 +83,9 @@ def test_fitted_reference_sweep_matches_golden_hashes(tmp_path):
 
 
 GOLDEN_ROUND_TRIP = {
-    ("configs/smoke.yaml", None): {
+    ("configs/smoke.yaml", None): {  # koopman.csv re-captured with the multiplication lift
         "samples.csv": "c2b40a0ae4bf05811e73406ea62263fb266d1638ca9974b8ca9a98cadb0e6c76",
-        "koopman.csv": "7dc9da2ebc11a3fdd6b6db6b5f60518af2c8d1d1491d35a165cdf46ab918c5fd",
+        "koopman.csv": "804b600f17d0ce8317050ad55e7a603c774c7d763a62f2602e92dd206a22ca4d",
     },
     ("configs/vanderpol.yaml", "70000"): {
         "samples.csv": "de1693e1b37eb97be39565b63a62101d5c4a13dc2e7048b06e916bd41ac82a15",

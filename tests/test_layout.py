@@ -21,8 +21,10 @@ lifts each block's states in one call, so every state is lifted once.
 A dictionary is one kind of thing, a monomial exponent table: ``basis``
 defines no ``make_dictionary`` for opaque callables, ``gram`` takes only
 ``(dictionary, domain)`` (no quadrature path or method switch), and no
-code lifts by ``np.prod`` of powers, the reference form that the power
-table reproduces.
+code lifts by ``np.prod`` of powers, the form that the lift is only checked
+against within a few ULP.  The lift has one definition, repeated
+multiplication: ``Dictionary.lift`` calls no ``np.power`` or ``pow`` and
+takes no ``**``, so its bytes do not follow numpy's CPU dispatch.
 A realization has one fit: ``estimator`` factors moment matrices at one
 ``dpotrf`` call site, and ``fit_realizations`` fits its block as one
 stack, without ``estimate_koopman`` or a ``MomentPair`` per seed.  A block's
@@ -371,6 +373,20 @@ def test_one_kind_of_dictionary_and_one_gram_path():
                 for arg in node.args for n in ast.walk(arg))
     ]
     assert prod_of_powers == []
+
+
+def test_lift_multiplies_and_calls_no_power():
+    (lift,) = [n for n in _class("basis", "Dictionary").body
+               if isinstance(n, ast.FunctionDef) and n.name == "lift"]
+    powers = [
+        node.lineno
+        for node in ast.walk(lift)
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow))
+        or (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Pow))
+        or (isinstance(node, (ast.Name, ast.Attribute))
+            and getattr(node, "id", getattr(node, "attr", None)) in {"power", "pow", "float_power"})
+    ]
+    assert powers == []
 
 
 def test_streamed_fit_lifts_once_per_block():

@@ -9,11 +9,14 @@ count (777) and with 40,001 draws, more than fit two nodes to a batch; the
 closure cases include a noiseless call at ``n_mc=1``.  The hashes were
 recorded while each closure call still lifted every observable and the
 integral still drew, lifted and weighed one node at a time, so lifting one
-column and batching nodes must not move a bit.
+column and batching nodes must not move a bit.  The closure hashes and the
+Van der Pol integral hashes were re-recorded when the lift came to be
+defined by repeated multiplication, not ``pow``.
 
-Taken with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 on x86-64 with
-AVX-512; the g-value products and the Gram solves go through BLAS/LAPACK,
-so on another build a mismatch means re-recording the hashes, not a bug.
+Taken with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1; the lift is exact
+IEEE products, but the g-value products and the Gram solves go through
+BLAS/LAPACK, so on another build a mismatch means re-recording the hashes,
+not a bug.
 """
 
 import hashlib
@@ -88,13 +91,13 @@ INTEGRAL = {
 }
 
 GOLDEN = {
-    "closure/closed-quadratic": "680b6959621481235b9584c1453da7c3e71448a238703049b097b444ee28cfb7",
-    "closure/noiseless-n_mc-1": "967ed120d3c5d61f03fa7ca2efa26174fe3d614a01404a573e8bb149c9c86936",
-    "closure/vanderpol-n15": "d4806cf239809302c9f36e304c8429dd27d94bf8e074eb4d542fcb98df60bfd6",
+    "closure/closed-quadratic": "c95d5b970988d4d4eb6058ee09c5ec54d477718771c4a8953ed73acceac377c7",
+    "closure/noiseless-n_mc-1": "e1693085fea7514718f41bb715ff804c26cd85f5856879ac81385386d332f479",
+    "closure/vanderpol-n15": "9929aff2b484ac486a4a54508185047693881a40bc1384a6e9797a6a9a6d2faf",
     "integral/closed-quadratic-40001": "ffee484030d1da76be751cca3994970340e4ecc3116386de4127b7f5822fe92c",
     "integral/closed-quadratic-777": "dba47afad34df0e9444a6dee086f8ba0a611b347886c9a2998b0e59bf7c2dd14",
-    "integral/vanderpol-n15-6000": "e727a09904b541964708505dab14965aeb46c34e062857e099eba944c38b6d28",
-    "integral/vanderpol-n15-777": "a060fd93ba72ee9680dd3f4c7e5f9303143b4b898f3b5bf1c849dbbe4b3b869c",
+    "integral/vanderpol-n15-6000": "99272e9aa8d183c3715a0e22635ef425cd6b2011b07767ae4b784f74df49e0a7",
+    "integral/vanderpol-n15-777": "4ee4e3f19dd325cd610ad8d57ad2923b6e42cfc856844f8206a23c92794b3bad",
 }
 
 
