@@ -113,30 +113,42 @@ STEP_NAMES = ("x1", "x2", "w1", "w2")  # the state and the noise of a step; T re
 COMPILE = ("gcc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*"}
 
-# Both kernels step one path after another, x <- T(x) + w with the noise added
-# last, the coordinates kept as names; a Python step calls only the two appends.
+# Both kernels step x <- T(x) + w path by path, the noise added last, and return each path's
+# stop: its first state whose norm sqrt(x1*x1 + x2*x2) is NaN, +inf or above the bound, or m.
 _PYTHON = """
-def kernel(_params, _paths, _noise):
+def kernel(_params, _paths, _noise, _bound):
     {names} = _params
+    _stops = []
     for _path, _w in _zip(_paths, _noise):
         x1, x2 = _path[0].tolist()
         _out1, _out2 = [], []
         _append1, _append2 = _out1.append, _out2.append
+        _failed = False
         for _w1, _w2 in _zip(*_w.T.tolist()):
             x1, x2 = ({0}) + _w1, ({1}) + _w2
             _append1(x1)
             _append2(x2)
-        _path[1:] = _array([_out1, _out2]).T
+            _norm = _sqrt(x1 * x1 + x2 * x2)
+            _failed = not _norm < _inf or _norm > _bound
+            if _failed:
+                break
+        _path[1 : len(_out1) + 1] = _array([_out1, _out2]).T
+        _stops.append(len(_out1) - _failed)
+    return _array(_stops, int)
 """
-_C = """void kernel(const double *p, double *x, const double *w, long n, long m) {{
+_C = """#include <math.h>
+void kernel(const double *p, double *x, const double *w, long *stop, long n, long m, double bound) {{
     {names}
-    for (long r = 0; r < n; r++, x += 2) {{
+    for (long r = 0, t; r < n; r++, x += 2 * (m + 1), w += 2 * m) {{
         double v_x1 = x[0], v_x2 = x[1];
-        for (long t = 0; t < m; t++, x += 2, w += 2) {{
-            const double y1 = {0} + w[0], y2 = {1} + w[1];
-            x[2] = v_x1 = y1;
-            x[3] = v_x2 = y2;
+        for (t = 0; t < m; t++) {{
+            const double y1 = {0} + w[2 * t], y2 = {1} + w[2 * t + 1];
+            x[2 * t + 2] = v_x1 = y1;
+            x[2 * t + 3] = v_x2 = y2;
+            const double norm = sqrt(y1 * y1 + y2 * y2);
+            if (!isfinite(norm) || norm > bound) break;
         }}
+        stop[r] = t;
     }}
 }}
 """
@@ -171,7 +183,7 @@ def _python(update: tuple, names: tuple):
             texts.append(c(ast.parse(expr, mode="eval").body))
         except SyntaxError:
             raise ValueError(f"update {expr!r} is not a Python expression") from None
-    namespace = {"_zip": zip, "_array": np.array}
+    namespace = {"_zip": zip, "_array": np.array, "_sqrt": math.sqrt, "_inf": math.inf}
     exec(_PYTHON.format(*update, names=f"[{', '.join(names)}]"), namespace)
     return namespace["kernel"], compile(f"({update[0]}), ({update[1]})", "<update>", "eval"), texts
 
@@ -200,9 +212,9 @@ def _kernel(update: tuple, names: tuple):
                 raise OSError(f"the library {COMPILE[0]} built did not load") from None
     except OSError as err:
         return _python(update, names)[0], f"python: {err}"
-    fn.argtypes, fn.restype = [ctypes.c_void_p] * 3 + [ctypes.c_long] * 2, None
+    fn.argtypes, fn.restype = [ctypes.c_void_p] * 4 + [ctypes.c_long] * 2 + [ctypes.c_double], None
 
-    def kernel(params, paths, noise):
+    def kernel(params, paths, noise, bound):
         params = np.ascontiguousarray(params, dtype=float)
         n, m, _ = noise.shape
         if ((params.shape, noise.shape, paths.shape) != ((len(names),), (n, m, 2), (n, m + 1, 2))
@@ -210,7 +222,9 @@ def _kernel(update: tuple, names: tuple):
                 or not paths.flags.writeable):
             raise ValueError("the kernel takes float64 C-contiguous paths (R, m + 1, 2), "
                              f"noise (R, m, 2) and {len(names)} parameters")
-        fn(params.ctypes.data, paths.ctypes.data, noise.ctypes.data, n, m)
+        stops = np.empty(n, dtype=ctypes.c_long)
+        fn(params.ctypes.data, paths.ctypes.data, noise.ctypes.data, stops.ctypes.data, n, m, bound)
+        return stops
 
     return kernel, f"compiled ({' '.join(COMPILE[:3])})"
 
@@ -222,10 +236,10 @@ class StochasticSystem:
     A system is its map and its planar noise.  ``update`` is the map T,
     written once as a pair of strings, ``T1`` and ``T2`` over ``x1, x2``
     and the names of ``params`` (finite floats), checked by ``_python``.
-    From it come the kernels ``kernel(params, paths, noise)``, compiled C or
-    Python, which step ``x <- T(x) + w`` with the noise added last and write
-    the same bytes, and ``transition``, which is T.  Systems are immutable
-    and safe to share across workers.
+    From it come the kernels ``kernel(params, paths, noise, bound)``, compiled
+    C or Python, which step ``x <- T(x) + w`` and stop each path at its first
+    state out of ``bound``, writing the same bytes, and ``transition``, which
+    is T.  Systems are immutable and safe to share across workers.
     """
 
     update: tuple
@@ -402,17 +416,19 @@ def trajectory_chunks(
     Each item is ``(paths, index, failed)``.  ``paths`` has shape
     ``(len(index), m + 1, 2)``: the m + 1 states of this block of each
     trajectory still running, ``index`` holding their positions in ``seeds``
-    (a block's last state is the next block's first).  ``failed`` maps the
-    position of each trajectory that left the bounded region in this block
-    to its DivergenceError; it steps no further.  Every trajectory draws its
-    initial state (``x0=None``, uniform on ``domain``) and its noise from its
-    own seed stream, ``BLOCK`` rows at a time, so its states do not depend on
+    (a block's last state is the next block's first).  Each block is one
+    call of the system's kernel (see :class:`StochasticSystem`), which stops a
+    trajectory at its first state of 2-norm NaN, +inf or above ``max_norm``
+    (positive, or +inf); ``failed`` maps the position of each one stopped in
+    this block to its DivergenceError.  Every trajectory draws its initial
+    state (``x0=None``, uniform on ``domain``) and its noise from its own
+    seed stream, ``BLOCK`` rows at a time, so its states do not depend on
     the other seeds: identical arguments give :func:`simulate`'s trajectory.
-    Each block is one call of the system's kernel, compiled at the first
-    call in the process (see :class:`StochasticSystem`).
     """
     if steps < 1:
         raise ValueError("steps must be positive")
+    if not max_norm > 0:  # a NaN bound would fail no state, one of 0 or below every state
+        raise ValueError(f"max_norm must be positive or +inf, got {max_norm!r}")
     rngs = [make_rng(seed) for seed in seeds]
     if x0 is None:
         if domain is None:
@@ -432,18 +448,14 @@ def trajectory_chunks(
         noise = np.stack([system.noise.draw(rngs[k], m) for k in index])
         paths = np.empty((index.size, m + 1, STATE_DIM))
         paths[:, 0] = x
-        kernel(params, paths, noise)
-        # states overflow to inf without a warning; the norm check catches it
-        with np.errstate(over="ignore", invalid="ignore"):
-            norms = np.linalg.norm(paths[:, 1:], axis=-1)
-        bad = ~np.isfinite(norms) | (norms > max_norm)
+        stops = kernel(params, paths, noise, max_norm)
         failed = {}
-        for r in np.flatnonzero(bad.any(axis=1)):
-            i = int(np.argmax(bad[r]))
-            failed[int(index[r])] = DivergenceError(done + i, float(norms[r, i]), max_norm)
+        for r in np.flatnonzero(stops < m):  # the failing state's norm, as the kernel takes it
+            i = int(stops[r])
+            x1, x2 = paths[r, i + 1].tolist()
+            failed[int(index[r])] = DivergenceError(done + i, math.sqrt(x1 * x1 + x2 * x2), max_norm)
         if failed:
-            keep = ~bad.any(axis=1)
-            index, paths = index[keep], paths[keep]
+            index, paths = index[stops == m], paths[stops == m]
         x = paths[:, -1].copy()
         yield paths, index, failed
         done += m
@@ -462,8 +474,8 @@ def simulate(
 
     It starts at ``x0``, or with ``x0=None`` at a state drawn uniformly from
     ``domain`` on the same seed stream.  Identical 64-bit seeds give
-    bit-identical sample sets.  A state whose 2-norm exceeds ``max_norm``, or
-    any non-finite state, raises DivergenceError with the step index.
+    bit-identical sample sets.  The first state of 2-norm NaN, +inf or above
+    ``max_norm`` raises DivergenceError with its step and its norm.
     """
     blocks = []
     for paths, _, failed in trajectory_chunks(system, x0, steps, [seed], max_norm, domain):
@@ -492,18 +504,13 @@ def koopman_apply_mc(
     x,
     n_mc: int,
     seed: int,
-    return_stderr: bool = False,
 ):
-    """Monte Carlo estimate of the propagated observable ``E_xi[phi(T(x)+xi)]``.
-
-    ``phi`` is the dictionary combination with the given coefficients.  For a
-    silent noise model the expectation is degenerate and the exact value
-    ``phi(T(x))`` is returned for any n_mc.  This estimator is the
-    independent oracle used by closure diagnostics and ground-truth matrix
-    checks.
-
-    With ``return_stderr`` the (value, standard error) pair is returned; the
-    standard error is NaN when fewer than two draws are used.
+    """Monte Carlo estimate ``(value, stderr)`` of the propagated observable
+    ``E_xi[phi(T(x)+xi)]``, ``phi`` the dictionary combination with the given
+    coefficients; the standard error is NaN below two draws.  Silent noise
+    gives the exact ``phi(T(x))`` and 0.0 for any n_mc.  This estimator is
+    the independent oracle used by closure diagnostics and ground-truth
+    matrix checks.
     """
     if n_mc < 1:
         raise ValueError("n_mc must be positive")
@@ -515,13 +522,9 @@ def koopman_apply_mc(
         raise ValueError("coeffs must have length n_basis")
     tx = system.transition(x)
     if system.noise.kind == NO_NOISE:
-        val = float(evaluate(dictionary, tx) @ coeffs)
-        return (val, 0.0) if return_stderr else val
+        return float(evaluate(dictionary, tx) @ coeffs), 0.0
     rng = make_rng(seed)
     ys = tx[None, :] + system.noise.draw(rng, n_mc)
     vals = evaluate_many(dictionary, ys) @ coeffs
-    mean = float(np.mean(vals))
-    if not return_stderr:
-        return mean
     sem = float(np.std(vals, ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else float("nan")
-    return mean, sem
+    return float(np.mean(vals)), sem

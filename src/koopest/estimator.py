@@ -242,8 +242,7 @@ def closure_check(
     for k in range(dictionary.n_basis):
         psi_k = Dictionary(dictionary.exponents[k : k + 1])
         u, ses = np.array([
-            koopman_apply_mc(system, psi_k, [1.0], x, n_mc, mix_seed(seed, i, k),
-                             return_stderr=True)
+            koopman_apply_mc(system, psi_k, [1.0], x, n_mc, mix_seed(seed, i, k))
             for i, x in enumerate(states)
         ]).T
         denom = np.linalg.norm(u)

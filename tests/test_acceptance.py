@@ -262,9 +262,7 @@ def test_c11_monte_carlo_oracles():
         for col in range(4):
             e = np.zeros(4)
             e[col] = 1.0
-            mc, se = koopman_apply_mc(
-                system, dct, e, x, 20000, mix_seed(1102, i, col), return_stderr=True
-            )
+            mc, se = koopman_apply_mc(system, dct, e, x, 20000, mix_seed(1102, i, col))
             target = float(psi @ k[:, col])
             if se > 0:
                 worst = max(worst, abs(mc - target) / se)

@@ -35,6 +35,15 @@ def noiseless_quadratic(params):
     return make_closed_quadratic(params, noise=NoiseModel.none())
 
 
+def _each_kernel(compiler):
+    """"compiled" (where a C compiler is found), then "python" with none
+    found: a loop over it runs its body under each kernel."""
+    if shutil.which("gcc") is not None:
+        yield "compiled"
+    compiler(None)
+    yield "python"
+
+
 class TestClosedQuadratic:
     def test_noiseless_step(self, baseline_params):
         system = noiseless_quadratic(baseline_params)
@@ -92,7 +101,8 @@ class TestGroundTruthKoopman:
             for col in range(4):
                 e = np.zeros(4)
                 e[col] = 1.0
-                exact = koopman_apply_mc(system, dct, e, x, 1, seed=0)
+                exact, se = koopman_apply_mc(system, dct, e, x, 1, seed=0)
+                assert se == 0.0
                 assert exact == pytest.approx(float(psi @ k[:, col]), abs=1e-12)
 
     def test_oracle_agreement_with_noise(self, baseline_params):
@@ -108,9 +118,7 @@ class TestGroundTruthKoopman:
             for col in range(4):
                 e = np.zeros(4)
                 e[col] = 1.0
-                mc, se = koopman_apply_mc(
-                    system, dct, e, x, n_mc, seed=mix_seed(3, i, col), return_stderr=True
-                )
+                mc, se = koopman_apply_mc(system, dct, e, x, n_mc, seed=mix_seed(3, i, col))
                 target = float(psi @ k[:, col])
                 if se == 0.0:
                     assert mc == pytest.approx(target, abs=1e-12)
@@ -190,13 +198,30 @@ def _kernels(system):
     return {"compiled": compiled, "python": dynamics._python(system.update, names)[0]}
 
 
-def _run(kernel, system, starts, noise):
-    """The ``(R, m + 1, 2)`` paths of one kernel call from R states, noise ``(R, m, 2)``."""
+def _run(kernel, system, starts, noise, bound=np.inf):
+    """``(paths, stops)`` of one kernel call from R states, noise ``(R, m, 2)``:
+    the ``(R, m + 1, 2)`` paths, NaN past each path's failing state, and the
+    ``(R,)`` stop steps."""
     noise = np.ascontiguousarray(noise, dtype=float)
-    paths = np.empty((len(starts), noise.shape[1] + 1, 2))
+    paths = np.full((len(starts), noise.shape[1] + 1, 2), np.nan)
     paths[:, 0] = starts
-    kernel(tuple(system.params.values()), paths, noise)
-    return paths
+    stops = kernel(tuple(system.params.values()), paths, noise, bound)
+    assert stops.shape == (len(starts),) and stops.dtype.kind == "i"
+    return paths, stops
+
+
+def _numpy_rule(system, starts, noise, bound):
+    """``(paths, stops)`` by the rule the kernels replaced: every state stepped
+    as ``transition(x) + w``, then each path's first state whose
+    ``np.linalg.norm`` is not finite or exceeds the bound (m if none)."""
+    states = [np.array(starts, dtype=float)]
+    with np.errstate(all="ignore"):
+        for w in np.transpose(noise, (1, 0, 2)):
+            states.append(system.transition(states[-1]) + w)
+        paths = np.stack(states, axis=1)
+        norms = np.linalg.norm(paths[:, 1:], axis=-1)
+    bad = ~np.isfinite(norms) | (norms > bound)
+    return paths, np.column_stack([bad, np.ones(len(bad), bool)]).argmax(axis=1)  # m if none
 
 
 _signed = st.one_of(st.just(-0.0), _coordinate)
@@ -211,21 +236,39 @@ class TestDriftForms:
     @settings(max_examples=200, deadline=None)
     @given(
         starts=st.lists(st.tuples(_signed, _signed), min_size=1, max_size=6),
-        m=st.integers(1, 7),
+        m=st.integers(0, 7),
         noise=st.lists(st.tuples(_coordinate, _coordinate), min_size=42, max_size=42),
         silent=st.booleans(),
+        bound=st.one_of(st.just(np.inf), st.floats(1e-3, 1e12), st.integers(0, 41)),
     )
-    @example(starts=[(-0.0, -0.0), (0.0, -0.0)], m=3, noise=[(0.0, 0.0)] * 42, silent=True)
-    @example(starts=[(1e6, -1e6)], m=7, noise=[(0.0, 0.0)] * 42, silent=False)
-    def test_compiled_and_python_kernels_agree(self, name, starts, m, noise, silent):
-        # R from 1 to 6 paths of m from 1 to 7 steps, states up to 1e6 that
-        # overflow to inf and NaN, and silent noise (-0.0) on -0.0 states
+    @example(starts=[(-0.0, -0.0), (0.0, -0.0)], m=3, noise=[(0.0, 0.0)] * 42, silent=True,
+             bound=np.inf)
+    @example(starts=[(1e6, -1e6)], m=7, noise=[(0.0, 0.0)] * 42, silent=False, bound=np.inf)
+    @example(starts=[(3.0, 4.0)], m=2, noise=[(0.0, 0.0)] * 42, silent=True, bound=0)
+    def test_compiled_and_python_kernels_agree(self, name, starts, m, noise, silent, bound):
+        # R from 1 to 6 paths of m from 0 to 7 steps, states up to 1e6 that
+        # overflow to inf and NaN, and silent noise (-0.0) on -0.0 states.
+        # The bound is +inf, a random float, or (an integer k) the norm of the
+        # k-th state, which that state passes.  Both kernels write the same
+        # bytes and stop where the numpy rule stops, at the first failing state
         system = SYSTEMS[name]
         draws = np.array(noise)[: len(starts) * m].reshape(len(starts), m, 2)
         if silent:
             draws = np.full_like(draws, -0.0)
-        compiled, python = (_run(k, system, starts, draws) for k in _kernels(system).values())
+        if isinstance(bound, int):
+            with np.errstate(all="ignore"):
+                norms = np.linalg.norm(_numpy_rule(system, starts, draws, np.inf)[0][:, 1:], axis=-1)
+            norms = norms[np.isfinite(norms) & (norms > 0)]
+            bound = float(norms[bound % norms.size]) if norms.size else np.inf
+        paths, stops = _numpy_rule(system, starts, draws, bound)
+        (compiled, compiled_stops), (python, python_stops) = (
+            _run(k, system, starts, draws, bound) for k in _kernels(system).values())
         assert compiled.tobytes() == python.tobytes()
+        assert compiled_stops.tolist() == python_stops.tolist() == stops.tolist()
+        for path, expected, stop in zip(compiled, paths, stops):
+            # the states up to the stop, the failing one included, and no more
+            assert _bits(path[: stop + 2]) == _bits(expected[: stop + 2])
+            assert np.isnan(path[stop + 2 :]).all()
 
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     @settings(max_examples=200, deadline=None)
@@ -244,8 +287,10 @@ class TestDriftForms:
         starts = others[:row] + [state] + others[row:]
         draws = np.array(noise)[:, : len(starts)].transpose(1, 0, 2)  # (R, k, 2)
         for kernel in _kernels(system).values():
-            alone = _run(kernel, system, [state], draws[row : row + 1])
-            assert _run(kernel, system, starts, draws)[row].tobytes() == alone[0].tobytes()
+            alone, alone_stops = _run(kernel, system, [state], draws[row : row + 1])
+            paths, stops = _run(kernel, system, starts, draws)
+            assert paths[row].tobytes() == alone[0].tobytes()
+            assert stops[row] == alone_stops[0]
 
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     @settings(max_examples=200, deadline=None)
@@ -257,7 +302,7 @@ class TestDriftForms:
     def test_transition_is_one_step_with_negative_zero_noise(self, name, state, others, row):
         system = SYSTEMS[name]
         python = dynamics._python(system.update, tuple(system.params))[0]
-        expected = _run(python, system, [state], [[(-0.0, -0.0)]])[0, 1]
+        expected = _run(python, system, [state], [[(-0.0, -0.0)]])[0][0, 1]
         row = min(row, len(others))
         batch = np.array(others[:row] + [state] + others[row:])
         assert system.transition(np.array(state)).tobytes() == expected.tobytes()
@@ -269,9 +314,9 @@ class TestDriftForms:
                       for rho in (0.2, 0.7))
         assert _kernels(slow)["compiled"] is _kernels(fast)["compiled"]
         path = [[(0.5, 0.25)]]
-        assert _run(_kernels(slow)["compiled"], slow, [(1.0, 2.0)], path)[0, 1].tolist() == [
+        assert _run(_kernels(slow)["compiled"], slow, [(1.0, 2.0)], path)[0][0, 1].tolist() == [
             0.2 + 0.5, 0.3 * 2.0 + (0.2 * 0.2 - 0.3) * 1.0 * 1.0 * 1.0 + 0.25]
-        assert _run(_kernels(fast)["compiled"], fast, [(1.0, 2.0)], path)[0, 1].tolist() == [
+        assert _run(_kernels(fast)["compiled"], fast, [(1.0, 2.0)], path)[0][0, 1].tolist() == [
             0.7 + 0.5, 0.3 * 2.0 + (0.7 * 0.7 - 0.3) * 1.0 * 1.0 * 1.0 + 0.25]
 
     def test_the_compiled_kernel_checks_its_buffers(self):
@@ -285,7 +330,7 @@ class TestDriftForms:
             (np.zeros((2, 3, 2)), np.zeros((2, 2, 2)), ()),  # one parameter, dt
         ]:
             with pytest.raises(ValueError, match="float64 C-contiguous"):
-                kernel(args, paths, noise)
+                kernel(args, paths, noise, np.inf)
 
     @pytest.mark.parametrize("shape", [(3,), (5, 3), (1,), (), (2, 2, 2), (1, 2), (4, 2)])
     def test_wrong_state_shape_is_named(self, shape):
@@ -335,7 +380,7 @@ class TestUpdateGuard:
         system = StochasticSystem(("-x1 + a * (x2 - -0.5)", "x2 - (x1 - a) * 1.5e-3"),
                                   {"a": 2.0}, NoiseModel.none())
         kernels = list(_kernels(system).values())
-        paths = [_run(k, system, [(1.0, -0.0), (3.0, 4.0)], np.ones((2, 3, 2))) for k in kernels]
+        paths = [_run(k, system, [(1.0, -0.0), (3.0, 4.0)], np.ones((2, 3, 2)))[0] for k in kernels]
         assert paths[0].tobytes() == paths[1].tobytes()
         # the noise is added last, to T of the state
         assert paths[0][0, 1].tolist() == [
@@ -398,11 +443,14 @@ class TestOneLaw:
     def test_kernels_step_transition_plus_noise(self, update, a, starts, m, noise):
         system = StochasticSystem(update, {"a": a}, NoiseModel.none())
         draws = np.array(noise)[: len(starts) * m].reshape(len(starts), m, 2)
-        compiled, python = (_run(k, system, starts, draws) for k in _kernels(system).values())
+        (compiled, stops), (python, _) = (_run(k, system, starts, draws)
+                                          for k in _kernels(system).values())
         assert _bits(compiled) == _bits(python)
         with np.errstate(all="ignore"):
             stepped = system.transition(compiled[:, :-1].reshape(-1, 2)) + draws.reshape(-1, 2)
-        assert _bits(compiled[:, 1:].reshape(-1, 2)) == _bits(stepped)
+        stepped = stepped.reshape(draws.shape)
+        for path, step, stop in zip(compiled, stepped, stops):  # the states the kernel wrote
+            assert _bits(path[1 : stop + 2]) == _bits(step[: stop + 1])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -415,7 +463,7 @@ class TestOneLaw:
         system = StochasticSystem(update, {"a": a}, NoiseModel.gaussian(0.5))
         draws = system.noise.draw(make_rng(seed), len(xs))[:, None]
         python = dynamics._python(system.update, ("a",))[0]
-        step = _run(python, system, xs, draws)[:, 1]
+        step = _run(python, system, xs, draws)[0][:, 1]
         with np.errstate(all="ignore"):
             if np.isfinite(step).all():
                 assert step_pairs(system, xs, seed).ys.tobytes() == step.tobytes()
@@ -498,34 +546,59 @@ class TestSimulate:
         again = simulate(system, None, 10, seed=3, domain=dom)
         assert (ss.xs == again.xs).all()
 
-    def test_divergence_reports_step(self):
+    def test_divergence_reports_step(self, compiler):
         # mu = rho^2 kills the quadratic coupling, leaving a pure doubling map
         with pytest.warns(UserWarning):
             params = ClosedQuadraticParams(rho=2.0, mu=4.0, c=1.0)
         system = noiseless_quadratic(params)
-        with pytest.raises(DivergenceError) as err:
-            simulate(system, np.array([1000.0, 0.0]), 50, seed=1)
-        # x1 doubles per step: 1000 * 2^(t+1) first exceeds 1e6 at t = 9
-        assert err.value.step == 9
+        for stepping in _each_kernel(compiler):
+            assert system.stepping.startswith(stepping)
+            with pytest.raises(DivergenceError) as err:
+                simulate(system, np.array([1000.0, 0.0]), 50, seed=1)
+            # x1 doubles per step: 1000 * 2^(t+1) first exceeds 1e6 at t = 9
+            assert (err.value.step, err.value.norm, err.value.threshold) == (9, 1024000.0, 1e6)
+            # a norm equal to the bound passes: the next state fails
+            with pytest.raises(DivergenceError) as err:
+                simulate(system, np.array([1000.0, 0.0]), 50, seed=1, max_norm=1024000.0)
+            assert (err.value.step, err.value.norm) == (10, 2048000.0)
+
+    @pytest.mark.parametrize("max_norm", [np.nan, 0.0, -1.0])
+    def test_max_norm_must_be_positive(self, max_norm):
+        # a NaN bound would fail no state (the tripling map would run on to
+        # inf at step 323), one of 0 or below would fail every state at step 0
+        system = StochasticSystem(("3.0 * x1", "x2"), {}, NoiseModel.none())
+        with pytest.raises(ValueError, match=r"max_norm must be positive or \+inf"):
+            simulate(system, [1, 0], 800, 1, max_norm=max_norm)
+        with pytest.raises(ValueError, match="max_norm"):
+            next(trajectory_chunks(system, [1, 0], 800, [1], max_norm))
+        with pytest.raises(DivergenceError) as err:  # the default bound: 3^13 > 1e6
+            simulate(system, [1, 0], 800, 1)
+        assert (err.value.step, err.value.norm) == (12, 1594323.0)
+        with pytest.raises(DivergenceError) as err:  # +inf stops at the overflow alone
+            simulate(system, [1, 0], 800, 1, max_norm=np.inf)
+        assert (err.value.step, err.value.norm) == (323, np.inf)
 
     @pytest.mark.parametrize("x1", [1e300, 1e150])
-    def test_overflow_fails_alike_as_floats_and_as_arrays(self, x1):
+    def test_overflow_fails_alike_as_floats_and_as_arrays(self, x1, compiler):
         # a seed stepped alone and in a block of six overflows silently and
-        # stops at the same step
+        # stops at the same step, in either kernel
         with pytest.warns(UserWarning):
             params = ClosedQuadraticParams(rho=2.0, mu=4.0, c=1.0)
         system, x0, seeds = make_closed_quadratic(params), np.array([x1, 1.0]), range(6)
-        lockstep = [failed for _, _, failed in trajectory_chunks(system, x0, 50, seeds, np.inf)]
-        assert set().union(*lockstep) == set(range(6))
-        for k, seed in enumerate(seeds):
-            with pytest.raises(DivergenceError) as err:
-                simulate(system, x0, 50, seed, max_norm=np.inf)
-            (alone,) = [f[0] for _, _, f in trajectory_chunks(system, x0, 50, [seed], np.inf) if f]
-            (block,) = [f[k] for f in lockstep if k in f]
-            expected = (err.value.step, err.value.norm)
-            assert (alone.step, alone.norm) == (block.step, block.norm) == expected
-            assert not np.isfinite(expected[1])
-            assert (expected[0] == 0) if x1 == 1e300 else (expected[0] > 0)
+        for stepping in _each_kernel(compiler):
+            assert system.stepping.startswith(stepping)
+            lockstep = [failed for _, _, failed in trajectory_chunks(system, x0, 50, seeds, np.inf)]
+            assert set().union(*lockstep) == set(range(6))
+            for k, seed in enumerate(seeds):
+                with pytest.raises(DivergenceError) as err:
+                    simulate(system, x0, 50, seed, max_norm=np.inf)
+                (alone,) = [f[0] for _, _, f in trajectory_chunks(system, x0, 50, [seed], np.inf)
+                            if f]
+                (block,) = [f[k] for f in lockstep if k in f]
+                expected = (err.value.step, err.value.norm)
+                assert (alone.step, alone.norm) == (block.step, block.norm) == expected
+                assert not np.isfinite(expected[1])
+                assert (expected[0] == 0) if x1 == 1e300 else (expected[0] > 0)
 
     def test_pairs_that_do_not_chain_are_no_trajectory(self):
         xs = np.zeros((3, 2))
@@ -587,14 +660,14 @@ class TestKoopmanApplyMC:
         x = np.array([0.4, -0.7])
         expected = float(evaluate(dct, system.transition(x)) @ coeffs)
         for n_mc in (1, 10):
-            assert koopman_apply_mc(system, dct, coeffs, x, n_mc, seed=0) == expected
+            assert koopman_apply_mc(system, dct, coeffs, x, n_mc, seed=0) == (expected, 0.0)
 
     def test_constants_are_fixed(self, baseline_params):
         system = make_closed_quadratic(baseline_params)
         dct = closed_quadratic_dictionary()
         coeffs = np.array([1.0, 0.0, 0.0, 0.0])
         for seed in (1, 2, 3):
-            val = koopman_apply_mc(system, dct, coeffs, np.array([0.3, 9.0]), 50, seed)
+            val, _ = koopman_apply_mc(system, dct, coeffs, np.array([0.3, 9.0]), 50, seed)
             assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_squared_coordinate_expectation(self, baseline_params):
@@ -602,10 +675,14 @@ class TestKoopmanApplyMC:
         system = make_closed_quadratic(baseline_params)
         dct = closed_quadratic_dictionary()
         coeffs = np.array([0.0, 0.0, 0.0, 1.0])
-        val, se = koopman_apply_mc(
-            system, dct, coeffs, np.array([1.0, 0.0]), 10**6, seed=42, return_stderr=True
-        )
+        val, se = koopman_apply_mc(system, dct, coeffs, np.array([1.0, 0.0]), 10**6, seed=42)
         assert abs(val - 1.04) <= 3.0 * se
+
+    def test_one_draw_has_no_standard_error(self, baseline_params):
+        system = make_closed_quadratic(baseline_params)
+        val, se = koopman_apply_mc(system, closed_quadratic_dictionary(), np.ones(4),
+                                   np.array([1.0, 0.0]), 1, seed=42)
+        assert np.isfinite(val) and np.isnan(se)
 
     def test_rng_is_counter_based(self):
         # the documented generator: Philox keyed by the seed

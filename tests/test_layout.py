@@ -12,7 +12,9 @@ kernels add the noise last), and ``experiments`` has no rule that fits a
 block's seeds one at a time (``lockstep_min_seeds``).  The Python kernel
 generated from the pair keeps the two state coordinates as names and
 collects them in lists: it writes no numpy row and builds no tuple per
-step.  The only function named ``transition`` is the method that evaluates
+step, and takes each state's norm with one ``_sqrt`` call.  The kernel alone
+decides divergence: ``trajectory_chunks`` takes no ``np.linalg.norm`` of the
+paths and opens no ``errstate``.  The only function named ``transition`` is the method that evaluates
 that pair, T, over arrays, and no code branches on ``ndim == 1`` into a
 second, scalar copy of a map.
 And a dictionary is one batch map: only ``basis.evaluate_many`` calls its
@@ -287,11 +289,20 @@ def test_stepping_loop_writes_no_row_and_builds_no_tuple():
     assert targets
     assert not any(isinstance(n, ast.Subscript) for t in targets for n in ast.walk(t))
     calls = {getattr(n.func, "id", None) for n in body if isinstance(n, ast.Call)}
-    assert calls == {"_append1", "_append2"}  # no map, tuple or drift call
+    assert calls == {"_append1", "_append2", "_sqrt"}  # no map, tuple or drift call
     # the new state is a pair of names, assigned from a pair of expressions
     assert any(isinstance(t, ast.Tuple) for t in targets)
     assert "lockstep_min_seeds" not in {n.name for n in ast.walk(_parse("experiments"))
                                         if isinstance(n, ast.FunctionDef)}
+
+
+def test_the_kernel_alone_decides_divergence():
+    # trajectory_chunks takes no norm of the paths and silences no overflow:
+    # the kernel checks each state as it writes it and returns the stop steps
+    (chunks,) = [node for node in _parse("dynamics").body
+                 if isinstance(node, ast.FunctionDef) and node.name == "trajectory_chunks"]
+    names = {name for node in ast.walk(chunks) for name in _names(node)}
+    assert "kernel" in names and names.isdisjoint({"norm", "linalg", "errstate"})
 
 
 class _Qualnames(ast.NodeVisitor):

@@ -84,7 +84,7 @@ def _hashes(kind):
     dictionary = make_monomial_dictionary(2, 2)
     coeffs = np.array([0.5, -1.0, 2.0, 0.25, -0.75, 1.5])
     values = [
-        koopman_apply_mc(quiet, dictionary, coeffs, x, n_mc=3, seed=i)
+        koopman_apply_mc(quiet, dictionary, coeffs, x, n_mc=3, seed=i)[0]
         for i, x in enumerate(states[:20])
     ]
     return {
