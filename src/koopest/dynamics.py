@@ -192,9 +192,10 @@ def _python(update: tuple, names: tuple):
 def _kernel(update: tuple, names: tuple):
     """``(kernel, stepping)`` of an update pair in this process: the C kernel,
     built from stdin into a temporary directory at the first call, else the
-    Python kernel and the reason."""
+    Python kernel and the reason.  Either way ``kernel`` checks its buffers."""
     unpack = " ".join(f"const double v_{name} = p[{i}];" for i, name in enumerate(names))
     source = _C.format(*_python(update, names)[2], names=unpack)
+    stepping = f"compiled ({' '.join(COMPILE[:3])})"
     try:
         if (compiler := shutil.which(COMPILE[0])) is None:
             raise OSError("no C compiler found")
@@ -210,23 +211,24 @@ def _kernel(update: tuple, names: tuple):
                 fn = ctypes.CDLL(library).kernel
             except (OSError, AttributeError):
                 raise OSError(f"the library {COMPILE[0]} built did not load") from None
+        fn.argtypes, fn.restype = [ctypes.c_void_p] * 4 + [ctypes.c_long] * 2 + [ctypes.c_double], None
     except OSError as err:
-        return _python(update, names)[0], f"python: {err}"
-    fn.argtypes, fn.restype = [ctypes.c_void_p] * 4 + [ctypes.c_long] * 2 + [ctypes.c_double], None
+        fn, stepping = None, f"python: {err}"
 
     def kernel(params, paths, noise, bound):
-        params = np.ascontiguousarray(params, dtype=float)
         n, m, _ = noise.shape
-        if ((params.shape, noise.shape, paths.shape) != ((len(names),), (n, m, 2), (n, m + 1, 2))
+        if ((len(params), noise.shape, paths.shape) != (len(names), (n, m, 2), (n, m + 1, 2))
                 or not all(a.dtype == float and a.flags.c_contiguous for a in (paths, noise))
                 or not paths.flags.writeable):
             raise ValueError("the kernel takes float64 C-contiguous paths (R, m + 1, 2), "
                              f"noise (R, m, 2) and {len(names)} parameters")
-        stops = np.empty(n, dtype=ctypes.c_long)
+        if fn is None:
+            return _python(update, names)[0](params, paths, noise, bound)
+        params, stops = np.ascontiguousarray(params, dtype=float), np.empty(n, dtype=ctypes.c_long)
         fn(params.ctypes.data, paths.ctypes.data, noise.ctypes.data, stops.ctypes.data, n, m, bound)
         return stops
 
-    return kernel, f"compiled ({' '.join(COMPILE[:3])})"
+    return kernel, stepping
 
 
 @dataclass(frozen=True)
@@ -421,34 +423,43 @@ def trajectory_chunks(
     trajectory at its first state of 2-norm NaN, +inf or above ``max_norm``
     (positive, or +inf); ``failed`` maps the position of each one stopped in
     this block to its DivergenceError.  Every trajectory draws its initial
-    state (``x0=None``, uniform on ``domain``) and its noise from its own
-    seed stream, ``BLOCK`` rows at a time, so its states do not depend on
-    the other seeds: identical arguments give :func:`simulate`'s trajectory.
+    state (``x0=None``, uniform on ``domain``) and its noise, ``BLOCK`` rows at
+    a time into the block, from its own seed stream (the call re-keys one
+    generator from seed to seed), so its states do not depend on the other
+    seeds: identical arguments give :func:`simulate`'s trajectory.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
     if not max_norm > 0:  # a NaN bound would fail no state, one of 0 or below every state
         raise ValueError(f"max_norm must be positive or +inf, got {max_norm!r}")
-    rngs = [make_rng(seed) for seed in seeds]
-    if x0 is None:
-        if domain is None:
-            raise ValueError("either x0 or domain must be given")
-        starts = [domain.sample(rng) for rng in rngs]
-    else:
-        starts = [x0] * len(rngs)
-    x = np.array(starts, dtype=float)
-    if x.shape != (len(rngs), STATE_DIM) or not np.isfinite(x).all():
-        raise ValueError("x0 must be a finite state of the system's dimension")
+    x = np.array([[0.0] * STATE_DIM if x0 is None else x0] * len(seeds), dtype=float)
+    if (x.shape != (len(seeds), STATE_DIM) or not np.isfinite(x).all()
+            or x0 is None and (domain is None or domain.dim != STATE_DIM)):
+        raise ValueError("x0 must be a finite planar state, or None with a planar domain")
     kernel, _ = _kernel(system.update, tuple(system.params))
-    params = tuple(system.params.values())
-    index = np.arange(len(rngs))
-    done = 0
+    silent = system.noise.kind == NO_NOISE
+    rng, saved = make_rng(0), {}  # the call's one generator; stream positions kept between blocks
+    index, done = np.arange(len(seeds)), 0
     while done < steps and index.size:
         m = min(BLOCK, steps - done)
-        noise = np.stack([system.noise.draw(rngs[k], m) for k in index])
+        noise = np.full((index.size, m, STATE_DIM), -0.0) if silent else np.empty((index.size, m, STATE_DIM))
+        for r, k in enumerate(index.tolist()):  # a seed's start, then its block of noise
+            if done:
+                rng.bit_generator.state = saved.pop(k)
+            else:
+                make_rng(seeds[k], rng)
+                if x0 is None:
+                    x[r] = domain.sample(rng)
+            if not silent:
+                rng.standard_normal(out=noise[r])
+            if done + m < steps:
+                saved[k] = rng.bit_generator.state
+        if not silent:  # rng.normal(0.0, 1.0) is 0.0 + 1.0 * z, which turns -0.0 into +0.0
+            noise += 0.0
+            noise *= system.noise.std_dev
         paths = np.empty((index.size, m + 1, STATE_DIM))
         paths[:, 0] = x
-        stops = kernel(params, paths, noise, max_norm)
+        stops = kernel(tuple(system.params.values()), paths, noise, max_norm)
         failed = {}
         for r in np.flatnonzero(stops < m):  # the failing state's norm, as the kernel takes it
             i = int(stops[r])
@@ -492,8 +503,7 @@ def step_pairs(system: StochasticSystem, xs, seed: int) -> SampleSet:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != STATE_DIM:
         raise ValueError("xs must have shape (m, 2)")
-    rng = make_rng(seed)
-    ys = system.transition(xs) + system.noise.draw(rng, xs.shape[0])
+    ys = system.transition(xs) + system.noise.draw(make_rng(seed), xs.shape[0])
     return SampleSet(xs, ys, int(seed))
 
 
@@ -523,8 +533,7 @@ def koopman_apply_mc(
     tx = system.transition(x)
     if system.noise.kind == NO_NOISE:
         return float(evaluate(dictionary, tx) @ coeffs), 0.0
-    rng = make_rng(seed)
-    ys = tx[None, :] + system.noise.draw(rng, n_mc)
+    ys = tx[None, :] + system.noise.draw(make_rng(seed), n_mc)
     vals = evaluate_many(dictionary, ys) @ coeffs
     sem = float(np.std(vals, ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else float("nan")
     return float(np.mean(vals)), sem

@@ -100,10 +100,10 @@ def pf_apply_integral_mc(
     that the conjugated matrix propagates coefficients consistently with the
     kernel integral.
 
-    Node j draws from its own stream ``mix_seed(seed, j)``.  Whole nodes are
-    lifted, mapped and weighed in batches of at most ``BLOCK // 2`` rows (at
-    least one node; full blocks raised the peak memory), bit-equal to one
-    node at a time.
+    Node j draws from its own stream ``mix_seed(seed, j)``, one generator
+    re-keyed from node to node.  Whole nodes are lifted, mapped and weighed
+    in batches of at most ``BLOCK // 2`` rows (at least one node; full blocks
+    raised the peak memory), bit-equal to one node at a time.
 
     With ``return_stderr`` also returns per-coordinate Monte Carlo standard
     errors (node noises propagated through the quadrature weights and the
@@ -131,9 +131,10 @@ def pf_apply_integral_mc(
     node_means = np.empty(len(nodes))
     node_vars = np.empty(len(nodes))
     per_batch = max(1, (BLOCK // 2) // n_mc)
+    rng = make_rng(0)  # re-keyed to each node's stream
     for start in range(0, len(nodes), per_batch):
         batch = range(start, min(start + per_batch, len(nodes)))
-        ys = np.concatenate([domain.sample(make_rng(mix_seed(seed, j)), n_mc) for j in batch])
+        ys = np.concatenate([domain.sample(make_rng(mix_seed(seed, j), rng), n_mc) for j in batch])
         psi = evaluate_many(dictionary, ys).reshape(len(batch), n_mc, -1)
         # one product per node: a batched (m, N) @ (N,) differs in the last bit
         g_vals = np.array([p @ coeffs_g for p in psi])

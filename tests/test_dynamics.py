@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from koopest import (
     ClosedQuadraticParams,
     DivergenceError,
+    Domain,
     NoiseModel,
     SampleSet,
     StochasticSystem,
@@ -319,18 +320,27 @@ class TestDriftForms:
         assert _run(_kernels(fast)["compiled"], fast, [(1.0, 2.0)], path)[0][0, 1].tolist() == [
             0.7 + 0.5, 0.3 * 2.0 + (0.7 * 0.7 - 0.3) * 1.0 * 1.0 * 1.0 + 0.25]
 
-    def test_the_compiled_kernel_checks_its_buffers(self):
+    def test_the_compiled_kernel_checks_its_buffers(self, compiler):
+        # one wrapper checks the buffers of either kernel, compiled or Python
         system = SYSTEMS["vanderpol"]
-        kernel, params = _kernels(system)["compiled"], tuple(system.params.values())
-        for paths, noise, args in [
-            (np.zeros((2, 4, 2)), np.zeros((2, 2, 2)), params),  # m + 1 rows
-            (np.zeros((2, 3, 2)), np.zeros((1, 2, 2)), params),  # R paths
-            (np.zeros((2, 3, 2), dtype=np.float32), np.zeros((2, 2, 2)), params),
-            (np.zeros((2, 2, 3)).transpose(0, 2, 1), np.zeros((2, 2, 2)), params),
-            (np.zeros((2, 3, 2)), np.zeros((2, 2, 2)), ()),  # one parameter, dt
-        ]:
-            with pytest.raises(ValueError, match="float64 C-contiguous"):
-                kernel(args, paths, noise, np.inf)
+        params = tuple(system.params.values())
+        frozen = np.zeros((2, 3, 2))
+        frozen.flags.writeable = False
+        for stepping in _each_kernel(compiler):
+            kernel, _ = dynamics._kernel(system.update, tuple(system.params))
+            for paths, noise, args in [
+                (np.zeros((2, 4, 2)), np.zeros((2, 2, 2)), params),  # m + 1 rows
+                (np.zeros((2, 3, 2)), np.zeros((1, 2, 2)), params),  # R paths
+                (np.zeros((2, 3, 2), dtype=np.float32), np.zeros((2, 2, 2)), params),
+                (np.zeros((2, 3, 2)), np.zeros((2, 2, 2), dtype=np.float32), params),
+                (np.zeros((2, 2, 3)).transpose(0, 2, 1), np.zeros((2, 2, 2)), params),
+                (frozen, np.zeros((2, 2, 2)), params),
+                (np.zeros((2, 3, 2)), np.zeros((2, 2, 2)), ()),  # one parameter, dt
+            ]:
+                with pytest.raises(ValueError, match="float64 C-contiguous"):
+                    kernel(args, paths, noise, np.inf)
+            paths = np.zeros((2, 3, 2))
+            assert kernel(params, paths, np.ones((2, 2, 2)), np.inf).tolist() == [2, 2], stepping
 
     @pytest.mark.parametrize("shape", [(3,), (5, 3), (1,), (), (2, 2, 2), (1, 2), (4, 2)])
     def test_wrong_state_shape_is_named(self, shape):
@@ -538,6 +548,40 @@ class TestSimulate:
             assert path[:-1].tobytes() == ss.xs.tobytes()
             assert path[1:].tobytes() == ss.ys.tobytes()
 
+    def test_stream_positions_carry_across_blocks(self, baseline_params):
+        # one generator serves the call: each seed's stream position is kept
+        # across the noise blocks and follows the shrinking index when seed 2
+        # leaves in the first block; a seed's states do not depend on its order
+        # or its neighbours
+        system, steps, bound, dom = make_closed_quadratic(baseline_params), BLOCK + 37, 7.0, unit_box(2)
+
+        def run(seeds):
+            blocks, failed = {seed: [] for seed in seeds}, {}
+            for paths, index, out in trajectory_chunks(system, None, steps, seeds, bound, dom):
+                failed.update((seeds[k], err.step) for k, err in out.items())
+                for path, k in zip(paths, index.tolist()):
+                    blocks[seeds[k]].append(path)
+            return failed, {seed: np.concatenate([b[:-1] for b in bs] + [bs[-1][-1:]]).tobytes()
+                            for seed, bs in blocks.items() if seed not in failed}
+
+        def whole_stream(seed):  # one fresh generator draws the start and all the noise at once
+            rng = make_rng(seed)
+            paths = np.empty((1, steps + 1, 2))
+            paths[0, 0] = dom.sample(rng)
+            noise = system.noise.draw(rng, steps)[None]
+            dynamics._kernel(system.update, tuple(system.params))[0](
+                tuple(system.params.values()), paths, noise, bound)
+            return paths[0].tobytes()
+
+        failed, states = run([0, 1, 2, 3])
+        assert failed == {2: 19690} and list(states) == [0, 1, 3]
+        for seed, got in states.items():
+            assert got == simulate(system, None, steps, seed, bound, dom).states.tobytes()
+            assert got == whole_stream(seed)
+        for seeds in ([3, 2, 1, 0], [5, 3, 7, 1, 9, 0, 2]):
+            again, others = run(seeds)
+            assert again[2] == 19690 and {s: others[s] for s in states} == states
+
     def test_initial_state_from_domain(self, baseline_params):
         system = make_closed_quadratic(baseline_params)
         dom = unit_box(2)
@@ -689,6 +733,59 @@ class TestKoopmanApplyMC:
         a = make_rng(99).standard_normal(4)
         b = np.random.Generator(np.random.Philox(key=99)).standard_normal(4)
         assert (a == b).all()
+
+
+_seed = st.one_of(st.integers(0, 2**64 - 1), st.integers(-(2**70), -1))
+
+
+def _fresh(seed):
+    """The documented generator: a new Philox keyed by the seed's low 64 bits."""
+    return np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
+
+
+class TestRekey:
+    """``make_rng(seed, rng)`` re-keys ``rng`` to the seed's stream: it draws
+    what a fresh Philox keyed by the seed draws, bit for bit, whatever it drew
+    before (a negative seed is masked to 64 bits)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(before=_seed, seed=_seed, partial=st.sampled_from(["none", "raw", "uint32", "normal"]),
+           m=st.integers(0, 9))
+    def test_rekeyed_draws_equal_a_fresh_generator(self, before, seed, partial, m):
+        rng = make_rng(before)
+        if partial == "raw":  # leaves buffer_pos below 4
+            rng.bit_generator.random_raw(1)
+        elif partial == "uint32":  # leaves has_uint32 set
+            rng.integers(2**32, dtype=np.uint32)
+        elif partial == "normal":
+            rng.standard_normal(3)
+        assert make_rng(seed, rng) is rng
+        fresh = _fresh(seed)
+        assert str(rng.bit_generator.state) == str(fresh.bit_generator.state)
+        assert str(make_rng(seed).bit_generator.state) == str(fresh.bit_generator.state)
+        dom = Domain([-1.0, -0.5], [2.0, 0.5])
+        assert dom.sample(rng).tobytes() == dom.sample(fresh).tobytes()
+        assert dom.sample(rng, m).tobytes() == dom.sample(fresh, m).tobytes()
+        noise = NoiseModel.gaussian([0.3, 2.0])
+        assert noise.draw(rng, m).tobytes() == noise.draw(fresh, m).tobytes()
+        out = np.empty((m, 2))
+        rng.standard_normal(out=out)
+        assert out.tobytes() == fresh.standard_normal((m, 2)).tobytes()
+        assert rng.integers(2**32, dtype=np.uint32) == fresh.integers(2**32, dtype=np.uint32)
+
+    @given(seed=_seed, m=st.integers(1, 40))
+    def test_noise_into_the_block_equals_draw(self, seed, m):
+        # standard_normal into a buffer, then += 0.0 and *= std_dev, is
+        # rng.normal(0.0, 1.0) * std_dev, which turns a -0.0 into +0.0
+        std = np.array([0.25, 3.0])
+        out = np.empty((m, 2))
+        make_rng(seed, make_rng(0)).standard_normal(out=out)
+        out += 0.0
+        out *= std
+        assert out.tobytes() == NoiseModel.gaussian(std).draw(_fresh(seed), m).tobytes()
+        zero = np.array([-0.0, 1.0])
+        zero += 0.0
+        assert zero.tobytes() == (0.0 + 1.0 * np.array([-0.0, 1.0])).tobytes()
 
 
 class TestNoiseModel:

@@ -98,6 +98,11 @@ default and ``io``'s 1e16 exponent-form bound) appears in the package.
 ``bounds`` calls no ``eigvalsh`` and holds no float constant above 1: it
 reduces the S0 it is given, which the harness takes from the fits the
 score keeps.
+A random stream is opened in one place: only ``seeding.make_rng`` names
+``Philox`` and writes a key, whether it makes a generator or re-keys one.  No
+module holds a generator at module or class scope or behind
+``functools.cache``, so each call makes its own and no two threads of the map
+share one.
 """
 
 import ast
@@ -604,3 +609,26 @@ def test_a_fit_gets_one_verdict():
     assert "solve" in calls and "eigvalsh" not in calls
     assert not [n.value for n in bounds if isinstance(n, ast.Constant)
                 and type(n.value) is float and n.value > 1.0]
+
+
+_MAKERS = {"Philox", "Generator", "default_rng", "RandomState", "make_rng"}
+
+
+def test_only_seeding_opens_a_stream_and_no_generator_outlives_a_call():
+    philox = _sites(lambda node: "Philox" in _names(node)
+                    or (isinstance(node, ast.Constant) and node.value == "Philox"))
+    assert set(philox) == {"seeding.make_rng"}
+    keyed = _sites(lambda node: isinstance(node, ast.Dict) and any(
+        isinstance(k, ast.Constant) and k.value == "key" for k in node.keys))
+    assert keyed == ["seeding.make_rng"]
+    for path in sorted(SRC.glob("*.py")):
+        tree = _parse(path.stem)
+        classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+        outside = [stmt for body in [tree.body, *(c.body for c in classes)] for stmt in body
+                   if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        cached = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                  and {name for d in node.decorator_list for name in _names(getattr(d, "func", d))}
+                  & {"cache", "lru_cache", "cached_property"}]
+        for scope in outside + cached:
+            makes = {name for n in ast.walk(scope) if isinstance(n, ast.Call) for name in _names(n.func)}
+            assert makes.isdisjoint(_MAKERS), (path.stem, getattr(scope, "name", scope.lineno))
