@@ -31,8 +31,6 @@ from .seeding import make_rng
 GAUSSIAN_IID = "gaussian-iid"
 NO_NOISE = "none"
 
-STATE_DIM = 2  # every system is planar: the simulator steps two named coordinates
-
 DEFAULT_DIVERGENCE_NORM = 1e6
 # Rows per block, both for drawing trajectory noise and for lifting samples
 # into moments and residuals.  One constant, so a fit streamed from
@@ -56,10 +54,10 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Additive iid noise on the plane, drawn independently across time steps
-    and the two coordinates.  ``std_dev`` holds one standard deviation per
-    coordinate; a single entry serves both.  Kind ``"none"`` draws -0.0, which
-    adds nothing to any state (+0.0 turns a -0.0 into +0.0), whatever its ``std_dev``."""
+    """Additive iid noise, drawn independently across time steps and coordinates.
+    ``std_dev`` holds one standard deviation per coordinate; a system spreads a
+    single entry over all of its own.  Kind ``"none"`` draws -0.0, which adds
+    nothing to any state (+0.0 turns a -0.0 into +0.0), whatever its ``std_dev``."""
 
     kind: str  # "gaussian-iid" | "none"
     std_dev: np.ndarray
@@ -68,14 +66,8 @@ class NoiseModel:
         if self.kind not in (GAUSSIAN_IID, NO_NOISE):
             raise ValueError(f"unknown noise kind {self.kind!r}")
         sd = np.atleast_1d(np.asarray(self.std_dev, dtype=float))
-        if sd.shape == (1,):
-            sd = np.full(STATE_DIM, sd[0])
-        if sd.shape != (STATE_DIM,):
-            raise ValueError(
-                f"std_dev needs 1 or {STATE_DIM} entries (systems are planar), got {sd.size}"
-            )
-        if (sd < 0).any() or not np.isfinite(sd).all():
-            raise ValueError("std_dev entries must be finite and nonnegative")
+        if sd.ndim != 1 or sd.size == 0 or (sd < 0).any() or not np.isfinite(sd).all():
+            raise ValueError("std_dev must be a non-empty vector of finite, nonnegative entries")
         object.__setattr__(self, "std_dev", sd)
 
     @classmethod
@@ -91,10 +83,10 @@ class NoiseModel:
         return self.kind == GAUSSIAN_IID and bool((self.std_dev > 0).all())
 
     def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        """m iid noise vectors, shape (m, 2).  Consumes no randomness if silent."""
+        """m iid noise vectors, one entry per std.  Consumes no randomness if silent."""
         if self.kind == NO_NOISE:
-            return np.full((m, STATE_DIM), -0.0)
-        return rng.normal(0.0, 1.0, size=(m, STATE_DIM)) * self.std_dev
+            return np.full((m, self.std_dev.size), -0.0)
+        return rng.normal(0.0, 1.0, size=(m, self.std_dev.size)) * self.std_dev
 
     def density(self, v) -> np.ndarray:
         """Product-Gaussian probability density of each state (last axis) of v."""
@@ -102,11 +94,10 @@ class NoiseModel:
             raise ValueError("noise model has no density (kind 'none' or zero std)")
         v = np.atleast_2d(np.asarray(v, dtype=float))
         z = v / self.std_dev
-        norm = (2.0 * np.pi) ** (STATE_DIM / 2.0) * float(np.prod(self.std_dev))
+        norm = (2.0 * np.pi) ** (self.std_dev.size / 2.0) * float(np.prod(self.std_dev))
         return np.exp(-0.5 * np.sum(z * z, axis=-1)) / norm
 
 
-STEP_NAMES = ("x1", "x2", "w1", "w2")  # the state and the noise of a step; T reads the state
 # gcc contracts ``a * b + c`` into one fused multiply-add, rounded once, on a
 # machine that has one (aarch64, for example), where Python rounds twice;
 # -ffp-contract=off keeps Python's bits.
@@ -114,38 +105,36 @@ COMPILE = ("gcc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*"}
 
 # Both kernels step x <- T(x) + w path by path, the noise added last, and return each path's
-# stop: its first state whose norm sqrt(x1*x1 + x2*x2) is NaN, +inf or above the bound, or m.
+# stop: its first state whose norm sqrt(x1*x1 + ... + xn*xn) is NaN, +inf or above the bound, or m.
 _PYTHON = """
 def kernel(_params, _paths, _noise, _bound):
     {names} = _params
     _stops = []
     for _path, _w in _zip(_paths, _noise):
-        x1, x2 = _path[0].tolist()
-        _out1, _out2 = [], []
-        _append1, _append2 = _out1.append, _out2.append
+        {xs} = _path[0].tolist()
+        _outs = [[] for _ in _path[0]]
+        {appenders} = [_out.append for _out in _outs]
         _failed = False
-        for _w1, _w2 in _zip(*_w.T.tolist()):
-            x1, x2 = ({0}) + _w1, ({1}) + _w2
-            _append1(x1)
-            _append2(x2)
-            _norm = _sqrt(x1 * x1 + x2 * x2)
+        for {ws} in _zip(*_w.T.tolist()):
+            {xs} = {steps}
+            {appends}
+            _norm = _sqrt({norm})
             _failed = not _norm < _inf or _norm > _bound
             if _failed:
                 break
-        _path[1 : len(_out1) + 1] = _array([_out1, _out2]).T
-        _stops.append(len(_out1) - _failed)
+        _path[1 : len(_outs[0]) + 1] = _array(_outs).T
+        _stops.append(len(_outs[0]) - _failed)
     return _array(_stops, int)
 """
 _C = """#include <math.h>
 void kernel(const double *p, double *x, const double *w, long *stop, long n, long m, double bound) {{
     {names}
-    for (long r = 0, t; r < n; r++, x += 2 * (m + 1), w += 2 * m) {{
-        double v_x1 = x[0], v_x2 = x[1];
+    for (long r = 0, t; r < n; r++, x += {dim} * (m + 1), w += {dim} * m) {{
+        double {loads};
         for (t = 0; t < m; t++) {{
-            const double y1 = {0} + w[2 * t], y2 = {1} + w[2 * t + 1];
-            x[2 * t + 2] = v_x1 = y1;
-            x[2 * t + 3] = v_x2 = y2;
-            const double norm = sqrt(y1 * y1 + y2 * y2);
+            const double {steps};
+            {stores}
+            const double norm = sqrt({norm});
             if (!isfinite(norm) || norm > bound) break;
         }}
         stop[r] = t;
@@ -156,12 +145,12 @@ void kernel(const double *p, double *x, const double *w, long *stop, long n, lon
 
 @functools.cache
 def _python(update: tuple, names: tuple):
-    """The generated Python kernel of an update pair, the pair compiled, and
-    its C text, each operation in parentheses.  A map may read only x1, x2,
-    the parameter ``names`` and finite float constants through ``+``, ``-``
-    and ``*``, so Python and C evaluate the same IEEE operations in the same
-    order: one walk checks each tree and writes its C text before any runs."""
-    allowed = STEP_NAMES[:STATE_DIM] + names
+    """The Python kernel of an update of n expressions, the update compiled and the C text,
+    each operation in parentheses and one name (in Python one list) per coordinate.  A map
+    may read only x1..xn, the parameter ``names`` and finite float constants through ``+``,
+    ``-`` and ``*``, so Python and C evaluate the same IEEE operations in the same order."""
+    dim = len(update)
+    allowed = tuple(f"x{i}" for i in range(1, dim + 1)) + names
 
     def c(node):
         op = getattr(node, "op", None)
@@ -183,19 +172,30 @@ def _python(update: tuple, names: tuple):
             texts.append(c(ast.parse(expr, mode="eval").body))
         except SyntaxError:
             raise ValueError(f"update {expr!r} is not a Python expression") from None
+
+    def each(form, sep=", "):  # per coordinate i: its update e, C text c and offsets in row t
+        return sep.join(form.format(i=i, e=e, c=text, k=i - 1, x=f"{dim} * t + {dim + i - 1}",
+                                    w=f"{dim} * t" + f" + {i - 1}" * (i > 1))  # as 2-D printed them
+                        for i, (e, text) in enumerate(zip(update, texts), 1))
+
     namespace = {"_zip": zip, "_array": np.array, "_sqrt": math.sqrt, "_inf": math.inf}
-    exec(_PYTHON.format(*update, names=f"[{', '.join(names)}]"), namespace)
-    return namespace["kernel"], compile(f"({update[0]}), ({update[1]})", "<update>", "eval"), texts
+    exec(_PYTHON.format(names=f"[{', '.join(names)}]", xs=each("x{i},", " "),
+                        appenders=each("_append{i},", " "), ws=each("_w{i},", " "),
+                        steps=each("({e}) + _w{i},", " "), appends=each("_append{i}(x{i})", "; "),
+                        norm=each("x{i} * x{i}", " + ")), namespace)
+    source = _C.format(
+        names=" ".join(f"const double v_{name} = p[{i}];" for i, name in enumerate(names)),
+        dim=dim, loads=each("v_x{i} = x[{k}]"), steps=each("y{i} = {c} + w[{w}]"),
+        stores=each("x[{x}] = v_x{i} = y{i};", "\n            "), norm=each("y{i} * y{i}", " + "))
+    return namespace["kernel"], compile(each("({e}),", " "), "<update>", "eval"), source
 
 
 @functools.cache
 def _kernel(update: tuple, names: tuple):
-    """``(kernel, stepping)`` of an update pair in this process: the C kernel,
+    """``(kernel, stepping)`` of an update in this process: the C kernel,
     built from stdin into a temporary directory at the first call, else the
     Python kernel and the reason.  Either way ``kernel`` checks its buffers."""
-    unpack = " ".join(f"const double v_{name} = p[{i}];" for i, name in enumerate(names))
-    source = _C.format(*_python(update, names)[2], names=unpack)
-    stepping = f"compiled ({' '.join(COMPILE[:3])})"
+    stepping, dim = f"compiled ({' '.join(COMPILE[:3])})", len(update)
     try:
         if (compiler := shutil.which(COMPILE[0])) is None:
             raise OSError("no C compiler found")
@@ -204,7 +204,7 @@ def _kernel(update: tuple, names: tuple):
         with tempfile.TemporaryDirectory() as tmp:
             library = f"{tmp}/kernel.so"
             done = subprocess.run([compiler, *COMPILE[1:], "-x", "c", "-o", library, "-"],
-                                  input=source.encode(), capture_output=True)
+                                  input=_python(update, names)[2].encode(), capture_output=True)
             if done.returncode:
                 raise OSError(f"{COMPILE[0]} exited with status {done.returncode}")
             try:
@@ -217,11 +217,11 @@ def _kernel(update: tuple, names: tuple):
 
     def kernel(params, paths, noise, bound):
         n, m, _ = noise.shape
-        if ((len(params), noise.shape, paths.shape) != (len(names), (n, m, 2), (n, m + 1, 2))
+        if ((len(params), noise.shape, paths.shape) != (len(names), (n, m, dim), (n, m + 1, dim))
                 or not all(a.dtype == float and a.flags.c_contiguous for a in (paths, noise))
                 or not paths.flags.writeable):
-            raise ValueError("the kernel takes float64 C-contiguous paths (R, m + 1, 2), "
-                             f"noise (R, m, 2) and {len(names)} parameters")
+            raise ValueError(f"the kernel takes float64 C-contiguous paths (R, m + 1, {dim}), "
+                             f"noise (R, m, {dim}) and {len(names)} parameters")
         if fn is None:
             return _python(update, names)[0](params, paths, noise, bound)
         params, stops = np.ascontiguousarray(params, dtype=float), np.empty(n, dtype=ctypes.c_long)
@@ -233,15 +233,15 @@ def _kernel(update: tuple, names: tuple):
 
 @dataclass(frozen=True)
 class StochasticSystem:
-    """State-transition law ``x+ = T(x) + noise`` on the plane.
+    """State-transition law ``x+ = T(x) + noise`` on n coordinates, n the length of ``update``.
 
-    A system is its map and its planar noise.  ``update`` is the map T,
-    written once as a pair of strings, ``T1`` and ``T2`` over ``x1, x2``
-    and the names of ``params`` (finite floats), checked by ``_python``.
-    From it come the kernels ``kernel(params, paths, noise, bound)``, compiled
-    C or Python, which step ``x <- T(x) + w`` and stop each path at its first
-    state out of ``bound``, writing the same bytes, and ``transition``, which
-    is T.  Systems are immutable and safe to share across workers.
+    ``update`` is the map T, written once as n strings ``T1..Tn`` over ``x1..xn``
+    and the names of ``params`` (finite floats), checked by ``_python``; a
+    one-entry noise std is spread over the n coordinates.  From it come the
+    kernels ``kernel(params, paths, noise, bound)``, compiled C or Python, which
+    step ``x <- T(x) + w`` and stop each path at its first state out of ``bound``,
+    writing the same bytes, and ``transition``, which is T.  Systems are
+    immutable and safe to share across workers.
     """
 
     update: tuple
@@ -249,20 +249,26 @@ class StochasticSystem:
     noise: NoiseModel
 
     def __post_init__(self):
-        if not (isinstance(self.update, (tuple, list)) and len(self.update) == STATE_DIM
+        if not (isinstance(self.update, (tuple, list)) and self.update
                 and all(isinstance(expr, str) for expr in self.update)):
-            raise ValueError(f"update must be a pair of strings, one expression per coordinate, "
-                             f"got {self.update!r}")
+            raise ValueError(f"update must be a non-empty tuple of strings, one expression per "
+                             f"coordinate, got {self.update!r}")
+        n = len(self.update)
+        steps = [f"{v}{i}" for v in "xw" for i in range(1, n + 1)]  # the state and the noise
         if any(not name.isidentifier() or keyword.iskeyword(name) or name[0] == "_"
-               or name in STEP_NAMES for name in self.params):
+               or name in steps for name in self.params):
             raise ValueError(f"parameter names {list(self.params)} must be identifiers other "
-                             f"than {', '.join(STEP_NAMES)}, not beginning with '_'")
+                             f"than {', '.join(steps)}, not beginning with '_'")
         object.__setattr__(self, "update", tuple(self.update))
-        _python(self.update, tuple(self.params))  # checks the pair
+        _python(self.update, tuple(self.params))  # checks the update
         object.__setattr__(self, "params", {k: float(v) for k, v in self.params.items()})
         for name, value in self.params.items():
             if not math.isfinite(value):
                 raise ValueError(f"parameter {name} must be finite, got {value!r}")
+        sd = self.noise.std_dev
+        if sd.size not in (1, n):
+            raise ValueError(f"std_dev needs 1 or {n} entries, one per coordinate, got {sd.size}")
+        object.__setattr__(self, "noise", NoiseModel(self.noise.kind, np.resize(sd, n)))
 
     @property
     def stepping(self) -> str:
@@ -270,13 +276,13 @@ class StochasticSystem:
         return _kernel(self.update, tuple(self.params))[1]
 
     def transition(self, x) -> np.ndarray:
-        """T of one state ``(2,)`` or of each row of ``(m, 2)``."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[-1] != STATE_DIM:
-            raise ValueError(f"state must have shape (2,) or (m, 2), got {x.shape}")
-        pair = eval(_python(self.update, tuple(self.params))[1],
-                    {**self.params, **dict(zip(STEP_NAMES, x.T))})
-        return np.stack(np.broadcast_arrays(*pair), axis=-1)  # a map of no state is a float
+        """T of one state ``(n,)`` or of each row of ``(m, n)``."""
+        x, n = np.asarray(x, dtype=float), len(self.update)
+        if x.ndim not in (1, 2) or x.shape[-1] != n:
+            raise ValueError(f"state must have shape ({n},) or (m, {n}), got {x.shape}")
+        coords = eval(_python(self.update, tuple(self.params))[1],
+                      {**self.params, **{f"x{i}": col for i, col in enumerate(x.T, 1)}})
+        return np.stack(np.broadcast_arrays(*coords, x[..., 0])[:-1], axis=-1)  # constants too
 
 
 @dataclass(frozen=True)
@@ -416,40 +422,43 @@ def trajectory_chunks(
     """Step one trajectory per seed; yield their states block by block.
 
     Each item is ``(paths, index, failed)``.  ``paths`` has shape
-    ``(len(index), m + 1, 2)``: the m + 1 states of this block of each
-    trajectory still running, ``index`` holding their positions in ``seeds``
-    (a block's last state is the next block's first).  Each block is one
+    ``(len(index), m + 1, n)``, n the system's dimension: the m + 1 states of this
+    block of each trajectory still running, ``index`` holding their positions in
+    ``seeds`` (a block's last state is the next block's first).  Each block is one
     call of the system's kernel (see :class:`StochasticSystem`), which stops a
     trajectory at its first state of 2-norm NaN, +inf or above ``max_norm``
-    (positive, or +inf); ``failed`` maps the position of each one stopped in
-    this block to its DivergenceError.  Every trajectory draws its initial
-    state (``x0=None``, uniform on ``domain``) and its noise, ``BLOCK`` rows at
-    a time into the block, from its own seed stream (the call re-keys one
-    generator from seed to seed), so its states do not depend on the other
-    seeds: identical arguments give :func:`simulate`'s trajectory.
+    (positive, or +inf); ``failed`` maps the position of each one stopped in this
+    block to its DivergenceError.  Every trajectory draws its initial state
+    (``x0=None``, uniform on ``domain``) and its noise, ``BLOCK`` rows at a time into
+    the block, from its own seed stream (the call re-keys one generator from seed to
+    seed), so its states do not depend on the other seeds: identical arguments give
+    :func:`simulate`'s trajectory, and no seed gives no block.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
     if not max_norm > 0:  # a NaN bound would fail no state, one of 0 or below every state
         raise ValueError(f"max_norm must be positive or +inf, got {max_norm!r}")
-    x = np.array([[0.0] * STATE_DIM if x0 is None else x0] * len(seeds), dtype=float)
-    if (x.shape != (len(seeds), STATE_DIM) or not np.isfinite(x).all()
-            or x0 is None and (domain is None or domain.dim != STATE_DIM)):
-        raise ValueError("x0 must be a finite planar state, or None with a planar domain")
+    n = len(system.update)
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)  # then each block's last states
+    if (x.shape != (n,) or not np.isfinite(x).all()
+            or x0 is None and (domain is None or domain.dim != n)):
+        raise ValueError(f"x0 must be a finite {n}-D state, or None and a {n}-D domain")
     kernel, _ = _kernel(system.update, tuple(system.params))
     silent = system.noise.kind == NO_NOISE
     rng, saved = make_rng(0), {}  # the call's one generator; stream positions kept between blocks
     index, done = np.arange(len(seeds)), 0
     while done < steps and index.size:
         m = min(BLOCK, steps - done)
-        noise = np.full((index.size, m, STATE_DIM), -0.0) if silent else np.empty((index.size, m, STATE_DIM))
+        noise = np.full((index.size, m, n), -0.0) if silent else np.empty((index.size, m, n))
+        paths = np.empty((index.size, m + 1, n))
+        paths[:, 0] = x
         for r, k in enumerate(index.tolist()):  # a seed's start, then its block of noise
             if done:
                 rng.bit_generator.state = saved.pop(k)
             else:
                 make_rng(seeds[k], rng)
                 if x0 is None:
-                    x[r] = domain.sample(rng)
+                    paths[r, 0] = domain.sample(rng)
             if not silent:
                 rng.standard_normal(out=noise[r])
             if done + m < steps:
@@ -457,14 +466,12 @@ def trajectory_chunks(
         if not silent:  # rng.normal(0.0, 1.0) is 0.0 + 1.0 * z, which turns -0.0 into +0.0
             noise += 0.0
             noise *= system.noise.std_dev
-        paths = np.empty((index.size, m + 1, STATE_DIM))
-        paths[:, 0] = x
         stops = kernel(tuple(system.params.values()), paths, noise, max_norm)
         failed = {}
         for r in np.flatnonzero(stops < m):  # the failing state's norm, as the kernel takes it
             i = int(stops[r])
-            x1, x2 = paths[r, i + 1].tolist()
-            failed[int(index[r])] = DivergenceError(done + i, math.sqrt(x1 * x1 + x2 * x2), max_norm)
+            squares = functools.reduce(lambda acc, v: acc + v * v, paths[r, i + 1].tolist(), 0.0)
+            failed[int(index[r])] = DivergenceError(done + i, math.sqrt(squares), max_norm)
         if failed:
             index, paths = index[stops == m], paths[stops == m]
         x = paths[:, -1].copy()
@@ -499,11 +506,8 @@ def simulate(
 
 
 def step_pairs(system: StochasticSystem, xs, seed: int) -> SampleSet:
-    """One noisy transition from each given state: independent (x, y) pairs."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != STATE_DIM:
-        raise ValueError("xs must have shape (m, 2)")
-    ys = system.transition(xs) + system.noise.draw(make_rng(seed), xs.shape[0])
+    """One noisy transition from each state of ``(m, n)``: independent (x, y) pairs."""
+    ys = system.transition(xs) + system.noise.draw(make_rng(seed), len(xs))
     return SampleSet(xs, ys, int(seed))
 
 
@@ -516,17 +520,17 @@ def koopman_apply_mc(
     seed: int,
 ):
     """Monte Carlo estimate ``(value, stderr)`` of the propagated observable
-    ``E_xi[phi(T(x)+xi)]``, ``phi`` the dictionary combination with the given
-    coefficients; the standard error is NaN below two draws.  Silent noise
-    gives the exact ``phi(T(x))`` and 0.0 for any n_mc.  This estimator is
-    the independent oracle used by closure diagnostics and ground-truth
-    matrix checks.
+    ``E_xi[phi(T(x)+xi)]`` at one state ``(n,)``, ``phi`` the dictionary
+    combination with the given coefficients; the standard error is NaN below
+    two draws.  Silent noise gives the exact ``phi(T(x))`` and 0.0 for any
+    n_mc.  This estimator is the independent oracle used by closure
+    diagnostics and ground-truth matrix checks.
     """
     if n_mc < 1:
         raise ValueError("n_mc must be positive")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (STATE_DIM,):  # one state: a batch would reach the lift as (1, n_mc, 2)
-        raise ValueError(f"state must have shape (2,), got {x.shape}")
+    x, n = np.asarray(x, dtype=float), len(system.update)
+    if x.shape != (n,):  # one state: a batch would reach the lift as (1, n_mc, n)
+        raise ValueError(f"state must have shape ({n},), got {x.shape}")
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (dictionary.n_basis,):
         raise ValueError("coeffs must have length n_basis")

@@ -88,8 +88,6 @@ class MomentPair:
 def _lifted_pairs(dictionary: Dictionary, samples: SampleSet):
     """Yield the lifted ``(psi_x, psi_y)`` of ``BLOCK`` pairs at a time; a
     single trajectory lifts each block's m + 1 states once."""
-    if samples.state_dim != dictionary.state_dim:
-        raise ValueError("sample dimension does not match the dictionary")
     for start in range(0, samples.n_samples, BLOCK):
         stop = min(start + BLOCK, samples.n_samples)
         if samples.states is not None:

@@ -34,7 +34,6 @@ from .dynamics import (
     DEFAULT_DIVERGENCE_NORM,
     GAUSSIAN_IID,
     NO_NOISE,
-    STATE_DIM,
     ClosedQuadraticParams,
     NoiseModel,
     closed_quadratic_dictionary,
@@ -170,10 +169,6 @@ class ExperimentConfig:
         for key, least in (("n_realizations", 1), ("n_term_realizations", 2),
                            ("closure_n_mc", 2), ("quadrature_order", 1)):
             object.__setattr__(self, key, _count(key, getattr(self, key), least))
-        if dictionary["kind"] == "monomial":
-            # a width below the system's fails here, naming the key, before any build
-            for key, least in (("state_dim", STATE_DIM), ("max_degree", 0)):
-                dictionary[key] = _count(f"dictionary.{key}", dictionary[key], least)
         object.__setattr__(self, "divergence_threshold",
                            _real("divergence_threshold", self.divergence_threshold, positive=True))
         if list(self.T_grid) != sorted(set(self.T_grid)):
@@ -187,12 +182,16 @@ class ExperimentConfig:
                   "noise": {"kind": noise["kind"], "std": std}}
         for key, section in (("system", system), ("dictionary", dictionary), ("domain", domain)):
             object.__setattr__(self, key, section)
-        build_system(self)
+        dim = len(build_system(self).update)
+        if dictionary["kind"] == "monomial":
+            dictionary.setdefault("state_dim", dim)
+            for key, least in (("state_dim", 1), ("max_degree", 0)):
+                dictionary[key] = _count(f"dictionary.{key}", dictionary[key], least)
         dictionary = build_dictionary(self)
         dims = {"dictionary.state_dim": dictionary.state_dim, "domain": build_domain(self).dim}
-        for key, dim in dims.items():
-            if dim != STATE_DIM:
-                raise ValueError(f"{key} gives dimension {dim}, the system has {STATE_DIM}")
+        for key, got in dims.items():
+            if got != dim:
+                raise ValueError(f"{key} must be of the system's dimension {dim}, got {got}")
         n = dictionary.n_basis
         # the closure regression fits N coefficients, one state per equation
         states = max(20, n) if self.closure_n_states is None else self.closure_n_states
@@ -237,15 +236,13 @@ def build_system(config: ExperimentConfig):
     system, noise = config.system, config.system["noise"]
     try:  # a silent model's std is checked too, though it draws none
         noise = NoiseModel(noise["kind"], noise["std"])
-    except ValueError as err:
-        raise ValueError(f"system.noise.std: {err}") from None
-    try:
         if system["kind"] == "closed-quadratic":
             return make_closed_quadratic(ClosedQuadraticParams(**system["params"]), noise=noise)
         return make_vanderpol(noise=noise, **system["params"])
     except ValueError as err:
-        # each constructor's message begins with the parameter's name, its key
-        raise ValueError(f"system.params.{err}") from None
+        # a noise message begins with "std_dev", a constructor's with its parameter, the key
+        key = "system.noise.std: " if str(err).startswith("std_dev") else "system.params."
+        raise ValueError(f"{key}{err}") from None
 
 
 def true_koopman(config: ExperimentConfig) -> np.ndarray | None:
@@ -316,12 +313,9 @@ def config_from_dict(data: dict, **overrides) -> ExperimentConfig:
         missing = sorted(required - set(mapping))
         if missing:
             raise ValueError(f"missing key {missing[0]!r} in {where}")
-    if sections["dictionary"]["kind"] == "monomial":
-        sections["dictionary"].setdefault("state_dim", STATE_DIM)
     kind, noise = system["kind"], sections["system.noise"]
-    std = noise.get("std", [0.01, 0.01] if kind == "vanderpol" else [1.0, 1.0])
-    noise = {"kind": noise["kind"],
-             "std": std if isinstance(std, (list, tuple)) else [std]}  # a scalar serves both axes
+    std = noise.get("std", 0.01 if kind == "vanderpol" else 1.0)  # a scalar serves every axis
+    noise = {"kind": noise["kind"], "std": std if isinstance(std, (list, tuple)) else [std]}
     return ExperimentConfig(**{
         "label": kind,
         **data,
@@ -346,12 +340,16 @@ def fit_loglog_slope(T_values, errors) -> tuple[float, float]:
     """Least-squares slope of log(error) against log(T), with its standard error.
 
     The standard error is NaN with fewer than three points; an exact power
-    law ``c * T^p`` recovers p to roundoff.
+    law ``c * T^p`` recovers p to roundoff.  A T or an error that is not
+    positive and finite raises ValueError naming its ``(T, error)`` pair.
     """
-    x = np.log(np.asarray(T_values, dtype=float))
-    y = np.log(np.asarray(errors, dtype=float))
-    if x.size != y.size or x.size < 2:
+    ts, errs = np.asarray(T_values, dtype=float), np.asarray(errors, dtype=float)
+    if ts.ndim != 1 or ts.shape != errs.shape or ts.size < 2:
         raise ValueError("need at least two (T, error) points")
+    for t, err in zip(ts.tolist(), errs.tolist()):
+        if not (0 < t < math.inf and 0 < err < math.inf):
+            raise ValueError(f"(T, error) = ({t!r}, {err!r}): both must be positive and finite")
+    x, y = np.log(ts), np.log(errs)
     xm = x - x.mean()
     sxx = float(np.sum(xm * xm))
     if sxx == 0.0:
@@ -439,7 +437,7 @@ def fit_realizations(config: ExperimentConfig, T: int, seeds) -> Fits:
         for k, err in failed.items():
             cause[k] = err
         # each trajectory's m + 1 states of the block, all lifted in one call
-        psi = evaluate_many(dictionary, paths.reshape(-1, STATE_DIM)).reshape(*paths.shape[:2], n)
+        psi = evaluate_many(dictionary, paths.reshape(-1, paths.shape[2])).reshape(*paths.shape[:2], n)
         part = sums[:, index]
         add_moments(part, psi[:, :-1], psi[:, 1:])
         sums[:, index] = part

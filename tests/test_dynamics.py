@@ -9,17 +9,23 @@ from hypothesis import strategies as st
 
 from koopest import (
     ClosedQuadraticParams,
+    Dictionary,
     DivergenceError,
     Domain,
+    MomentPair,
     NoiseModel,
     SampleSet,
     StochasticSystem,
+    accumulate,
     closed_quadratic_dictionary,
     closed_quadratic_koopman,
+    estimate_koopman,
     evaluate,
+    evaluate_many,
     gram,
     koopman_apply_mc,
     make_closed_quadratic,
+    make_monomial_dictionary,
     make_vanderpol,
     pf_apply_integral_mc,
     simulate,
@@ -155,32 +161,68 @@ SYSTEMS = {
     "vanderpol-standard": make_vanderpol(0.001, standard_vdp=True),
 }
 
+# Systems of one and three coordinates: the kernels are generated for any
+# length of update.  The triangular map closes on TRIANGULAR_DICTIONARY under
+# Gaussian noise (each monomial's expected image lies in its span), so its
+# Koopman matrix is exact (_exact_koopman).
+CUBIC_LINE = StochasticSystem(("x1 - a * x1 * x1 * x1",), {"a": 0.1}, NoiseModel.gaussian(0.2))
+AFFINE_LINE = StochasticSystem(("a * x1 + b",), {"a": 0.5, "b": 0.25}, NoiseModel.gaussian(0.3))
+TRIANGULAR = StochasticSystem(
+    ("rho * x1", "mu * x2 + c * x1 * x1", "nu * x3 + d * x2 * x2"),
+    {"rho": 0.5, "mu": 0.4, "c": 1.0, "nu": 0.3, "d": 0.5}, NoiseModel.gaussian(0.3))
+TRIANGULAR_DICTIONARY = Dictionary([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 0, 0],
+                                    [2, 1, 0], [4, 0, 0], [0, 2, 0]])
+# every dimension the kernel checks draw from: 1, 2 and 3
+SHAPES = {**SYSTEMS, "cubic-line": CUBIC_LINE, "triangular": TRIANGULAR}
+
 _coordinate = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 _unit_coordinate = st.floats(-1.0, 1.0)  # states that stay bounded for a few steps
 
 
 class TestPlanarContract:
+    """A system's dimension is the length of its update, and nothing else
+    states it: the planar systems are the case n = 2 of one contract."""
+
     def test_other_dimensions_are_rejected(self):
-        # the dimension is the constant STATE_DIM, not an argument: the noise
-        # of a system has two coordinates, whatever std it is given
-        message = r"std_dev needs 1 or 2 entries \(systems are planar\), got 3"
-        with pytest.raises(ValueError, match=message):
-            NoiseModel.gaussian([1.0, 1.0, 1.0])
-        with pytest.raises(ValueError, match=message):
-            NoiseModel("none", np.zeros(3))
-        assert NoiseModel.none().draw(make_rng(0), 3).shape == (3, 2)
+        # a NoiseModel holds any non-empty vector of finite, nonnegative stds;
+        # the system takes 1 or n of them, n the length of its update
+        for std in ([], [[1.0, 1.0]], [1.0, np.nan], [-1.0]):
+            with pytest.raises(ValueError, match="std_dev must be a non-empty vector"):
+                NoiseModel.gaussian(std)
+        for update in (("x1",), ("x1", "x2"), ("x1", "x2", "x3")):
+            n, bad = len(update), len(update) + 1
+            message = rf"^std_dev needs 1 or {n} entries, one per coordinate, got {bad}$"
+            for noise in (NoiseModel.gaussian([1.0] * bad), NoiseModel("none", np.zeros(bad))):
+                with pytest.raises(ValueError, match=message):
+                    StochasticSystem(update, {}, noise)
+            system = StochasticSystem(update, {}, NoiseModel.none())
+            assert system.noise.draw(make_rng(0), 3).shape == (3, n)
+            stds = np.array([0.1, 0.2, 0.3][:n])  # one per coordinate, kept in order
+            noisy = StochasticSystem(update, {}, NoiseModel.gaussian(stds))
+            assert noisy.noise.std_dev.tobytes() == stds.tobytes()
+            shape = rf"shape \({n},\) or \(m, {n}\), got \(4, {bad}\)"
+            with pytest.raises(ValueError, match=shape):
+                system.transition(np.zeros((4, bad)))
+        with pytest.raises(ValueError, match="non-empty tuple of strings"):
+            StochasticSystem((), {}, NoiseModel.none())
 
     @settings(max_examples=50, deadline=None)
     @given(
         std=st.floats(0.0, 1e3, allow_nan=False),
         seed=st.integers(0, 2**64 - 1),
         m=st.integers(1, 40),
+        n=st.integers(1, 3),
     )
-    def test_one_entry_std_serves_both_coordinates(self, std, seed, m):
-        one = NoiseModel.gaussian(std).draw(make_rng(seed), m)
-        two = NoiseModel.gaussian([std, std]).draw(make_rng(seed), m)
-        assert one.shape == (m, 2)
-        assert one.tobytes() == two.tobytes()
+    def test_one_entry_std_serves_both_coordinates(self, std, seed, m, n):
+        # the system spreads a one-entry std over its n coordinates, with the
+        # bytes of n equal entries
+        update = tuple(f"x{i}" for i in range(1, n + 1))
+        one = StochasticSystem(update, {}, NoiseModel.gaussian(std)).noise
+        every = StochasticSystem(update, {}, NoiseModel.gaussian([std] * n)).noise
+        assert one.std_dev.tobytes() == np.full(n, std).tobytes() == every.std_dev.tobytes()
+        draws = one.draw(make_rng(seed), m)
+        assert draws.shape == (m, n)
+        assert draws.tobytes() == every.draw(make_rng(seed), m).tobytes()
 
 
 def _bits(a):
@@ -200,11 +242,11 @@ def _kernels(system):
 
 
 def _run(kernel, system, starts, noise, bound=np.inf):
-    """``(paths, stops)`` of one kernel call from R states, noise ``(R, m, 2)``:
-    the ``(R, m + 1, 2)`` paths, NaN past each path's failing state, and the
+    """``(paths, stops)`` of one kernel call from R states, noise ``(R, m, n)``:
+    the ``(R, m + 1, n)`` paths, NaN past each path's failing state, and the
     ``(R,)`` stop steps."""
     noise = np.ascontiguousarray(noise, dtype=float)
-    paths = np.full((len(starts), noise.shape[1] + 1, 2), np.nan)
+    paths = np.full((len(starts), noise.shape[1] + 1, noise.shape[2]), np.nan)
     paths[:, 0] = starts
     stops = kernel(tuple(system.params.values()), paths, noise, bound)
     assert stops.shape == (len(starts),) and stops.dtype.kind == "i"
@@ -214,7 +256,8 @@ def _run(kernel, system, starts, noise, bound=np.inf):
 def _numpy_rule(system, starts, noise, bound):
     """``(paths, stops)`` by the rule the kernels replaced: every state stepped
     as ``transition(x) + w``, then each path's first state whose
-    ``np.linalg.norm`` is not finite or exceeds the bound (m if none)."""
+    ``np.linalg.norm`` is not finite or exceeds the bound (m if none), for
+    states of any width."""
     states = [np.array(starts, dtype=float)]
     with np.errstate(all="ignore"):
         for w in np.transpose(noise, (1, 0, 2)):
@@ -228,48 +271,61 @@ def _numpy_rule(system, starts, noise, bound):
 _signed = st.one_of(st.just(-0.0), _coordinate)
 
 
+def _kernels_agree(system, starts, m, noise, silent, bound):
+    n = len(system.update)
+    draws = np.array(noise)[: len(starts) * m].reshape(len(starts), m, n)
+    if silent:
+        draws = np.full_like(draws, -0.0)
+    if isinstance(bound, int):
+        with np.errstate(all="ignore"):
+            norms = np.linalg.norm(_numpy_rule(system, starts, draws, np.inf)[0][:, 1:], axis=-1)
+        norms = norms[np.isfinite(norms) & (norms > 0)]
+        bound = float(norms[bound % norms.size]) if norms.size else np.inf
+    paths, stops = _numpy_rule(system, starts, draws, bound)
+    (compiled, compiled_stops), (python, python_stops) = (
+        _run(k, system, starts, draws, bound) for k in _kernels(system).values())
+    assert compiled.tobytes() == python.tobytes()
+    assert compiled_stops.tolist() == python_stops.tolist() == stops.tolist()
+    for path, expected, stop in zip(compiled, paths, stops):
+        # the states up to the stop, the failing one included, and no more
+        assert _bits(path[: stop + 2]) == _bits(expected[: stop + 2])
+        assert np.isnan(path[stop + 2 :]).all()
+
+
 class TestDriftForms:
     """The drift T is written once, as each system's update pair: its compiled
     and Python kernels, one path or a block of them, and ``transition`` give
     the same bits from it."""
 
-    @pytest.mark.parametrize("name", sorted(SYSTEMS))
-    @settings(max_examples=200, deadline=None)
-    @given(
-        starts=st.lists(st.tuples(_signed, _signed), min_size=1, max_size=6),
-        m=st.integers(0, 7),
-        noise=st.lists(st.tuples(_coordinate, _coordinate), min_size=42, max_size=42),
-        silent=st.booleans(),
-        bound=st.one_of(st.just(np.inf), st.floats(1e-3, 1e12), st.integers(0, 41)),
-    )
-    @example(starts=[(-0.0, -0.0), (0.0, -0.0)], m=3, noise=[(0.0, 0.0)] * 42, silent=True,
-             bound=np.inf)
-    @example(starts=[(1e6, -1e6)], m=7, noise=[(0.0, 0.0)] * 42, silent=False, bound=np.inf)
-    @example(starts=[(3.0, 4.0)], m=2, noise=[(0.0, 0.0)] * 42, silent=True, bound=0)
-    def test_compiled_and_python_kernels_agree(self, name, starts, m, noise, silent, bound):
-        # R from 1 to 6 paths of m from 0 to 7 steps, states up to 1e6 that
-        # overflow to inf and NaN, and silent noise (-0.0) on -0.0 states.
-        # The bound is +inf, a random float, or (an integer k) the norm of the
-        # k-th state, which that state passes.  Both kernels write the same
-        # bytes and stop where the numpy rule stops, at the first failing state
-        system = SYSTEMS[name]
-        draws = np.array(noise)[: len(starts) * m].reshape(len(starts), m, 2)
-        if silent:
-            draws = np.full_like(draws, -0.0)
-        if isinstance(bound, int):
-            with np.errstate(all="ignore"):
-                norms = np.linalg.norm(_numpy_rule(system, starts, draws, np.inf)[0][:, 1:], axis=-1)
-            norms = norms[np.isfinite(norms) & (norms > 0)]
-            bound = float(norms[bound % norms.size]) if norms.size else np.inf
-        paths, stops = _numpy_rule(system, starts, draws, bound)
-        (compiled, compiled_stops), (python, python_stops) = (
-            _run(k, system, starts, draws, bound) for k in _kernels(system).values())
-        assert compiled.tobytes() == python.tobytes()
-        assert compiled_stops.tolist() == python_stops.tolist() == stops.tolist()
-        for path, expected, stop in zip(compiled, paths, stops):
-            # the states up to the stop, the failing one included, and no more
-            assert _bits(path[: stop + 2]) == _bits(expected[: stop + 2])
-            assert np.isnan(path[stop + 2 :]).all()
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_compiled_and_python_kernels_agree(self, name):
+        # Systems of 1, 2 and 3 coordinates (200 examples of each planar one,
+        # 60 of the others), R from 1 to 6 paths of m from 0 to 7 steps,
+        # states up to 1e6 that overflow to inf and NaN, and silent noise
+        # (-0.0) on -0.0 states.  The bound is +inf, a random float, or (an
+        # integer k) the norm of the k-th state, which that state passes.
+        # Both kernels write the same bytes and stop where the numpy rule
+        # stops, at the first failing state
+        system = SHAPES[name]
+        n = len(system.update)
+        zeros = [(0.0,) * n] * 42
+
+        @settings(max_examples=200 if n == 2 else 60, deadline=None)
+        @given(
+            starts=st.lists(st.tuples(*[_signed] * n), min_size=1, max_size=6),
+            m=st.integers(0, 7),
+            noise=st.lists(st.tuples(*[_coordinate] * n), min_size=42, max_size=42),
+            silent=st.booleans(),
+            bound=st.one_of(st.just(np.inf), st.floats(1e-3, 1e12), st.integers(0, 41)),
+        )
+        @example(starts=[(-0.0,) * n, (0.0, -0.0, 0.0)[:n]], m=3, noise=zeros, silent=True,
+                 bound=np.inf)
+        @example(starts=[(1e6, -1e6, 1e6)[:n]], m=7, noise=zeros, silent=False, bound=np.inf)
+        @example(starts=[(3.0, 4.0, 12.0)[:n]], m=2, noise=zeros, silent=True, bound=0)
+        def agree(starts, m, noise, silent, bound):
+            _kernels_agree(system, starts, m, noise, silent, bound)
+
+        agree()
 
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     @settings(max_examples=200, deadline=None)
@@ -373,17 +429,22 @@ class TestUpdateGuard:
     def test_not_an_expression_or_not_a_pair(self):
         with pytest.raises(ValueError, match=re.escape("update 'x1 +' is not")):
             StochasticSystem(("x1 +", "x2"), {}, NoiseModel.none())
-        with pytest.raises(ValueError, match="one expression per coordinate"):
-            StochasticSystem(("x1", "x2", "x1"), {}, NoiseModel.none())
-        for name in ("x1", "_a", "lambda", "a b"):  # the kernels' own names, or none
-            with pytest.raises(ValueError, match="parameter names"):
+        # three expressions are a system of three coordinates, which may read x3
+        assert StochasticSystem(("x1", "x2", "x3"), {}, NoiseModel.none()).noise.std_dev.size == 3
+        with pytest.raises(ValueError, match=re.escape("update 'x3' may use only x1, x2, finite")):
+            StochasticSystem(("x1", "x3"), {}, NoiseModel.none())
+        for name in ("x1", "w2", "_a", "lambda", "a b"):  # the kernels' own names, or none
+            with pytest.raises(ValueError, match="parameter names .* other than x1, x2, w1, w2,"):
                 StochasticSystem(("x1", "x2"), {name: 1.0}, NoiseModel.none())
-        # a lone string (not a pair of characters), a pair holding a number
-        # and a number are refused by the rule, not by the parser
-        for update in ("x1", ("x1", 2.0), 5):
-            with pytest.raises(ValueError, match="update must be a pair of strings"):
+        # the state names follow the dimension: x3 is a parameter of a planar map
+        planar = StochasticSystem(("x3 * x1", "x2"), {"x3": 2.0}, NoiseModel.none())
+        assert planar.params == {"x3": 2.0}
+        # a lone string (not a tuple of characters), a tuple holding a number,
+        # no expression and a number are refused by the rule, not by the parser
+        for update in ("x1", ("x1", 2.0), (), [], 5):
+            with pytest.raises(ValueError, match="update must be a non-empty tuple of strings"):
                 StochasticSystem(update, {}, NoiseModel.none())
-        # a list is held as the pair, the kernels' cache key
+        # a list is held as the tuple, the kernels' cache key
         assert StochasticSystem(["x1", "x2"], {}, NoiseModel.none()).update == ("x1", "x2")
 
     def test_admitted_forms_step_alike(self):
@@ -581,6 +642,15 @@ class TestSimulate:
         for seeds in ([3, 2, 1, 0], [5, 3, 7, 1, 9, 0, 2]):
             again, others = run(seeds)
             assert again[2] == 19690 and {s: others[s] for s in states} == states
+
+    def test_no_seed_gives_no_block(self, baseline_params):
+        # the start block used to be built with shape (0,), which failed the
+        # state check ("x0 must be a finite planar state ...")
+        system = make_closed_quadratic(baseline_params)
+        assert list(trajectory_chunks(system, np.zeros(2), 10, [])) == []
+        assert list(trajectory_chunks(system, None, 10, [], domain=unit_box(2))) == []
+        with pytest.raises(ValueError, match="x0 must be a finite 2-D state, or None and a 2-D"):
+            list(trajectory_chunks(system, np.zeros(3), 10, []))
 
     def test_initial_state_from_domain(self, baseline_params):
         system = make_closed_quadratic(baseline_params)
@@ -790,8 +860,10 @@ class TestRekey:
 
 class TestNoiseModel:
     def test_none_draws_zero(self):
-        draws = NoiseModel.none().draw(make_rng(0), 5)
+        # one column per std entry: a planar system's silent noise has two
+        draws = noiseless_quadratic(ClosedQuadraticParams(0.2, 0.3)).noise.draw(make_rng(0), 5)
         assert draws.shape == (5, 2) and draws.tobytes() == np.full((5, 2), -0.0).tobytes()
+        assert NoiseModel.none().draw(make_rng(0), 5).tobytes() == np.full((5, 1), -0.0).tobytes()
 
     def test_density_integrates_to_one(self):
         nm = NoiseModel.gaussian([0.5, 2.0])
@@ -805,3 +877,124 @@ class TestNoiseModel:
     def test_density_unavailable(self):
         with pytest.raises(ValueError, match="density"):
             NoiseModel.none().density(np.zeros((1, 2)))
+
+
+def _exact_koopman(system, dictionary):
+    """The Koopman matrix of a system whose map closes on the dictionary under
+    Gaussian noise: at 60 states x uniform on the unit box, E_xi[psi(T(x) + xi)]
+    by a tensor Gauss-Hermite rule of 3 nodes per axis (exact for polynomials
+    of degree 5 in each noise coordinate), projected on the dictionary by
+    least squares, which is exact because the image lies in its span."""
+    n = len(system.update)
+    nodes, weights = np.polynomial.hermite_e.hermegauss(3)  # weight exp(-z^2 / 2)
+    grid = np.stack(np.meshgrid(*[nodes] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    mass = np.prod(np.stack(np.meshgrid(*[weights] * n, indexing="ij"), axis=-1).reshape(-1, n),
+                   axis=1) / np.sqrt(2 * np.pi) ** n
+    xs = unit_box(n).sample(make_rng(5), 60)
+    images = np.array([mass @ evaluate_many(dictionary, tx + grid * system.noise.std_dev)
+                       for tx in system.transition(xs)])
+    return np.linalg.lstsq(evaluate_many(dictionary, xs), images, rcond=None)[0]
+
+
+class TestAnyDimension:
+    """The simulator, the estimator and the oracles at n = 1 and n = 3: the
+    dimension is the length of the update."""
+
+    CASES = {"line": (AFFINE_LINE, make_monomial_dictionary(1, 2)),
+             "triangular": (TRIANGULAR, TRIANGULAR_DICTIONARY)}
+
+    def test_exact_koopman_entries(self):
+        # the rule against entries worked by hand: E[(rho x1 + xi)^2] is
+        # rho^2 x1^2 + s^2, E[(rho x1 + xi)^4] is rho^4 x1^4 + 6 rho^2 s^2 x1^2 + 3 s^4,
+        # and E[x1'^2 x2'] holds s^2 (mu x2 + c x1^2)
+        k, s2 = _exact_koopman(TRIANGULAR, TRIANGULAR_DICTIONARY), 0.3**2
+        one, x1, x2, x3, x1x1, x1x1x2, x1x1x1x1, x2x2 = range(8)
+        expected = {(one, x1x1): s2, (x1x1, x1x1): 0.25, (one, x1x1x1x1): 3 * s2 * s2,
+                    (x1x1, x1x1x1x1): 6 * 0.25 * s2, (x1x1x1x1, x1x1x1x1): 0.0625,
+                    (x2, x1x1x2): 0.4 * s2, (x1x1, x1x1x2): s2, (x1x1x1x1, x1x1x2): 0.25,
+                    (x3, x3): 0.3, (x2x2, x3): 0.5, (one, x2x2): s2, (x1x1x2, x2x2): 0.8}
+        for (row, col), value in expected.items():
+            assert k[row, col] == pytest.approx(value, abs=1e-12)
+        assert np.count_nonzero(np.abs(k) > 1e-12) == 19
+        line = _exact_koopman(*self.CASES["line"])  # [1, x, x^2] under x' = 0.5 x + 0.25 + xi
+        np.testing.assert_allclose(line, [[1, 0.25, 0.0625 + s2], [0, 0.5, 0.25], [0, 0, 0.25]],
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_noiseless_estimate_recovers_the_operator(self, case):
+        system, dictionary = self.CASES[case]
+        quiet = dataclasses.replace(system, noise=NoiseModel.none())
+        n = len(system.update)
+        pairs = step_pairs(quiet, unit_box(n).sample(make_rng(11), 200), seed=3)
+        est = estimate_koopman(accumulate(MomentPair.empty(dictionary), dictionary, pairs))
+        assert np.abs(est.matrix - _exact_koopman(quiet, dictionary)).max() <= 1e-10
+
+    def test_mean_error_falls_with_T(self):
+        # the T^(-1/2) rate: ten times the samples cut the mean Frobenius
+        # error by about sqrt(10), here checked as more than a factor 2
+        k = _exact_koopman(TRIANGULAR, TRIANGULAR_DICTIONARY)
+        means = []
+        for T in (1000, 10000):
+            errs = []
+            for seed in range(20):
+                samples = simulate(TRIANGULAR, None, T, mix_seed(35, T, seed), domain=unit_box(3))
+                moments = accumulate(MomentPair.empty(TRIANGULAR_DICTIONARY),
+                                     TRIANGULAR_DICTIONARY, samples)
+                errs.append(np.linalg.norm(estimate_koopman(moments).matrix - k))
+            means.append(np.mean(errs))
+        assert means[1] < 0.5 * means[0]
+
+    def test_simulate_is_its_path_in_a_block(self):
+        # past BLOCK steps, so each seed's stream is saved and restored at n = 3
+        seeds, steps, dom = [4, 5, 6], BLOCK + 5, unit_box(3)
+        blocks = {seed: [] for seed in seeds}
+        for paths, index, failed in trajectory_chunks(TRIANGULAR, None, steps, seeds, domain=dom):
+            assert failed == {} and paths.shape[2] == 3
+            for path, k in zip(paths, index.tolist()):
+                blocks[seeds[k]].append(path)
+        for seed, bs in blocks.items():
+            states = np.concatenate([b[:-1] for b in bs] + [bs[-1][-1:]])
+            alone = simulate(TRIANGULAR, None, steps, seed, domain=dom)
+            assert states.tobytes() == alone.states.tobytes()
+
+    @pytest.mark.parametrize("name", ["cubic-line", "triangular"])
+    def test_step_pairs_is_one_kernel_step(self, name):
+        system = SHAPES[name]
+        n = len(system.update)
+        xs = unit_box(n).sample(make_rng(9), 6)
+        draws = system.noise.draw(make_rng(21), len(xs))[:, None]
+        ys = step_pairs(system, xs, 21).ys
+        assert ys.shape == (6, n)
+        for kernel in _kernels(system).values():
+            assert ys.tobytes() == _run(kernel, system, xs, draws)[0][:, 1].tobytes()
+        assert ys.tobytes() == (system.transition(xs) + draws[:, 0]).tobytes()
+
+    def test_a_map_of_constants_steps_a_batch(self):
+        # a map that reads no state at all used to return one state for a
+        # batch: (2,) for rows (3, 2)
+        for update in (("0.5", "0.25"), ("-0.0",)):
+            system = StochasticSystem(update, {}, NoiseModel.none())
+            xs = np.ones((3, len(update)))
+            expected = np.tile([float(e) for e in update], (3, 1))
+            assert system.transition(xs).tobytes() == expected.tobytes()
+            assert system.transition(xs[0]).tobytes() == expected[0].tobytes()
+
+    def test_the_oracle_and_the_divergence_norm_take_n_coordinates(self):
+        x = np.array([0.5, -0.25, 1.0])
+        value, _ = koopman_apply_mc(TRIANGULAR, TRIANGULAR_DICTIONARY, np.eye(8)[6], x, 4000, 2)
+        k = _exact_koopman(TRIANGULAR, TRIANGULAR_DICTIONARY)
+        exact = evaluate(TRIANGULAR_DICTIONARY, x) @ k
+        assert abs(value - exact[6]) < 0.01
+        # the norm of the failing state, summed in coordinate order as the kernels
+        # sum it; summed in another order it would differ in the last bit
+        big = StochasticSystem(("2.0 * x1", "x2", "x3"), {}, NoiseModel.none())
+        with pytest.raises(DivergenceError) as err:
+            simulate(big, [1.0, 2.978, 2.594], 30, 0, max_norm=100.0)
+        a, b, c = 128.0 * 128.0, 2.978 * 2.978, 2.594 * 2.594
+        assert (err.value.step, err.value.norm) == (6, np.sqrt((a + b) + c))
+        assert np.sqrt((a + b) + c) < np.sqrt(a + (b + c))
+        # so a state whose norm equals the bound in that order passes both kernels
+        for kernel in _kernels(big).values():
+            paths, stops = _run(kernel, big, [(64.0, 2.978, 2.594)], np.full((1, 1, 3), -0.0),
+                                np.sqrt((a + b) + c))
+            assert stops.tolist() == [1] and paths[0, 1].tolist() == [128.0, 2.978, 2.594]

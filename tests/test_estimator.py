@@ -134,11 +134,21 @@ class TestMomentAccumulation:
         assert (ab.count, ab.seed, ba.seed, ab.names) == (1000, 1, 2, dct.names)
 
     def test_dimension_mismatch(self, baseline_params):
+        # evaluate_many's check names both shapes, for a trajectory (lifted
+        # as its m + 1 states) and for pairs that do not chain alike, and no
+        # moment is touched
         dct = make_monomial_dictionary(3, 1)
         system = make_closed_quadratic(baseline_params)
-        ss = simulate(system, np.zeros(2), 10, seed=0)
-        with pytest.raises(ValueError, match="dimension"):
-            accumulate(MomentPair.empty(dct), dct, ss)
+        chained = simulate(system, np.zeros(2), 10, seed=0)
+        pairs = SampleSet(chained.ys, chained.xs, 0)
+        for samples, rows in ((chained, 11), (pairs, 10)):
+            moments = MomentPair.empty(dct)
+            message = rf"^states must have shape \(m, 3\), got \({rows}, 2\)$"
+            with pytest.raises(ValueError, match=message):
+                accumulate(moments, dct, samples)
+            assert moments.count == 0 and not moments._sums.any()
+            with pytest.raises(ValueError, match=message):
+                residuals(dct, samples, np.eye(dct.n_basis))
 
     def test_positive_semidefinite_and_symmetric(self, baseline_params):
         dct = closed_quadratic_dictionary()

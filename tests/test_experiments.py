@@ -93,6 +93,24 @@ class TestSlopeFit:
         with pytest.raises(ValueError):
             fit_loglog_slope([10.0], [1.0])
 
+    @pytest.mark.parametrize(
+        "ts, errs, pair",
+        [([10, 100], [np.inf, 1.0], "(10.0, inf)"),
+         ([10, 100, 1000], [1.0, 0.0, -1.0], "(100.0, 0.0)"),
+         ([10, 100], [1.0, np.nan], "(100.0, nan)"),
+         ([0, 100], [1.0, 0.5], "(0.0, 1.0)"),
+         ([10, -100], [1.0, 0.5], "(-100.0, 0.5)"),
+         ([10, np.inf], [1.0, 0.5], "(inf, 0.5)")],
+        ids=["inf-error", "zero-error", "nan-error", "zero-T", "negative-T", "inf-T"],
+    )
+    def test_a_point_off_the_log_scale_is_named(self, ts, errs, pair):
+        # each used to return an infinite or NaN slope, some with a numpy
+        # "divide by zero" warning; the first offending pair is named
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^\(T, error\) = {re.escape(pair)}: "):
+                fit_loglog_slope(ts, errs)
+
 
 class TestConfig:
     def test_load_shipped_configs(self):
@@ -192,13 +210,13 @@ class TestConfig:
              "unknown key 'mu' in system.params"),
             ("system", {"kind": "duffing", "params": {}}, "unknown system.kind 'duffing'"),
             ("system", {**CLOSED_QUADRATIC, "noise": {"std": [1.0, 1.0, 1.0]}},
-             r"^system.noise.std: std_dev needs 1 or 2 entries \(systems are planar\), got 3$"),
+             r"^system.noise.std: std_dev needs 1 or 2 entries, one per coordinate, got 3$"),
             ("system", {**CLOSED_QUADRATIC, "noise": {"kind": "none", "std": [0.0] * 3}},
              r"^system.noise.std: std_dev needs 1 or 2 entries"),
             ("dictionary", {"kind": "monomial", "state_dim": 3, "max_degree": 2},
-             "dictionary.state_dim gives dimension 3"),
+             r"^dictionary.state_dim must be of the system's dimension 2, got 3$"),
             ("domain", {"lower": [-1.0, -1.0, -1.0], "upper": [1.0, 1.0, 1.0]},
-             "domain gives dimension 3"),
+             r"^domain must be of the system's dimension 2, got 3$"),
             # the one config error that named no key
             ("domain", {"lower": [-1.0, -1.0], "upper": [1.0]},
              r"^domain: lower and upper must be 1-D vectors of the same length$"),

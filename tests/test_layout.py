@@ -10,9 +10,15 @@ Each system's map T is written once, as the one pair of update expressions
 its constructor passes (no nested step function, and no noise term: the
 kernels add the noise last), and ``experiments`` has no rule that fits a
 block's seeds one at a time (``lockstep_min_seeds``).  The Python kernel
-generated from the pair keeps the two state coordinates as names and
-collects them in lists: it writes no numpy row and builds no tuple per
-step, and takes each state's norm with one ``_sqrt`` call.  The kernel alone
+generated from the update keeps each state coordinate as a name and
+collects it in a list of its own: it writes no numpy row, assigns the new
+state as names from expressions (which CPython swaps in place, with no
+tuple, for up to three coordinates), and takes each state's norm with one
+``_sqrt`` call.
+A system's dimension is the length of its update, and nothing else states
+it: no module names ``STATE_DIM`` or ``STEP_NAMES`` or assigns a dimension
+constant, and neither kernel template spells out a second coordinate
+(``x2``, ``_w2``, ``2 * t``): the generator fills in one field per coordinate.  The kernel alone
 decides divergence: ``trajectory_chunks`` takes no ``np.linalg.norm`` of the
 paths and opens no ``errstate``.  The only function named ``transition`` is the method that evaluates
 that pair, T, over arrays, and no code branches on ``ndim == 1`` into a
@@ -49,7 +55,7 @@ row is one ``BoundReport`` (no ``ViolationStats`` or ``make_bound_report``),
 a system's noiseless map is ``transition``, its noisy step
 ``step_pairs`` (``StochasticSystem`` has no ``step``), and the residuals of
 a fit are their ``(N,)`` array (no ``ResidualStats`` holding its maximum).
-A system is its update pair and its planar noise: ``StochasticSystem`` has
+A system is its update and its noise: ``StochasticSystem`` has
 the three fields ``update``, ``params`` and ``noise`` and no class constant, and no
 ``NoiseModel`` constructor takes a dimension.
 A sample set is its pairs: ``SampleSet`` has the fields ``xs``, ``ys``,
@@ -107,6 +113,7 @@ share one.
 
 import ast
 import re
+import string
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "koopest"
@@ -282,10 +289,15 @@ def test_stepping_loop_writes_no_row_and_builds_no_tuple():
                      if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "StochasticSystem"]
         update = system.args[0]
         assert isinstance(update, ast.Tuple) and len(update.elts) == 2, maker  # one pair
-    # the generated Python kernel, with a stand-in for the pair
-    (template,) = [n.value.value for n in module.body if isinstance(n, ast.Assign)
-                   and getattr(n.targets[0], "id", None) == "_PYTHON"]
-    (kernel,) = ast.parse(template.format("e1", "e2", names="[p]")).body
+    # the generated Python kernel of three coordinates, with stand-ins for the update
+    (template,) = _templates(module, "_PYTHON")
+    fields = {"names": "[p]", "appends": "; ".join(f"_append{i}(x{i})" for i in (1, 2, 3)),
+              "norm": " + ".join(f"x{i} * x{i}" for i in (1, 2, 3))}
+    for field, form in (("xs", "x{}"), ("ws", "_w{}"), ("appenders", "_append{}"),
+                        ("steps", "(e{0}) + _w{0}")):
+        fields[field] = " ".join(form.format(i) + "," for i in (1, 2, 3))
+    assert {f for _, f, _, _ in string.Formatter().parse(template) if f} == set(fields)
+    (kernel,) = ast.parse(template.format(**fields)).body
     (loop,) = [n for n in ast.walk(kernel) if isinstance(n, ast.For)  # the innermost loop
                and not any(isinstance(c, ast.For) for b in n.body for c in ast.walk(b))]
     body = [n for stmt in loop.body for n in ast.walk(stmt)]
@@ -294,11 +306,31 @@ def test_stepping_loop_writes_no_row_and_builds_no_tuple():
     assert targets
     assert not any(isinstance(n, ast.Subscript) for t in targets for n in ast.walk(t))
     calls = {getattr(n.func, "id", None) for n in body if isinstance(n, ast.Call)}
-    assert calls == {"_append1", "_append2", "_sqrt"}  # no map, tuple or drift call
-    # the new state is a pair of names, assigned from a pair of expressions
-    assert any(isinstance(t, ast.Tuple) for t in targets)
+    assert calls == {"_append1", "_append2", "_append3", "_sqrt"}  # no map, tuple or drift call
+    # the new state is a tuple of names, assigned from a tuple of expressions
+    assert any(isinstance(t, ast.Tuple) and len(t.elts) == 3 for t in targets)
     assert "lockstep_min_seeds" not in {n.name for n in ast.walk(_parse("experiments"))
                                         if isinstance(n, ast.FunctionDef)}
+
+
+def _templates(module, *names):
+    """The string constants assigned at module level to ``names``, in order."""
+    found = {n.targets[0].id: n.value.value for n in module.body if isinstance(n, ast.Assign)
+             and getattr(n.targets[0], "id", None) in names}
+    return [found[name] for name in names]
+
+
+def test_the_dimension_is_the_length_of_the_update():
+    for path in sorted(SRC.glob("*.py")):
+        module = _parse(path.stem)
+        names = {name for node in ast.walk(module) for name in _names(node)}
+        assert names.isdisjoint({"STATE_DIM", "STEP_NAMES"}), path.name
+        constants = [t.id for n in module.body if isinstance(n, (ast.Assign, ast.AnnAssign))
+                     for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+                     if isinstance(t, ast.Name) and "DIM" in t.id.upper()]
+        assert constants == [], path.name
+    for template in _templates(_parse("dynamics"), "_PYTHON", "_C"):
+        assert re.search(r"x2|_w2|\by2\b|2 \* t", template) is None
 
 
 def test_the_kernel_alone_decides_divergence():

@@ -15,6 +15,12 @@ Taken with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1; the stepping is
 scalar IEEE arithmetic and does not depend on the BLAS build.  Both of a
 system's kernels must write them: the compiled one (where a C compiler is
 found) and the Python one it falls back to.
+
+It also records the sha256 of each system's generated C kernel text, taken
+while the generator still wrote the plane's two coordinates by hand: the
+generator now writes any number of coordinates, and for these systems it
+writes the same text, so gcc builds the same code.  A codegen edit that
+touches the planar kernels must re-capture these hashes by name.
 """
 
 import hashlib
@@ -33,6 +39,7 @@ from koopest import (
     step_pairs,
     unit_box,
 )
+from koopest import dynamics
 
 T = 65_573
 
@@ -60,6 +67,12 @@ GOLDEN = {
         "step_pairs": "202de472fc9ee74655c572df0f3023acd4bd4a509643d0111b48b3490b2af8dd",
         "koopman_apply_mc": "a50f43400650bd069a59f881c531d02199d3140546d947daebb931b50bb07fc9",
     },
+}
+
+KERNEL_SOURCE = {
+    "closed-quadratic": "5408ebe2d21cc65f77794a85db969104bce80f11a6219cd71675e887a65366ae",
+    "vanderpol": "203d65a5aa411e5e89295f9ce3548c7a776382be8efd44601b2a3f4e0fce823a",
+    "standard_vdp": "6cb81a8c436f06cf42aba8df27f64d35cf546aa6d033bd32ed571618c39fa1d6",
 }
 
 
@@ -104,3 +117,10 @@ def test_python_kernel_bytes_match_recorded_hashes(kind, compiler):
     compiler(None)
     assert SYSTEMS[kind]().stepping == "python: no C compiler found"
     assert _hashes(kind) == GOLDEN[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(SYSTEMS))
+def test_generated_c_source_matches_recorded_hash(kind):
+    system = SYSTEMS[kind]()
+    source = dynamics._python(system.update, tuple(system.params))[2]
+    assert hashlib.sha256(source.encode()).hexdigest() == KERNEL_SOURCE[kind]
